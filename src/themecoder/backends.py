@@ -25,6 +25,7 @@ from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
 from .errors import BackendError, ConfigError
+from .jsonl import JsonLines
 from .parsing import ParseFailure, ParseOutcome
 from .prompting import RenderedPrompt
 
@@ -110,23 +111,15 @@ def cache_key(cfg: BackendConfig, prompt: RenderedPrompt) -> str:
     return sha256(payload.encode("utf-8")).hexdigest()
 
 
-class AuditLog:
+class AuditLog(JsonLines):
     """Append-only JSON-lines log of every backend interaction."""
-
-    def __init__(self, path: str | Path) -> None:
-        self.path = Path(path)
-        self._lock = threading.Lock()
-        self.path.parent.mkdir(parents=True, exist_ok=True)
 
     def append(self, **record) -> None:
         record.setdefault("ts", time.time())
-        line = json.dumps(record, sort_keys=True, ensure_ascii=False)
-        with self._lock:
-            with self.path.open("a", encoding="utf-8") as fh:
-                fh.write(line + "\n")
+        self.write(record)
 
 
-class ResponseCache:
+class ResponseCache(JsonLines):
     """Fingerprint -> list of raw attempt texts, persisted as JSON lines.
 
     A hit replays the original attempt sequence locally, so a rerun of an
@@ -134,15 +127,8 @@ class ResponseCache:
     """
 
     def __init__(self, path: str | Path) -> None:
-        self.path = Path(path)
-        self._lock = threading.Lock()
-        self._entries: dict[str, list[str]] = {}
-        if self.path.exists():
-            for line in self.path.read_text(encoding="utf-8").splitlines():
-                if not line.strip():
-                    continue
-                rec = json.loads(line)
-                self._entries[rec["fingerprint"]] = list(rec["attempts"])
+        super().__init__(path)
+        self._entries = {rec["fingerprint"]: list(rec["attempts"]) for rec in self.read()}
 
     def get(self, fingerprint: str) -> list[str] | None:
         with self._lock:
@@ -154,16 +140,7 @@ class ResponseCache:
             if self._entries.get(fingerprint) == list(attempts):
                 return
             self._entries[fingerprint] = list(attempts)
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            with self.path.open("a", encoding="utf-8") as fh:
-                fh.write(
-                    json.dumps(
-                        {"fingerprint": fingerprint, "attempts": list(attempts)},
-                        sort_keys=True,
-                        ensure_ascii=False,
-                    )
-                    + "\n"
-                )
+            self.write({"fingerprint": fingerprint, "attempts": list(attempts)})
 
 
 class TokenBucket:
@@ -371,10 +348,12 @@ def complete(
     backend: _BaseBackend | None = None,
     retry: RetryPolicy | None = None,
     audit: AuditLog | None = None,
+    fingerprint: str | None = None,
 ) -> CompletionResult:
-    """Issue one completion request and return the verbatim text."""
+    """Issue one completion request and return the verbatim text; ``fingerprint``
+    defaults to ``cache_key(cfg, prompt)``."""
     be = backend if backend is not None else make_backend(cfg, retry=retry, audit=audit)
-    fp = cache_key(cfg, prompt)
+    fp = fingerprint if fingerprint is not None else cache_key(cfg, prompt)
     text = message if message is not None else prompt.text
     started = time.monotonic()
     raw = be.call(text, prompt, fp, attempt)
@@ -440,7 +419,8 @@ def classify_with_retry(
     for attempt in range(1, budget + 1):
         message = prompt.text if attempt == 1 else f"{prompt.text}\n\n{prompt.format_reminder()}"
         last = complete(
-            cfg, prompt, attempt=attempt, message=message, backend=be, retry=policy, audit=audit
+            cfg, prompt, attempt=attempt, message=message, backend=be, retry=policy, audit=audit,
+            fingerprint=fp,
         )
         attempt_texts.append(last.raw_text)
         outcome = parser(last.raw_text)

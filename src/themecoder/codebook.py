@@ -287,7 +287,7 @@ def load_gold(path: str | Path, corpus, cb: Codebook) -> GoldLabelSet:
     alphabet = cb.alphabet
     corpus_ids = {post.id for post in corpus.posts}
     vectors: dict[str, LabelVector] = {}
-    lint: list[str] = []
+    conflicts: list[str] = []  # post ids with the null code set beside another
     try:
         rows = list(csv.reader(p.open(encoding="utf-8", newline="")))
     except FileNotFoundError:
@@ -330,15 +330,18 @@ def load_gold(path: str | Path, corpus, cb: Codebook) -> GoldLabelSet:
             labels[code] = int(cell)
         vec = LabelVector.from_mapping(labels, alphabet)
         if lint_null_conflict(vec, cb.null_code):
-            lint.append(f"post {post_id}: null code {cb.null_code} set alongside a substantive code")
+            conflicts.append(post_id)
         vectors[post_id] = vec
 
     log.info("loaded %d gold-labeled posts from %s", len(vectors), p)
-    for w in lint:
-        log.warning("gold lint: %s", w)
+    if conflicts:
+        log.warning("gold lint: %d post(s) set null code %s alongside a substantive code, first: %s",
+                    len(conflicts), cb.null_code, ", ".join(conflicts[:5]))
     return GoldLabelSet(
         corpus_name=corpus.name,
         vectors=vectors,
         note=f"{len(vectors)} labeled posts from {p.name}",
-        lint_warnings=tuple(lint),
+        lint_warnings=tuple(
+            f"post {pid}: null code {cb.null_code} set alongside a substantive code" for pid in conflicts
+        ),
     )

@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import csv
 import json
-import threading
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import ExitStack, closing
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from hashlib import sha256
@@ -34,7 +35,6 @@ from .backends import (
 )
 from .codebook import Codebook, LabelVector, load_codebook, load_gold
 from .corpus import (
-    Corpus,
     SamplingSpec,
     dedup_clean,
     keyword_filter,
@@ -56,6 +56,7 @@ from .evaluation import (
     run_stats,
     theme_distribution,
 )
+from .jsonl import JsonLines
 from .parsing import PARSE_MODES, ParseOutcome, assemble_per_theme, parse_single_answer, parse_single_line
 from .prompting import (
     DEFAULT_EXEMPLAR_BUDGET,
@@ -420,28 +421,16 @@ def build_manifest(cfg: RunConfig, scaffold: str) -> dict:
     }
 
 
-class RunLedger:
+class RunLedger(JsonLines):
     """Append-only JSON-lines event log; the one mutable run artifact."""
-
-    def __init__(self, path: str | Path) -> None:
-        self.path = Path(path)
-        self._lock = threading.Lock()
 
     def append(self, event: dict) -> None:
         event = dict(event)
         event.setdefault("ts", _utcnow())
-        with self._lock:
-            with self.path.open("a", encoding="utf-8") as fh:
-                fh.write(json.dumps(event, sort_keys=True, ensure_ascii=False) + "\n")
+        self.write(event)
 
     def events(self) -> list[dict]:
-        if not self.path.exists():
-            return []
-        return [
-            json.loads(line)
-            for line in self.path.read_text(encoding="utf-8").splitlines()
-            if line.strip()
-        ]
+        return list(self.read())
 
     def statuses(self, run_index: int = 1) -> dict[str, str]:
         """post id -> classified|failed for one repeat run."""
@@ -452,7 +441,7 @@ class RunLedger:
         return out
 
 
-class ResultsStore:
+class ResultsStore(JsonLines):
     """Append-only classification records, one line per (post, label).
 
     Records carry no timestamps, latencies, or cache flags, so two runs of
@@ -461,16 +450,11 @@ class ResultsStore:
     """
 
     def __init__(self, path: str | Path) -> None:
-        self.path = Path(path)
-        self._lock = threading.Lock()
+        super().__init__(path)
         self.records: list[dict] = []
         self._keys: set[tuple[str, str]] = set()
-        if self.path.exists():
-            for line in self.path.read_text(encoding="utf-8").splitlines():
-                if not line.strip():
-                    continue
-                rec = json.loads(line)
-                self._remember(rec)
+        for rec in self.read():
+            self._remember(rec)
 
     def _remember(self, rec: dict) -> None:
         key = (rec["post_id"], rec["label"])
@@ -491,9 +475,7 @@ class ResultsStore:
     def append(self, rec: dict) -> None:
         with self._lock:
             self._remember(rec)
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            with self.path.open("a", encoding="utf-8") as fh:
-                fh.write(json.dumps(rec, sort_keys=True, ensure_ascii=False) + "\n")
+            self.write(rec)
 
     def labels(self) -> tuple[str, ...]:
         return tuple(sorted({r["label"] for r in self.records}))
@@ -616,21 +598,17 @@ def _classify_one(post, cb: Codebook, tpl, shot, cfg: RunConfig, backend, policy
         include_title=cfg.include_title,
         exemplar_budget=cfg.exemplar_budget,
     )
+
+    def classify(prompt, parser):
+        return classify_with_retry(cfg.backend, policy, prompt, parser, backend=backend, cache=cache, audit=audit)
+
     if isinstance(rendered, list):  # one prompt per theme
         outcomes: dict[str, ParseOutcome] = {}
         attempts = 0
         fingerprints = []
         for rp in rendered:
             code = rp.target[0]
-            result, cres = classify_with_retry(
-                cfg.backend,
-                policy,
-                rp,
-                lambda text, c=code: parse_single_answer(text, c, cfg.parse_mode),
-                backend=backend,
-                cache=cache,
-                audit=audit,
-            )
+            result, cres = classify(rp, lambda text, c=code: parse_single_answer(text, c, cfg.parse_mode))
             attempts += cres.attempts
             fingerprints.append(cres.fingerprint)
             if isinstance(result, ClassificationFailure):
@@ -639,69 +617,35 @@ def _classify_one(post, cb: Codebook, tpl, shot, cfg: RunConfig, backend, policy
             else:
                 outcomes[code] = ParseOutcome.success(result)
         merged = assemble_per_theme(outcomes, cb)
+        vector, failures = merged.vector, [merged.failure]
         fingerprint = _sha256_text("\n".join(fingerprints))
-        if merged.ok:
-            return {
-                "post_id": post.id,
-                "label": cfg.label,
-                "status": "classified",
-                "vector": merged.vector.as_dict(),
-                "attempts": attempts,
-                "template_version": tpl.version,
-                "backend_kind": cfg.backend.kind,
-                "fingerprint": fingerprint,
-            }
-        return {
-            "post_id": post.id,
-            "label": cfg.label,
-            "status": "failed",
-            "failures": [{"reason": merged.failure.reason, "detail": merged.failure.detail}],
-            "attempts": attempts,
-            "template_version": tpl.version,
-            "backend_kind": cfg.backend.kind,
-            "fingerprint": fingerprint,
-        }
+    else:
+        result, cres = classify(rendered, lambda text: parse_single_line(text, cb, cfg.parse_mode))
+        attempts, fingerprint = cres.attempts, cres.fingerprint
+        if isinstance(result, ClassificationFailure):
+            vector, failures = None, [f for _, f in result.attempts]
+        else:
+            vector = result
 
-    result, cres = classify_with_retry(
-        cfg.backend,
-        policy,
-        rendered,
-        lambda text: parse_single_line(text, cb, cfg.parse_mode),
-        backend=backend,
-        cache=cache,
-        audit=audit,
+    rec: dict = {"post_id": post.id, "label": cfg.label}
+    if vector is not None:
+        rec.update(status="classified", vector=vector.as_dict())
+    else:
+        rec.update(status="failed", failures=[{"reason": f.reason, "detail": f.detail} for f in failures])
+    rec.update(
+        attempts=attempts, template_version=tpl.version, backend_kind=cfg.backend.kind, fingerprint=fingerprint
     )
-    if isinstance(result, ClassificationFailure):
-        return {
-            "post_id": post.id,
-            "label": cfg.label,
-            "status": "failed",
-            "failures": [
-                {"reason": f.reason, "detail": f.detail} for _, f in result.attempts
-            ],
-            "attempts": cres.attempts,
-            "template_version": tpl.version,
-            "backend_kind": cfg.backend.kind,
-            "fingerprint": cres.fingerprint,
-        }
-    return {
-        "post_id": post.id,
-        "label": cfg.label,
-        "status": "classified",
-        "vector": result.as_dict(),
-        "attempts": cres.attempts,
-        "template_version": tpl.version,
-        "backend_kind": cfg.backend.kind,
-        "fingerprint": cres.fingerprint,
-    }
+    return rec
 
 
 def cmd_classify(cfg: RunConfig, *, resume: bool = False) -> list[ResultsStore]:
     """Classify every corpus post against the configured backend.
 
-    Fan-out is bounded by the backend's in-flight limit; records commit in
-    corpus order regardless of completion order. With resume, posts already
-    recorded are skipped and the manifest must match the original.
+    Fan-out is bounded by the backend's in-flight limit, with at most twice
+    that many posts submitted ahead of the commit, so a backend failure
+    stops the run promptly; records commit in corpus order regardless of
+    completion order. With resume, posts already recorded are skipped and
+    the manifest must match the original.
     """
     run_dir = cfg.output_dir
     run_dir.mkdir(parents=True, exist_ok=True)
@@ -710,8 +654,9 @@ def cmd_classify(cfg: RunConfig, *, resume: bool = False) -> list[ResultsStore]:
     tpl = load_template(cfg.template_version, cfg.template_path)
     shot = ShotPolicy(shots=cfg.shots, selection=cfg.selection)
     manifest = build_manifest(cfg, tpl.scaffold)
+    window = 2 * cfg.backend.in_flight_limit
 
-    with RunLock(run_dir):
+    with RunLock(run_dir), ExitStack() as run_files:  # files close after the pool has drained
         manifest_path = run_dir / "manifest.json"
         if manifest_path.exists():
             existing = json.loads(manifest_path.read_text(encoding="utf-8"))
@@ -729,50 +674,45 @@ def cmd_classify(cfg: RunConfig, *, resume: bool = False) -> list[ResultsStore]:
                 encoding="utf-8",
             )
 
-        ledger = RunLedger(run_dir / "ledger.jsonl")
-        audit = AuditLog(run_dir / "audit.jsonl")
+        ledger = run_files.enter_context(closing(RunLedger(run_dir / "ledger.jsonl")))
+        ledger.events()  # finds a torn last line, cut off before the next event
+        audit = run_files.enter_context(closing(AuditLog(run_dir / "audit.jsonl")))
         stores: list[ResultsStore] = []
         for r in range(1, cfg.repeats + 1):
             suffix = "" if cfg.repeats == 1 else f"_r{r}"
-            store = ResultsStore(run_dir / f"results{suffix}.jsonl")
+            store = run_files.enter_context(closing(ResultsStore(run_dir / f"results{suffix}.jsonl")))
             if len(store) and not resume:
                 raise ConfigError(
                     f"{store.path} already has records; pass resume to continue"
                 )
-            cache = ResponseCache(run_dir / f"cache{suffix}.jsonl")
+            cache = run_files.enter_context(closing(ResponseCache(run_dir / f"cache{suffix}.jsonl")))
+            for f in (ledger, store, cache):
+                if f.torn:
+                    ledger.append({"event": "torn-tail", "run_index": r, "file": f.path.name, "bytes": f.torn})
+                    f.torn = 0  # a torn ledger is recorded once, not again per repeat
             done = {pid for pid, lbl in store.keys() if lbl == cfg.label}
             pending = [p for p in corpus.posts if p.id not in done]
             ledger.append(
                 {"event": "start", "run_index": r, "total": len(corpus), "pending": len(pending)}
             )
             backend = make_backend(cfg.backend, retry=cfg.retry, audit=audit)
-            classified = failed = 0
-            try:
-                with ThreadPoolExecutor(max_workers=cfg.backend.in_flight_limit) as pool:
-                    futures = [
-                        pool.submit(
-                            _classify_one, p, cb, tpl, shot, cfg, backend, cfg.retry, cache, audit
+            with ThreadPoolExecutor(max_workers=cfg.backend.in_flight_limit) as pool:
+                futures: deque = deque()
+                try:
+                    for i, post in enumerate(pending, start=1):
+                        futures.append(
+                            pool.submit(_classify_one, post, cb, tpl, shot, cfg, backend, cfg.retry, cache, audit)
                         )
-                        for p in pending
-                    ]
-                    for post, fut in zip(pending, futures):
-                        rec = fut.result()  # backend errors abort here, ledger intact
-                        store.append(rec)
-                        ledger.append(
-                            {
-                                "event": "post",
-                                "run_index": r,
-                                "post_id": post.id,
-                                "status": rec["status"],
-                            }
-                        )
-                        if rec["status"] == "classified":
-                            classified += 1
-                        else:
-                            failed += 1
-            except BackendError:
-                ledger.append({"event": "abort", "run_index": r})
-                raise
+                        while futures and (len(futures) >= window or i == len(pending)):
+                            rec = futures.popleft().result()  # backend errors abort here
+                            store.append(rec)
+                            ledger.append(
+                                {"event": "post", "run_index": r, "post_id": rec["post_id"], "status": rec["status"]}
+                            )
+                except BackendError:
+                    pool.shutdown(cancel_futures=True)
+                    ledger.append({"event": "abort", "run_index": r})
+                    raise
             totals = {"classified": 0, "failed": 0}
             for rec in store.records:
                 if rec["label"] == cfg.label:

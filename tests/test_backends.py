@@ -309,6 +309,20 @@ def test_reask_disabled_spends_one_attempt(cb):
     assert result.attempts == 1
 
 
+def test_retry_fingerprints_each_prompt_once(monkeypatch, cb):
+    import themecoder.backends as backends
+
+    fingerprints = []
+    monkeypatch.setattr(
+        backends, "cache_key", lambda cfg, prompt: fingerprints.append(cache_key(cfg, prompt)) or fingerprints[-1]
+    )
+    backend = ScriptedBackend(MOCK_CFG, ["junk", "junk", good_line(cb)])
+    prompt = full_prompt(cb)
+    _, result = classify_with_retry(MOCK_CFG, RetryPolicy(), prompt, line_parser(cb), backend=backend)
+    assert result.attempts == 3
+    assert fingerprints == [cache_key(MOCK_CFG, prompt)] == [result.fingerprint]
+
+
 def test_retry_audit_records_parse_failures(tmp_path, cb):
     audit = AuditLog(tmp_path / "audit.jsonl")
     backend = ScriptedBackend(MOCK_CFG, ["garbage", good_line(cb)])

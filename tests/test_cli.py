@@ -61,6 +61,20 @@ def test_backend_failure_exits_three(tmp_path, capsys, clean_corpus_path):
     assert "error: replay script has no entry" in capsys.readouterr().err
 
 
+def test_classify_resume_on_damaged_store_exits_zero_or_two(tmp_path, capsys, clean_corpus_path):
+    cfg_path, run_dir = write_cfg(tmp_path, clean_corpus_path)
+    assert main(["classify", "--config", str(cfg_path)]) == 0
+    results = run_dir / "results.jsonl"
+    whole = results.read_bytes()
+    lines = whole.splitlines(keepends=True)
+    results.write_bytes(b"".join(lines[:-1]) + lines[-1][:20])  # torn last line: dropped and redone
+    assert main(["classify", "--config", str(cfg_path), "--resume"]) == 0
+    assert results.read_bytes() == whole
+    results.write_bytes(lines[0][:20] + b"\n" + b"".join(lines[1:]))  # damage before the last line
+    assert main(["classify", "--config", str(cfg_path), "--resume"]) == 2
+    assert "results.jsonl line 1 is not valid JSON" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import logging
+
 import pytest
 
 from themecoder.codebook import (
@@ -278,3 +280,15 @@ def test_load_gold_lints_null_conflict(tmp_path, corpus50, cb):
     assert len(gold) == 1
     assert len(gold.lint_warnings) == 1
     assert "p001" in gold.lint_warnings[0]
+
+
+def test_load_gold_logs_one_lint_summary(tmp_path, corpus50, cb, caplog):
+    ids = [f"p{i:03d}" for i in range(1, 8)]
+    path = gold_file(tmp_path, cb, [zeros_row(pid, flip=(0, 12)) for pid in ids])
+    with caplog.at_level(logging.WARNING, logger="themecoder.codebook"):
+        gold = load_gold(path, corpus50, cb)
+    assert len(gold.lint_warnings) == 7
+    lint = [r.getMessage() for r in caplog.records if r.getMessage().startswith("gold lint:")]
+    assert len(lint) == 1
+    assert "7 post(s)" in lint[0] and "p001, p002, p003, p004, p005" in lint[0]
+    assert "p006" not in lint[0]

@@ -18,7 +18,8 @@ import pytest
 
 from conftest import FIXTURES, base_config, write_config
 
-from themecoder.backends import BackendConfig, cache_key, mock_rule_vector
+from themecoder.backends import BackendConfig, ReplayBackend, cache_key, mock_rule_vector
+from themecoder.cli import main
 from themecoder.codebook import load_codebook, load_gold
 from themecoder.corpus import (
     SamplingSpec,
@@ -30,6 +31,7 @@ from themecoder.corpus import (
 )
 from themecoder.errors import BackendError, ConfigError, DataError
 from themecoder.evaluation import METRIC_NAMES, evaluate_predictions, theme_distribution
+from themecoder.jsonl import JsonLines
 from themecoder.pipeline import (
     ResultsStore,
     RunLedger,
@@ -632,6 +634,115 @@ def test_classify_kill_and_resume_byte_identity(tmp_path, capsys, clean_corpus_p
     assert "run 1/1: classified=18, failed=0, total=18" in capsys.readouterr().out
     resumed_bytes = (resumed.output_dir / "results.jsonl").read_bytes()
     assert resumed_bytes == baseline_bytes
+
+
+def drop_script_entry(script: dict, bcfg: BackendConfig, cb, post) -> None:
+    rendered = render_prompt(post, cb, load_template(), ShotPolicy(shots=0), seed=0, include_title=False)
+    del script[cache_key(bcfg, rendered)]
+
+
+def test_classify_abort_stops_submitting_within_window(tmp_path, monkeypatch, clean_corpus_path, cb):
+    corpus = load_posts(clean_corpus_path)
+    script_path = tmp_path / "script.json"
+    bcfg = BackendConfig(kind="replay", model="replay-model", replay_path=str(script_path))
+    script = build_replay_script(corpus, cb, bcfg)
+    drop_script_entry(script, bcfg, cb, corpus.posts[2])
+    script_path.write_text(json.dumps(script), encoding="utf-8")
+    calls = []
+    real_raw = ReplayBackend._raw
+    monkeypatch.setattr(ReplayBackend, "_raw", lambda self, *a: calls.append(a) or real_raw(self, *a))
+
+    limit = 2
+    cfg = replay_cfg(tmp_path, clean_corpus_path, script_path, backend={"in_flight_limit": limit})
+    assert main(["classify", "--config", str(tmp_path / "rrun.yaml")]) == 3
+    assert len(calls) <= 3 + 2 * limit < len(corpus)
+    assert RunLedger(cfg.output_dir / "ledger.jsonl").events()[-1]["event"] == "abort"
+    assert len(ResultsStore(cfg.output_dir / "results.jsonl")) == 2
+
+
+@pytest.mark.parametrize("abort", [False, True], ids=["success", "abort"])
+def test_classify_opens_each_run_file_once_and_closes_it(tmp_path, monkeypatch, clean_corpus_path, cb, abort):
+    made: list[JsonLines] = []
+    appends: list[str] = []
+    real_init, real_open = JsonLines.__init__, Path.open
+
+    def recording_init(self, path):
+        real_init(self, path)
+        made.append(self)
+
+    def recording_open(self, mode="r", *args, **kwargs):
+        if mode.startswith("a"):
+            appends.append(self.name)
+        return real_open(self, mode, *args, **kwargs)
+
+    monkeypatch.setattr(JsonLines, "__init__", recording_init)
+    monkeypatch.setattr(Path, "open", recording_open)
+    corpus = load_posts(clean_corpus_path)
+    script_path = tmp_path / "script.json"
+    bcfg = BackendConfig(kind="replay", model="replay-model", replay_path=str(script_path))
+    script = build_replay_script(corpus, cb, bcfg)
+    if abort:
+        drop_script_entry(script, bcfg, cb, corpus.posts[8])
+    script_path.write_text(json.dumps(script), encoding="utf-8")
+    cfg = replay_cfg(tmp_path, clean_corpus_path, script_path)
+    if abort:
+        with pytest.raises(BackendError):
+            cmd_classify(cfg)
+    else:
+        cmd_classify(cfg)
+
+    names = ["audit.jsonl", "cache.jsonl", "ledger.jsonl", "results.jsonl"]
+    assert sorted(f.path.name for f in made) == names
+    assert sorted(appends) == names  # one append handle per file for the whole run
+    assert all(f._fh is None for f in made)
+
+
+def tear(path: Path, keep: int, torn: bool) -> None:
+    """Keep the first ``keep`` lines of a run file, plus half of the next
+    one when ``torn``, as a kill in the middle of a write leaves it."""
+    lines = path.read_bytes().splitlines(keepends=True)
+    path.write_bytes(b"".join(lines[:keep]) + (lines[keep][: len(lines[keep]) // 2] if torn else b""))
+
+
+@pytest.mark.parametrize("name", ["results.jsonl", "cache.jsonl", "ledger.jsonl"])
+def test_classify_resume_drops_a_torn_last_line(tmp_path, clean_corpus_path, name):
+    cfg = make_cfg(tmp_path, clean_corpus_path)
+    cmd_classify(cfg)
+    baseline = (cfg.output_dir / "results.jsonl").read_bytes()
+    tear(cfg.output_dir / "results.jsonl", 9, torn=name == "results.jsonl")  # leaves posts to redo
+    if name != "results.jsonl":
+        tear(cfg.output_dir / name, 9, torn=True)
+
+    cmd_classify(cfg, resume=True)
+    assert (cfg.output_dir / "results.jsonl").read_bytes() == baseline
+    lines = (cfg.output_dir / name).read_text(encoding="utf-8").splitlines()
+    assert len(lines) > 9 and all(isinstance(json.loads(line), dict) for line in lines)
+    events = RunLedger(cfg.output_dir / "ledger.jsonl").events()
+    torn = [e for e in events if e["event"] == "torn-tail"]
+    assert [(e["file"], e["run_index"]) for e in torn] == [(name, 1)]
+    assert 0 < torn[0]["bytes"] < 1000
+
+
+@pytest.mark.parametrize("name", ["results.jsonl", "cache.jsonl", "ledger.jsonl"])
+def test_classify_resume_rejects_damage_before_the_last_line(tmp_path, clean_corpus_path, name):
+    cfg = make_cfg(tmp_path, clean_corpus_path)
+    cmd_classify(cfg)
+    path = cfg.output_dir / name
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[3] = lines[3][:10] + b"\n"
+    path.write_bytes(b"".join(lines))
+    with pytest.raises(DataError, match=f"{name} line 4 is not valid JSON"):
+        cmd_classify(cfg, resume=True)
+
+
+def test_results_store_completes_an_unterminated_last_line(tmp_path):
+    path = tmp_path / "results.jsonl"
+    path.write_text(json.dumps({"post_id": "p1", "label": "L", "status": "failed"}), encoding="utf-8")
+    store = ResultsStore(path)
+    assert len(store) == 1 and store.torn == 0
+    store.append({"post_id": "p2", "label": "L", "status": "failed"})
+    store.close()
+    assert [r["post_id"] for r in ResultsStore(path).records] == ["p1", "p2"]
 
 
 # --- evaluate -------------------------------------------------------------------
