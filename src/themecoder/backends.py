@@ -112,7 +112,14 @@ def cache_key(cfg: BackendConfig, prompt: RenderedPrompt) -> str:
 
 
 class AuditLog(JsonLines):
-    """Append-only JSON-lines log of every backend interaction."""
+    """Append-only JSON-lines log of every backend interaction.
+
+    It is never read back, so only its final line is checked: a torn one
+    is cut off before the first append."""
+
+    def __init__(self, path: str | Path) -> None:
+        super().__init__(path)
+        self.scan_tail()
 
     def append(self, **record) -> None:
         record.setdefault("ts", time.time())

@@ -289,7 +289,8 @@ def load_gold(path: str | Path, corpus, cb: Codebook) -> GoldLabelSet:
     vectors: dict[str, LabelVector] = {}
     conflicts: list[str] = []  # post ids with the null code set beside another
     try:
-        rows = list(csv.reader(p.open(encoding="utf-8", newline="")))
+        with p.open(encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
     except FileNotFoundError:
         raise DataError(f"gold label file not found: {p}") from None
     if not rows:

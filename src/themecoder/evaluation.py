@@ -18,7 +18,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -34,6 +34,10 @@ FAILURE_POLICIES = ("exclude-and-report", "score-all-zero", "score-as-wrong")
 
 # z for the 95% Wald interval, pinned rather than recomputed
 Z_95 = 1.95996
+
+# resample indices drawn per bootstrap chunk (int64, so 2 MiB); bounds the
+# bootstrap's memory at O(chunk × n) instead of O(resamples × n)
+BOOTSTRAP_INDEX_BUDGET = 2**18
 
 
 @dataclass(frozen=True)
@@ -178,10 +182,15 @@ def _safe_div(num: float, den: float) -> float:
     return num / den if den > 0 else 0.0
 
 
-def confusion_per_theme(
-    gold, pred: Mapping[str, LabelVector], code: str
-) -> ConfusionMatrix:
-    """Count tp/fp/fn/tn for one code over matching post id sets."""
+def _rows(vectors: Sequence[LabelVector], codes: tuple[str, ...]) -> np.ndarray:
+    """(n_posts × n_codes) int8 label matrix, columns in ``codes`` order."""
+    rows = [v.values if v.codes == codes else [v[c] for c in codes] for v in vectors]
+    return np.array(rows, dtype=np.int8).reshape(len(rows), len(codes))
+
+
+def _paired_rows(gold, pred: Mapping[str, LabelVector], codes: Sequence[str]):
+    """Gold and predicted (n_posts × n_codes) label matrices over matching
+    post ids, rows in sorted id order."""
     gold_map = _as_vector_map(gold)
     missing = sorted(set(gold_map) ^ set(pred))
     if missing:
@@ -189,23 +198,29 @@ def confusion_per_theme(
             "gold and predictions cover different posts; symmetric difference: "
             + ", ".join(missing)
         )
-    tp = fp = fn = tn = 0
-    for post_id, gv in gold_map.items():
-        g = gv[code]
-        p = pred[post_id][code]
-        if g == 1 and p == 1:
-            tp += 1
-        elif g == 0 and p == 1:
-            fp += 1
-        elif g == 1 and p == 0:
-            fn += 1
-        else:
-            tn += 1
-    return ConfusionMatrix(tp=tp, fp=fp, fn=fn, tn=tn)
+    ids = sorted(gold_map)
+    codes = tuple(codes)
+    return _rows([gold_map[i] for i in ids], codes), _rows([pred[i] for i in ids], codes)
+
+
+def _confusions(g: np.ndarray, p: np.ndarray, codes: Sequence[str]) -> dict[str, ConfusionMatrix]:
+    """Per-code confusion counts from column sums of the label matrices."""
+    sums = zip((g & p).sum(axis=0).tolist(), g.sum(axis=0).tolist(), p.sum(axis=0).tolist())
+    return {
+        code: ConfusionMatrix(tp, pred_pos - tp, gold_pos - tp, len(g) - gold_pos - pred_pos + tp)
+        for code, (tp, gold_pos, pred_pos) in zip(codes, sums)
+    }
+
+
+def confusion_per_theme(
+    gold, pred: Mapping[str, LabelVector], code: str
+) -> ConfusionMatrix:
+    """Count tp/fp/fn/tn for one code over matching post id sets."""
+    return _confusions(*_paired_rows(gold, pred, (code,)), (code,))[code]
 
 
 def all_confusions(gold, pred: Mapping[str, LabelVector], cb: Codebook) -> dict[str, ConfusionMatrix]:
-    return {code: confusion_per_theme(gold, pred, code) for code in cb.alphabet}
+    return _confusions(*_paired_rows(gold, pred, cb.alphabet), cb.alphabet)
 
 
 def _matrix_list(matrices) -> list[ConfusionMatrix]:
@@ -227,27 +242,13 @@ def metrics(matrices, aggregation: str = "micro") -> MetricSet:
     mats = _matrix_list(matrices)
     if not mats:
         raise ConfigError("metrics requires at least one confusion matrix")
-    pooled = mats[0]
-    for m in mats[1:]:
-        pooled = pooled + m
-    accuracy = _safe_div(pooled.tp + pooled.tn, pooled.total)
+    # micro is the per-theme formula on pooled counts; accuracy stays micro
+    pooled = per_theme_metrics(sum(mats[1:], mats[0]))
     if aggregation == "macro":
         per = [per_theme_metrics(m) for m in mats]
-        precision = sum(p.precision for p in per) / len(per)
-        recall = sum(p.recall for p in per) / len(per)
-        f1 = sum(p.f1 for p in per) / len(per)
-    else:
-        precision = _safe_div(pooled.tp, pooled.tp + pooled.fp)
-        recall = _safe_div(pooled.tp, pooled.tp + pooled.fn)
-        f1 = f1_score(precision, recall)
-    return MetricSet(
-        precision=precision,
-        recall=recall,
-        f1=f1,
-        accuracy=accuracy,
-        aggregation=aggregation,
-        n_decisions=pooled.total,
-    )
+        means = {k: sum(getattr(m, k) for m in per) / len(per) for k in ("precision", "recall", "f1")}
+        pooled = replace(pooled, **means)
+    return replace(pooled, aggregation=aggregation)
 
 
 def per_theme_metrics(matrix: ConfusionMatrix) -> MetricSet:
@@ -293,36 +294,6 @@ def wald_ci(p: float, n: int, confidence: float = 0.95) -> IntervalEstimate:
     )
 
 
-def _decision_count_arrays(gold, pred: Mapping[str, LabelVector], codes: Sequence[str]):
-    """Per-post tp/fp/fn/tn counts over the given codes, id-sorted."""
-    gold_map = _as_vector_map(gold)
-    missing = sorted(set(gold_map) ^ set(pred))
-    if missing:
-        raise DataError(
-            "gold and predictions cover different posts; symmetric difference: "
-            + ", ".join(missing)
-        )
-    ids = sorted(gold_map)
-    n = len(ids)
-    tp = np.zeros(n, dtype=np.int64)
-    fp = np.zeros(n, dtype=np.int64)
-    fn = np.zeros(n, dtype=np.int64)
-    tn = np.zeros(n, dtype=np.int64)
-    for i, post_id in enumerate(ids):
-        gv, pv = gold_map[post_id], pred[post_id]
-        for code in codes:
-            g, p = gv[code], pv[code]
-            if g == 1 and p == 1:
-                tp[i] += 1
-            elif g == 0 and p == 1:
-                fp[i] += 1
-            elif g == 1 and p == 0:
-                fn[i] += 1
-            else:
-                tn[i] += 1
-    return tp, fp, fn, tn
-
-
 def _micro_from_counts(tp, fp, fn, tn, metric: str):
     """Vectorized micro metric over pooled counts (scalars or arrays)."""
     tp = np.asarray(tp, dtype=np.float64)
@@ -346,6 +317,63 @@ def _micro_from_counts(tp, fp, fn, tn, metric: str):
     raise ConfigError(f"unknown metric {metric!r}; known: {', '.join(METRIC_NAMES)}")
 
 
+def _resample_sums(counts: np.ndarray, resamples: int, seed: int, budget: int = BOOTSTRAP_INDEX_BUDGET):
+    """(resamples × 3) exact tp, fp and fn totals of each bootstrap resample.
+
+    ``counts`` holds the per-post tp, fp and fn rows. Resample r is row r of
+    ``default_rng(seed).integers(0, n, size=(resamples, n))``, drawn in chunks
+    of at most ``budget`` indices; chunked draws continue the same stream.
+    """
+    n = counts.shape[1]
+    rng = np.random.default_rng(seed)
+    sums = np.empty((resamples, 3), dtype=np.int64)
+    step = max(1, budget // n)
+    for start in range(0, resamples, step):
+        idx = rng.integers(0, n, size=(min(step, resamples - start), n))
+        for j, column in enumerate(counts):
+            sums[start : start + len(idx), j] = column[idx].sum(axis=1, dtype=np.int64)
+    return sums
+
+
+def _bootstrap_intervals(
+    g: np.ndarray,
+    p: np.ndarray,
+    micro: MetricSet,
+    metric_names: Sequence[str],
+    resamples: int,
+    seed: int,
+    confidence: float = 0.95,
+) -> dict[str, IntervalEstimate]:
+    """Percentile interval per metric around its ``micro`` point, all read
+    from one set of resamples."""
+    if resamples < 100:
+        raise ConfigError(f"bootstrap requires >= 100 resamples, got {resamples}")
+    n, k = g.shape
+    if n < 1:
+        raise DataError("bootstrap requires at least one post")
+    points = {m: micro.value(m) for m in metric_names}
+    small = np.min_scalar_type(k)  # per-post counts are at most k
+    tp = (g & p).sum(axis=1, dtype=small)
+    counts = np.stack([tp, p.sum(axis=1, dtype=small) - tp, g.sum(axis=1, dtype=small) - tp])
+    tp, fp, fn = _resample_sums(counts, resamples, seed).T
+    alpha = (1.0 - confidence) / 2.0
+    out = {}
+    for metric, point in points.items():
+        values = _micro_from_counts(tp, fp, fn, k * n - tp - fp - fn, metric)
+        lower, upper = np.percentile(values, [100.0 * alpha, 100.0 * (1.0 - alpha)])
+        # percentile bounds must still bracket the full-sample point
+        out[metric] = IntervalEstimate(
+            point=point,
+            lower=float(min(lower, point)),
+            upper=float(max(upper, point)),
+            method="bootstrap",
+            confidence=confidence,
+            n=resamples,
+            seed=seed,
+        )
+    return out
+
+
 def bootstrap_ci(
     gold,
     pred: Mapping[str, LabelVector],
@@ -356,30 +384,9 @@ def bootstrap_ci(
     confidence: float = 0.95,
 ) -> IntervalEstimate:
     """Percentile bootstrap over post-level resampling with replacement."""
-    if resamples < 100:
-        raise ConfigError(f"bootstrap requires >= 100 resamples, got {resamples}")
-    tp, fp, fn, tn = _decision_count_arrays(gold, pred, cb.alphabet)
-    n = len(tp)
-    if n < 1:
-        raise DataError("bootstrap requires at least one post")
-    point = float(_micro_from_counts(tp.sum(), fp.sum(), fn.sum(), tn.sum(), metric))
-    rng = np.random.default_rng(seed)
-    idx = rng.integers(0, n, size=(resamples, n))
-    values = _micro_from_counts(
-        tp[idx].sum(axis=1), fp[idx].sum(axis=1), fn[idx].sum(axis=1), tn[idx].sum(axis=1), metric
-    )
-    alpha = (1.0 - confidence) / 2.0
-    lower, upper = np.percentile(values, [100.0 * alpha, 100.0 * (1.0 - alpha)])
-    # percentile bounds must still bracket the full-sample point
-    return IntervalEstimate(
-        point=point,
-        lower=float(min(lower, point)),
-        upper=float(max(upper, point)),
-        method="bootstrap",
-        confidence=confidence,
-        n=resamples,
-        seed=seed,
-    )
+    g, p = _paired_rows(gold, pred, cb.alphabet)
+    micro = metrics(_confusions(g, p, cb.alphabet))
+    return _bootstrap_intervals(g, p, micro, (metric,), resamples, seed, confidence)[metric]
 
 
 def run_stats(runs: Sequence[MetricSet]) -> RunStats:
@@ -430,17 +437,17 @@ def avg_rank(rows: Sequence[tuple[str, MetricSet]]) -> ModelRanking:
     return ModelRanking(rows=tuple(ranked))
 
 
+def _distribution(m: np.ndarray, codes: Sequence[str]) -> ThemeDistribution:
+    return ThemeDistribution(counts=dict(zip(codes, m.sum(axis=0).tolist())), n=len(m))
+
+
 def theme_distribution(preds, cb: Codebook) -> ThemeDistribution:
     """Positive count and percentage per code over classified posts."""
     pred_map = _as_vector_map(preds)
     vectors = list(pred_map.values()) if isinstance(pred_map, Mapping) else list(pred_map)
     if not vectors:
         raise DataError("theme_distribution requires at least one classified post")
-    counts = {code: 0 for code in cb.alphabet}
-    for v in vectors:
-        for code in cb.alphabet:
-            counts[code] += v[code]
-    return ThemeDistribution(counts=counts, n=len(vectors))
+    return _distribution(_rows(vectors, cb.alphabet), cb.alphabet)
 
 
 def distribution_delta(model: ThemeDistribution, gold: ThemeDistribution) -> DistributionDelta:
@@ -582,23 +589,13 @@ class EvalReport:
                 }
                 for row in self.ranking.rows
             ]
-        if self.distribution is not None:
-            out["distribution"] = {
-                "n": self.distribution.n,
-                "counts": dict(self.distribution.counts),
-                "percentages": {
-                    code: self.distribution.percentage(code) for code in self.distribution.codes
-                },
-            }
-        if self.gold_distribution is not None:
-            out["gold_distribution"] = {
-                "n": self.gold_distribution.n,
-                "counts": dict(self.gold_distribution.counts),
-                "percentages": {
-                    code: self.gold_distribution.percentage(code)
-                    for code in self.gold_distribution.codes
-                },
-            }
+        for key, dist in (("distribution", self.distribution), ("gold_distribution", self.gold_distribution)):
+            if dist is not None:
+                out[key] = {
+                    "n": dist.n,
+                    "counts": dict(dist.counts),
+                    "percentages": {code: dist.percentage(code) for code in dist.codes},
+                }
         if self.delta is not None:
             out["distribution_delta"] = {
                 "per_code": dict(self.delta.deltas),
@@ -708,7 +705,8 @@ def evaluate_predictions(
     )
     if not gold_map:
         raise DataError("no posts left to score after applying failure policy")
-    per_theme = {code: confusion_per_theme(gold_map, pred_map, code) for code in cb.alphabet}
+    g, p = _paired_rows(gold_map, pred_map, cb.alphabet)
+    per_theme = _confusions(g, p, cb.alphabet)
     micro = metrics(per_theme, "micro")
     macro = metrics(per_theme, "macro")
     report = EvalReport(
@@ -722,12 +720,12 @@ def evaluate_predictions(
         macro=macro,
         accuracy_interval=wald_ci(micro.accuracy, micro.n_decisions),
         zero_denominator=zero_denominator_themes(per_theme),
-        distribution=theme_distribution(pred_map, cb),
-        gold_distribution=theme_distribution(gold_map, cb),
+        distribution=_distribution(p, cb.alphabet),
+        gold_distribution=_distribution(g, cb.alphabet),
     )
     report.delta = distribution_delta(report.distribution, report.gold_distribution)
-    for metric in bootstrap_metrics:
-        report.bootstrap_intervals[metric] = bootstrap_ci(
-            gold_map, pred_map, metric, cb, resamples=bootstrap_resamples, seed=bootstrap_seed
+    if bootstrap_metrics:  # one draw of resamples serves every metric
+        report.bootstrap_intervals = _bootstrap_intervals(
+            g, p, micro, bootstrap_metrics, bootstrap_resamples, bootstrap_seed
         )
     return report

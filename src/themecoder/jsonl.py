@@ -4,16 +4,21 @@ A ``JsonLines`` opens its file on the first append and keeps it open until
 ``close()``, flushing after every line. ``read()`` drops a torn final line
 (no newline, not JSON) and cuts it off before the next append, so no record
 lands on half a line; damage anywhere else raises ``DataError``.
+``scan_tail()`` does the same for a file that is never read, reading only
+its end.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import threading
 from pathlib import Path
 from typing import Iterator
 
 from .errors import DataError
+
+_TAIL_BLOCK = 1 << 16  # bytes read per step back from the end by scan_tail
 
 
 class JsonLines:
@@ -29,6 +34,10 @@ class JsonLines:
 
     def read(self) -> Iterator[dict]:
         """Yield every record in file order, dropping a torn final line."""
+        return (record for _, record in self.read_numbered())
+
+    def read_numbered(self) -> Iterator[tuple[int, dict]]:
+        """``read()`` with the line number of each record."""
         data = self.path.read_bytes() if self.path.exists() else b""
         cut = data.rfind(b"\n") + 1
         tail = data[cut:]
@@ -37,15 +46,38 @@ class JsonLines:
         except UnicodeDecodeError as exc:
             raise DataError(f"{self.path} is not valid UTF-8: {exc}") from None
         del data  # only the decoded lines stay in memory
-        yield from (self._parse(line, n) for n, line in enumerate(lines, start=1) if line.strip())
-        if tail.strip():
-            try:
-                record = self._parse(tail, len(lines) + 1)
-            except DataError:
-                self.torn, self._repair = len(tail), (cut, b"")
-            else:
-                self._repair = (cut + len(tail), b"\n")
-                yield record
+        yield from ((n, self._parse(line, n)) for n, line in enumerate(lines, start=1) if line.strip())
+        record = self._judge_tail(cut, tail, len(lines) + 1)
+        if record is not None:
+            yield len(lines) + 1, record
+
+    def scan_tail(self) -> None:
+        """Judge the final line as ``read()`` does, reading back from the end
+        of the file only; for files that are appended to but never read."""
+        if not self.path.exists():
+            return
+        with self.path.open("rb") as fh:
+            cut, tail = fh.seek(0, io.SEEK_END), b""
+            while cut > 0 and b"\n" not in tail:
+                step = min(cut, _TAIL_BLOCK)
+                cut -= step
+                fh.seek(cut)
+                tail = fh.read(step) + tail
+        nl = tail.rfind(b"\n") + 1
+        self._judge_tail(cut + nl, tail[nl:], 0)
+
+    def _judge_tail(self, cut: int, tail: bytes, lineno: int) -> dict | None:
+        """A final line without a newline: return it if it parses, and have
+        the writer end it; otherwise have the writer cut it off at ``cut``."""
+        if not tail.strip():
+            return None
+        try:
+            record = self._parse(tail, lineno)
+        except DataError:
+            self.torn, self._repair = len(tail), (cut, b"")
+            return None
+        self._repair = (cut + len(tail), b"\n")
+        return record
 
     def _parse(self, line: str | bytes, lineno: int) -> dict:
         try:

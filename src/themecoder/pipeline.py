@@ -453,8 +453,23 @@ class ResultsStore(JsonLines):
         super().__init__(path)
         self.records: list[dict] = []
         self._keys: set[tuple[str, str]] = set()
-        for rec in self.read():
+        for lineno, rec in self.read_numbered():
+            self._check(rec, lineno)
             self._remember(rec)
+
+    def _check(self, rec: dict, lineno: int) -> None:
+        """Reject a loaded record whose fields the accessors below would miss."""
+        if not (isinstance(rec.get("post_id"), str) and isinstance(rec.get("label"), str)):
+            problem = "needs a string post_id and label"
+        elif rec.get("status") not in ("classified", "failed"):
+            problem = "needs status classified or failed"
+        elif rec["status"] == "classified" and not (
+            isinstance(rec.get("vector"), dict) and all(v in (0, 1) for v in rec["vector"].values())
+        ):
+            problem = "is classified without a 0/1 vector"
+        else:
+            return
+        raise DataError(f"{self.path} line {lineno}: record {problem}")
 
     def _remember(self, rec: dict) -> None:
         key = (rec["post_id"], rec["label"])
@@ -487,7 +502,13 @@ class ResultsStore(JsonLines):
                 continue
             if label is not None and rec["label"] != label:
                 continue
-            values = tuple(int(rec["vector"][code]) for code in alphabet)
+            try:
+                values = tuple(int(rec["vector"][code]) for code in alphabet)
+            except KeyError as exc:
+                raise DataError(
+                    f"{self.path}: record for post {rec['post_id']!r} under label {rec['label']!r} "
+                    f"has no value for code {exc.args[0]}"
+                ) from None
             out[rec["post_id"]] = LabelVector(codes=tuple(alphabet), values=values)
         return out
 
@@ -686,10 +707,10 @@ def cmd_classify(cfg: RunConfig, *, resume: bool = False) -> list[ResultsStore]:
                     f"{store.path} already has records; pass resume to continue"
                 )
             cache = run_files.enter_context(closing(ResponseCache(run_dir / f"cache{suffix}.jsonl")))
-            for f in (ledger, store, cache):
+            for f in (ledger, audit, store, cache):
                 if f.torn:
                     ledger.append({"event": "torn-tail", "run_index": r, "file": f.path.name, "bytes": f.torn})
-                    f.torn = 0  # a torn ledger is recorded once, not again per repeat
+                    f.torn = 0  # a torn ledger or audit is recorded once, not again per repeat
             done = {pid for pid, lbl in store.keys() if lbl == cfg.label}
             pending = [p for p in corpus.posts if p.id not in done]
             ledger.append(

@@ -6,6 +6,7 @@ import json
 import socket
 import threading
 import time
+import tracemalloc
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
@@ -334,6 +335,35 @@ def test_retry_audit_records_parse_failures(tmp_path, cb):
     assert all("ts" in r for r in records)
     assert any(r.get("status") == "parse-failure" and r.get("reason") == "no-line-found" for r in records)
     assert any(r.get("status") == "ok" for r in records)
+
+
+@pytest.mark.parametrize(
+    "tail,torn",
+    [
+        (b'{"attempt": 1, "sta', True),
+        (b'{"detail": "' + b"x" * 200_000, True),  # longer than one step back from the end
+        (b'{"attempt": 1, "status": "ok"}', False),  # whole record, newline missing
+    ],
+    ids=["half-record", "long-torn-line", "unterminated-record"],
+)
+def test_audit_log_ends_a_damaged_tail_reading_only_the_tail(tmp_path, tail, torn):
+    path = tmp_path / "audit.jsonl"
+    body = b"".join(b'{"attempt": 1, "n": %d, "status": "ok"}\n' % i for i in range(100_000))
+    path.write_bytes(body + tail)
+    tracemalloc.start()
+    try:
+        audit = AuditLog(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < len(tail) + 2**20  # the file is about 4 MB
+    assert audit.torn == (len(tail) if torn else 0)
+    audit.append(status="ok", attempt=2)
+    audit.close()
+    lines = path.read_bytes().split(b"\n")
+    assert lines[-1] == b"" and len(lines) == 100_000 + (2 if torn else 3)
+    assert all(isinstance(json.loads(line), dict) for line in lines[-3:-1])
+    assert json.loads(lines[-2])["attempt"] == 2
 
 
 # --- response cache -----------------------------------------------------------------------

@@ -75,6 +75,44 @@ def test_classify_resume_on_damaged_store_exits_zero_or_two(tmp_path, capsys, cl
     assert "results.jsonl line 1 is not valid JSON" in capsys.readouterr().err
 
 
+def drop(*keys):
+    return lambda rec: [rec.pop(k) for k in keys]
+
+
+RECORD_DAMAGE = {  # each found on load by every verb
+    "no-post-id": (drop("post_id"), "line 3: record needs a string post_id and label"),
+    "no-label": (drop("label"), "line 3: record needs a string post_id and label"),
+    "no-status": (drop("status"), "line 3: record needs status classified or failed"),
+    "no-vector": (drop("vector"), "line 3: record is classified without a 0/1 vector"),
+    "bad-cell": (lambda rec: rec["vector"].update(A="yes"), "line 3: record is classified without a 0/1"),
+}
+CODEBOOK_DAMAGE = {  # found only where vectors are read against the codebook
+    "no-code": (lambda rec: rec["vector"].pop("C"), "has no value for code C"),
+}
+
+
+@pytest.mark.parametrize(
+    "verb,damage",
+    [(verb, damage) for verb in ("classify", "evaluate", "distribute") for damage in RECORD_DAMAGE]
+    + [("evaluate", "no-code"), ("distribute", "no-code")],
+)
+def test_malformed_results_record_exits_two(tmp_path, capsys, clean_corpus_path, verb, damage):
+    cfg_path, run_dir = write_cfg(tmp_path, clean_corpus_path)
+    assert main(["classify", "--config", str(cfg_path)]) == 0
+    results = run_dir / "results.jsonl"
+    lines = results.read_text(encoding="utf-8").splitlines(keepends=True)
+    rec = json.loads(lines[2])
+    change, message = {**RECORD_DAMAGE, **CODEBOOK_DAMAGE}[damage]
+    change(rec)
+    lines[2] = json.dumps(rec) + "\n"
+    results.write_text("".join(lines), encoding="utf-8")
+    capsys.readouterr()
+    assert main([verb, "--config", str(cfg_path), *(["--resume"] if verb == "classify" else [])]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {results}") and message in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import gc
 import logging
+import sys
+import warnings
 
 import pytest
 
@@ -292,3 +295,13 @@ def test_load_gold_logs_one_lint_summary(tmp_path, corpus50, cb, caplog):
     assert len(lint) == 1
     assert "7 post(s)" in lint[0] and "p001, p002, p003, p004, p005" in lint[0]
     assert "p006" not in lint[0]
+
+
+def test_load_gold_closes_its_file(fixtures_dir, corpus50, cb, monkeypatch):
+    unraisable = []  # a ResourceWarning raised in a finalizer lands here, not in the caller
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ResourceWarning)
+        load_gold(fixtures_dir / "gold_clean.csv", corpus50, cb)
+        gc.collect()
+    assert [u.exc_value for u in unraisable] == []

@@ -6,7 +6,9 @@ number in this module was derived off-line, not read back from the code.
 
 from __future__ import annotations
 
+import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -37,6 +39,7 @@ from themecoder.evaluation import (
     theme_distribution,
     wald_ci,
     zero_denominator_themes,
+    _resample_sums,
 )
 
 SMALL = Codebook(
@@ -296,6 +299,105 @@ def test_bootstrap_validation():
         bootstrap_ci(GOLD5, PRED5, "auc", SMALL, resamples=200)
     with pytest.raises(DataError, match="at least one post"):
         bootstrap_ci({}, {}, "f1", SMALL, resamples=200)
+
+
+# --- the label-matrix core ------------------------------------------------------------------
+
+
+def random_labels(n, codes, seed, flip=0.1):
+    """Seeded gold and predicted vectors; predictions list their codes in reverse."""
+    rng = np.random.default_rng(seed)
+    gold_bits = rng.random((n, len(codes))) < 0.3
+    pred_bits = gold_bits ^ (rng.random((n, len(codes))) < flip)
+    ids = [f"r{i:05d}" for i in rng.permutation(n)]
+    gold = {pid: LabelVector(codes, tuple(map(int, row))) for pid, row in zip(ids, gold_bits)}
+    pred = {
+        pid: LabelVector(codes[::-1], tuple(map(int, row[::-1]))) for pid, row in zip(ids, pred_bits)
+    }
+    return gold, pred
+
+
+def test_matrix_counts_match_a_loop_over_posts():
+    gold, pred = random_labels(300, SMALL.alphabet, seed=5)
+    mats = all_confusions(gold, pred, SMALL)
+    for code in SMALL.alphabet:
+        pairs = [(gold[pid][code], pred[pid][code]) for pid in gold]
+        expected = ConfusionMatrix(*(pairs.count(pair) for pair in ((1, 1), (0, 1), (1, 0), (0, 0))))
+        assert mats[code] == confusion_per_theme(gold, pred, code) == expected
+        assert theme_distribution(pred, SMALL).counts[code] == sum(p for _, p in pairs)
+        assert theme_distribution(list(gold.values()), SMALL).counts[code] == sum(g for g, _ in pairs)
+
+
+@pytest.mark.parametrize("rows", [1, 7, 64])  # one row, an odd size, a size that does not divide 210
+def test_chunked_bootstrap_draws_equal_the_one_shot_draw(rows):
+    n, resamples, seed = 37, 210, 12
+    one_shot = np.random.default_rng(seed).integers(0, n, size=(resamples, n))
+    rng = np.random.default_rng(seed)
+    chunked = [rng.integers(0, n, size=(min(rows, resamples - s), n)) for s in range(0, resamples, rows)]
+    assert np.array_equal(np.concatenate(chunked), one_shot)
+    counts = np.random.default_rng(1).integers(0, 4, size=(3, n)).astype(np.uint8)
+    sums = _resample_sums(counts, resamples, seed, budget=rows * n + n - 1)
+    assert np.array_equal(sums, counts.astype(np.int64)[:, one_shot].sum(axis=2).T)
+
+
+def test_report_bootstrap_intervals_equal_separate_bootstrap_calls():
+    gold, pred = random_labels(400, SMALL.alphabet, seed=8)
+    report = evaluate_predictions(
+        gold, pred, SMALL, bootstrap_metrics=METRIC_NAMES, bootstrap_resamples=300, bootstrap_seed=6
+    )
+    assert report.bootstrap_intervals == {
+        m: bootstrap_ci(gold, pred, m, SMALL, resamples=300, seed=6) for m in METRIC_NAMES
+    }
+
+
+def seeded_report_inputs(cb, n=2000):
+    """~2k posts of seeded gold and predictions over the default codebook:
+    5% of bits flipped, code L never predicted, ten posts failed."""
+    rng = np.random.default_rng(2024)
+    codes = cb.alphabet
+    gold_bits = rng.random((n, len(codes))) < 0.2
+    pred_bits = gold_bits ^ (rng.random((n, len(codes))) < 0.05)
+    pred_bits[:, codes.index("L")] = False
+    ids = [f"s{i:05d}" for i in range(n)]
+    gold = {pid: cb.vector(dict(zip(codes, map(int, row)))) for pid, row in zip(ids, gold_bits)}
+    preds = {pid: cb.vector(dict(zip(codes, map(int, row)))) for pid, row in zip(ids, pred_bits)}
+    failed = ids[::200]
+    for pid in failed:
+        del preds[pid]
+    return gold, preds, failed
+
+
+def test_report_bytes_are_frozen(tmp_path, cb):
+    """sha256 of the files the per-code loop implementation wrote for this input."""
+    gold, preds, failed = seeded_report_inputs(cb)
+    report = evaluate_predictions(
+        gold, preds, cb, failed_ids=failed, label="seeded2k",
+        bootstrap_metrics=METRIC_NAMES, bootstrap_resamples=500, bootstrap_seed=9,
+    )
+    report.write(tmp_path)
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in ("report.json", "metrics.csv")
+    }
+    assert digests == {
+        "report.json": "34ad7ca00965f1dd801b70d81cd2374bb57bd2f4354a8253cd79d262d2aa66fa",
+        "metrics.csv": "46892e5a983ead3b14274789ef89f81bb7ff30195f1c41cddc2fe0b73c7b6fc7",
+    }
+
+
+def test_bootstrap_memory_does_not_grow_with_resamples():
+    codes = SMALL.alphabet
+    rng = np.random.default_rng(3)
+    shapes = [LabelVector(codes, tuple(int(b) for b in f"{i:03b}")) for i in range(8)]
+    gold = {f"q{i:06d}": shapes[k] for i, k in enumerate(rng.integers(0, 8, 50_000))}
+    pred = {pid: shapes[k] for pid, k in zip(gold, rng.integers(0, 8, 50_000))}
+    tracemalloc.start()
+    try:
+        bootstrap_ci(gold, pred, "f1", SMALL, resamples=200, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2**20  # one (200 × 50 000) index draw alone is 80 MB
 
 
 # --- repeat-run statistics ------------------------------------------------------------------

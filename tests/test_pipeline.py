@@ -704,7 +704,7 @@ def tear(path: Path, keep: int, torn: bool) -> None:
     path.write_bytes(b"".join(lines[:keep]) + (lines[keep][: len(lines[keep]) // 2] if torn else b""))
 
 
-@pytest.mark.parametrize("name", ["results.jsonl", "cache.jsonl", "ledger.jsonl"])
+@pytest.mark.parametrize("name", ["results.jsonl", "cache.jsonl", "ledger.jsonl", "audit.jsonl"])
 def test_classify_resume_drops_a_torn_last_line(tmp_path, clean_corpus_path, name):
     cfg = make_cfg(tmp_path, clean_corpus_path)
     cmd_classify(cfg)
