@@ -24,7 +24,7 @@ from hashlib import sha256
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
-from .errors import BackendError, ConfigError
+from .errors import BackendError, ConfigError, DataError
 from .jsonl import JsonLines
 from .parsing import ParseFailure, ParseOutcome
 from .prompting import RenderedPrompt
@@ -135,7 +135,19 @@ class ResponseCache(JsonLines):
 
     def __init__(self, path: str | Path) -> None:
         super().__init__(path)
-        self._entries = {rec["fingerprint"]: list(rec["attempts"]) for rec in self.read()}
+        self._entries: dict[str, list[str]] = {}
+        for lineno, rec in self.read_numbered():
+            fingerprint, attempts = rec.get("fingerprint"), rec.get("attempts")
+            if not (
+                isinstance(fingerprint, str)
+                and isinstance(attempts, list)
+                and all(isinstance(text, str) for text in attempts)
+            ):
+                raise DataError(
+                    f"{self.path} line {lineno}: cache record needs a string fingerprint "
+                    "and a list of string attempts"
+                )
+            self._entries[fingerprint] = attempts
 
     def get(self, fingerprint: str) -> list[str] | None:
         with self._lock:
@@ -222,6 +234,7 @@ def mock_rule_vector(post_text: str, codes: Sequence[str]) -> dict[str, int]:
 
 class _BaseBackend:
     kind = "base"
+    waits_on_io = False  # True when calls wait on the network, so threads can overlap them
 
     def __init__(self, cfg: BackendConfig) -> None:
         self.cfg = cfg
@@ -280,6 +293,7 @@ class ReplayBackend(_BaseBackend):
 
 class RemoteChatBackend(_BaseBackend):
     kind = "remote-chat"
+    waits_on_io = True
 
     def __init__(self, cfg: BackendConfig, retry: RetryPolicy | None = None, audit: AuditLog | None = None) -> None:
         super().__init__(cfg)

@@ -13,14 +13,17 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+import socket
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack, closing
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from functools import partial
 from hashlib import sha256
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import yaml
 
@@ -523,24 +526,55 @@ class ResultsStore(JsonLines):
 
 
 class RunLock:
-    """One process per run directory, enforced with an exclusive lock file."""
+    """One process per run directory, enforced with an exclusive lock file.
+
+    The file names the holder's pid and host. A lock left by a dead process
+    on this host is replaced; one from a live process, another host, or
+    without a pid is never broken.
+    """
 
     def __init__(self, run_dir: Path) -> None:
         self.path = Path(run_dir) / ".lock"
 
     def __enter__(self) -> "RunLock":
         self.path.parent.mkdir(parents=True, exist_ok=True)
+        holder = {"pid": os.getpid(), "host": socket.gethostname(), "started_at": _utcnow()}
+        for _ in range(2):  # a second try only after breaking a stale lock
+            try:
+                with self.path.open("x", encoding="utf-8") as fh:
+                    fh.write(json.dumps(holder, sort_keys=True) + "\n")
+                return self
+            except FileExistsError:
+                pid, host = self._holder()
+                if not (host == holder["host"] and pid is not None and not _pid_alive(pid)):
+                    break
+                self.path.unlink(missing_ok=True)
+        who = f"pid {pid} on host {host}" if pid is not None else "no pid recorded"
+        raise ConfigError(f"run directory is locked by another process ({who}); remove {self.path} if stale")
+
+    def _holder(self) -> tuple[int | None, str | None]:
+        """The pid and host named by the lock file, or None for each that it lacks."""
         try:
-            with self.path.open("x", encoding="utf-8") as fh:
-                fh.write(f"{_utcnow()}\n")
-        except FileExistsError:
-            raise ConfigError(
-                f"run directory is locked by another process; remove {self.path} if stale"
-            ) from None
-        return self
+            rec = json.loads(self.path.read_text(encoding="utf-8"))
+        except (OSError, ValueError):
+            return None, None
+        if not isinstance(rec, dict):
+            return None, None
+        pid, host = rec.get("pid"), rec.get("host")
+        return (pid if type(pid) is int and pid > 0 else None), (host if isinstance(host, str) else None)
 
     def __exit__(self, *exc) -> None:
         self.path.unlink(missing_ok=True)
+
+
+def _pid_alive(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    except PermissionError:  # alive, owned by another user
+        pass
+    return True
 
 
 # --- commands -----------------------------------------------------------------
@@ -659,14 +693,42 @@ def _classify_one(post, cb: Codebook, tpl, shot, cfg: RunConfig, backend, policy
     return rec
 
 
+def _records(posts: Sequence, classify_one, backend, limit: int) -> Iterator[dict]:
+    """Yield each post's record in corpus order.
+
+    Local backends run on the calling thread, one post after another. A
+    backend that waits on the network gets ``limit`` worker threads and at
+    most ``2 * limit`` posts submitted ahead of the consumer; when a record
+    raises, or the consumer stops, the posts not yet started are cancelled
+    and the running ones finish before control returns.
+    """
+    if not backend.waits_on_io:
+        yield from map(classify_one, posts)
+        return
+    with ThreadPoolExecutor(max_workers=limit) as pool:
+        futures: deque = deque()
+        try:
+            for post in posts:
+                futures.append(pool.submit(classify_one, post))
+                if len(futures) >= 2 * limit:
+                    yield futures.popleft().result()
+            while futures:
+                yield futures.popleft().result()
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
+
+
 def cmd_classify(cfg: RunConfig, *, resume: bool = False) -> list[ResultsStore]:
     """Classify every corpus post against the configured backend.
 
-    Fan-out is bounded by the backend's in-flight limit, with at most twice
-    that many posts submitted ahead of the commit, so a backend failure
-    stops the run promptly; records commit in corpus order regardless of
-    completion order. With resume, posts already recorded are skipped and
-    the manifest must match the original.
+    ``mock-rules`` and ``replay`` run on the calling thread. ``remote-chat``
+    fans out to ``in_flight_limit`` threads with at most twice that many
+    posts submitted ahead of the commit, so a backend failure stops the
+    run promptly. Either way records commit in corpus order, and a local
+    backend's cache and audit lines come in corpus order too. With resume,
+    posts already recorded are skipped and the manifest must match the
+    original.
     """
     run_dir = cfg.output_dir
     run_dir.mkdir(parents=True, exist_ok=True)
@@ -675,12 +737,16 @@ def cmd_classify(cfg: RunConfig, *, resume: bool = False) -> list[ResultsStore]:
     tpl = load_template(cfg.template_version, cfg.template_path)
     shot = ShotPolicy(shots=cfg.shots, selection=cfg.selection)
     manifest = build_manifest(cfg, tpl.scaffold)
-    window = 2 * cfg.backend.in_flight_limit
 
     with RunLock(run_dir), ExitStack() as run_files:  # files close after the pool has drained
         manifest_path = run_dir / "manifest.json"
         if manifest_path.exists():
-            existing = json.loads(manifest_path.read_text(encoding="utf-8"))
+            try:
+                existing = json.loads(manifest_path.read_text(encoding="utf-8"))
+            except ValueError as exc:
+                raise DataError(f"{manifest_path} is not valid JSON: {exc}") from None
+            if not isinstance(existing, dict):
+                raise DataError(f"{manifest_path} is not a JSON object")
             if not resume:
                 raise ConfigError(
                     f"{manifest_path} already exists; pass resume to continue that run"
@@ -717,23 +783,20 @@ def cmd_classify(cfg: RunConfig, *, resume: bool = False) -> list[ResultsStore]:
                 {"event": "start", "run_index": r, "total": len(corpus), "pending": len(pending)}
             )
             backend = make_backend(cfg.backend, retry=cfg.retry, audit=audit)
-            with ThreadPoolExecutor(max_workers=cfg.backend.in_flight_limit) as pool:
-                futures: deque = deque()
-                try:
-                    for i, post in enumerate(pending, start=1):
-                        futures.append(
-                            pool.submit(_classify_one, post, cb, tpl, shot, cfg, backend, cfg.retry, cache, audit)
+            classify_one = partial(
+                _classify_one, cb=cb, tpl=tpl, shot=shot, cfg=cfg, backend=backend, policy=cfg.retry, cache=cache,
+                audit=audit,
+            )
+            try:
+                with closing(_records(pending, classify_one, backend, cfg.backend.in_flight_limit)) as records:
+                    for rec in records:  # backend errors abort here
+                        store.append(rec)
+                        ledger.append(
+                            {"event": "post", "run_index": r, "post_id": rec["post_id"], "status": rec["status"]}
                         )
-                        while futures and (len(futures) >= window or i == len(pending)):
-                            rec = futures.popleft().result()  # backend errors abort here
-                            store.append(rec)
-                            ledger.append(
-                                {"event": "post", "run_index": r, "post_id": rec["post_id"], "status": rec["status"]}
-                            )
-                except BackendError:
-                    pool.shutdown(cancel_futures=True)
-                    ledger.append({"event": "abort", "run_index": r})
-                    raise
+            except BackendError:
+                ledger.append({"event": "abort", "run_index": r})
+                raise
             totals = {"classified": 0, "failed": 0}
             for rec in store.records:
                 if rec["label"] == cfg.label:

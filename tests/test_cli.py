@@ -113,6 +113,42 @@ def test_malformed_results_record_exits_two(tmp_path, capsys, clean_corpus_path,
     assert "Traceback" not in err
 
 
+def test_truncated_manifest_exits_two(tmp_path, capsys, clean_corpus_path):
+    cfg_path, run_dir = write_cfg(tmp_path, clean_corpus_path)
+    assert main(["classify", "--config", str(cfg_path)]) == 0
+    (run_dir / "manifest.json").write_text('{"config": ', encoding="utf-8")
+    capsys.readouterr()
+    assert main(["classify", "--config", str(cfg_path), "--resume"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {run_dir / 'manifest.json'} is not valid JSON")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        {"fingerprint": "abc"},
+        {"attempts": ["A=1"]},
+        {"fingerprint": 7, "attempts": ["A=1"]},
+        {"fingerprint": "abc", "attempts": "A=1"},
+        {"fingerprint": "abc", "attempts": [1]},
+    ],
+    ids=["no-attempts", "no-fingerprint", "number-fingerprint", "text-attempts", "number-attempt"],
+)
+def test_malformed_cache_record_exits_two(tmp_path, capsys, clean_corpus_path, record):
+    cfg_path, run_dir = write_cfg(tmp_path, clean_corpus_path)
+    assert main(["classify", "--config", str(cfg_path)]) == 0
+    cache = run_dir / "cache.jsonl"
+    lines = cache.read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[1] = json.dumps(record) + "\n"
+    cache.write_text("".join(lines), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["classify", "--config", str(cfg_path), "--resume"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cache} line 2: cache record needs a string fingerprint")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

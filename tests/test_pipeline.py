@@ -10,15 +10,32 @@ from __future__ import annotations
 import csv
 import dataclasses
 import hashlib
+import itertools
 import json
+import os
 import random
+import re
+import signal
+import socket
+import subprocess
+import sys
+import threading
+import time
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
 
 from conftest import FIXTURES, base_config, write_config
 
-from themecoder.backends import BackendConfig, ReplayBackend, cache_key, mock_rule_vector
+from themecoder import pipeline
+from themecoder.backends import (
+    BackendConfig,
+    MockRulesBackend,
+    ReplayBackend,
+    cache_key,
+    mock_rule_vector,
+)
 from themecoder.cli import main
 from themecoder.codebook import load_codebook, load_gold
 from themecoder.corpus import (
@@ -389,6 +406,70 @@ def test_run_lock_contention(tmp_path):
         pass
 
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def kill_while_holding_lock(run_dir: Path) -> int:
+    """Take the run lock in a child process, SIGKILL it there, reap it, and
+    return its pid: the lock file a crash leaves behind."""
+    code = (
+        "import os, signal, sys\n"
+        "from themecoder.pipeline import RunLock\n"
+        "RunLock(sys.argv[1]).__enter__()\n"
+        "os.kill(os.getpid(), signal.SIGKILL)\n"
+    )
+    child = subprocess.run(
+        [sys.executable, "-c", code, str(run_dir)], env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=60
+    )
+    assert child.returncode == -signal.SIGKILL
+    return json.loads((run_dir / ".lock").read_text(encoding="utf-8"))["pid"]
+
+
+def test_run_lock_names_its_holder(tmp_path):
+    run_dir = tmp_path / "run"
+    with RunLock(run_dir):
+        holder = json.loads((run_dir / ".lock").read_text(encoding="utf-8"))
+        assert (holder["pid"], holder["host"]) == (os.getpid(), socket.gethostname())
+        who = re.escape(f"(pid {os.getpid()} on host {socket.gethostname()})")
+        with pytest.raises(ConfigError, match=f"locked by another process {who}"):
+            with RunLock(run_dir):
+                pass
+
+
+def test_run_lock_breaks_a_stale_lock_on_this_host(tmp_path, capsys, clean_corpus_path):
+    cfg = make_cfg(tmp_path, clean_corpus_path)
+    dead = kill_while_holding_lock(cfg.output_dir)
+    assert json.loads((cfg.output_dir / ".lock").read_text(encoding="utf-8"))["host"] == socket.gethostname()
+    with RunLock(cfg.output_dir):
+        assert json.loads((cfg.output_dir / ".lock").read_text(encoding="utf-8"))["pid"] == os.getpid() != dead
+    assert not (cfg.output_dir / ".lock").exists()
+
+    kill_while_holding_lock(cfg.output_dir)
+    assert main(["classify", "--config", str(tmp_path / "run.yaml")]) == 0
+    assert "classified=18, failed=0, total=18" in capsys.readouterr().out
+    assert not (cfg.output_dir / ".lock").exists()
+
+
+@pytest.mark.parametrize("holder", ["live-pid", "other-host", "no-pid"])
+def test_run_lock_keeps_a_lock_it_cannot_prove_stale(tmp_path, holder):
+    run_dir = tmp_path / "run"
+    lock = run_dir / ".lock"
+    run_dir.mkdir()
+    if holder == "no-pid":  # the format written before locks named their holder
+        lock.write_text("2026-01-01T00:00:00+00:00\n", encoding="utf-8")
+        who = "(no pid recorded)"
+    else:
+        pid = os.getpid() if holder == "live-pid" else kill_while_holding_lock(run_dir)
+        host = socket.gethostname() if holder == "live-pid" else "elsewhere.example"
+        lock.write_text(json.dumps({"pid": pid, "host": host}) + "\n", encoding="utf-8")
+        who = f"(pid {pid} on host {host})"
+    before = lock.read_bytes()
+    with pytest.raises(ConfigError, match=re.escape(f"locked by another process {who}; remove {lock} if stale")):
+        with RunLock(run_dir):
+            pass
+    assert lock.read_bytes() == before
+
+
 # --- ingest ---------------------------------------------------------------------
 
 
@@ -695,6 +776,198 @@ def test_classify_opens_each_run_file_once_and_closes_it(tmp_path, monkeypatch, 
     assert sorted(f.path.name for f in made) == names
     assert sorted(appends) == names  # one append handle per file for the whole run
     assert all(f._fh is None for f in made)
+
+
+def test_classify_local_backend_runs_on_the_calling_thread(tmp_path, monkeypatch, clean_corpus_path):
+    threads = []
+    real_raw = MockRulesBackend._raw
+    monkeypatch.setattr(
+        MockRulesBackend, "_raw", lambda self, *a: threads.append(threading.get_ident()) or real_raw(self, *a)
+    )
+    cmd_classify(make_cfg(tmp_path, clean_corpus_path, backend={"in_flight_limit": 8}))
+    assert len(threads) == 18 and set(threads) == {threading.get_ident()}
+
+
+def test_classify_local_cache_and_audit_follow_corpus_order(tmp_path, clean_corpus_path, cb):
+    runs = [make_cfg(tmp_path, clean_corpus_path, name=n, backend={"in_flight_limit": 8}) for n in ("a", "b")]
+    for cfg in runs:
+        cmd_classify(cfg)
+    cache_a, cache_b = ((cfg.output_dir / "cache.jsonl").read_bytes() for cfg in runs)
+    assert cache_a == cache_b
+    bcfg = runs[0].backend
+    expected = [
+        cache_key(bcfg, render_prompt(p, cb, load_template(), ShotPolicy(shots=0), seed=0, include_title=False))
+        for p in load_posts(clean_corpus_path).posts
+    ]
+    assert [json.loads(line)["fingerprint"] for line in cache_a.splitlines()] == expected
+    audits = [
+        [{k: v for k, v in json.loads(line).items() if k not in ("ts", "latency")} for line in lines]
+        for lines in ((cfg.output_dir / "audit.jsonl").read_bytes().splitlines() for cfg in runs)
+    ]
+    assert audits[0] == audits[1] and [r["fingerprint"] for r in audits[0]] == expected
+
+
+def test_classify_replay_abort_makes_exactly_three_calls(tmp_path, monkeypatch, clean_corpus_path, cb):
+    corpus = load_posts(clean_corpus_path)
+    script_path = tmp_path / "script.json"
+    bcfg = BackendConfig(kind="replay", model="replay-model", replay_path=str(script_path))
+    script = build_replay_script(corpus, cb, bcfg)
+    drop_script_entry(script, bcfg, cb, corpus.posts[2])
+    script_path.write_text(json.dumps(script), encoding="utf-8")
+    calls = []
+    real_raw = ReplayBackend._raw
+    monkeypatch.setattr(ReplayBackend, "_raw", lambda self, *a: calls.append(a) or real_raw(self, *a))
+    cfg = replay_cfg(tmp_path, clean_corpus_path, script_path, backend={"in_flight_limit": 4})
+    with pytest.raises(BackendError):
+        cmd_classify(cfg)
+    assert len(calls) == 3
+    assert RunLedger(cfg.output_dir / "ledger.jsonl").events()[-1]["event"] == "abort"
+
+
+# --- classify against a chat endpoint on 127.0.0.1 ------------------------------
+
+
+@pytest.fixture()
+def chat_stub():
+    """A chat endpoint that answers each prompt text from ``replies``:
+    prompt -> (HTTP status, reply text, seconds to wait first). It counts
+    requests and the most it served at once."""
+    state = {"replies": {}, "prompts": [], "active": 0, "peak": 0}
+    lock = threading.Lock()
+
+    class Handler(BaseHTTPRequestHandler):
+        def do_POST(self):
+            prompt = json.loads(self.rfile.read(int(self.headers["Content-Length"])))["messages"][0]["content"]
+            with lock:
+                state["prompts"].append(prompt)
+                state["active"] += 1
+                state["peak"] = max(state["peak"], state["active"])
+            status, text, delay = state["replies"][prompt]
+            time.sleep(delay)
+            data = json.dumps({"choices": [{"message": {"content": text}}]}).encode()
+            with lock:
+                state["active"] -= 1
+            self.send_response(status)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(data)))
+            self.end_headers()
+            self.wfile.write(data)
+
+        def log_message(self, *args):
+            pass
+
+    httpd = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+    thread = threading.Thread(target=httpd.serve_forever, daemon=True)
+    thread.start()
+    state["endpoint"] = f"http://127.0.0.1:{httpd.server_port}/v1/chat/completions"
+    try:
+        yield state
+    finally:
+        httpd.shutdown()
+        httpd.server_close()
+
+
+def remote_run(tmp_path, corpus_path, chat_stub, cb, name="remote", limit=4, delays=(), status=None):
+    """Config for a remote-chat run against ``chat_stub``. Post i's reply is
+    its rule line after ``delays[i]`` seconds (0 past the end); ``status``
+    maps a post index to another HTTP status for its reply."""
+    for i, post in enumerate(load_posts(corpus_path).posts):
+        rendered = render_prompt(post, cb, load_template(), ShotPolicy(shots=0), seed=0, include_title=False)
+        delay = delays[i] if i < len(delays) else 0.0
+        chat_stub["replies"][rendered.text] = ((status or {}).get(i, 200), rule_line(cb, post.body), delay)
+    return make_cfg(
+        tmp_path,
+        corpus_path,
+        name=name,
+        backend={
+            "kind": "remote-chat",
+            "model": "stub-model",
+            "endpoint": chat_stub["endpoint"],
+            "credential_env": "TC_TEST_KEY",
+            "timeout": 5.0,
+            "in_flight_limit": limit,
+        },
+        retry={"reask_on_parse_failure": False, "transport_retries": 0},
+    )
+
+
+def test_classify_remote_commits_in_corpus_order_under_out_of_order_replies(
+    tmp_path, monkeypatch, clean_corpus_path, cb, chat_stub
+):
+    monkeypatch.setenv("TC_TEST_KEY", "test-key")
+    serial = remote_run(tmp_path, clean_corpus_path, chat_stub, cb, name="serial", limit=1)
+    cmd_classify(serial)
+    assert chat_stub["peak"] == 1
+    pooled = remote_run(tmp_path, clean_corpus_path, chat_stub, cb, name="pooled", limit=4, delays=(0.3, 0.2, 0.1))
+    cmd_classify(pooled)
+    assert chat_stub["peak"] > 1  # the pool overlapped requests
+    results = (pooled.output_dir / "results.jsonl").read_bytes()
+    assert results == (serial.output_dir / "results.jsonl").read_bytes()
+    corpus = load_posts(clean_corpus_path)
+    assert [json.loads(line)["post_id"] for line in results.splitlines()] == [p.id for p in corpus.posts]
+    vectors = ResultsStore(pooled.output_dir / "results.jsonl").classified_vectors(cb.alphabet)
+    assert {pid: v.as_dict() for pid, v in vectors.items()} == {
+        p.id: mock_rule_vector(p.body, cb.alphabet) for p in corpus.posts
+    }
+
+
+@pytest.mark.parametrize("limit", [1, 3])
+def test_classify_remote_auth_failure_stops_within_window(tmp_path, monkeypatch, clean_corpus_path, cb, chat_stub, limit):
+    monkeypatch.setenv("TC_TEST_KEY", "test-key")
+    # a slow first reply holds the commit back while the other workers run ahead
+    cfg = remote_run(tmp_path, clean_corpus_path, chat_stub, cb, limit=limit, delays=(0.3,), status={2: 401})
+    assert main(["classify", "--config", str(tmp_path / "remote.yaml")]) == 3
+    assert len(chat_stub["prompts"]) <= 3 + 2 * limit < 18
+    assert RunLedger(cfg.output_dir / "ledger.jsonl").events()[-1]["event"] == "abort"
+    assert len(ResultsStore(cfg.output_dir / "results.jsonl")) == 2
+
+
+@pytest.mark.parametrize("abort", [False, True], ids=["success", "abort"])
+def test_classify_remote_closes_run_files_after_the_pool_drains(
+    tmp_path, monkeypatch, clean_corpus_path, cb, chat_stub, abort
+):
+    monkeypatch.setenv("TC_TEST_KEY", "test-key")
+    clock = itertools.count()
+    post_ends: list[int] = []
+    closes: dict[str, int] = {}
+    appends: list[str] = []
+    real_one, real_close, real_open = pipeline._classify_one, JsonLines.close, Path.open
+
+    def timed_one(*args, **kwargs):
+        try:
+            return real_one(*args, **kwargs)
+        finally:
+            post_ends.append(next(clock))
+
+    def timed_close(self):
+        if self._fh is not None:
+            closes[self.path.name] = next(clock)
+        real_close(self)
+
+    def recording_open(self, mode="r", *args, **kwargs):
+        if mode.startswith("a"):
+            appends.append(self.name)
+        return real_open(self, mode, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "_classify_one", timed_one)
+    monkeypatch.setattr(JsonLines, "close", timed_close)
+    monkeypatch.setattr(Path, "open", recording_open)
+    # with two workers, post 4 is still waiting on its reply when post 3's 401 aborts the run
+    cfg = remote_run(
+        tmp_path, clean_corpus_path, chat_stub, cb, limit=2, delays=(0.05, 0.05, 0.0, 0.3),
+        status={2: 401} if abort else None,
+    )
+    if abort:
+        with pytest.raises(BackendError, match="HTTP 401"):
+            cmd_classify(cfg)
+    else:
+        cmd_classify(cfg)
+
+    names = ["audit.jsonl", "cache.jsonl", "ledger.jsonl", "results.jsonl"]
+    assert sorted(closes) == names
+    assert sorted(appends) == names  # nothing reopened a file after it closed
+    assert 4 <= len(post_ends) <= 3 + 2 * 2 if abort else len(post_ends) == 18
+    assert max(post_ends) < min(closes.values())
 
 
 def tear(path: Path, keep: int, torn: bool) -> None:
