@@ -18,7 +18,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -48,9 +48,9 @@ class ConfusionMatrix:
     tn: int
 
     def __post_init__(self) -> None:
-        for name in ("tp", "fp", "fn", "tn"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+        for f in fields(self):
+            if getattr(self, f.name) < 0:
+                raise ValueError(f"{f.name} must be >= 0")
 
     @property
     def total(self) -> int:
@@ -171,15 +171,34 @@ def _as_vector_map(labels) -> Mapping[str, LabelVector]:
     return labels
 
 
+def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """num / den elementwise, 0 where den is not positive."""
+    return np.divide(num, den, out=np.zeros_like(num), where=den > 0)
+
+
+def _f1(precision: np.ndarray, recall: np.ndarray) -> np.ndarray:
+    return _ratio(2.0 * precision * recall, precision + recall)
+
+
+def _metric_values(tp, fp, fn, tn) -> dict[str, np.ndarray]:
+    """The four metrics from confusion counts, scalars or arrays alike.
+
+    The one statement of the formulas: per-theme scores, pooled micro
+    scores and every bootstrap resample read their values from here.
+    """
+    tp, fp, fn, tn = (np.asarray(c, dtype=np.float64) for c in (tp, fp, fn, tn))
+    precision, recall = _ratio(tp, tp + fp), _ratio(tp, tp + fn)
+    return {
+        "precision": precision,
+        "recall": recall,
+        "f1": _f1(precision, recall),
+        "accuracy": _ratio(tp + tn, tp + fp + fn + tn),
+    }
+
+
 def f1_score(precision: float, recall: float) -> float:
     """Harmonic mean, 0 when both terms are 0."""
-    if precision + recall <= 0:
-        return 0.0
-    return 2.0 * precision * recall / (precision + recall)
-
-
-def _safe_div(num: float, den: float) -> float:
-    return num / den if den > 0 else 0.0
+    return float(_f1(np.float64(precision), np.float64(recall)))
 
 
 def _rows(vectors: Sequence[LabelVector], codes: tuple[str, ...]) -> np.ndarray:
@@ -252,15 +271,9 @@ def metrics(matrices, aggregation: str = "micro") -> MetricSet:
 
 
 def per_theme_metrics(matrix: ConfusionMatrix) -> MetricSet:
-    precision = _safe_div(matrix.tp, matrix.tp + matrix.fp)
-    recall = _safe_div(matrix.tp, matrix.tp + matrix.fn)
+    values = _metric_values(matrix.tp, matrix.fp, matrix.fn, matrix.tn)
     return MetricSet(
-        precision=precision,
-        recall=recall,
-        f1=f1_score(precision, recall),
-        accuracy=_safe_div(matrix.tp + matrix.tn, matrix.total),
-        aggregation="per-theme",
-        n_decisions=matrix.total,
+        **{name: float(v) for name, v in values.items()}, aggregation="per-theme", n_decisions=matrix.total
     )
 
 
@@ -292,29 +305,6 @@ def wald_ci(p: float, n: int, confidence: float = 0.95) -> IntervalEstimate:
         confidence=confidence,
         n=n,
     )
-
-
-def _micro_from_counts(tp, fp, fn, tn, metric: str):
-    """Vectorized micro metric over pooled counts (scalars or arrays)."""
-    tp = np.asarray(tp, dtype=np.float64)
-    fp = np.asarray(fp, dtype=np.float64)
-    fn = np.asarray(fn, dtype=np.float64)
-    tn = np.asarray(tn, dtype=np.float64)
-    if metric == "accuracy":
-        total = tp + fp + fn + tn
-        return np.divide(tp + tn, total, out=np.zeros_like(tp), where=total > 0)
-    pden = tp + fp
-    rden = tp + fn
-    precision = np.divide(tp, pden, out=np.zeros_like(tp), where=pden > 0)
-    recall = np.divide(tp, rden, out=np.zeros_like(tp), where=rden > 0)
-    if metric == "precision":
-        return precision
-    if metric == "recall":
-        return recall
-    if metric == "f1":
-        s = precision + recall
-        return np.divide(2.0 * precision * recall, s, out=np.zeros_like(tp), where=s > 0)
-    raise ConfigError(f"unknown metric {metric!r}; known: {', '.join(METRIC_NAMES)}")
 
 
 def _resample_sums(counts: np.ndarray, resamples: int, seed: int, budget: int = BOOTSTRAP_INDEX_BUDGET):
@@ -356,11 +346,11 @@ def _bootstrap_intervals(
     tp = (g & p).sum(axis=1, dtype=small)
     counts = np.stack([tp, p.sum(axis=1, dtype=small) - tp, g.sum(axis=1, dtype=small) - tp])
     tp, fp, fn = _resample_sums(counts, resamples, seed).T
+    values = _metric_values(tp, fp, fn, k * n - tp - fp - fn)
     alpha = (1.0 - confidence) / 2.0
     out = {}
     for metric, point in points.items():
-        values = _micro_from_counts(tp, fp, fn, k * n - tp - fp - fn, metric)
-        lower, upper = np.percentile(values, [100.0 * alpha, 100.0 * (1.0 - alpha)])
+        lower, upper = np.percentile(values[metric], [100.0 * alpha, 100.0 * (1.0 - alpha)])
         # percentile bounds must still bracket the full-sample point
         out[metric] = IntervalEstimate(
             point=point,
@@ -504,6 +494,11 @@ def apply_failure_policy(
 # --- report assembly ----------------------------------------------------------
 
 
+def _set_fields(obj) -> dict:
+    """A dataclass's fields as a dict, leaving out those that are None."""
+    return {k: v for k, v in asdict(obj).items() if v is not None}
+
+
 @dataclass
 class EvalReport:
     """Full measurement bundle for one run, serializable to JSON and CSV."""
@@ -526,67 +521,26 @@ class EvalReport:
     delta: DistributionDelta | None = None
 
     def to_dict(self) -> dict:
-        def interval(iv: IntervalEstimate) -> dict:
-            out = {
-                "point": iv.point,
-                "lower": iv.lower,
-                "upper": iv.upper,
-                "method": iv.method,
-                "confidence": iv.confidence,
-                "n": iv.n,
-            }
-            if iv.seed is not None:
-                out["seed"] = iv.seed
-            return out
-
-        def mset(m: MetricSet) -> dict:
-            return {
-                "precision": m.precision,
-                "recall": m.recall,
-                "f1": m.f1,
-                "accuracy": m.accuracy,
-                "aggregation": m.aggregation,
-                "n_decisions": m.n_decisions,
-            }
-
         out: dict = {
             "label": self.label,
             "n_posts": self.n_posts,
             "n_failures": self.n_failures,
             "failure_policy": self.failure_policy,
             "per_theme": {
-                code: {
-                    "tp": m.tp,
-                    "fp": m.fp,
-                    "fn": m.fn,
-                    "tn": m.tn,
-                    **mset(self.per_theme_metrics[code]),
-                }
-                for code, m in self.per_theme.items()
+                code: {**asdict(m), **asdict(self.per_theme_metrics[code])} for code, m in self.per_theme.items()
             },
-            "micro": mset(self.micro),
-            "macro": mset(self.macro),
-            "accuracy_interval": interval(self.accuracy_interval),
+            "micro": asdict(self.micro),
+            "macro": asdict(self.macro),
+            "accuracy_interval": _set_fields(self.accuracy_interval),
             "zero_denominator_themes": list(self.zero_denominator),
         }
         if self.bootstrap_intervals:
-            out["bootstrap_intervals"] = {
-                k: interval(v) for k, v in self.bootstrap_intervals.items()
-            }
+            out["bootstrap_intervals"] = {k: _set_fields(v) for k, v in self.bootstrap_intervals.items()}
         if self.stats is not None:
-            out["run_stats"] = {
-                "r": self.stats.r,
-                "mean": dict(self.stats.mean),
-                **({"sd": dict(self.stats.sd)} if self.stats.sd is not None else {}),
-            }
+            out["run_stats"] = _set_fields(self.stats)
         if self.ranking is not None:
             out["ranking"] = [
-                {
-                    "label": row.label,
-                    "avg_rank": row.avg_rank,
-                    "ranks": dict(row.ranks),
-                    **mset(row.metrics),
-                }
+                {"label": row.label, "avg_rank": row.avg_rank, "ranks": dict(row.ranks), **asdict(row.metrics)}
                 for row in self.ranking.rows
             ]
         for key, dist in (("distribution", self.distribution), ("gold_distribution", self.gold_distribution)):
@@ -605,50 +559,22 @@ class EvalReport:
 
     def flat_rows(self) -> list[dict]:
         """Rows for the flat delimited table: one per scope/label pair."""
-        def fmt(x: float) -> str:
-            return f"{x:.6f}"
+        def scores(m: MetricSet) -> dict:
+            return {name: f"{m.value(name):.6f}" for name in METRIC_NAMES}
 
-        rows: list[dict] = []
-        for code, m in self.per_theme.items():
-            pm = self.per_theme_metrics[code]
-            rows.append(
-                {
-                    "scope": "per-theme",
-                    "label": code,
-                    "tp": m.tp,
-                    "fp": m.fp,
-                    "fn": m.fn,
-                    "tn": m.tn,
-                    "precision": fmt(pm.precision),
-                    "recall": fmt(pm.recall),
-                    "f1": fmt(pm.f1),
-                    "accuracy": fmt(pm.accuracy),
-                }
-            )
-        for scope, m in (("micro", self.micro), ("macro", self.macro)):
-            rows.append(
-                {
-                    "scope": scope,
-                    "label": self.label,
-                    "precision": fmt(m.precision),
-                    "recall": fmt(m.recall),
-                    "f1": fmt(m.f1),
-                    "accuracy": fmt(m.accuracy),
-                }
-            )
+        rows = [
+            {"scope": "per-theme", "label": code, **asdict(m), **scores(self.per_theme_metrics[code])}
+            for code, m in self.per_theme.items()
+        ]
+        rows += [
+            {"scope": scope, "label": self.label, **scores(m)}
+            for scope, m in (("micro", self.micro), ("macro", self.macro))
+        ]
         if self.ranking is not None:
-            for row in self.ranking.rows:
-                rows.append(
-                    {
-                        "scope": "ranking",
-                        "label": row.label,
-                        "precision": fmt(row.metrics.precision),
-                        "recall": fmt(row.metrics.recall),
-                        "f1": fmt(row.metrics.f1),
-                        "accuracy": fmt(row.metrics.accuracy),
-                        "avg_rank": f"{row.avg_rank:g}",
-                    }
-                )
+            rows += [
+                {"scope": "ranking", "label": row.label, **scores(row.metrics), "avg_rank": f"{row.avg_rank:g}"}
+                for row in self.ranking.rows
+            ]
         if self.distribution is not None:
             delta = self.delta.deltas if self.delta is not None else {}
             for code in self.distribution.codes:
@@ -674,8 +600,7 @@ class EvalReport:
         )
         csv_path = out / "metrics.csv"
         fieldnames = [
-            "scope", "label", "tp", "fp", "fn", "tn",
-            "precision", "recall", "f1", "accuracy",
+            "scope", "label", *(f.name for f in fields(ConfusionMatrix)), *METRIC_NAMES,
             "avg_rank", "count", "percentage", "delta_pp",
         ]
         with csv_path.open("w", encoding="utf-8", newline="") as fh:

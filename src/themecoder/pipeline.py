@@ -1,7 +1,7 @@
 """Run orchestration: config files, manifests, result stores, commands.
 
 A run lives in one output directory owned by one process at a time:
-``manifest.json`` (write-once), ``ledger.jsonl`` (append-only status
+``manifest.json`` (write-once), ``ledger.jsonl`` (append-only run
 events), ``results*.jsonl`` (append-only classification records),
 ``cache*.jsonl`` (response cache), ``audit.jsonl`` (backend log), and
 ``reports/`` (evaluation output). Stores and reports contain no
@@ -18,7 +18,7 @@ import socket
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack, closing
-from dataclasses import dataclass, field
+from dataclasses import MISSING, asdict, dataclass, fields
 from datetime import datetime, timezone
 from functools import partial
 from hashlib import sha256
@@ -106,26 +106,8 @@ _SECTION_KEYS = {
         "exemplar_budget",
     },
     "parsing": {"mode"},
-    "backend": {
-        "kind",
-        "model",
-        "endpoint",
-        "temperature",
-        "max_output_tokens",
-        "credential_env",
-        "timeout",
-        "replay_path",
-        "in_flight_limit",
-        "requests_per_second",
-    },
-    "retry": {
-        "max_attempts",
-        "reask_on_parse_failure",
-        "backoff_initial",
-        "backoff_multiplier",
-        "backoff_cap",
-        "transport_retries",
-    },
+    "backend": {f.name for f in fields(BackendConfig)},
+    "retry": {f.name for f in fields(RetryPolicy)},
     "evaluation": {
         "aggregation",
         "failure_policy",
@@ -173,56 +155,7 @@ class RunConfig:
 
     def to_dict(self) -> dict:
         """JSON-safe mirror, frozen into the manifest."""
-        out = {
-            "label": self.label,
-            "dataset": self.dataset,
-            "output_dir": str(self.output_dir),
-            "repeats": self.repeats,
-            "corpus_path": str(self.corpus_path),
-            "corpus_format": self.corpus_format,
-            "keywords_path": str(self.keywords_path) if self.keywords_path else None,
-            "filter_rule": self.filter_rule,
-            "split_at": self.split_at,
-            "sample_n": self.sample_n,
-            "sample_seed": self.sample_seed,
-            "sample_from": self.sample_from,
-            "codebook_path": str(self.codebook_path) if self.codebook_path else None,
-            "gold_path": str(self.gold_path) if self.gold_path else None,
-            "template_version": self.template_version,
-            "template_path": str(self.template_path) if self.template_path else None,
-            "shots": self.shots,
-            "selection": list(self.selection) if self.selection is not None else None,
-            "exemplar_seed": self.exemplar_seed,
-            "include_title": self.include_title,
-            "exemplar_budget": self.exemplar_budget,
-            "parse_mode": self.parse_mode,
-            "backend": {
-                "kind": self.backend.kind,
-                "model": self.backend.model,
-                "endpoint": self.backend.endpoint,
-                "temperature": self.backend.temperature,
-                "max_output_tokens": self.backend.max_output_tokens,
-                "credential_env": self.backend.credential_env,
-                "timeout": self.backend.timeout,
-                "replay_path": self.backend.replay_path,
-                "in_flight_limit": self.backend.in_flight_limit,
-                "requests_per_second": self.backend.requests_per_second,
-            },
-            "retry": {
-                "max_attempts": self.retry.max_attempts,
-                "reask_on_parse_failure": self.retry.reask_on_parse_failure,
-                "backoff_initial": self.retry.backoff_initial,
-                "backoff_multiplier": self.retry.backoff_multiplier,
-                "backoff_cap": self.retry.backoff_cap,
-                "transport_retries": self.retry.transport_retries,
-            },
-            "aggregation": self.aggregation,
-            "failure_policy": self.failure_policy,
-            "bootstrap_resamples": self.bootstrap_resamples,
-            "bootstrap_seed": self.bootstrap_seed,
-            "bootstrap_metrics": list(self.bootstrap_metrics),
-        }
-        return out
+        return json.loads(json.dumps(asdict(self), default=str))
 
 
 def _check_keys(section: str, raw: Mapping, allowed: set[str]) -> None:
@@ -271,7 +204,13 @@ def load_config(
         if not isinstance(body, dict):
             raise ConfigError(f"config section {name!r} must be a mapping")
         _check_keys(name, body, _SECTION_KEYS[name])
+    try:
+        return _run_config(sections, overrides or {}, offline)
+    except (TypeError, ValueError) as exc:  # a value of the wrong type for its conversion
+        raise ConfigError(f"config file {p} has a value of the wrong type: {exc}") from None
 
+
+def _run_config(sections: dict[str, dict], overrides: Mapping[str, int], offline: bool) -> RunConfig:
     run = sections["run"]
     corpus = sections["corpus"]
     if "path" not in corpus:
@@ -331,18 +270,20 @@ def load_config(
     if parse_mode not in PARSE_MODES:
         raise ConfigError(f"unknown parsing mode {parse_mode!r}; known: {', '.join(PARSE_MODES)}")
 
-    backend_raw = dict(sections["backend"])
-    if "kind" not in backend_raw:
-        raise ConfigError("config requires backend.kind")
-    if offline and backend_raw["kind"] == "remote-chat":
+    for f in fields(BackendConfig):
+        if f.default is MISSING and f.name not in sections["backend"]:
+            raise ConfigError(f"config requires backend.{f.name}")
+    backend = BackendConfig(**sections["backend"])
+    if offline and backend.kind == "remote-chat":
         raise ConfigError("remote backends are forbidden in offline mode")
-    backend = BackendConfig(**backend_raw)
     if backend.kind == "replay":
         _existing_path(backend.replay_path, "replay script path")
     retry = RetryPolicy(**sections["retry"]) if sections["retry"] else RetryPolicy()
 
     evaluation = sections["evaluation"]
     aggregation = str(evaluation.get("aggregation", "micro"))
+    if aggregation != "micro":  # kept in the manifest; every report and ranking is micro
+        raise ConfigError(f"evaluation.aggregation must be 'micro', got {aggregation!r}")
     failure_policy = str(evaluation.get("failure_policy", "exclude-and-report"))
     if failure_policy not in FAILURE_POLICIES:
         raise ConfigError(
@@ -354,13 +295,12 @@ def load_config(
             raise ConfigError(f"unknown bootstrap metric {m!r}; known: {', '.join(METRIC_NAMES)}")
     bootstrap_seed = int(evaluation.get("bootstrap_seed", 0))
 
-    ov = dict(overrides or {})
-    unknown_ov = sorted(set(ov) - {"sample_seed", "exemplar_seed", "bootstrap_seed"})
+    unknown_ov = sorted(set(overrides) - {"sample_seed", "exemplar_seed", "bootstrap_seed"})
     if unknown_ov:
         raise ConfigError(f"unknown seed override(s): {', '.join(unknown_ov)}")
-    sample_seed = int(ov.get("sample_seed", sample_seed))
-    exemplar_seed = int(ov.get("exemplar_seed", exemplar_seed))
-    bootstrap_seed = int(ov.get("bootstrap_seed", bootstrap_seed))
+    sample_seed = int(overrides.get("sample_seed", sample_seed))
+    exemplar_seed = int(overrides.get("exemplar_seed", exemplar_seed))
+    bootstrap_seed = int(overrides.get("bootstrap_seed", bootstrap_seed))
 
     dataset = str(run.get("dataset", corpus_path.stem))
     model_part = backend.model or backend.kind
@@ -434,14 +374,6 @@ class RunLedger(JsonLines):
 
     def events(self) -> list[dict]:
         return list(self.read())
-
-    def statuses(self, run_index: int = 1) -> dict[str, str]:
-        """post id -> classified|failed for one repeat run."""
-        out: dict[str, str] = {}
-        for ev in self.events():
-            if ev.get("event") == "post" and ev.get("run_index", 1) == run_index:
-                out[ev["post_id"]] = ev["status"]
-        return out
 
 
 class ResultsStore(JsonLines):
@@ -791,9 +723,6 @@ def cmd_classify(cfg: RunConfig, *, resume: bool = False) -> list[ResultsStore]:
                 with closing(_records(pending, classify_one, backend, cfg.backend.in_flight_limit)) as records:
                     for rec in records:  # backend errors abort here
                         store.append(rec)
-                        ledger.append(
-                            {"event": "post", "run_index": r, "post_id": rec["post_id"], "status": rec["status"]}
-                        )
             except BackendError:
                 ledger.append({"event": "abort", "run_index": r})
                 raise
@@ -823,14 +752,7 @@ def _load_metrics_table(path: str | Path) -> list[tuple[str, MetricSet]]:
             rows = []
             for lineno, row in enumerate(reader, start=2):
                 try:
-                    mset = MetricSet(
-                        precision=float(row["precision"]),
-                        recall=float(row["recall"]),
-                        f1=float(row["f1"]),
-                        accuracy=float(row["accuracy"]),
-                        aggregation="micro",
-                        n_decisions=0,
-                    )
+                    mset = MetricSet(**{m: float(row[m]) for m in METRIC_NAMES}, aggregation="micro", n_decisions=0)
                 except ValueError as exc:
                     raise DataError(f"metrics table {p} row {lineno}: {exc}") from exc
                 rows.append((row["label"], mset))
@@ -849,10 +771,7 @@ def _write_ranking(ranking: ModelRanking, out_dir: Path) -> tuple[Path, Path]:
             "label": row.label,
             "avg_rank": row.avg_rank,
             "ranks": dict(row.ranks),
-            "precision": row.metrics.precision,
-            "recall": row.metrics.recall,
-            "f1": row.metrics.f1,
-            "accuracy": row.metrics.accuracy,
+            **{m: row.metrics.value(m) for m in METRIC_NAMES},
         }
         for row in ranking.rows
     ]
@@ -897,10 +816,7 @@ def cmd_evaluate(
     """
     reports_dir = cfg.output_dir / "reports"
     if metrics_table is not None:
-        ranking = avg_rank(_load_metrics_table(metrics_table))
-        _write_ranking(ranking, reports_dir)
-        _print_ranking(ranking)
-        return ranking
+        return cmd_rank(metrics_table, reports_dir)
 
     corpus = load_posts(cfg.corpus_path, cfg.corpus_format)
     cb = load_codebook(cfg.codebook_path)

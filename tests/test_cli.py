@@ -181,6 +181,28 @@ def test_offline_blocks_remote_backends(tmp_path, capsys, clean_corpus_path):
     assert "remote backends are forbidden in offline mode" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "key,value",
+    [
+        ("prompting.shots", "many"),
+        ("backend.temperature", "hot"),
+        ("retry.max_attempts", "x"),
+        ("evaluation.bootstrap_resamples", "lots"),
+        ("corpus.sample.n", "ten"),
+    ],
+)
+def test_config_value_of_the_wrong_type_exits_one(tmp_path, capsys, clean_corpus_path, key, value):
+    section, *inner, leaf = key.split(".")
+    body = {leaf: value}
+    for part in reversed(inner):
+        body = {part: body}
+    cfg_path, _ = write_cfg(tmp_path, clean_corpus_path, **{section: body})
+    assert main(["classify", "--config", str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config file {cfg_path} has a value of the wrong type: ")
+    assert "Traceback" not in err
+
+
 def test_distribute_without_results_exits_two(tmp_path, capsys, clean_corpus_path):
     cfg_path, _ = write_cfg(tmp_path, clean_corpus_path)
     code = main(["distribute", "--config", str(cfg_path)])

@@ -368,19 +368,40 @@ def seeded_report_inputs(cb, n=2000):
 
 
 def test_report_bytes_are_frozen(tmp_path, cb):
-    """sha256 of the files the per-code loop implementation wrote for this input."""
+    """sha256 of the files the per-code loop implementation wrote for this
+    input; the run-stats and ranking variants were pinned by the key-by-key
+    serialiser that preceded the dataclass-derived one."""
     gold, preds, failed = seeded_report_inputs(cb)
-    report = evaluate_predictions(
-        gold, preds, cb, failed_ids=failed, label="seeded2k",
-        bootstrap_metrics=METRIC_NAMES, bootstrap_resamples=500, bootstrap_seed=9,
-    )
-    report.write(tmp_path)
-    digests = {
-        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-        for name in ("report.json", "metrics.csv")
-    }
-    assert digests == {
+
+    def seeded(policy="exclude-and-report"):
+        return evaluate_predictions(
+            gold, preds, cb, failed_ids=failed, label="seeded2k", failure_policy=policy,
+            bootstrap_metrics=METRIC_NAMES, bootstrap_resamples=500, bootstrap_seed=9,
+        )
+
+    def digests(report, out_dir):
+        report.write(out_dir)
+        return {
+            name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+            for name in ("report.json", "metrics.csv")
+        }
+
+    report = seeded()
+    assert digests(report, tmp_path / "plain") == {
         "report.json": "34ad7ca00965f1dd801b70d81cd2374bb57bd2f4354a8253cd79d262d2aa66fa",
+        "metrics.csv": "46892e5a983ead3b14274789ef89f81bb7ff30195f1c41cddc2fe0b73c7b6fc7",
+    }
+    # one micro set per failure policy stands in for three repeat runs
+    runs = [report.micro] + [seeded(policy).micro for policy in FAILURE_POLICIES[1:]]
+    report.stats = run_stats(runs)
+    report.ranking = avg_rank([(f"run{i}", m) for i, m in enumerate(runs, start=1)])
+    assert digests(report, tmp_path / "r3") == {
+        "report.json": "8dca673bad992fb12a795ee3721a06d867e07452b9d9c98598c3a86b91ff9355",
+        "metrics.csv": "ae9edd3c34a2408a04884e2fe87914d9f022323dd13894caa7454f86e8990cc3",
+    }
+    report.stats, report.ranking = run_stats(runs[:1]), None
+    assert digests(report, tmp_path / "r1") == {
+        "report.json": "681bb3dbb428ca6ee50e392b21a595e8a4e51ccfd65743a4fac17da3f8ad85e2",
         "metrics.csv": "46892e5a983ead3b14274789ef89f81bb7ff30195f1c41cddc2fe0b73c7b6fc7",
     }
 

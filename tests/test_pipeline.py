@@ -37,8 +37,9 @@ from themecoder.backends import (
     mock_rule_vector,
 )
 from themecoder.cli import main
-from themecoder.codebook import load_codebook, load_gold
+from themecoder.codebook import DEFAULT_CODEBOOK_PATH, load_codebook, load_gold
 from themecoder.corpus import (
+    DEFAULT_KEYWORDS_PATH,
     SamplingSpec,
     dedup_clean,
     load_posts,
@@ -309,6 +310,16 @@ def test_load_config_failure_policy_validation(tmp_path, clean_corpus_path):
         load_config(path)
 
 
+@pytest.mark.parametrize("aggregation", ["macro", "per-theme", "pooled"])
+def test_load_config_rejects_an_aggregation_other_than_micro(tmp_path, clean_corpus_path, aggregation):
+    assert make_cfg(tmp_path, clean_corpus_path, evaluation={"aggregation": "micro"}).aggregation == "micro"
+    sections = base_config(tmp_path, clean_corpus_path)
+    sections["evaluation"] = {"aggregation": aggregation}
+    path = write_config(tmp_path / "c.yaml", **sections)
+    with pytest.raises(ConfigError, match=f"evaluation.aggregation must be 'micro', got '{aggregation}'"):
+        load_config(path)
+
+
 def test_load_config_replay_script_must_exist(tmp_path, clean_corpus_path):
     sections = base_config(tmp_path, clean_corpus_path)
     sections["backend"] = {
@@ -354,9 +365,6 @@ def test_run_ledger_round_trip(tmp_path):
     events = ledger.events()
     assert [e["event"] for e in events] == ["start", "post", "post"]
     assert all("ts" in e for e in events)
-    # events without an explicit run index belong to the first run
-    assert ledger.statuses() == {"a": "classified"}
-    assert ledger.statuses(run_index=2) == {"b": "failed"}
 
 
 def test_results_store_rejects_duplicates(tmp_path):
@@ -582,10 +590,9 @@ def test_classify_mock_run(tmp_path, capsys, clean_corpus_path, cb):
     assert (cfg.output_dir / "manifest.json").exists()
 
     ledger = RunLedger(cfg.output_dir / "ledger.jsonl")
-    events = [e["event"] for e in ledger.events()]
-    assert events[0] == "start" and events[-1] == "end"
-    assert events.count("post") == 18
-    assert ledger.statuses() == {p.id: "classified" for p in corpus.posts}
+    assert [e["event"] for e in ledger.events()] == ["start", "end"]  # post statuses live in the store
+    reloaded = ResultsStore(cfg.output_dir / "results.jsonl")
+    assert {r["post_id"]: r["status"] for r in reloaded.records} == {p.id: "classified" for p in corpus.posts}
 
 
 def test_classify_byte_identity_across_runs(tmp_path, clean_corpus_path):
@@ -630,6 +637,104 @@ def test_classify_resume_refuses_changed_input(tmp_path, clean_corpus_path):
     clean_corpus_path.write_bytes(clean_corpus_path.read_bytes() + b"\n")
     with pytest.raises(ConfigError, match="resume refused"):
         cmd_classify(cfg, resume=True)
+
+
+def test_classify_resumes_a_manifest_config_with_every_key_set(tmp_path, capsys, clean_corpus_path):
+    """A manifest whose frozen config was written key by key, with every
+    config key set, still matches the config it came from."""
+    template = tmp_path / "tpl.txt"
+    template.write_text(load_template().scaffold, encoding="utf-8")
+    out = tmp_path / "run"
+    frozen = {
+        "label": "every_key",
+        "dataset": "FIXALL",
+        "output_dir": str(out),
+        "repeats": 2,
+        "corpus_path": str(clean_corpus_path),
+        "corpus_format": "post-lines",
+        "keywords_path": str(DEFAULT_KEYWORDS_PATH),
+        "filter_rule": "xylazine AND wound",
+        "split_at": "2023-07-01T00:00:00Z",
+        "sample_n": 5,
+        "sample_seed": 3,
+        "sample_from": "post",
+        "codebook_path": str(DEFAULT_CODEBOOK_PATH),
+        "gold_path": str(FIXTURES / "gold_clean.csv"),
+        "template_version": "v3-single-line",
+        "template_path": str(template),
+        "shots": 2,
+        "selection": [0, 2],
+        "exemplar_seed": 5,
+        "include_title": True,
+        "exemplar_budget": 900,
+        "parse_mode": "strict",
+        "backend": {
+            "kind": "mock-rules",
+            "model": "mock",
+            "endpoint": "http://127.0.0.1:9/v1/chat",
+            "temperature": 0.5,
+            "max_output_tokens": 64,
+            "credential_env": "FIXALL_KEY",
+            "timeout": 5.0,
+            "replay_path": "unused.json",
+            "in_flight_limit": 2,
+            "requests_per_second": 10.0,
+        },
+        "retry": {
+            "max_attempts": 2,
+            "reask_on_parse_failure": False,
+            "backoff_initial": 0.25,
+            "backoff_multiplier": 3.0,
+            "backoff_cap": 4.0,
+            "transport_retries": 1,
+        },
+        "aggregation": "micro",
+        "failure_policy": "score-as-wrong",
+        "bootstrap_resamples": 300,
+        "bootstrap_seed": 4,
+        "bootstrap_metrics": ["f1", "accuracy"],
+    }
+    cfg_path = write_config(
+        tmp_path / "every.yaml",
+        run={"label": "every_key", "dataset": "FIXALL", "output_dir": str(out), "repeats": 2},
+        corpus={
+            "path": str(clean_corpus_path),
+            "format": "post-lines",
+            "keywords": str(DEFAULT_KEYWORDS_PATH),
+            "rule": "xylazine AND wound",
+            "split_at": "2023-07-01T00:00:00Z",
+            "sample": {"n": 5, "seed": 3, "from": "post"},
+        },
+        codebook={"path": str(DEFAULT_CODEBOOK_PATH)},
+        gold={"path": str(FIXTURES / "gold_clean.csv")},
+        prompting={
+            "template_version": "v3-single-line",
+            "template_path": str(template),
+            "shots": 2,
+            "selection": [0, 2],
+            "exemplar_seed": 5,
+            "include_title": True,
+            "exemplar_budget": 900,
+        },
+        parsing={"mode": "strict"},
+        backend=frozen["backend"],
+        retry=frozen["retry"],
+        evaluation={
+            "aggregation": "micro",
+            "failure_policy": "score-as-wrong",
+            "bootstrap_resamples": 300,
+            "bootstrap_seed": 4,
+            "bootstrap_metrics": ["f1", "accuracy"],
+        },
+    )
+    manifest = build_manifest(load_config(cfg_path), template.read_text(encoding="utf-8"))
+    manifest["config"] = frozen
+    out.mkdir()
+    (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True), encoding="utf-8")
+
+    assert main(["classify", "--config", str(cfg_path), "--resume"]) == 0
+    assert "run 2/2: classified=18, failed=0, total=18" in capsys.readouterr().out
+    assert json.loads((out / "manifest.json").read_text(encoding="utf-8"))["config"] == frozen
 
 
 def test_classify_repeats_write_separate_stores(tmp_path, capsys, clean_corpus_path):
@@ -977,10 +1082,21 @@ def tear(path: Path, keep: int, torn: bool) -> None:
     path.write_bytes(b"".join(lines[:keep]) + (lines[keep][: len(lines[keep]) // 2] if torn else b""))
 
 
+def finished_run_with_ten_ledger_events(cfg, name: str) -> None:
+    """Classify the whole corpus. When the ledger is the file under test,
+    resume the finished run five times so that, at two events (start and
+    end) per resume, the ledger has more than ten lines to damage."""
+    cmd_classify(cfg)
+    if name == "ledger.jsonl":
+        for _ in range(5):
+            cmd_classify(cfg, resume=True)
+        assert len((cfg.output_dir / name).read_text(encoding="utf-8").splitlines()) >= 10
+
+
 @pytest.mark.parametrize("name", ["results.jsonl", "cache.jsonl", "ledger.jsonl", "audit.jsonl"])
 def test_classify_resume_drops_a_torn_last_line(tmp_path, clean_corpus_path, name):
     cfg = make_cfg(tmp_path, clean_corpus_path)
-    cmd_classify(cfg)
+    finished_run_with_ten_ledger_events(cfg, name)
     baseline = (cfg.output_dir / "results.jsonl").read_bytes()
     tear(cfg.output_dir / "results.jsonl", 9, torn=name == "results.jsonl")  # leaves posts to redo
     if name != "results.jsonl":
@@ -999,7 +1115,7 @@ def test_classify_resume_drops_a_torn_last_line(tmp_path, clean_corpus_path, nam
 @pytest.mark.parametrize("name", ["results.jsonl", "cache.jsonl", "ledger.jsonl"])
 def test_classify_resume_rejects_damage_before_the_last_line(tmp_path, clean_corpus_path, name):
     cfg = make_cfg(tmp_path, clean_corpus_path)
-    cmd_classify(cfg)
+    finished_run_with_ten_ledger_events(cfg, name)
     path = cfg.output_dir / name
     lines = path.read_bytes().splitlines(keepends=True)
     lines[3] = lines[3][:10] + b"\n"
