@@ -18,12 +18,12 @@ from __future__ import annotations
 import csv
 import json
 import math
+import statistics
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy.stats import norm, rankdata
 
 from .codebook import Codebook, GoldLabelSet, LabelVector
 from .errors import ConfigError, DataError
@@ -295,7 +295,7 @@ def wald_ci(p: float, n: int, confidence: float = 0.95) -> IntervalEstimate:
     if confidence == 0.95:
         z = Z_95
     else:
-        z = float(norm.ppf(0.5 + confidence / 2.0))
+        z = statistics.NormalDist().inv_cdf(0.5 + confidence / 2.0)
     half = z * math.sqrt(p * (1.0 - p) / n)
     return IntervalEstimate(
         point=p,
@@ -396,6 +396,18 @@ def run_stats(runs: Sequence[MetricSet]) -> RunStats:
     return RunStats(mean=mean, sd=sd, r=r)
 
 
+def _mid_ranks(values: np.ndarray) -> np.ndarray:
+    """1-based ascending ranks; each group of equal values gets the mean of
+    the positions it occupies (``first + (count + 1) / 2``)."""
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    counts = np.diff(np.r_[starts, len(values)])
+    ranks = np.empty(len(values), dtype=np.float64)
+    ranks[order] = np.repeat(starts + (counts + 1) / 2.0, counts)
+    return ranks
+
+
 def avg_rank(rows: Sequence[tuple[str, MetricSet]]) -> ModelRanking:
     """Fractional-tie leaderboard over four metrics.
 
@@ -411,7 +423,7 @@ def avg_rank(rows: Sequence[tuple[str, MetricSet]]) -> ModelRanking:
     per_metric: dict[str, np.ndarray] = {}
     for name in METRIC_NAMES:
         values = np.array([m.value(name) for _, m in rows], dtype=np.float64)
-        per_metric[name] = rankdata(-values, method="average")
+        per_metric[name] = _mid_ranks(-values)
     ranked = []
     for i, (label, mset) in enumerate(rows):
         ranks = {name: float(per_metric[name][i]) for name in METRIC_NAMES}

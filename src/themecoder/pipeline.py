@@ -23,7 +23,7 @@ from datetime import datetime, timezone
 from functools import partial
 from hashlib import sha256
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence, get_args, get_type_hints
 
 import yaml
 
@@ -166,6 +166,23 @@ def _check_keys(section: str, raw: Mapping, allowed: set[str]) -> None:
         )
 
 
+def _typed(cls, section: str, raw: Mapping):
+    """Build config dataclass ``cls`` from ``raw`` after checking each value
+    against its field's type: an int field takes no bool, a float field also
+    takes an int."""
+    hints = get_type_hints(cls)
+    for name, value in raw.items():
+        kinds = get_args(hints[name]) or (hints[name],)
+        if isinstance(value, bool):
+            ok = bool in kinds
+        else:
+            ok = isinstance(value, kinds) or (float in kinds and isinstance(value, int))
+        if not ok:
+            names = " or ".join(k.__name__ for k in kinds)
+            raise TypeError(f"{section}.{name} must be {names}, got {value!r}")
+    return cls(**raw)
+
+
 def _existing_path(value, what: str) -> Path:
     p = Path(value)
     if not p.exists():
@@ -260,6 +277,8 @@ def _run_config(sections: dict[str, dict], overrides: Mapping[str, int], offline
         if prompting.get("template_path")
         else None
     )
+    if isinstance(prompting.get("shots"), bool):
+        raise TypeError(f"prompting.shots must be int, got {prompting['shots']!r}")
     shots = int(prompting.get("shots", 0))
     selection = prompting.get("selection")
     if selection is not None:
@@ -273,12 +292,12 @@ def _run_config(sections: dict[str, dict], overrides: Mapping[str, int], offline
     for f in fields(BackendConfig):
         if f.default is MISSING and f.name not in sections["backend"]:
             raise ConfigError(f"config requires backend.{f.name}")
-    backend = BackendConfig(**sections["backend"])
+    backend = _typed(BackendConfig, "backend", sections["backend"])
     if offline and backend.kind == "remote-chat":
         raise ConfigError("remote backends are forbidden in offline mode")
     if backend.kind == "replay":
         _existing_path(backend.replay_path, "replay script path")
-    retry = RetryPolicy(**sections["retry"]) if sections["retry"] else RetryPolicy()
+    retry = _typed(RetryPolicy, "retry", sections["retry"])
 
     evaluation = sections["evaluation"]
     aggregation = str(evaluation.get("aggregation", "micro"))

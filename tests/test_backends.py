@@ -331,6 +331,7 @@ def test_retry_audit_records_parse_failures(tmp_path, cb):
         MOCK_CFG, RetryPolicy(), full_prompt(cb), line_parser(cb),
         backend=backend, audit=audit,
     )
+    audit.close()
     records = [json.loads(l) for l in (tmp_path / "audit.jsonl").read_text().splitlines()]
     assert all("ts" in r for r in records)
     assert any(r.get("status") == "parse-failure" and r.get("reason") == "no-line-found" for r in records)
@@ -381,6 +382,7 @@ def test_cache_hit_skips_backend(tmp_path, cb):
         MOCK_CFG, RetryPolicy(), prompt, line_parser(cb),
         backend=ExplodingBackend(MOCK_CFG), cache=cache,
     )
+    cache.close()
     assert replayed == vector
     assert cached_result.cache_hit
     assert cached_result.attempts == 2
@@ -400,6 +402,7 @@ def test_cache_stores_failures_too(tmp_path, cb):
         MOCK_CFG, policy, prompt, line_parser(cb),
         backend=ExplodingBackend(MOCK_CFG), cache=cache,
     )
+    cache.close()
     assert isinstance(again, ClassificationFailure)
     assert again.reasons == failure.reasons
     assert result.cache_hit
@@ -410,6 +413,7 @@ def test_cache_respects_attempt_budget(tmp_path, cb):
     prompt = full_prompt(cb)
     fp = cache_key(MOCK_CFG, prompt)
     cache.put(fp, ["junk", good_line(cb)])
+    cache.close()
     policy = RetryPolicy(max_attempts=3, reask_on_parse_failure=False)
     failure, result = classify_with_retry(
         MOCK_CFG, policy, prompt, line_parser(cb),
@@ -426,6 +430,7 @@ def test_cache_persistence_and_isolation(tmp_path):
     first.put("fp-1", ["a", "b"])  # identical re-put is a no-op
     assert len(path.read_text().splitlines()) == 1
     first.put("fp-1", ["a", "b", "c"])  # changed entry appends, last wins
+    first.close()
     reloaded = ResponseCache(path)
     assert reloaded.get("fp-1") == ["a", "b", "c"]
     assert reloaded.get("fp-missing") is None
@@ -444,6 +449,7 @@ def test_audit_log_concurrent_appends(tmp_path):
         t.start()
     for t in threads:
         t.join()
+    audit.close()
     lines = (tmp_path / "audit.jsonl").read_text().splitlines()
     assert len(lines) == 16
     assert {json.loads(l)["worker"] for l in lines} == set(range(16))
@@ -595,6 +601,7 @@ def test_remote_retries_rate_limit_then_succeeds(monkeypatch, chat_server, tmp_p
     audit = AuditLog(tmp_path / "audit.jsonl")
     cfg = remote_cfg(chat_server["endpoint"])
     result = complete(cfg, PROBE, retry=FAST_RETRY, audit=audit)
+    audit.close()
     assert result.raw_text == "recovered"
     assert len(chat_server["requests"]) == 2
     log_text = (tmp_path / "audit.jsonl").read_text()

@@ -16,6 +16,7 @@ from conftest import FIXTURES, base_config, write_config
 
 from themecoder.cli import main
 from themecoder.corpus import SamplingSpec, dedup_clean, load_posts, sample_random
+from themecoder.pipeline import load_config
 
 DS2 = FIXTURES / "ds2_reference_metrics.csv"
 
@@ -189,6 +190,10 @@ def test_offline_blocks_remote_backends(tmp_path, capsys, clean_corpus_path):
         ("retry.max_attempts", "x"),
         ("evaluation.bootstrap_resamples", "lots"),
         ("corpus.sample.n", "ten"),
+        ("retry.max_attempts", 2.5),
+        ("backend.in_flight_limit", "3"),
+        ("retry.reask_on_parse_failure", "yes"),
+        ("prompting.shots", True),
     ],
 )
 def test_config_value_of_the_wrong_type_exits_one(tmp_path, capsys, clean_corpus_path, key, value):
@@ -201,6 +206,11 @@ def test_config_value_of_the_wrong_type_exits_one(tmp_path, capsys, clean_corpus
     err = capsys.readouterr().err
     assert err.startswith(f"error: config file {cfg_path} has a value of the wrong type: ")
     assert "Traceback" not in err
+
+
+def test_config_int_for_a_float_field_loads(tmp_path, clean_corpus_path):
+    cfg_path, _ = write_cfg(tmp_path, clean_corpus_path, backend={"timeout": 10})
+    assert load_config(cfg_path).backend.timeout == 10
 
 
 def test_distribute_without_results_exits_two(tmp_path, capsys, clean_corpus_path):

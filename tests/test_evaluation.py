@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+import statistics
 import tracemalloc
 
 import numpy as np
@@ -39,6 +41,7 @@ from themecoder.evaluation import (
     theme_distribution,
     wald_ci,
     zero_denominator_themes,
+    _mid_ranks,
     _resample_sums,
 )
 
@@ -213,6 +216,23 @@ def test_wald_other_confidence_uses_normal_quantile():
     iv = wald_ci(0.5, 100, confidence=0.90)
     half = 1.6448536269514722 * (0.25 / 100) ** 0.5
     assert iv.upper - iv.point == pytest.approx(half)
+
+
+@pytest.mark.parametrize(
+    "confidence,z",
+    [(0.90, 1.6448536269514722), (0.99, 2.5758293035489004), (0.80, 1.2815515655446004)],
+)
+def test_wald_quantile_matches_published_z(confidence, z):
+    iv = wald_ci(0.5, 100, confidence=confidence)
+    assert (iv.upper - iv.lower) / 2 / math.sqrt(0.25 / 100) == pytest.approx(z, rel=1e-12)
+    assert iv.confidence == confidence
+
+
+def test_wald_95_uses_pinned_z_bit_for_bit():
+    iv = wald_ci(0.5, 100)
+    half = Z_95 * math.sqrt(0.5 * (1.0 - 0.5) / 100)
+    assert (iv.lower, iv.upper) == (0.5 - half, 0.5 + half)
+    assert statistics.NormalDist().inv_cdf(0.975) != Z_95
 
 
 def test_wald_validation():
@@ -510,6 +530,37 @@ def test_avg_rank_input_order_invariance():
         again = avg_rank(shuffled)
         assert [r.label for r in again] == [r.label for r in baseline]
         assert [r.avg_rank for r in again] == [r.avg_rank for r in baseline]
+
+
+# Descending metric values and their average ranks, worked by hand. Each case
+# fails under min, max, ordinal (first-seen) and dense ranking.
+HAND_TIES = {
+    "three-way tie in the middle": ([0.9, 0.8, 0.8, 0.8, 0.1], [1, 3, 3, 3, 5]),
+    "two separate tie groups": ([0.3, 0.7, 0.3, 0.5, 0.7, 0.3], [5, 1.5, 5, 3, 1.5, 5]),
+    "all values equal": ([0.4, 0.4, 0.4, 0.4], [2.5, 2.5, 2.5, 2.5]),
+    "one distinct value at the bottom": ([0.6, 0.2, 0.6, 0.6], [2, 4, 2, 2]),
+}
+
+
+@pytest.mark.parametrize("case", HAND_TIES)
+def test_avg_rank_hand_worked_ties(case):
+    values, want = HAND_TIES[case]
+    ranking = avg_rank([(f"r{i}", mset(v, v, v, v)) for i, v in enumerate(values)])
+    for i, rank in enumerate(want):
+        row = next(row for row in ranking if row.label == f"r{i}")
+        assert row.ranks == {m: rank for m in METRIC_NAMES}
+        assert row.avg_rank == rank
+
+
+def reference_mid_ranks(values):
+    return [sum(w < v for w in values) + (sum(w == v for w in values) + 1) / 2 for v in values]
+
+
+def test_mid_ranks_match_a_plain_python_reference():
+    rng = np.random.default_rng(7)
+    for _ in range(3000):
+        values = rng.integers(0, rng.integers(1, 8), size=rng.integers(1, 30)) / rng.integers(1, 9)
+        assert _mid_ranks(values).tolist() == reference_mid_ranks(values.tolist())
 
 
 def test_avg_rank_validation():

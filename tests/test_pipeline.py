@@ -362,6 +362,7 @@ def test_run_ledger_round_trip(tmp_path):
     ledger.append({"event": "start", "total": 2})
     ledger.append({"event": "post", "post_id": "a", "status": "classified"})
     ledger.append({"event": "post", "post_id": "b", "status": "failed", "run_index": 2})
+    ledger.close()
     events = ledger.events()
     assert [e["event"] for e in events] == ["start", "post", "post"]
     assert all("ts" in e for e in events)
@@ -374,6 +375,7 @@ def test_results_store_rejects_duplicates(tmp_path):
     with pytest.raises(DataError, match="two records for post 'p1' under label 'L'"):
         store.append(dict(rec))
     store.append({"post_id": "p1", "label": "M", "status": "failed"})
+    store.close()
     assert len(store) == 2
 
 
@@ -383,6 +385,7 @@ def test_results_store_reload_and_accessors(tmp_path, cb):
     vector = {code: (1 if code == "B" else 0) for code in cb.alphabet}
     store.append({"post_id": "p2", "label": "L", "status": "classified", "vector": vector})
     store.append({"post_id": "p1", "label": "L", "status": "failed"})
+    store.close()
 
     reloaded = ResultsStore(path)
     assert len(reloaded) == 2
