@@ -21,6 +21,7 @@ from .codebook import (
     Codebook,
     Exemplar,
     GoldLabelSet,
+    LabelMatrix,
     LabelVector,
     ThemeDef,
     lint_null_conflict,
@@ -30,6 +31,7 @@ from .codebook import (
 )
 from .corpus import (
     Corpus,
+    CorpusIds,
     KeywordSet,
     Post,
     SamplingSpec,
@@ -37,6 +39,7 @@ from .corpus import (
     dedup_clean,
     keyword_filter,
     load_keywords,
+    load_post_ids,
     load_posts,
     sample_random,
     temporal_split,

@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import csv
 import logging
-from dataclasses import dataclass, field
+from bisect import bisect_left
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
+import numpy as np
 import yaml
 
 from .errors import DataError
@@ -70,6 +72,81 @@ class LabelVector:
 
     def positives(self) -> tuple[str, ...]:
         return tuple(c for c, v in zip(self.codes, self.values) if v == 1)
+
+
+def label_rows(vectors: Iterable[LabelVector], codes: Sequence[str]) -> np.ndarray:
+    """(n_vectors × n_codes) int8 label matrix, columns in ``codes`` order."""
+    codes = tuple(codes)
+    rows = [v.values if v.codes == codes else [v[c] for c in codes] for v in vectors]
+    return np.array(rows, dtype=np.int8).reshape(len(rows), len(codes))
+
+
+@dataclass(frozen=True, eq=False)
+class LabelMatrix:
+    """The 0/1 labels of many posts: row i of ``values`` (int8, one column
+    per code) belongs to ``ids[i]``. Ids are unique and sorted, so two
+    matrices over the same posts line up row for row."""
+
+    ids: tuple[str, ...]
+    codes: tuple[str, ...]
+    values: np.ndarray
+
+    @classmethod
+    def from_rows(cls, ids: Sequence[str], values, codes: Sequence[str]) -> "LabelMatrix":
+        """Sort rows by id; of rows that share an id, the last one is kept.
+        ``values`` is an (n × k) array or the n × k bytes of one."""
+        codes = tuple(codes)
+        values = np.frombuffer(values, dtype=np.int8) if isinstance(values, (bytes, bytearray)) else values
+        values = np.asarray(values, dtype=np.int8).reshape(len(ids), len(codes))
+        keys = np.array(ids, dtype=object)
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        last = np.ones(len(keys), dtype=bool)
+        last[:-1] = keys[1:] != keys[:-1]
+        if not last.all():
+            keys, order = keys[last], order[last]
+        return cls(ids=tuple(keys), codes=codes, values=values[order])
+
+    @classmethod
+    def from_vectors(cls, vectors: Mapping[str, LabelVector], codes: Sequence[str]) -> "LabelMatrix":
+        ids = sorted(vectors)
+        return cls(ids=tuple(ids), codes=tuple(codes), values=label_rows((vectors[i] for i in ids), codes))
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __contains__(self, post_id: str) -> bool:
+        i = bisect_left(self.ids, post_id)
+        return i < len(self.ids) and self.ids[i] == post_id
+
+    def take(self, ids: Sequence[str]) -> "LabelMatrix":
+        """The rows of ``ids``, which are sorted and all present."""
+        return LabelMatrix(
+            ids=tuple(ids), codes=self.codes, values=self.values[[bisect_left(self.ids, i) for i in ids]]
+        )
+
+    def drop(self, ids: Iterable[str]) -> "LabelMatrix":
+        """Every row but those of ``ids``."""
+        gone = set(ids)
+        keep = [i for i, post_id in enumerate(self.ids) if post_id not in gone]
+        return LabelMatrix(ids=tuple(self.ids[i] for i in keep), codes=self.codes, values=self.values[keep])
+
+    def in_codes(self, codes: Sequence[str]) -> "LabelMatrix":
+        """The same labels with columns in ``codes`` order."""
+        codes = tuple(codes)
+        if codes == self.codes:
+            return self
+        try:
+            columns = [self.codes.index(c) for c in codes]
+        except ValueError:
+            raise KeyError(next(c for c in codes if c not in self.codes)) from None
+        return LabelMatrix(ids=self.ids, codes=codes, values=self.values[:, columns])
+
+    def vectors(self) -> dict[str, LabelVector]:
+        return {
+            post_id: LabelVector(codes=self.codes, values=tuple(row))
+            for post_id, row in zip(self.ids, self.values.tolist())
+        }
 
 
 @dataclass(frozen=True)
@@ -160,28 +237,35 @@ class Codebook:
 
 @dataclass(frozen=True)
 class GoldLabelSet:
-    """Expert label vectors keyed by post id, bound to one corpus."""
+    """Expert labels of one corpus's posts, held as one label matrix."""
 
     corpus_name: str
-    vectors: Mapping[str, LabelVector]
+    labels: LabelMatrix
     note: str = ""
     lint_warnings: tuple[str, ...] = ()
 
     def __len__(self) -> int:
-        return len(self.vectors)
+        return len(self.labels)
 
     def __getitem__(self, post_id: str) -> LabelVector:
-        return self.vectors[post_id]
+        if post_id not in self.labels:
+            raise KeyError(post_id)
+        return self.labels.take([post_id]).vectors()[post_id]
 
     def __contains__(self, post_id: str) -> bool:
-        return post_id in self.vectors
+        return post_id in self.labels
 
     @property
     def ids(self) -> tuple[str, ...]:
-        return tuple(sorted(self.vectors))
+        return self.labels.ids
+
+    @property
+    def vectors(self) -> dict[str, LabelVector]:
+        """Every label vector, built on each call."""
+        return self.labels.vectors()
 
     def items(self) -> Iterator[tuple[str, LabelVector]]:
-        return iter(sorted(self.vectors.items()))
+        return iter(self.vectors.items())
 
 
 def lint_null_conflict(vector: LabelVector, null_code: str) -> bool:
@@ -271,77 +355,83 @@ def load_codebook(path: str | Path | None = None) -> Codebook:
 
 
 def load_gold(path: str | Path, corpus, cb: Codebook) -> GoldLabelSet:
-    """Load expert labels from a wide delimited table.
+    """Load expert labels from a wide delimited table, one row at a time.
 
     Parameters
     ----------
     path : file with header ``post_id`` followed by one column per code.
-    corpus : the Corpus the ids must resolve against.
+    corpus : the Corpus, or the ``CorpusIds`` of one, the ids must resolve
+        against.
     cb : codebook supplying the alphabet.
 
     Returns
     -------
-    GoldLabelSet with one total LabelVector per labeled post.
+    GoldLabelSet with one row of labels per labeled post.
     """
     p = Path(path)
     alphabet = cb.alphabet
-    corpus_ids = {post.id for post in corpus.posts}
-    vectors: dict[str, LabelVector] = {}
-    conflicts: list[str] = []  # post ids with the null code set beside another
+    corpus_ids = frozenset(corpus.ids)  # no copy when corpus is a CorpusIds
     try:
-        with p.open(encoding="utf-8", newline="") as fh:
-            rows = list(csv.reader(fh))
+        fh = p.open(encoding="utf-8", newline="")
     except FileNotFoundError:
         raise DataError(f"gold label file not found: {p}") from None
-    if not rows:
-        raise DataError(f"gold label file {p} is empty")
-    header = rows[0]
-    if not header or header[0] != "post_id":
-        raise DataError(f"gold label file {p}: first column must be 'post_id'")
-    code_cols = header[1:]
-    missing = [c for c in alphabet if c not in code_cols]
-    if missing:
-        raise DataError(f"gold label file {p}: missing column for code {', '.join(missing)}")
-    unknown = [c for c in code_cols if c not in alphabet]
-    if unknown:
-        raise DataError(f"gold label file {p}: unknown code column {', '.join(unknown)}")
-    if len(set(code_cols)) != len(code_cols):
-        raise DataError(f"gold label file {p}: duplicated code column")
+    with fh:
+        rows = csv.reader(fh)
+        header = next(rows, None)
+        if header is None:
+            raise DataError(f"gold label file {p} is empty")
+        if not header or header[0] != "post_id":
+            raise DataError(f"gold label file {p}: first column must be 'post_id'")
+        code_cols = header[1:]
+        missing = [c for c in alphabet if c not in code_cols]
+        if missing:
+            raise DataError(f"gold label file {p}: missing column for code {', '.join(missing)}")
+        unknown = [c for c in code_cols if c not in alphabet]
+        if unknown:
+            raise DataError(f"gold label file {p}: unknown code column {', '.join(unknown)}")
+        if len(set(code_cols)) != len(code_cols):
+            raise DataError(f"gold label file {p}: duplicated code column")
+        columns = [code_cols.index(c) for c in alphabet]
+        null_column = code_cols.index(cb.null_code)
+        ids: list[str] = []
+        seen: set[str] = set()
+        values = bytearray()  # the rows' cells in alphabet order
+        conflicts: list[str] = []  # post ids with the null code set beside another
 
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        if len(row) != len(header):
-            raise DataError(f"gold label file {p} row {lineno}: expected {len(header)} cells")
-        post_id = row[0]
-        if post_id in vectors:
-            raise DataError(f"gold label file {p} row {lineno}: duplicate post id {post_id!r}")
-        if post_id not in corpus_ids:
-            raise DataError(
-                f"gold label file {p} row {lineno}: unknown post id {post_id!r} "
-                f"(not in corpus {corpus.name!r})"
-            )
-        labels: dict[str, int] = {}
-        for code, cell in zip(code_cols, row[1:]):
-            cell = cell.strip()
-            if cell not in ("0", "1"):
+        for lineno, row in enumerate(rows, start=2):
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            if len(row) != len(header):
+                raise DataError(f"gold label file {p} row {lineno}: expected {len(header)} cells")
+            post_id = row[0]
+            if post_id in seen:
+                raise DataError(f"gold label file {p} row {lineno}: duplicate post id {post_id!r}")
+            if post_id not in corpus_ids:
                 raise DataError(
-                    f"gold label file {p} row {lineno}: non-binary cell {cell!r} for code {code}"
+                    f"gold label file {p} row {lineno}: unknown post id {post_id!r} "
+                    f"(not in corpus {corpus.name!r})"
                 )
-            labels[code] = int(cell)
-        vec = LabelVector.from_mapping(labels, alphabet)
-        if lint_null_conflict(vec, cb.null_code):
-            conflicts.append(post_id)
-        vectors[post_id] = vec
+            cells = [cell.strip() for cell in row[1:]]
+            for code, cell in zip(code_cols, cells):
+                if cell not in ("0", "1"):
+                    raise DataError(
+                        f"gold label file {p} row {lineno}: non-binary cell {cell!r} for code {code}"
+                    )
+            if cells[null_column] == "1" and cells.count("1") > 1:
+                conflicts.append(post_id)
+            seen.add(post_id)
+            ids.append(post_id)
+            values.extend(cells[i] == "1" for i in columns)
+    del seen  # freed before the sort copies the ids
 
-    log.info("loaded %d gold-labeled posts from %s", len(vectors), p)
+    log.info("loaded %d gold-labeled posts from %s", len(ids), p)
     if conflicts:
         log.warning("gold lint: %d post(s) set null code %s alongside a substantive code, first: %s",
                     len(conflicts), cb.null_code, ", ".join(conflicts[:5]))
     return GoldLabelSet(
         corpus_name=corpus.name,
-        vectors=vectors,
-        note=f"{len(vectors)} labeled posts from {p.name}",
+        labels=LabelMatrix.from_rows(ids, values, alphabet),
+        note=f"{len(ids)} labeled posts from {p.name}",
         lint_warnings=tuple(
             f"post {pid}: null code {cb.null_code} set alongside a substantive code" for pid in conflicts
         ),

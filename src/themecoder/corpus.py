@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 import yaml
@@ -188,44 +188,91 @@ def load_posts(path: str | Path, format: str = "post-lines") -> Corpus:
     """Load a corpus file in post-lines (one JSON record per line) or
     delimited-table (RFC-4180 header row) format."""
     p = Path(path)
-    if format == "post-lines":
-        records = _read_post_lines(p)
-    elif format == "delimited-table":
-        records = _read_delimited(p)
-    else:
-        raise ConfigError(f"unknown corpus format {format!r}")
-    posts = []
-    for where, rec in records:
-        posts.append(_post_from_record(rec, where))
+    posts = tuple(_posts(p, format))
     corpus = Corpus(
         name=p.stem,
-        posts=tuple(posts),
+        posts=posts,
         provenance=f"loaded {len(posts)} posts from {p.name} ({format})",
     )
     log.info("loaded %d posts from %s", len(corpus), p)
     return corpus
 
 
-def _read_post_lines(p: Path) -> list[tuple[str, dict]]:
-    records = []
+@dataclass(frozen=True)
+class CorpusIds:
+    """The name and post ids of a corpus file, without its posts."""
+
+    name: str
+    ids: frozenset[str]
+
+
+def load_post_ids(path: str | Path, format: str = "post-lines") -> CorpusIds:
+    """The ids ``load_posts`` would give, checked as it checks them, with no
+    post kept in memory; it raises the errors ``load_posts`` raises."""
+    p = Path(path)
+    count = 0
+
+    def ids() -> Iterator[str]:
+        nonlocal count
+        for post in _posts(p, format):
+            count += 1
+            yield post.id
+
+    found = frozenset(ids())
+    if count != len(found) or "" in found:
+        load_posts(p, format)  # raises the empty or duplicate id error naming the same post
+    return CorpusIds(name=p.stem, ids=found)
+
+
+def _posts(p: Path, format: str) -> Iterator[Post]:
+    """Each record's Post in file order.
+
+    A record that is not a post (a missing field, a bad timestamp) is
+    raised only once the whole file has parsed, so a malformed record
+    further on is still the error named, as when every record was parsed
+    before any post was built.
+    """
+    if format == "post-lines":
+        records = _read_post_lines(p)
+    elif format == "delimited-table":
+        records = _read_delimited(p)
+    else:
+        raise ConfigError(f"unknown corpus format {format!r}")
+    held: DataError | None = None
+    for where, rec in records:
+        try:
+            post = _post_from_record(rec, where)
+        except DataError as exc:
+            held = held or exc
+            continue
+        if held is None:
+            yield post
+    if held is not None:
+        raise held
+
+
+def _read_post_lines(p: Path) -> Iterator[tuple[str, dict]]:
     try:
-        lines = p.read_text(encoding="utf-8").splitlines()
+        fh = p.open(encoding="utf-8")
     except FileNotFoundError:
         raise DataError(f"corpus file not found: {p}") from None
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            rec = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{p} line {lineno}: malformed record ({exc.msg})") from None
-        if not isinstance(rec, dict):
-            raise DataError(f"{p} line {lineno}: record is not an object")
-        records.append((f"{p} line {lineno}", rec))
-    return records
+    with fh:
+        # splitlines() on each line read numbers lines as on the whole text,
+        # whose line boundaries also include \v, \f, \x85 and U+2028
+        lines = (line for chunk in fh for line in chunk.splitlines())
+        for lineno, line in enumerate(lines, start=1):
+            if not line.strip():
+                continue
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise DataError(f"{p} line {lineno}: malformed record ({exc.msg})") from None
+            if not isinstance(rec, dict):
+                raise DataError(f"{p} line {lineno}: record is not an object")
+            yield f"{p} line {lineno}", rec
 
 
-def _read_delimited(p: Path) -> list[tuple[str, dict]]:
+def _read_delimited(p: Path) -> Iterator[tuple[str, dict]]:
     try:
         fh = p.open(encoding="utf-8", newline="")
     except FileNotFoundError:
@@ -237,12 +284,10 @@ def _read_delimited(p: Path) -> list[tuple[str, dict]]:
         missing = [f for f in POST_FIELDS[:-1] if f not in reader.fieldnames]
         if missing:
             raise DataError(f"{p}: header missing field(s) {', '.join(missing)}")
-        records = []
         for recno, row in enumerate(reader, start=1):
             if None in row or None in row.values():
                 raise DataError(f"{p} record {recno}: malformed record (wrong cell count)")
-            records.append((f"{p} record {recno}", dict(row)))
-    return records
+            yield f"{p} record {recno}", row
 
 
 def _post_from_record(rec: dict, where: str) -> Post:

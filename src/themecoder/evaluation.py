@@ -25,7 +25,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .codebook import Codebook, GoldLabelSet, LabelVector
+from .codebook import Codebook, GoldLabelSet, LabelMatrix, LabelVector, label_rows
 from .errors import ConfigError, DataError
 
 METRIC_NAMES = ("precision", "recall", "f1", "accuracy")
@@ -165,10 +165,14 @@ class DistributionDelta:
     max_abs: float
 
 
-def _as_vector_map(labels) -> Mapping[str, LabelVector]:
+def _as_matrix(labels, codes: Sequence[str]) -> LabelMatrix:
+    """A LabelMatrix, GoldLabelSet or post id -> LabelVector mapping as a
+    label matrix with columns in ``codes`` order."""
     if isinstance(labels, GoldLabelSet):
-        return labels.vectors
-    return labels
+        labels = labels.labels
+    if isinstance(labels, LabelMatrix):
+        return labels.in_codes(codes)
+    return LabelMatrix.from_vectors(labels, codes)
 
 
 def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
@@ -201,25 +205,16 @@ def f1_score(precision: float, recall: float) -> float:
     return float(_f1(np.float64(precision), np.float64(recall)))
 
 
-def _rows(vectors: Sequence[LabelVector], codes: tuple[str, ...]) -> np.ndarray:
-    """(n_posts × n_codes) int8 label matrix, columns in ``codes`` order."""
-    rows = [v.values if v.codes == codes else [v[c] for c in codes] for v in vectors]
-    return np.array(rows, dtype=np.int8).reshape(len(rows), len(codes))
-
-
-def _paired_rows(gold, pred: Mapping[str, LabelVector], codes: Sequence[str]):
+def _paired_rows(gold, pred, codes: Sequence[str]):
     """Gold and predicted (n_posts × n_codes) label matrices over matching
     post ids, rows in sorted id order."""
-    gold_map = _as_vector_map(gold)
-    missing = sorted(set(gold_map) ^ set(pred))
-    if missing:
+    gold, pred = _as_matrix(gold, codes), _as_matrix(pred, codes)
+    if gold.ids != pred.ids:
         raise DataError(
             "gold and predictions cover different posts; symmetric difference: "
-            + ", ".join(missing)
+            + ", ".join(sorted(set(gold.ids) ^ set(pred.ids)))
         )
-    ids = sorted(gold_map)
-    codes = tuple(codes)
-    return _rows([gold_map[i] for i in ids], codes), _rows([pred[i] for i in ids], codes)
+    return gold.values, pred.values
 
 
 def _confusions(g: np.ndarray, p: np.ndarray, codes: Sequence[str]) -> dict[str, ConfusionMatrix]:
@@ -444,12 +439,16 @@ def _distribution(m: np.ndarray, codes: Sequence[str]) -> ThemeDistribution:
 
 
 def theme_distribution(preds, cb: Codebook) -> ThemeDistribution:
-    """Positive count and percentage per code over classified posts."""
-    pred_map = _as_vector_map(preds)
-    vectors = list(pred_map.values()) if isinstance(pred_map, Mapping) else list(pred_map)
-    if not vectors:
+    """Positive count and percentage per code over classified posts: a
+    LabelMatrix, a GoldLabelSet, a post id -> LabelVector mapping or a
+    sequence of vectors."""
+    if isinstance(preds, (LabelMatrix, GoldLabelSet, Mapping)):
+        m = _as_matrix(preds, cb.alphabet).values
+    else:
+        m = label_rows(preds, cb.alphabet)
+    if not len(m):
         raise DataError("theme_distribution requires at least one classified post")
-    return _distribution(_rows(vectors, cb.alphabet), cb.alphabet)
+    return _distribution(m, cb.alphabet)
 
 
 def distribution_delta(model: ThemeDistribution, gold: ThemeDistribution) -> DistributionDelta:
@@ -478,29 +477,33 @@ def apply_failure_policy(
     vector; score-as-wrong imputes the complement of gold (every decision
     wrong).
     """
+    gold, preds, excluded = _failure_policy_rows(
+        _as_matrix(gold, cb.alphabet), _as_matrix(preds, cb.alphabet), sorted(set(failed_ids)), policy
+    )
+    return gold.vectors(), preds.vectors(), excluded
+
+
+def _failure_policy_rows(
+    gold: LabelMatrix, preds: LabelMatrix, failed: Sequence[str], policy: str
+) -> tuple[LabelMatrix, LabelMatrix, tuple[str, ...]]:
+    """``apply_failure_policy`` on label matrices; ``failed`` is sorted and
+    unique. Imputed rows join the predictions in id order."""
     if policy not in FAILURE_POLICIES:
         raise ConfigError(f"unknown failure_policy {policy!r}; known: {', '.join(FAILURE_POLICIES)}")
-    gold_map = dict(_as_vector_map(gold))
-    pred_map = dict(preds)
-    failed = sorted(set(failed_ids))
-    unknown = [pid for pid in failed if pid not in gold_map]
+    unknown = [pid for pid in failed if pid not in gold]
     if unknown:
         raise DataError("failed post ids missing from gold set: " + ", ".join(unknown))
-    already = [pid for pid in failed if pid in pred_map]
+    already = [pid for pid in failed if pid in preds]
     if already:
         raise DataError("failed post ids also present in predictions: " + ", ".join(already))
+    if not failed:
+        return gold, preds, ()
     if policy == "exclude-and-report":
-        for pid in failed:
-            gold_map.pop(pid)
-        return gold_map, pred_map, tuple(failed)
-    for pid in failed:
-        if policy == "score-all-zero":
-            values = tuple(0 for _ in cb.alphabet)
-        else:  # score-as-wrong
-            gv = gold_map[pid]
-            values = tuple(1 - gv[code] for code in cb.alphabet)
-        pred_map[pid] = LabelVector(codes=cb.alphabet, values=values)
-    return gold_map, pred_map, ()
+        return gold.drop(failed), preds, tuple(failed)
+    truth = gold.take(failed).values
+    imputed = np.zeros_like(truth) if policy == "score-all-zero" else 1 - truth  # else score-as-wrong
+    merged = LabelMatrix.from_rows(preds.ids + tuple(failed), np.concatenate([preds.values, imputed]), gold.codes)
+    return gold, merged, ()
 
 
 # --- report assembly ----------------------------------------------------------
@@ -625,7 +628,7 @@ class EvalReport:
 
 def evaluate_predictions(
     gold,
-    preds: Mapping[str, LabelVector],
+    preds,
     cb: Codebook,
     *,
     failed_ids: Iterable[str] = (),
@@ -635,20 +638,25 @@ def evaluate_predictions(
     bootstrap_resamples: int = 2000,
     bootstrap_seed: int = 0,
 ) -> EvalReport:
-    """Assemble the full report for one run's predictions."""
+    """Assemble the full report for one run's predictions.
+
+    ``gold`` and ``preds`` are label matrices, or a GoldLabelSet and post id
+    -> LabelVector mappings, which are turned into matrices first. After
+    the failure policy, gold and predictions must cover the same posts.
+    """
     failed = sorted(set(failed_ids))
-    gold_map, pred_map, excluded = apply_failure_policy(
-        gold, preds, failed, failure_policy, cb
+    gold, preds, _ = _failure_policy_rows(
+        _as_matrix(gold, cb.alphabet), _as_matrix(preds, cb.alphabet), failed, failure_policy
     )
-    if not gold_map:
+    if not len(gold):
         raise DataError("no posts left to score after applying failure policy")
-    g, p = _paired_rows(gold_map, pred_map, cb.alphabet)
+    g, p = _paired_rows(gold, preds, cb.alphabet)
     per_theme = _confusions(g, p, cb.alphabet)
     micro = metrics(per_theme, "micro")
     macro = metrics(per_theme, "macro")
     report = EvalReport(
         label=label,
-        n_posts=len(gold_map),
+        n_posts=len(gold),
         n_failures=len(failed),
         failure_policy=failure_policy,
         per_theme=per_theme,

@@ -37,19 +37,30 @@ class JsonLines:
         return (record for _, record in self.read_numbered())
 
     def read_numbered(self) -> Iterator[tuple[int, dict]]:
-        """``read()`` with the line number of each record."""
-        data = self.path.read_bytes() if self.path.exists() else b""
-        cut = data.rfind(b"\n") + 1
-        tail = data[cut:]
+        """``read()`` with the line number of each record.
+
+        The file is read one line at a time, so memory holds one line, not
+        the file.
+        """
         try:
-            lines = str(memoryview(data)[:cut], "utf-8").split("\n")[:-1]
-        except UnicodeDecodeError as exc:
-            raise DataError(f"{self.path} is not valid UTF-8: {exc}") from None
-        del data  # only the decoded lines stay in memory
-        yield from ((n, self._parse(line, n)) for n, line in enumerate(lines, start=1) if line.strip())
-        record = self._judge_tail(cut, tail, len(lines) + 1)
-        if record is not None:
-            yield len(lines) + 1, record
+            fh = self.path.open("rb")
+        except FileNotFoundError:
+            return
+        with fh:
+            cut = 0  # offset of the line being read
+            for lineno, raw in enumerate(fh, start=1):
+                if not raw.endswith(b"\n"):  # only the final line can lack one
+                    record = self._judge_tail(cut, raw, lineno)
+                    if record is not None:
+                        yield lineno, record
+                    return
+                cut += len(raw)
+                try:
+                    line = raw.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise DataError(f"{self.path} line {lineno} is not valid UTF-8: {exc}") from None
+                if line.strip():
+                    yield lineno, self._parse(line, lineno)
 
     def scan_tail(self) -> None:
         """Judge the final line as ``read()`` does, reading back from the end

@@ -15,7 +15,7 @@ import csv
 import json
 import os
 import socket
-from collections import deque
+from collections import Counter, deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack, closing
 from dataclasses import MISSING, asdict, dataclass, fields
@@ -36,12 +36,13 @@ from .backends import (
     classify_with_retry,
     make_backend,
 )
-from .codebook import Codebook, LabelVector, load_codebook, load_gold
+from .codebook import Codebook, LabelMatrix, LabelVector, load_codebook, load_gold
 from .corpus import (
     SamplingSpec,
     dedup_clean,
     keyword_filter,
     load_keywords,
+    load_post_ids,
     load_posts,
     parse_timestamp,
     sample_random,
@@ -183,6 +184,13 @@ def _typed(cls, section: str, raw: Mapping):
     return cls(**raw)
 
 
+def _int(name: str, value) -> int:
+    """A config value for an int field, which takes no bool, float or str."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{name} must be int, got {value!r}")
+    return value
+
+
 def _existing_path(value, what: str) -> Path:
     p = Path(value)
     if not p.exists():
@@ -240,8 +248,8 @@ def _run_config(sections: dict[str, dict], overrides: Mapping[str, int], offline
     if not isinstance(sample, dict):
         raise ConfigError("corpus.sample must be a mapping")
     _check_keys("corpus.sample", sample, _SAMPLE_KEYS)
-    sample_n = int(sample["n"]) if "n" in sample else None
-    sample_seed = int(sample.get("seed", 0))
+    sample_n = _int("corpus.sample.n", sample["n"]) if "n" in sample else None
+    sample_seed = _int("corpus.sample.seed", sample.get("seed", 0))
     sample_from = str(sample.get("from", "pre"))
     if sample_from not in ("pre", "post"):
         raise ConfigError(f"corpus.sample.from must be 'pre' or 'post', got {sample_from!r}")
@@ -277,13 +285,11 @@ def _run_config(sections: dict[str, dict], overrides: Mapping[str, int], offline
         if prompting.get("template_path")
         else None
     )
-    if isinstance(prompting.get("shots"), bool):
-        raise TypeError(f"prompting.shots must be int, got {prompting['shots']!r}")
-    shots = int(prompting.get("shots", 0))
+    shots = _int("prompting.shots", prompting.get("shots", 0))
     selection = prompting.get("selection")
     if selection is not None:
-        selection = tuple(int(i) for i in selection)
-    exemplar_seed = int(prompting.get("exemplar_seed", 0))
+        selection = tuple(_int("prompting.selection", i) for i in selection)
+    exemplar_seed = _int("prompting.exemplar_seed", prompting.get("exemplar_seed", 0))
 
     parse_mode = str(sections["parsing"].get("mode", "lenient"))
     if parse_mode not in PARSE_MODES:
@@ -312,7 +318,7 @@ def _run_config(sections: dict[str, dict], overrides: Mapping[str, int], offline
     for m in bootstrap_metrics:
         if m not in METRIC_NAMES:
             raise ConfigError(f"unknown bootstrap metric {m!r}; known: {', '.join(METRIC_NAMES)}")
-    bootstrap_seed = int(evaluation.get("bootstrap_seed", 0))
+    bootstrap_seed = _int("evaluation.bootstrap_seed", evaluation.get("bootstrap_seed", 0))
 
     unknown_ov = sorted(set(overrides) - {"sample_seed", "exemplar_seed", "bootstrap_seed"})
     if unknown_ov:
@@ -326,7 +332,7 @@ def _run_config(sections: dict[str, dict], overrides: Mapping[str, int], offline
     label = str(run.get("label", f"{dataset}_{shots}shot_{model_part}"))
     # repeat runs only make sense against a nondeterministic backend
     default_repeats = 1 if (backend.temperature == 0 or backend.kind != "remote-chat") else 3
-    repeats = int(run.get("repeats", default_repeats))
+    repeats = _int("run.repeats", run.get("repeats", default_repeats))
     if repeats < 1:
         raise ConfigError(f"run.repeats must be >= 1, got {repeats}")
 
@@ -351,13 +357,17 @@ def _run_config(sections: dict[str, dict], overrides: Mapping[str, int], offline
         selection=selection,
         exemplar_seed=exemplar_seed,
         include_title=bool(prompting.get("include_title", False)),
-        exemplar_budget=int(prompting.get("exemplar_budget", DEFAULT_EXEMPLAR_BUDGET)),
+        exemplar_budget=_int(
+            "prompting.exemplar_budget", prompting.get("exemplar_budget", DEFAULT_EXEMPLAR_BUDGET)
+        ),
         parse_mode=parse_mode,
         backend=backend,
         retry=retry,
         aggregation=aggregation,
         failure_policy=failure_policy,
-        bootstrap_resamples=int(evaluation.get("bootstrap_resamples", 2000)),
+        bootstrap_resamples=_int(
+            "evaluation.bootstrap_resamples", evaluation.get("bootstrap_resamples", 2000)
+        ),
         bootstrap_seed=bootstrap_seed,
         bootstrap_metrics=bootstrap_metrics,
     )
@@ -400,13 +410,15 @@ class ResultsStore(JsonLines):
 
     Records carry no timestamps, latencies, or cache flags, so two runs of
     the same manifest against a deterministic backend produce identical
-    bytes.
+    bytes. Memory holds only the (post, label) keys and each label's
+    status counts; records are read back from the file on demand, and
+    ``label_matrices`` reads them straight into one label matrix per label.
     """
 
     def __init__(self, path: str | Path) -> None:
         super().__init__(path)
-        self.records: list[dict] = []
-        self._keys: set[tuple[str, str]] = set()
+        self._ids: dict[str, set[str]] = {}  # label -> post ids recorded under it
+        self._counts: Counter[tuple[str, str]] = Counter()  # (label, status) -> records
         for lineno, rec in self.read_numbered():
             self._check(rec, lineno)
             self._remember(rec)
@@ -426,54 +438,87 @@ class ResultsStore(JsonLines):
         raise DataError(f"{self.path} line {lineno}: record {problem}")
 
     def _remember(self, rec: dict) -> None:
-        key = (rec["post_id"], rec["label"])
-        if key in self._keys:
+        post_id, label = rec["post_id"], rec["label"]
+        ids = self._ids.setdefault(label, set())
+        if post_id in ids:
             raise DataError(
-                f"results store {self.path} has two records for post {key[0]!r} "
-                f"under label {key[1]!r}"
+                f"results store {self.path} has two records for post {post_id!r} "
+                f"under label {label!r}"
             )
-        self._keys.add(key)
-        self.records.append(rec)
+        ids.add(post_id)
+        self._counts[label, rec["status"]] += 1
 
     def __len__(self) -> int:
-        return len(self.records)
+        return sum(map(len, self._ids.values()))
 
-    def keys(self) -> set[tuple[str, str]]:
-        return set(self._keys)
+    def __contains__(self, key: tuple[str, str]) -> bool:
+        post_id, label = key
+        return post_id in self._ids.get(label, ())
+
+    def status_counts(self, label: str) -> dict[str, int]:
+        """Records under ``label`` per status, classified and failed."""
+        return {status: self._counts[label, status] for status in ("classified", "failed")}
 
     def append(self, rec: dict) -> None:
         with self._lock:
             self._remember(rec)
             self.write(rec)
 
+    @property
+    def records(self) -> list[dict]:
+        """Every record in file order, read from the file."""
+        return list(self.read())
+
     def labels(self) -> tuple[str, ...]:
-        return tuple(sorted({r["label"] for r in self.records}))
+        return tuple(sorted(self._ids))
+
+    def label_matrices(self, alphabet: Sequence[str]) -> Iterator[tuple[str, LabelMatrix, tuple[str, ...]]]:
+        """One pass over the file: per label, in label order, its classified
+        posts as a label matrix over ``alphabet`` and its sorted failed ids."""
+        for label, (matrix, failed) in sorted(self._read_matrices(alphabet, lambda label: label).items()):
+            yield label, matrix, failed
+
+    def matrix(self, alphabet: Sequence[str], label: str | None = None) -> tuple[LabelMatrix, tuple[str, ...]]:
+        """The label matrix and sorted failed ids of the records under
+        ``label``, or of every record when it is None; a post recorded
+        under two labels then keeps its later record."""
+        # every record read falls in one group, True, or is left out
+        parts = self._read_matrices(alphabet, lambda lbl: True if label in (None, lbl) else None)
+        return parts.get(True, (LabelMatrix.from_rows([], b"", alphabet), ()))
 
     def classified_vectors(self, alphabet: Sequence[str], label: str | None = None) -> dict[str, LabelVector]:
-        out: dict[str, LabelVector] = {}
-        for rec in self.records:
-            if rec["status"] != "classified":
+        return self.matrix(alphabet, label)[0].vectors()
+
+    def failed_ids(self, label: str | None = None) -> tuple[str, ...]:
+        return self.matrix((), label)[1]
+
+    def _read_matrices(self, alphabet: Sequence[str], group) -> dict:
+        """Read the file once into ``{group(label): (LabelMatrix, sorted
+        failed ids)}``, leaving out records whose group is None."""
+        codes = tuple(alphabet)
+        parts: dict = {}  # group -> (classified ids, their rows' bytes, failed ids)
+        for lineno, rec in self.read_numbered():
+            self._check(rec, lineno)
+            key = group(rec["label"])
+            if key is None:
                 continue
-            if label is not None and rec["label"] != label:
+            ids, rows, failed = parts.setdefault(key, ([], bytearray(), []))
+            if rec["status"] == "failed":
+                failed.append(rec["post_id"])
                 continue
+            vector = rec["vector"]
             try:
-                values = tuple(int(rec["vector"][code]) for code in alphabet)
+                rows.extend([int(vector[code]) for code in codes])
             except KeyError as exc:
                 raise DataError(
                     f"{self.path}: record for post {rec['post_id']!r} under label {rec['label']!r} "
                     f"has no value for code {exc.args[0]}"
                 ) from None
-            out[rec["post_id"]] = LabelVector(codes=tuple(alphabet), values=values)
-        return out
-
-    def failed_ids(self, label: str | None = None) -> tuple[str, ...]:
-        return tuple(
-            sorted(
-                rec["post_id"]
-                for rec in self.records
-                if rec["status"] == "failed" and (label is None or rec["label"] == label)
-            )
-        )
+            ids.append(rec["post_id"])
+        return {
+            key: (LabelMatrix.from_rows(ids, rows, codes), tuple(sorted(failed)))
+            for key, (ids, rows, failed) in parts.items()
+        }
 
 
 class RunLock:
@@ -728,8 +773,7 @@ def cmd_classify(cfg: RunConfig, *, resume: bool = False) -> list[ResultsStore]:
                 if f.torn:
                     ledger.append({"event": "torn-tail", "run_index": r, "file": f.path.name, "bytes": f.torn})
                     f.torn = 0  # a torn ledger or audit is recorded once, not again per repeat
-            done = {pid for pid, lbl in store.keys() if lbl == cfg.label}
-            pending = [p for p in corpus.posts if p.id not in done]
+            pending = [p for p in corpus.posts if (p.id, cfg.label) not in store]
             ledger.append(
                 {"event": "start", "run_index": r, "total": len(corpus), "pending": len(pending)}
             )
@@ -745,10 +789,7 @@ def cmd_classify(cfg: RunConfig, *, resume: bool = False) -> list[ResultsStore]:
             except BackendError:
                 ledger.append({"event": "abort", "run_index": r})
                 raise
-            totals = {"classified": 0, "failed": 0}
-            for rec in store.records:
-                if rec["label"] == cfg.label:
-                    totals[rec["status"]] += 1
+            totals = store.status_counts(cfg.label)
             ledger.append({"event": "end", "run_index": r, **totals})
             print(
                 f"run {r}/{cfg.repeats}: classified={totals['classified']}, "
@@ -837,11 +878,12 @@ def cmd_evaluate(
     if metrics_table is not None:
         return cmd_rank(metrics_table, reports_dir)
 
-    corpus = load_posts(cfg.corpus_path, cfg.corpus_format)
+    corpus_ids = load_post_ids(cfg.corpus_path, cfg.corpus_format)
     cb = load_codebook(cfg.codebook_path)
     if cfg.gold_path is None:
         raise ConfigError("evaluation requires gold.path in the config")
-    gold = load_gold(cfg.gold_path, corpus, cb)
+    gold = load_gold(cfg.gold_path, corpus_ids, cb)
+    del corpus_ids  # needed only to check the gold ids
 
     if store_paths:
         paths = [Path(s) for s in store_paths]
@@ -851,31 +893,28 @@ def cmd_evaluate(
         raise DataError(f"no results stores found under {cfg.output_dir}")
     stores = [ResultsStore(p) for p in paths]
 
-    by_label: dict[str, list[tuple[dict[str, LabelVector], tuple[str, ...]]]] = {}
+    # every store is read and checked against gold before any report is written
+    by_label: dict[str, list[tuple[LabelMatrix, tuple[str, ...]]]] = {}
     for store in stores:
-        for label in store.labels():
-            vectors = store.classified_vectors(cb.alphabet, label)
-            failed = store.failed_ids(label)
-            evaluated_ids = set(vectors) | set(failed)
-            missing = sorted(evaluated_ids - set(gold.vectors))
+        for label, preds, failed in store.label_matrices(cb.alphabet):
+            missing = sorted(pid for pid in preds.ids + failed if pid not in gold)
             if missing:
                 raise DataError(
                     f"gold does not cover {len(missing)} evaluated post(s): "
                     + ", ".join(missing[:20])
                 )
-            by_label.setdefault(label, []).append((vectors, failed))
+            by_label.setdefault(label, []).append((preds, failed))
 
     reports = {}
     headline_rows: list[tuple[str, MetricSet]] = []
     for label in sorted(by_label):
         runs = by_label[label]
         per_run_reports = []
-        for vectors, failed in runs:
-            gold_subset = {pid: gold.vectors[pid] for pid in set(vectors) | set(failed)}
+        for preds, failed in runs:
             per_run_reports.append(
                 evaluate_predictions(
-                    gold_subset,
-                    vectors,
+                    gold.labels.take(sorted(preds.ids + failed)),
+                    preds,
                     cb,
                     failed_ids=failed,
                     failure_policy=cfg.failure_policy,
@@ -911,16 +950,15 @@ def cmd_distribute(cfg: RunConfig, *, store_path: str | Path | None = None, top_
     path = Path(store_path) if store_path is not None else cfg.output_dir / "results.jsonl"
     if not path.exists():
         raise DataError(f"results store not found: {path}")
-    store = ResultsStore(path)
-    vectors = store.classified_vectors(cb.alphabet)
-    if not vectors:
+    preds, failed = ResultsStore(path).matrix(cb.alphabet)
+    if not len(preds):
         raise DataError(f"results store {path} has no classified posts")
-    dist = theme_distribution(vectors, cb)
+    dist = theme_distribution(preds, cb)
     ranked = sorted(dist.codes, key=lambda c: (-dist.counts[c], c))
     top = ranked[: max(top_k, 0)]
     payload = {
         "n": dist.n,
-        "n_failed": len(store.failed_ids()),
+        "n_failed": len(failed),
         "counts": dict(dist.counts),
         "percentages": {c: dist.percentage(c) for c in dist.codes},
         "top_themes": top,

@@ -76,6 +76,23 @@ def test_classify_resume_on_damaged_store_exits_zero_or_two(tmp_path, capsys, cl
     assert "results.jsonl line 1 is not valid JSON" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name", ["results.jsonl", "cache.jsonl"])
+def test_bad_utf8_byte_names_its_line_and_exits_two(tmp_path, capsys, clean_corpus_path, name):
+    cfg_path, run_dir = write_cfg(tmp_path, clean_corpus_path)
+    assert main(["classify", "--config", str(cfg_path)]) == 0
+    path = run_dir / name
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[2] = lines[2].replace(b'"', b'"\xff', 1)  # 0xff never occurs in UTF-8
+    path.write_bytes(b"".join(lines))
+    capsys.readouterr()
+    verbs = [["classify", "--resume"]] + ([["evaluate"], ["distribute"]] if name == "results.jsonl" else [])
+    for verb in verbs:
+        assert main([*verb, "--config", str(cfg_path)]) == 2, verb
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path} line 3 is not valid UTF-8: "), err
+        assert "Traceback" not in err
+
+
 def drop(*keys):
     return lambda rec: [rec.pop(k) for k in keys]
 
@@ -194,6 +211,15 @@ def test_offline_blocks_remote_backends(tmp_path, capsys, clean_corpus_path):
         ("backend.in_flight_limit", "3"),
         ("retry.reask_on_parse_failure", "yes"),
         ("prompting.shots", True),
+        ("prompting.shots", 2.5),
+        ("run.repeats", 1.9),
+        ("corpus.sample.n", 2.5),
+        ("corpus.sample.seed", True),
+        ("prompting.selection", [0, 1.5]),
+        ("prompting.exemplar_seed", 3.7),
+        ("prompting.exemplar_budget", 900.0),
+        ("evaluation.bootstrap_resamples", True),
+        ("evaluation.bootstrap_seed", 0.5),
     ],
 )
 def test_config_value_of_the_wrong_type_exits_one(tmp_path, capsys, clean_corpus_path, key, value):

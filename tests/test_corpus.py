@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
@@ -17,6 +18,7 @@ from themecoder.corpus import (
     format_timestamp,
     keyword_filter,
     load_keywords,
+    load_post_ids,
     load_posts,
     parse_timestamp,
     sample_random,
@@ -184,6 +186,40 @@ def test_load_posts_skips_blank_lines(tmp_path, corpus50):
     padded = "\n\n".join(lines.read_text(encoding="utf-8").splitlines()) + "\n"
     path.write_text(padded, encoding="utf-8")
     assert load_posts(path).posts == corpus50.posts
+
+
+def post_line(pid: str, created: str = "2023-06-01T08:00:00Z", **drop) -> str:
+    rec = {"id": pid, "title": "t", "body": "b", "source": "s", "created_at": created}
+    return json.dumps({k: v for k, v in rec.items() if k not in drop}) + "\n"
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        (post_line("p1", title=1) + "{broken\n", "line 2: malformed record"),
+        (post_line("p1") + post_line("p2", body=1) + "[1]\n", "line 3: record is not an object"),
+        (post_line("p1", created_at=1) + post_line("p2", title=1), "line 1: missing field 'created_at'"),
+        (post_line("p2") + post_line("p1") + post_line("p2") + post_line("p1", "2023-06-01T07:00:00Z"),
+         "duplicate post id 'p1'"),  # the first repeat in (created_at, id) order, not in file order
+        (post_line("p1") + post_line(""), "post with empty id"),
+        (post_line("p1").replace('"b"', '"b\u2028"', 1), "line 1: malformed record"),
+    ],
+    ids=["malformed-after-missing-field", "non-object-after-missing-field", "first-field-error",
+         "duplicate-id", "empty-id", "u2028-line-break"],
+)
+def test_load_post_ids_raises_what_load_posts_raises(tmp_path, text, message):
+    path = tmp_path / "bad.jsonl"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(DataError, match=message) as from_posts:
+        load_posts(path)
+    with pytest.raises(DataError) as from_ids:
+        load_post_ids(path)
+    assert str(from_ids.value) == str(from_posts.value)
+
+
+def test_load_post_ids_of_a_corpus(fixtures_dir, corpus50):
+    ids = load_post_ids(fixtures_dir / "posts_50.jsonl")
+    assert ids.name == corpus50.name and ids.ids == frozenset(corpus50.ids)
 
 
 def test_load_posts_missing_file(tmp_path):
