@@ -85,6 +85,7 @@ from .pipeline import (
     cmd_ingest,
     cmd_rank,
     load_config,
+    read_results,
 )
 from .prompting import (
     PromptTemplate,

@@ -141,11 +141,12 @@ class ResponseCache(JsonLines):
             if not (
                 isinstance(fingerprint, str)
                 and isinstance(attempts, list)
+                and attempts
                 and all(isinstance(text, str) for text in attempts)
             ):
                 raise DataError(
                     f"{self.path} line {lineno}: cache record needs a string fingerprint "
-                    "and a list of string attempts"
+                    "and a non-empty list of string attempts"
                 )
             self._entries[fingerprint] = attempts
 

@@ -36,7 +36,7 @@ from .backends import (
     classify_with_retry,
     make_backend,
 )
-from .codebook import Codebook, LabelMatrix, LabelVector, load_codebook, load_gold
+from .codebook import Codebook, LabelMatrix, load_codebook, load_gold
 from .corpus import (
     SamplingSpec,
     dedup_clean,
@@ -79,7 +79,11 @@ except PackageNotFoundError:  # running from a source tree
 
 
 def _sha256_file(path: Path) -> str:
-    return sha256(path.read_bytes()).hexdigest()
+    digest = sha256()
+    with path.open("rb") as fh:
+        for block in iter(partial(fh.read, 1 << 16), b""):  # a 1 MiB block raised classify's peak RSS by 0.7 MB
+            digest.update(block)
+    return digest.hexdigest()
 
 
 def _sha256_text(text: str) -> str:
@@ -290,6 +294,9 @@ def _run_config(sections: dict[str, dict], overrides: Mapping[str, int], offline
     if selection is not None:
         selection = tuple(_int("prompting.selection", i) for i in selection)
     exemplar_seed = _int("prompting.exemplar_seed", prompting.get("exemplar_seed", 0))
+    include_title = prompting.get("include_title", False)
+    if not isinstance(include_title, bool):
+        raise TypeError(f"prompting.include_title must be bool, got {include_title!r}")
 
     parse_mode = str(sections["parsing"].get("mode", "lenient"))
     if parse_mode not in PARSE_MODES:
@@ -356,7 +363,7 @@ def _run_config(sections: dict[str, dict], overrides: Mapping[str, int], offline
         shots=shots,
         selection=selection,
         exemplar_seed=exemplar_seed,
-        include_title=bool(prompting.get("include_title", False)),
+        include_title=include_title,
         exemplar_budget=_int(
             "prompting.exemplar_budget", prompting.get("exemplar_budget", DEFAULT_EXEMPLAR_BUDGET)
         ),
@@ -405,26 +412,19 @@ class RunLedger(JsonLines):
         return list(self.read())
 
 
-class ResultsStore(JsonLines):
-    """Append-only classification records, one line per (post, label).
+def _add_key(path: Path, ids: dict[str, set[str]], rec: dict) -> None:
+    """Add the record's (post, label) key to ``ids``, refusing a second one."""
+    post_id, label = rec["post_id"], rec["label"]
+    seen = ids.setdefault(label, set())
+    if post_id in seen:
+        raise DataError(f"results store {path} has two records for post {post_id!r} under label {label!r}")
+    seen.add(post_id)
 
-    Records carry no timestamps, latencies, or cache flags, so two runs of
-    the same manifest against a deterministic backend produce identical
-    bytes. Memory holds only the (post, label) keys and each label's
-    status counts; records are read back from the file on demand, and
-    ``label_matrices`` reads them straight into one label matrix per label.
-    """
 
-    def __init__(self, path: str | Path) -> None:
-        super().__init__(path)
-        self._ids: dict[str, set[str]] = {}  # label -> post ids recorded under it
-        self._counts: Counter[tuple[str, str]] = Counter()  # (label, status) -> records
-        for lineno, rec in self.read_numbered():
-            self._check(rec, lineno)
-            self._remember(rec)
-
-    def _check(self, rec: dict, lineno: int) -> None:
-        """Reject a loaded record whose fields the accessors below would miss."""
+def _checked_records(source: JsonLines, ids: dict[str, set[str]]) -> Iterator[dict]:
+    """Every record of a results file in file order, each checked and its key
+    added to ``ids``: the one loop behind the store's load and ``read_results``."""
+    for lineno, rec in source.read_numbered():
         if not (isinstance(rec.get("post_id"), str) and isinstance(rec.get("label"), str)):
             problem = "needs a string post_id and label"
         elif rec.get("status") not in ("classified", "failed"):
@@ -434,19 +434,55 @@ class ResultsStore(JsonLines):
         ):
             problem = "is classified without a 0/1 vector"
         else:
-            return
-        raise DataError(f"{self.path} line {lineno}: record {problem}")
+            _add_key(source.path, ids, rec)
+            yield rec
+            continue
+        raise DataError(f"{source.path} line {lineno}: record {problem}")
 
-    def _remember(self, rec: dict) -> None:
-        post_id, label = rec["post_id"], rec["label"]
-        ids = self._ids.setdefault(label, set())
-        if post_id in ids:
+
+def read_results(path: str | Path, alphabet: Sequence[str]) -> dict[str, tuple[LabelMatrix, tuple[str, ...]]]:
+    """Read a results file once: per label, in label order, its classified
+    posts as a label matrix over ``alphabet`` and its sorted failed ids."""
+    source, codes = JsonLines(path), tuple(alphabet)
+    if not source.path.exists():
+        raise DataError(f"results store not found: {source.path}")
+    parts: dict[str, tuple[list[str], bytearray, list[str]]] = {}  # label -> classified ids, rows, failed ids
+    for rec in _checked_records(source, {}):
+        ids, rows, failed = parts.setdefault(rec["label"], ([], bytearray(), []))
+        if rec["status"] == "failed":
+            failed.append(rec["post_id"])
+            continue
+        try:
+            rows.extend([int(rec["vector"][code]) for code in codes])
+        except KeyError as exc:
             raise DataError(
-                f"results store {self.path} has two records for post {post_id!r} "
-                f"under label {label!r}"
-            )
-        ids.add(post_id)
-        self._counts[label, rec["status"]] += 1
+                f"{source.path}: record for post {rec['post_id']!r} under label {rec['label']!r} "
+                f"has no value for code {exc.args[0]}"
+            ) from None
+        ids.append(rec["post_id"])
+    return {
+        label: (LabelMatrix.from_rows(ids, rows, codes), tuple(sorted(failed)))
+        for label, (ids, rows, failed) in sorted(parts.items())
+    }
+
+
+class ResultsStore(JsonLines):
+    """Append-only classification records, one line per (post, label), as
+    classify writes them.
+
+    Records carry no timestamps, latencies, or cache flags, so two runs of
+    the same manifest against a deterministic backend produce identical
+    bytes. Memory holds only what resume needs: the (post, label) keys and
+    each label's status counts. ``read_results`` reads a results file for
+    evaluation.
+    """
+
+    def __init__(self, path: str | Path) -> None:
+        super().__init__(path)
+        self._ids: dict[str, set[str]] = {}  # label -> post ids recorded under it
+        self._counts: Counter[tuple[str, str]] = Counter()  # (label, status) -> records
+        for rec in _checked_records(self, self._ids):
+            self._counts[rec["label"], rec["status"]] += 1
 
     def __len__(self) -> int:
         return sum(map(len, self._ids.values()))
@@ -461,64 +497,14 @@ class ResultsStore(JsonLines):
 
     def append(self, rec: dict) -> None:
         with self._lock:
-            self._remember(rec)
+            _add_key(self.path, self._ids, rec)
+            self._counts[rec["label"], rec["status"]] += 1
             self.write(rec)
 
     @property
     def records(self) -> list[dict]:
         """Every record in file order, read from the file."""
         return list(self.read())
-
-    def labels(self) -> tuple[str, ...]:
-        return tuple(sorted(self._ids))
-
-    def label_matrices(self, alphabet: Sequence[str]) -> Iterator[tuple[str, LabelMatrix, tuple[str, ...]]]:
-        """One pass over the file: per label, in label order, its classified
-        posts as a label matrix over ``alphabet`` and its sorted failed ids."""
-        for label, (matrix, failed) in sorted(self._read_matrices(alphabet, lambda label: label).items()):
-            yield label, matrix, failed
-
-    def matrix(self, alphabet: Sequence[str], label: str | None = None) -> tuple[LabelMatrix, tuple[str, ...]]:
-        """The label matrix and sorted failed ids of the records under
-        ``label``, or of every record when it is None; a post recorded
-        under two labels then keeps its later record."""
-        # every record read falls in one group, True, or is left out
-        parts = self._read_matrices(alphabet, lambda lbl: True if label in (None, lbl) else None)
-        return parts.get(True, (LabelMatrix.from_rows([], b"", alphabet), ()))
-
-    def classified_vectors(self, alphabet: Sequence[str], label: str | None = None) -> dict[str, LabelVector]:
-        return self.matrix(alphabet, label)[0].vectors()
-
-    def failed_ids(self, label: str | None = None) -> tuple[str, ...]:
-        return self.matrix((), label)[1]
-
-    def _read_matrices(self, alphabet: Sequence[str], group) -> dict:
-        """Read the file once into ``{group(label): (LabelMatrix, sorted
-        failed ids)}``, leaving out records whose group is None."""
-        codes = tuple(alphabet)
-        parts: dict = {}  # group -> (classified ids, their rows' bytes, failed ids)
-        for lineno, rec in self.read_numbered():
-            self._check(rec, lineno)
-            key = group(rec["label"])
-            if key is None:
-                continue
-            ids, rows, failed = parts.setdefault(key, ([], bytearray(), []))
-            if rec["status"] == "failed":
-                failed.append(rec["post_id"])
-                continue
-            vector = rec["vector"]
-            try:
-                rows.extend([int(vector[code]) for code in codes])
-            except KeyError as exc:
-                raise DataError(
-                    f"{self.path}: record for post {rec['post_id']!r} under label {rec['label']!r} "
-                    f"has no value for code {exc.args[0]}"
-                ) from None
-            ids.append(rec["post_id"])
-        return {
-            key: (LabelMatrix.from_rows(ids, rows, codes), tuple(sorted(failed)))
-            for key, (ids, rows, failed) in parts.items()
-        }
 
 
 class RunLock:
@@ -891,12 +877,14 @@ def cmd_evaluate(
         paths = sorted(cfg.output_dir.glob("results*.jsonl"))
     if not paths:
         raise DataError(f"no results stores found under {cfg.output_dir}")
-    stores = [ResultsStore(p) for p in paths]
 
     # every store is read and checked against gold before any report is written
     by_label: dict[str, list[tuple[LabelMatrix, tuple[str, ...]]]] = {}
-    for store in stores:
-        for label, preds, failed in store.label_matrices(cb.alphabet):
+    for path in paths:
+        results = read_results(path, cb.alphabet)
+        if not results:
+            raise DataError(f"results store {path} has no records")
+        for label, (preds, failed) in results.items():
             missing = sorted(pid for pid in preds.ids + failed if pid not in gold)
             if missing:
                 raise DataError(
@@ -948,9 +936,12 @@ def cmd_distribute(cfg: RunConfig, *, store_path: str | Path | None = None, top_
     """Theme distribution over all classified posts; no gold required."""
     cb = load_codebook(cfg.codebook_path)
     path = Path(store_path) if store_path is not None else cfg.output_dir / "results.jsonl"
-    if not path.exists():
-        raise DataError(f"results store not found: {path}")
-    preds, failed = ResultsStore(path).matrix(cb.alphabet)
+    results = read_results(path, cb.alphabet)
+    # labels pool in label order: a post recorded under two keeps the row of the label that sorts last
+    matrices = [matrix for matrix, _ in results.values()]
+    preds = LabelMatrix.from_rows(
+        [pid for m in matrices for pid in m.ids], b"".join(m.values.tobytes() for m in matrices), cb.alphabet
+    )
     if not len(preds):
         raise DataError(f"results store {path} has no classified posts")
     dist = theme_distribution(preds, cb)
@@ -958,7 +949,7 @@ def cmd_distribute(cfg: RunConfig, *, store_path: str | Path | None = None, top_
     top = ranked[: max(top_k, 0)]
     payload = {
         "n": dist.n,
-        "n_failed": len(failed),
+        "n_failed": sum(len(failed) for _, failed in results.values()),
         "counts": dict(dist.counts),
         "percentages": {c: dist.percentage(c) for c in dist.codes},
         "top_themes": top,

@@ -150,8 +150,9 @@ def test_truncated_manifest_exits_two(tmp_path, capsys, clean_corpus_path):
         {"fingerprint": 7, "attempts": ["A=1"]},
         {"fingerprint": "abc", "attempts": "A=1"},
         {"fingerprint": "abc", "attempts": [1]},
+        {"fingerprint": "abc", "attempts": []},
     ],
-    ids=["no-attempts", "no-fingerprint", "number-fingerprint", "text-attempts", "number-attempt"],
+    ids=["no-attempts", "no-fingerprint", "number-fingerprint", "text-attempts", "number-attempt", "empty-attempts"],
 )
 def test_malformed_cache_record_exits_two(tmp_path, capsys, clean_corpus_path, record):
     cfg_path, run_dir = write_cfg(tmp_path, clean_corpus_path)
@@ -220,6 +221,7 @@ def test_offline_blocks_remote_backends(tmp_path, capsys, clean_corpus_path):
         ("prompting.exemplar_budget", 900.0),
         ("evaluation.bootstrap_resamples", True),
         ("evaluation.bootstrap_seed", 0.5),
+        ("prompting.include_title", "false"),
     ],
 )
 def test_config_value_of_the_wrong_type_exits_one(tmp_path, capsys, clean_corpus_path, key, value):
@@ -244,6 +246,18 @@ def test_distribute_without_results_exits_two(tmp_path, capsys, clean_corpus_pat
     code = main(["distribute", "--config", str(cfg_path)])
     assert code == 2
     assert "results store not found" in capsys.readouterr().err
+
+
+def test_evaluate_missing_or_empty_store_exits_two(tmp_path, capsys, clean_corpus_path):
+    cfg_path, run_dir = write_cfg(tmp_path, clean_corpus_path)
+    typo = tmp_path / "typo.jsonl"
+    assert main(["evaluate", "--config", str(cfg_path), "--store", str(typo)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: results store not found: {typo}")
+    run_dir.mkdir()
+    (run_dir / "results.jsonl").write_text("", encoding="utf-8")
+    assert main(["evaluate", "--config", str(cfg_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: results store {run_dir / 'results.jsonl'} has no records")
+    assert not (run_dir / "reports").exists()
 
 
 # --- the full verb flow ---------------------------------------------------------

@@ -61,6 +61,7 @@ from themecoder.pipeline import (
     cmd_ingest,
     cmd_rank,
     load_config,
+    read_results,
 )
 from themecoder.prompting import ShotPolicy, load_template, render_prompt
 
@@ -77,6 +78,23 @@ def make_cfg(tmp_path: Path, corpus_path: Path, name: str = "run", **extra):
 
 def sha256_of(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def stored(path: Path, cb):
+    """The classified vectors and sorted failed ids of a one-label results file."""
+    (preds, failed), = read_results(path, cb.alphabet).values()
+    return preds.vectors(), failed
+
+
+def relabelled(path: Path, label: str, flip: bool) -> list[str]:
+    """The lines of a results file under ``label``, vectors flipped if ``flip``."""
+    lines = []
+    for line in path.read_text(encoding="utf-8").splitlines():
+        rec = {**json.loads(line), "label": label}
+        if flip:
+            rec["vector"] = {code: 1 - v for code, v in rec["vector"].items()}
+        lines.append(json.dumps(rec, sort_keys=True) + "\n")
+    return lines
 
 
 def rule_line(cb, body: str) -> str:
@@ -379,7 +397,7 @@ def test_results_store_rejects_duplicates(tmp_path):
     assert len(store) == 2
 
 
-def test_results_store_reload_and_accessors(tmp_path, cb):
+def test_results_store_reload_and_read_results(tmp_path, cb):
     path = tmp_path / "results.jsonl"
     store = ResultsStore(path)
     vector = {code: (1 if code == "B" else 0) for code in cb.alphabet}
@@ -390,11 +408,21 @@ def test_results_store_reload_and_accessors(tmp_path, cb):
     reloaded = ResultsStore(path)
     assert len(reloaded) == 2
     assert reloaded.records == store.records
-    assert reloaded.labels() == ("L",)
-    assert reloaded.failed_ids() == ("p1",)
-    vectors = reloaded.classified_vectors(cb.alphabet)
+    assert reloaded.status_counts("L") == {"classified": 1, "failed": 1}
+    assert list(read_results(path, cb.alphabet)) == ["L"]
+    vectors, failed = stored(path, cb)
+    assert failed == ("p1",)
     assert set(vectors) == {"p2"}
     assert vectors["p2"].as_dict() == vector
+
+
+def test_read_results_rejects_corrupt_duplicates(tmp_path, cb):
+    path = tmp_path / "results.jsonl"
+    rec = json.dumps({"post_id": "p1", "label": "L", "status": "failed"})
+    path.write_text(rec + "\n" + rec + "\n", encoding="utf-8")
+    message = f"results store {path} has two records for post 'p1' under label 'L'"
+    with pytest.raises(DataError, match=re.escape(message)):
+        read_results(path, cb.alphabet)
 
 
 def test_results_store_reload_rejects_corrupt_duplicates(tmp_path):
@@ -572,11 +600,11 @@ def test_classify_mock_run(tmp_path, capsys, clean_corpus_path, cb):
     store = stores[0]
     corpus = load_posts(clean_corpus_path)
     assert len(store) == len(corpus) == 18
-    assert store.failed_ids() == ()
+    vectors, failed = stored(store.path, cb)
+    assert failed == ()
     # records commit in corpus order
     assert [r["post_id"] for r in store.records] == [p.id for p in corpus.posts]
 
-    vectors = store.classified_vectors(cb.alphabet)
     for post in corpus.posts:
         expected = mock_rule_vector(post.body, cb.alphabet)
         assert vectors[post.id].as_dict() == expected
@@ -764,8 +792,9 @@ def test_classify_replay_records_parse_failures(tmp_path, capsys, clean_corpus_p
 
     cfg = replay_cfg(tmp_path, clean_corpus_path, script_path)
     store = cmd_classify(cfg)[0]
-    assert store.failed_ids() == tuple(sorted(garbled))
-    assert len(store.classified_vectors(cb.alphabet)) == 16
+    vectors, failed = stored(store.path, cb)
+    assert failed == tuple(sorted(garbled))
+    assert len(vectors) == 16
     failed = [r for r in store.records if r["status"] == "failed"]
     for rec in failed:
         assert rec["failures"][0]["reason"] == "no-line-found"
@@ -1013,7 +1042,7 @@ def test_classify_remote_commits_in_corpus_order_under_out_of_order_replies(
     assert results == (serial.output_dir / "results.jsonl").read_bytes()
     corpus = load_posts(clean_corpus_path)
     assert [json.loads(line)["post_id"] for line in results.splitlines()] == [p.id for p in corpus.posts]
-    vectors = ResultsStore(pooled.output_dir / "results.jsonl").classified_vectors(cb.alphabet)
+    vectors, _ = stored(pooled.output_dir / "results.jsonl", cb)
     assert {pid: v.as_dict() for pid, v in vectors.items()} == {
         p.id: mock_rule_vector(p.body, cb.alphabet) for p in corpus.posts
     }
@@ -1149,7 +1178,7 @@ def test_evaluate_store_mode_matches_direct_scoring(tmp_path, capsys, clean_corp
 
     corpus = load_posts(clean_corpus_path)
     gold = load_gold(FIXTURES / "gold_clean.csv", corpus, cb)
-    vectors = store.classified_vectors(cb.alphabet)
+    vectors, _ = stored(store.path, cb)
     direct = evaluate_predictions(
         dict(gold.vectors), vectors, cb, failed_ids=(), failure_policy="exclude-and-report",
         label=cfg.label,
@@ -1256,14 +1285,8 @@ def test_evaluate_repeat_stores_fold_into_stats(tmp_path, clean_corpus_path):
 def test_evaluate_two_labels_produce_ranking(tmp_path, capsys, clean_corpus_path, cb):
     cfg = make_cfg(tmp_path, clean_corpus_path)
     store = cmd_classify(cfg)[0]
-    flipped_lines = []
-    for rec in store.records:
-        twin = dict(rec)
-        twin["label"] = "zzz_flipped"
-        twin["vector"] = {code: 1 - v for code, v in rec["vector"].items()}
-        flipped_lines.append(json.dumps(twin, sort_keys=True))
     (cfg.output_dir / "results_flipped.jsonl").write_text(
-        "\n".join(flipped_lines) + "\n", encoding="utf-8"
+        "".join(relabelled(store.path, "zzz_flipped", flip=True)), encoding="utf-8"
     )
     capsys.readouterr()
     reports = cmd_evaluate(cfg)
@@ -1282,6 +1305,27 @@ def test_evaluate_explicit_store_paths(tmp_path, clean_corpus_path):
     assert reports[cfg.label].n_posts == 18
 
 
+def test_evaluate_and_distribute_open_each_results_file_once(tmp_path, monkeypatch, capsys, clean_corpus_path):
+    cfg = make_cfg(tmp_path, clean_corpus_path)
+    cmd_classify(cfg)
+    first = cfg.output_dir / "results.jsonl"
+    second = tmp_path / "second.jsonl"
+    second.write_text("".join(relabelled(first, "other", flip=False)), encoding="utf-8")
+    opened: list[Path] = []
+    real_open = Path.open
+
+    def recording_open(self, *args, **kwargs):
+        opened.append(self)
+        return real_open(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "open", recording_open)
+    assert set(cmd_evaluate(cfg, store_paths=[first, second])) == {cfg.label, "other"}
+    assert [p for p in opened if p in (first, second)] == [first, second]
+    opened.clear()
+    cmd_distribute(cfg, store_path=second)
+    assert [p for p in opened if p in (first, second)] == [second]
+
+
 # --- distribute -----------------------------------------------------------------
 
 
@@ -1291,7 +1335,7 @@ def test_distribute_counts_and_files(tmp_path, capsys, clean_corpus_path, cb):
     capsys.readouterr()
     payload = cmd_distribute(cfg, top_k=3)
 
-    vectors = store.classified_vectors(cb.alphabet)
+    vectors, _ = stored(store.path, cb)
     dist = theme_distribution(vectors, cb)
     assert payload["n"] == 18 and payload["n_failed"] == 0
     assert payload["counts"] == dict(dist.counts)
@@ -1312,6 +1356,19 @@ def test_distribute_counts_and_files(tmp_path, capsys, clean_corpus_path, cb):
         rows = list(csv.reader(fh))
     assert rows[0] == ["code", "count", "percentage"]
     assert [r[0] for r in rows[1:]] == list(cb.alphabet)
+
+
+def test_distribute_pools_labels_keeping_the_row_of_the_last_label(tmp_path, capsys, clean_corpus_path, cb):
+    cfg = make_cfg(tmp_path, clean_corpus_path)
+    results = cmd_classify(cfg)[0].path
+    vectors, _ = stored(results, cb)
+    # the label that sorts last is written first; its rows win over the later lines
+    lines = relabelled(results, "zzz_flipped", flip=True) + relabelled(results, cfg.label, flip=False)
+    results.write_text("".join(lines), encoding="utf-8")
+    payload = cmd_distribute(cfg)
+    counts = dict(theme_distribution(vectors, cb).counts)
+    assert payload["n"] == 18 and payload["n_failed"] == 0
+    assert payload["counts"] == {code: 18 - n for code, n in counts.items()} != counts
 
 
 def test_distribute_missing_store(tmp_path, clean_corpus_path):

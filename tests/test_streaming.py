@@ -20,7 +20,7 @@ from themecoder.codebook import LabelVector, load_gold
 from themecoder.corpus import load_post_ids
 from themecoder.evaluation import FAILURE_POLICIES, evaluate_predictions, run_stats
 from themecoder.jsonl import JsonLines
-from themecoder.pipeline import ResultsStore, cmd_classify, cmd_evaluate, load_config
+from themecoder.pipeline import ResultsStore, cmd_classify, cmd_distribute, cmd_evaluate, load_config, read_results
 
 
 def write_run(run_dir, n: int, alphabet, seed: int, labels=("L",), failed_share=0.02):
@@ -72,16 +72,19 @@ def traced_peak(fn) -> int:
 
 def record_view(path, alphabet):
     """Each label's classified rows and sorted failed ids, parsed line by
-    line, plus the pooled view: every label's rows, later records winning."""
+    line, plus the pooled view: every label's rows, the label that sorts
+    last winning."""
     by_label: dict[str, tuple[dict, list]] = {}
-    pooled: dict[str, tuple[int, ...]] = {}
     for line in path.read_text(encoding="utf-8").splitlines():
         rec = json.loads(line)
         rows, failed = by_label.setdefault(rec["label"], ({}, []))
         if rec["status"] == "failed":
             failed.append(rec["post_id"])
         else:
-            rows[rec["post_id"]] = pooled[rec["post_id"]] = tuple(rec["vector"][c] for c in alphabet)
+            rows[rec["post_id"]] = tuple(rec["vector"][c] for c in alphabet)
+    pooled: dict[str, tuple[int, ...]] = {}
+    for label in sorted(by_label):
+        pooled.update(by_label[label][0])
     return {label: (rows, sorted(failed)) for label, (rows, failed) in by_label.items()}, pooled
 
 
@@ -102,10 +105,9 @@ def growth_per_post(peaks: dict[int, int]) -> float:
     return (peaks[large] - peaks[small]) / (large - small)
 
 
-def test_store_and_matrix_read_memory_is_flat_in_n(sized_runs, cb):
+def test_read_results_memory_is_flat_in_n(sized_runs, cb):
     def read(cfg_path):
-        store = ResultsStore(cfg_path.parent / "results.jsonl")
-        assert [label for label, _, _ in store.label_matrices(cb.alphabet)] == ["L"]
+        assert list(read_results(cfg_path.parent / "results.jsonl", cb.alphabet)) == ["L"]
 
     peaks = {n: traced_peak(lambda: read(cfg_path)) for n, cfg_path in sized_runs.items()}
     assert growth_per_post(peaks) < MAX_GROWTH_PER_POST, peaks
@@ -146,24 +148,25 @@ def two_label_run(tmp_path_factory, cb):
     return cfg_path.parent / "results.jsonl"
 
 
-def test_label_matrices_agree_with_the_records(two_label_run, cb):
+def test_read_results_agrees_with_the_records(two_label_run, cb):
     store = ResultsStore(two_label_run)
     expected, pooled = record_view(two_label_run, cb.alphabet)
-    seen = []
-    for label, matrix, failed in store.label_matrices(cb.alphabet):
+    results = read_results(two_label_run, cb.alphabet)
+    assert list(results) == ["L", "M"]
+    for label, (matrix, failed) in results.items():
         rows, want_failed = expected[label]
-        seen.append(label)
         assert matrix.ids == tuple(sorted(rows)) and matrix.codes == cb.alphabet
         assert matrix.values.dtype == np.int8
         assert [tuple(row) for row in matrix.values.tolist()] == [rows[pid] for pid in matrix.ids]
+        assert {pid: v.values for pid, v in matrix.vectors().items()} == rows
         assert failed == tuple(want_failed) and failed
-        assert {pid: v.values for pid, v in store.classified_vectors(cb.alphabet, label).items()} == rows
-        assert store.failed_ids(label) == failed
         assert store.status_counts(label) == {"classified": len(rows), "failed": len(failed)}
-    assert seen == ["L", "M"] == list(store.labels())
-    assert {pid: v.values for pid, v in store.classified_vectors(cb.alphabet).items()} == pooled
-    assert store.failed_ids() == tuple(sorted(expected["L"][1] + expected["M"][1]))
     assert len(store) == len(store.records) == 4_000
+
+    payload = cmd_distribute(load_config(two_label_run.parent / "eval.yaml"))
+    assert payload["n"] == len(pooled)
+    assert payload["n_failed"] == len(expected["L"][1] + expected["M"][1])
+    assert payload["counts"] == dict(zip(cb.alphabet, np.array(list(pooled.values())).sum(axis=0).tolist()))
 
 
 @pytest.mark.parametrize("policy", FAILURE_POLICIES)
@@ -171,7 +174,7 @@ def test_matrix_evaluation_agrees_with_the_vector_path(two_label_run, cb, policy
     gold = load_gold(two_label_run.parent / "gold.csv", load_post_ids(two_label_run.parent / "corpus.jsonl"), cb)
     expected, _ = record_view(two_label_run, cb.alphabet)
     kw = dict(failure_policy=policy, bootstrap_metrics=("f1", "accuracy"), bootstrap_resamples=200, bootstrap_seed=3)
-    for label, preds, failed in ResultsStore(two_label_run).label_matrices(cb.alphabet):
+    for label, (preds, failed) in read_results(two_label_run, cb.alphabet).items():
         evaluated = sorted(preds.ids + failed)
         by_matrix = evaluate_predictions(gold.labels.take(evaluated), preds, cb, failed_ids=failed, label=label, **kw)
         gold_vectors = gold.vectors
