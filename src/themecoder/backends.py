@@ -7,8 +7,8 @@ useful only for exercising the pipeline offline. ``replay`` serves canned
 attempt texts from a script file keyed by request fingerprint.
 
 The retry loop re-asks on parse failures with a one-line format reminder
-appended; transport failures are retried with exponential backoff. All
-requests land in an append-only audit log, and an optional response cache
+appended; transport failures are retried with exponential backoff. Every
+call lands in an append-only audit log, and an optional response cache
 makes identical reruns free of backend calls.
 """
 
@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from hashlib import sha256
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
+from urllib.parse import urlsplit
 
 from .errors import BackendError, ConfigError, DataError
 from .jsonl import JsonLines
@@ -52,6 +53,8 @@ class BackendConfig:
             raise ConfigError(f"temperature must be finite and >= 0, got {self.temperature}")
         if self.kind == "remote-chat" and (not self.endpoint or not self.model):
             raise ConfigError("remote-chat backend requires endpoint and model")
+        if self.kind == "remote-chat" and urlsplit(self.endpoint).scheme not in ("http", "https"):
+            raise ConfigError(f"remote-chat endpoint must be an http or https URL, got {self.endpoint!r}")
         if self.kind == "replay" and not self.replay_path:
             raise ConfigError("replay backend requires replay_path")
         if self.in_flight_limit < 1:
@@ -293,13 +296,27 @@ class ReplayBackend(_BaseBackend):
 
 
 class RemoteChatBackend(_BaseBackend):
+    """POSTs to ``cfg.endpoint`` through one urllib opener, one connection
+    per request. Proxies come from the environment; netrc is not read."""
+
     kind = "remote-chat"
     waits_on_io = True
 
     def __init__(self, cfg: BackendConfig, retry: RetryPolicy | None = None, audit: AuditLog | None = None) -> None:
+        # imported here, not at module level: urllib.request loads ssl, which
+        # offline runs never need
+        import urllib.request
+
         super().__init__(cfg)
         self.retry = retry or RetryPolicy()
         self.audit = audit
+        handlers = []
+        if urlsplit(cfg.endpoint).scheme == "https":
+            import ssl
+
+            # one context for every connection: building one loads the trust store
+            handlers.append(urllib.request.HTTPSHandler(context=ssl.create_default_context()))
+        self._opener = urllib.request.build_opener(*handlers)
 
     def _credential(self) -> str:
         secret = os.environ.get(self.cfg.credential_env, "")
@@ -309,34 +326,48 @@ class RemoteChatBackend(_BaseBackend):
             )
         return secret
 
+    def _post(self, data: bytes, headers: Mapping[str, str]) -> tuple[int, bytes]:
+        """Send one request; return the reply's status and whole body."""
+        import urllib.error
+        import urllib.request
+
+        request = urllib.request.Request(self.cfg.endpoint, data=data, headers=headers, method="POST")
+        try:
+            resp = self._opener.open(request, timeout=self.cfg.timeout)
+        except urllib.error.HTTPError as exc:
+            resp = exc  # an error status still carries its reply
+        with resp:
+            return resp.status, resp.read()
+
     def _raw(self, message: str, prompt: RenderedPrompt, fingerprint: str, attempt: int) -> str:
-        import requests  # deferred so offline use never needs it at call time
+        import http.client
 
         secret = self._credential()  # resolved before any network activity
-        body = {
-            "model": self.cfg.model,
-            "messages": [{"role": "user", "content": message}],
-            "temperature": self.cfg.temperature,
-            "max_tokens": self.cfg.max_output_tokens,
-        }
-        headers = {"Authorization": f"Bearer {secret}"}
+        data = json.dumps(
+            {
+                "model": self.cfg.model,
+                "messages": [{"role": "user", "content": message}],
+                "temperature": self.cfg.temperature,
+                "max_tokens": self.cfg.max_output_tokens,
+            }
+        ).encode("utf-8")
+        headers = {"Authorization": f"Bearer {secret}", "Content-Type": "application/json"}
         delay = self.retry.backoff_initial
         last_status: object = None
         for i in range(self.retry.transport_retries + 1):
             try:
-                resp = requests.post(
-                    self.cfg.endpoint, json=body, headers=headers, timeout=self.cfg.timeout
-                )
-            except requests.RequestException as exc:
-                last_status = type(exc).__name__
+                status, reply = self._post(data, headers)
+            except (OSError, http.client.HTTPException) as exc:
+                reason = getattr(exc, "reason", None)  # the error a URLError wraps
+                last_status = type(reason if isinstance(reason, Exception) else exc).__name__
             else:
-                if resp.status_code in (401, 403):
-                    raise BackendError(f"authentication failed (HTTP {resp.status_code})")
-                if resp.status_code == 429 or resp.status_code >= 500:
-                    last_status = resp.status_code
+                if status in (401, 403):
+                    raise BackendError(f"authentication failed (HTTP {status})")
+                if status == 429 or status >= 500:
+                    last_status = status
                 else:
                     try:
-                        return resp.json()["choices"][0]["message"]["content"]
+                        return json.loads(reply)["choices"][0]["message"]["content"]
                     except (ValueError, KeyError, IndexError, TypeError) as exc:
                         raise BackendError(f"malformed completion response: {exc}") from exc
             if i < self.retry.transport_retries:

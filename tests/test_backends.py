@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import socket
+import ssl
 import threading
 import time
 import tracemalloc
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
+from conftest import FIXTURES, base_config, write_config
 
 from themecoder.backends import (
     BACKEND_KINDS,
@@ -32,6 +35,7 @@ from themecoder.backends import (
 from themecoder.codebook import LabelVector
 from themecoder.errors import BackendError, ConfigError
 from themecoder.parsing import parse_single_line
+from themecoder.pipeline import load_config
 from themecoder.prompting import RenderedPrompt, ShotPolicy, load_template, render_prompt
 
 MOCK_CFG = BackendConfig(kind="mock-rules", model="mock")
@@ -512,8 +516,18 @@ def chat_payload(content: str) -> dict:
     return {"choices": [{"message": {"content": content}}]}
 
 
+# A self-signed certificate for 127.0.0.1, valid until 2126, made with
+#   openssl req -x509 -newkey rsa:2048 -nodes -keyout tls_key.pem -out tls_cert.pem \
+#     -days 36500 -subj /CN=127.0.0.1 -addext subjectAltName=IP:127.0.0.1
+TLS_CERT = FIXTURES / "tls_cert.pem"
+TLS_KEY = FIXTURES / "tls_key.pem"
+
+
 @pytest.fixture()
-def chat_server():
+def chat_server(request):
+    """A chat endpoint that serves ``responses`` in order: (HTTP status,
+    payload) pairs, or a callable that writes the whole reply itself.
+    Parametrized with "tls", it serves https with ``TLS_CERT``."""
     state = {"requests": [], "responses": []}
 
     class Handler(BaseHTTPRequestHandler):
@@ -521,12 +535,20 @@ def chat_server():
             length = int(self.headers.get("Content-Length", 0))
             body = json.loads(self.rfile.read(length) or b"{}")
             state["requests"].append(
-                {"auth": self.headers.get("Authorization"), "body": body}
+                {
+                    "auth": self.headers.get("Authorization"),
+                    "type": self.headers.get("Content-Type"),
+                    "body": body,
+                    "path": self.path,
+                }
             )
             if state["responses"]:
-                status, payload = state["responses"].pop(0)
+                entry = state["responses"].pop(0)
             else:
-                status, payload = 200, chat_payload("fallback")
+                entry = 200, chat_payload("fallback")
+            if callable(entry):
+                return entry(self)
+            status, payload = entry
             data = payload if isinstance(payload, bytes) else json.dumps(payload).encode()
             self.send_response(status)
             self.send_header("Content-Type", "application/json")
@@ -538,13 +560,20 @@ def chat_server():
             pass
 
     httpd = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+    scheme = "http"
+    if getattr(request, "param", None) == "tls":
+        context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+        context.load_cert_chain(TLS_CERT, TLS_KEY)
+        httpd.socket = context.wrap_socket(httpd.socket, server_side=True)
+        scheme = "https"
     thread = threading.Thread(target=httpd.serve_forever, daemon=True)
     thread.start()
-    state["endpoint"] = f"http://127.0.0.1:{httpd.server_port}/v1/chat/completions"
+    state["endpoint"] = f"{scheme}://127.0.0.1:{httpd.server_port}/v1/chat/completions"
     try:
         yield state
     finally:
         httpd.shutdown()
+        httpd.server_close()
 
 
 def remote_cfg(endpoint: str) -> BackendConfig:
@@ -577,6 +606,7 @@ def test_remote_success_request_shape(monkeypatch, chat_server):
     assert result.backend_kind == "remote-chat"
     (request,) = chat_server["requests"]
     assert request["auth"] == "Bearer sekret-value-123"
+    assert request["type"] == "application/json"
     assert request["body"] == {
         "model": "test-model",
         "messages": [{"role": "user", "content": "PROBE TEXT"}],
@@ -630,12 +660,130 @@ def test_remote_malformed_response(monkeypatch, chat_server):
         complete(cfg, PROBE, retry=FAST_RETRY)
 
 
-def test_remote_connection_refused(monkeypatch):
+def retry_details(path) -> list[str]:
+    """The ``detail`` of each transport-retry record in an audit log."""
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    return [r["detail"] for r in records if r["status"] == "transport-retry"]
+
+
+def test_remote_connection_refused(monkeypatch, tmp_path):
     monkeypatch.setenv("TC_TEST_KEY", "sekret-value-123")
     with socket.socket() as s:
         s.bind(("127.0.0.1", 0))
         dead_port = s.getsockname()[1]
     cfg = remote_cfg(f"http://127.0.0.1:{dead_port}/v1/chat")
     policy = RetryPolicy(backoff_initial=0.01, backoff_cap=0.01, transport_retries=1)
-    with pytest.raises(BackendError, match="transport retries exhausted"):
-        complete(cfg, PROBE, retry=policy)
+    audit = AuditLog(tmp_path / "audit.jsonl")
+    with pytest.raises(BackendError, match=r"transport retries exhausted \(last status: ConnectionRefusedError\)"):
+        complete(cfg, PROBE, retry=policy, audit=audit)
+    audit.close()
+    # the audit names the socket error, not the urllib wrapper around it
+    assert retry_details(tmp_path / "audit.jsonl") == ["ConnectionRefusedError"]
+
+
+def test_remote_ignores_netrc(monkeypatch, chat_server, tmp_path):
+    monkeypatch.setenv("TC_TEST_KEY", "sekret-value-123")
+    netrc = tmp_path / "netrc"
+    netrc.write_text("machine 127.0.0.1 login u password p\n")
+    netrc.chmod(0o600)
+    monkeypatch.setenv("NETRC", str(netrc))
+    complete(remote_cfg(chat_server["endpoint"]), PROBE, retry=FAST_RETRY)
+    (request,) = chat_server["requests"]
+    assert request["auth"] == "Bearer sekret-value-123"
+
+
+@pytest.mark.parametrize("endpoint", ["file:///etc/hostname", "ftp://127.0.0.1/v1/chat"])
+def test_remote_endpoint_must_be_http(tmp_path, endpoint):
+    backend = {"kind": "remote-chat", "model": "m", "endpoint": endpoint}
+    path = write_config(tmp_path / "run.yaml", **base_config(tmp_path, FIXTURES / "posts_50.jsonl", backend=backend))
+    with pytest.raises(ConfigError, match="must be an http or https URL") as exc:
+        load_config(path)
+    assert exc.value.exit_code == 1
+
+
+PROXY_VARS = ("http_proxy", "https_proxy", "all_proxy", "no_proxy")
+UNRESOLVABLE = "chat.invalid"
+
+
+def test_remote_honours_http_proxy_and_no_proxy(monkeypatch, chat_server):
+    monkeypatch.setenv("TC_TEST_KEY", "sekret-value-123")
+    for var in PROXY_VARS:
+        monkeypatch.delenv(var, raising=False)
+        monkeypatch.delenv(var.upper(), raising=False)
+    real_lookup = socket.getaddrinfo
+
+    def lookup(host, *args, **kwargs):
+        # fail at once, so a request that skips the proxy never leaves this machine
+        if host == UNRESOLVABLE:
+            raise socket.gaierror(socket.EAI_NONAME, "Name or service not known")
+        return real_lookup(host, *args, **kwargs)
+
+    monkeypatch.setattr(socket, "getaddrinfo", lookup)
+    monkeypatch.setenv("http_proxy", chat_server["endpoint"].removesuffix("/v1/chat/completions"))
+    cfg = remote_cfg(f"http://{UNRESOLVABLE}/v1/chat/completions")
+    assert complete(cfg, PROBE, retry=FAST_RETRY).raw_text == "fallback"
+    (request,) = chat_server["requests"]
+    assert request["path"] == cfg.endpoint  # a proxy is sent the absolute URL
+    assert request["auth"] == "Bearer sekret-value-123"
+
+    monkeypatch.setenv("no_proxy", UNRESOLVABLE)
+    with pytest.raises(BackendError, match=r"transport retries exhausted \(last status: gaierror\)"):
+        complete(cfg, PROBE, retry=FAST_RETRY)
+    assert len(chat_server["requests"]) == 1
+
+
+def cut_short(handler):
+    """A 200 reply that promises more body than it sends, then hangs up."""
+    handler.send_response(200)
+    handler.send_header("Content-Length", "1000")
+    handler.end_headers()
+    handler.wfile.write(b'{"choices": [')
+
+
+def test_remote_cut_off_reply_is_transport_retry(monkeypatch, chat_server, tmp_path):
+    monkeypatch.setenv("TC_TEST_KEY", "sekret-value-123")
+    chat_server["responses"] += [cut_short, (200, chat_payload("whole"))]
+    audit = AuditLog(tmp_path / "audit.jsonl")
+    result = complete(remote_cfg(chat_server["endpoint"]), PROBE, retry=FAST_RETRY, audit=audit)
+    audit.close()
+    assert result.raw_text == "whole"
+    assert len(chat_server["requests"]) == 2
+    assert retry_details(tmp_path / "audit.jsonl") == ["IncompleteRead"]
+
+
+def stall_before_headers(handler):
+    time.sleep(0.6)
+
+
+def stall_in_body(handler):
+    handler.send_response(200)
+    handler.send_header("Content-Length", "1000")
+    handler.end_headers()
+    time.sleep(0.6)
+
+
+@pytest.mark.parametrize("stall", [stall_before_headers, stall_in_body])
+def test_remote_read_timeout_is_transport_retry(monkeypatch, chat_server, tmp_path, stall):
+    monkeypatch.setenv("TC_TEST_KEY", "sekret-value-123")
+    chat_server["responses"] += [stall, stall]
+    cfg = dataclasses.replace(remote_cfg(chat_server["endpoint"]), timeout=0.2)
+    policy = RetryPolicy(backoff_initial=0.01, backoff_cap=0.01, transport_retries=1)
+    audit = AuditLog(tmp_path / "audit.jsonl")
+    with pytest.raises(BackendError, match=r"transport retries exhausted \(last status: TimeoutError\)"):
+        complete(cfg, PROBE, retry=policy, audit=audit)
+    audit.close()
+    assert len(chat_server["requests"]) == 2
+    assert retry_details(tmp_path / "audit.jsonl") == ["TimeoutError"]
+
+
+@pytest.mark.parametrize("chat_server", ["tls"], indirect=True)
+def test_remote_https_trusts_the_system_store_or_ssl_cert_file(monkeypatch, chat_server):
+    monkeypatch.setenv("TC_TEST_KEY", "sekret-value-123")
+    monkeypatch.delenv("SSL_CERT_FILE", raising=False)
+    cfg = remote_cfg(chat_server["endpoint"])
+    with pytest.raises(BackendError, match=r"last status: SSLCertVerificationError"):
+        complete(cfg, PROBE, retry=FAST_RETRY)
+    assert chat_server["requests"] == []
+    monkeypatch.setenv("SSL_CERT_FILE", str(TLS_CERT))
+    assert complete(cfg, PROBE, retry=FAST_RETRY).raw_text == "fallback"
+    assert len(chat_server["requests"]) == 1

@@ -1,4 +1,5 @@
-"""The package imports and runs with scipy unavailable."""
+"""The package imports and runs without scipy or requests, and importing it
+loads no HTTP transport."""
 
 from __future__ import annotations
 
@@ -36,3 +37,61 @@ def test_package_runs_without_scipy(tmp_path):
     )
     assert child.returncode == 0, child.stderr
     assert (tmp_path / "ranking.csv").is_file()
+
+
+# A remote-chat classify of one prompt against a chat endpoint on 127.0.0.1.
+NO_REQUESTS = """
+import json, sys, threading
+sys.modules["requests"] = None
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from themecoder.backends import BackendConfig, RetryPolicy, classify_with_retry
+from themecoder.parsing import parse_single_answer
+from themecoder.prompting import RenderedPrompt
+
+class Chat(BaseHTTPRequestHandler):
+    def do_POST(self):
+        self.rfile.read(int(self.headers["Content-Length"]))
+        data = json.dumps({"choices": [{"message": {"content": "A=[1]"}}]}).encode()
+        self.send_response(200)
+        self.send_header("Content-Length", str(len(data)))
+        self.end_headers()
+        self.wfile.write(data)
+
+httpd = ThreadingHTTPServer(("127.0.0.1", 0), Chat)
+threading.Thread(target=httpd.serve_forever, daemon=True).start()
+cfg = BackendConfig(
+    kind="remote-chat", model="m", credential_env="TC_TEST_KEY",
+    endpoint=f"http://127.0.0.1:{httpd.server_port}/v1/chat/completions",
+)
+prompt = RenderedPrompt(text="PROBE", template_version="v1", shots=0, target=("A",), post_id="p1")
+vector, result = classify_with_retry(cfg, RetryPolicy(), prompt, lambda raw: parse_single_answer(raw, "A"))
+httpd.shutdown()
+httpd.server_close()
+assert vector.values == (1,), vector
+"""
+
+
+def test_remote_backend_runs_without_requests():
+    env = {k: v for k, v in os.environ.items() if not k.lower().endswith("_proxy")}
+    child = subprocess.run(
+        [sys.executable, "-c", NO_REQUESTS],
+        env={**env, "PYTHONPATH": str(SRC), "TC_TEST_KEY": "k"},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert child.returncode == 0, child.stderr
+
+
+def test_import_loads_no_http_transport():
+    child = subprocess.run(
+        [sys.executable, "-c", "import sys, themecoder; print(*sorted(sys.modules))"],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert child.returncode == 0, child.stderr
+    loaded = set(child.stdout.split())
+    assert "themecoder" in loaded
+    assert not loaded & {"urllib.request", "http.client", "ssl"}
