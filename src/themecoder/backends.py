@@ -297,7 +297,8 @@ class ReplayBackend(_BaseBackend):
 
 class RemoteChatBackend(_BaseBackend):
     """POSTs to ``cfg.endpoint`` through one urllib opener, one connection
-    per request. Proxies come from the environment; netrc is not read."""
+    per request. Proxies come from the environment; netrc is not read, and
+    a redirect is never followed, so the credential goes to the endpoint only."""
 
     kind = "remote-chat"
     waits_on_io = True
@@ -305,18 +306,27 @@ class RemoteChatBackend(_BaseBackend):
     def __init__(self, cfg: BackendConfig, retry: RetryPolicy | None = None, audit: AuditLog | None = None) -> None:
         # imported here, not at module level: urllib.request loads ssl, which
         # offline runs never need
+        import http.client
+        import ssl
         import urllib.request
 
         super().__init__(cfg)
         self.retry = retry or RetryPolicy()
         self.audit = audit
-        handlers = []
-        if urlsplit(cfg.endpoint).scheme == "https":
-            import ssl
-
-            # one context for every connection: building one loads the trust store
-            handlers.append(urllib.request.HTTPSHandler(context=ssl.create_default_context()))
-        self._opener = urllib.request.build_opener(*handlers)
+        # one context for every connection: building one loads the trust store
+        context = ssl.create_default_context() if urlsplit(cfg.endpoint).scheme == "https" else None
+        # no HTTPErrorProcessor or HTTPRedirectHandler: every status, a 3xx
+        # included, comes back as the reply itself
+        self._opener = urllib.request.OpenerDirector()
+        for handler in (
+            urllib.request.ProxyHandler(),
+            urllib.request.UnknownHandler(),
+            urllib.request.HTTPHandler(),
+            urllib.request.HTTPSHandler(context=context),
+        ):
+            self._opener.add_handler(handler)
+        self._request = urllib.request.Request
+        self._transport_errors = (OSError, http.client.HTTPException)
 
     def _credential(self) -> str:
         secret = os.environ.get(self.cfg.credential_env, "")
@@ -326,22 +336,7 @@ class RemoteChatBackend(_BaseBackend):
             )
         return secret
 
-    def _post(self, data: bytes, headers: Mapping[str, str]) -> tuple[int, bytes]:
-        """Send one request; return the reply's status and whole body."""
-        import urllib.error
-        import urllib.request
-
-        request = urllib.request.Request(self.cfg.endpoint, data=data, headers=headers, method="POST")
-        try:
-            resp = self._opener.open(request, timeout=self.cfg.timeout)
-        except urllib.error.HTTPError as exc:
-            resp = exc  # an error status still carries its reply
-        with resp:
-            return resp.status, resp.read()
-
     def _raw(self, message: str, prompt: RenderedPrompt, fingerprint: str, attempt: int) -> str:
-        import http.client
-
         secret = self._credential()  # resolved before any network activity
         data = json.dumps(
             {
@@ -355,14 +350,21 @@ class RemoteChatBackend(_BaseBackend):
         delay = self.retry.backoff_initial
         last_status: object = None
         for i in range(self.retry.transport_retries + 1):
+            request = self._request(self.cfg.endpoint, data=data, headers=headers, method="POST")
             try:
-                status, reply = self._post(data, headers)
-            except (OSError, http.client.HTTPException) as exc:
+                with self._opener.open(request, timeout=self.cfg.timeout) as resp:
+                    status, location, reply = resp.status, resp.headers.get("Location"), resp.read()
+            except self._transport_errors as exc:
                 reason = getattr(exc, "reason", None)  # the error a URLError wraps
                 last_status = type(reason if isinstance(reason, Exception) else exc).__name__
             else:
                 if status in (401, 403):
                     raise BackendError(f"authentication failed (HTTP {status})")
+                if 300 <= status < 400:
+                    raise BackendError(
+                        f"endpoint redirected (HTTP {status} to {location}); "
+                        "redirects are not followed, so set the endpoint to the final URL"
+                    )
                 if status == 429 or status >= 500:
                     last_status = status
                 else:

@@ -660,6 +660,47 @@ def test_remote_malformed_response(monkeypatch, chat_server):
         complete(cfg, PROBE, retry=FAST_RETRY)
 
 
+@pytest.mark.parametrize("status", [301, 302, 303, 307, 308])
+def test_remote_never_follows_a_redirect(monkeypatch, chat_server, status):
+    monkeypatch.setenv("TC_TEST_KEY", "sekret-value-123")
+    reached = []
+
+    class Elsewhere(BaseHTTPRequestHandler):
+        def do_GET(self):
+            reached.append(self.headers.get("Authorization"))
+            self.send_response(200)
+            self.send_header("Content-Length", "0")
+            self.end_headers()
+
+        do_POST = do_GET
+
+        def log_message(self, *args):
+            pass
+
+    other = ThreadingHTTPServer(("127.0.0.1", 0), Elsewhere)
+    thread = threading.Thread(target=other.serve_forever, daemon=True)
+    thread.start()
+    location = f"http://localhost:{other.server_port}/v1/chat/completions"
+
+    def redirect(handler):
+        handler.send_response(status)
+        handler.send_header("Location", location)
+        handler.send_header("Content-Length", "0")
+        handler.end_headers()
+
+    chat_server["responses"].append(redirect)
+    try:
+        with pytest.raises(BackendError) as exc:
+            complete(remote_cfg(chat_server["endpoint"]), PROBE, retry=FAST_RETRY)
+    finally:
+        other.shutdown()
+        other.server_close()
+    assert reached == []  # the credential went to the endpoint only
+    assert len(chat_server["requests"]) == 1
+    assert str(exc.value).startswith(f"endpoint redirected (HTTP {status} to {location})")
+    assert exc.value.exit_code == 3
+
+
 def retry_details(path) -> list[str]:
     """The ``detail`` of each transport-retry record in an audit log."""
     records = [json.loads(line) for line in path.read_text().splitlines()]
