@@ -93,6 +93,7 @@ from .prompting import (
     ShotPolicy,
     canonical_line,
     load_template,
+    prompt_renderer,
     render_prompt,
     select_exemplars,
 )

@@ -367,6 +367,8 @@ class RemoteChatBackend(_BaseBackend):
                     )
                 if status == 429 or status >= 500:
                     last_status = status
+                elif not 200 <= status < 300:  # the body of an error reply is not echoed
+                    raise BackendError(f"endpoint answered HTTP {status}")
                 else:
                     try:
                         return json.loads(reply)["choices"][0]["message"]["content"]

@@ -19,6 +19,7 @@ import numpy as np
 import yaml
 
 from .errors import DataError
+from .jsonl import atomic_write
 
 log = logging.getLogger(__name__)
 
@@ -229,10 +230,8 @@ class Codebook:
         }
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(
-            yaml.safe_dump(self.to_mapping(), sort_keys=False, allow_unicode=True),
-            encoding="utf-8",
-        )
+        with atomic_write(path) as fh:
+            fh.write(yaml.safe_dump(self.to_mapping(), sort_keys=False, allow_unicode=True))
 
 
 @dataclass(frozen=True)
@@ -284,8 +283,8 @@ def validate_codebook(cb: Codebook) -> list[str]:
     findings: list[str] = []
     seen: set[str] = set()
     for t in cb.themes:
-        if not (len(t.code) == 1 and t.code.isalpha() and t.code.isupper()):
-            findings.append(f"code {t.code!r} is not a single uppercase letter")
+        if not (len(t.code) == 1 and "A" <= t.code <= "Z"):  # the parsers' grammar is ASCII
+            findings.append(f"code {t.code!r} is not a single uppercase letter A-Z")
         if t.code in seen:
             findings.append(f"duplicate code: {t.code}")
         seen.add(t.code)

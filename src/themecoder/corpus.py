@@ -22,6 +22,7 @@ import numpy as np
 import yaml
 
 from .errors import ConfigError, DataError
+from .jsonl import atomic_write
 
 log = logging.getLogger(__name__)
 
@@ -313,11 +314,11 @@ def write_posts(corpus: Corpus, path: str | Path, format: str = "post-lines") ->
     p = Path(path)
     p.parent.mkdir(parents=True, exist_ok=True)
     if format == "post-lines":
-        with p.open("w", encoding="utf-8") as fh:
+        with atomic_write(p) as fh:
             for post in corpus.posts:
                 fh.write(json.dumps(post.to_record(), ensure_ascii=False) + "\n")
     elif format == "delimited-table":
-        with p.open("w", encoding="utf-8", newline="") as fh:
+        with atomic_write(p, newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=list(POST_FIELDS))
             writer.writeheader()
             for post in corpus.posts:

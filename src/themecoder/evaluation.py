@@ -27,6 +27,7 @@ import numpy as np
 
 from .codebook import Codebook, GoldLabelSet, LabelMatrix, LabelVector, label_rows
 from .errors import ConfigError, DataError
+from .jsonl import atomic_write
 
 METRIC_NAMES = ("precision", "recall", "f1", "accuracy")
 AGGREGATIONS = ("per-theme", "micro", "macro")
@@ -609,16 +610,14 @@ class EvalReport:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         report_path = out / "report.json"
-        report_path.write_text(
-            json.dumps(self.to_dict(), indent=2, sort_keys=True, ensure_ascii=False) + "\n",
-            encoding="utf-8",
-        )
+        with atomic_write(report_path) as fh:
+            fh.write(json.dumps(self.to_dict(), indent=2, sort_keys=True, ensure_ascii=False) + "\n")
         csv_path = out / "metrics.csv"
         fieldnames = [
             "scope", "label", *(f.name for f in fields(ConfusionMatrix)), *METRIC_NAMES,
             "avg_rank", "count", "percentage", "delta_pp",
         ]
-        with csv_path.open("w", encoding="utf-8", newline="") as fh:
+        with atomic_write(csv_path, newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=fieldnames, restval="")
             writer.writeheader()
             for row in self.flat_rows():

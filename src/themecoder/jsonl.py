@@ -1,4 +1,5 @@
-"""Append-only JSON-lines files shared by the run artifacts.
+"""Append-only JSON-lines files shared by the run artifacts, and the one
+way every whole-file artifact is written.
 
 A ``JsonLines`` opens its file on the first append and keeps it open until
 ``close()``, flushing after every line. ``read()`` drops a torn final line
@@ -12,13 +13,37 @@ from __future__ import annotations
 
 import io
 import json
+import os
 import threading
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, TextIO
 
 from .errors import DataError
 
 _TAIL_BLOCK = 1 << 16  # bytes read per step back from the end by scan_tail
+
+
+@contextmanager
+def atomic_write(path: str | Path, newline: str | None = None) -> Iterator[TextIO]:
+    """Open ``path`` for writing UTF-8 text that appears whole or not at all.
+
+    The text goes to a temp file in the same directory, which replaces
+    ``path`` when the block ends; if the block raises, the temp file is
+    removed and ``path`` is left as it was. A process killed inside the
+    block leaves ``path`` as it was, plus a hidden ``.tmp`` file. The data
+    is flushed, not fsynced: this holds against process death, not power
+    loss.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with tmp.open("w", encoding="utf-8", newline=newline) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 class JsonLines:

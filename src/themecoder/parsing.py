@@ -12,6 +12,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Mapping
 
 from .codebook import Codebook, LabelVector
@@ -77,8 +78,14 @@ def _known_assignments(line: str, alphabet: tuple[str, ...]) -> list[tuple[str, 
     return [(c, v) for c, v in _ASSIGN_RE.findall(line) if c in known]
 
 
+@lru_cache(maxsize=32)
 def _canonical_re(alphabet: tuple[str, ...]) -> re.Pattern:
-    return re.compile("^" + ", ".join(f"{re.escape(c)}=[01]" for c in alphabet) + "$")
+    """The canonical line over ``alphabet``, one group per value."""
+    return re.compile(", ".join(f"{re.escape(c)}=([01])" for c in alphabet))
+
+
+def _canonical_vector(match: re.Match, alphabet: tuple[str, ...]) -> ParseOutcome:
+    return ParseOutcome.success(LabelVector(codes=alphabet, values=tuple(map(int, match.groups()))))
 
 
 def _vector_from_assignments(
@@ -111,9 +118,13 @@ def parse_single_line(text: str, cb: Codebook, mode: str = "lenient") -> ParseOu
     if mode != "lenient":
         raise ValueError(f"unknown parse mode {mode!r}")
 
+    canonical = _canonical_re(alphabet)
     best_partial: tuple[int, list[str]] | None = None
     duplicate_detail: str | None = None
     for line in text.splitlines():
+        match = canonical.fullmatch(line)  # what the scan below would accept for this line
+        if match:
+            return _canonical_vector(match, alphabet)
         assignments = _known_assignments(line, alphabet)
         if not assignments:
             continue
@@ -147,8 +158,9 @@ def _parse_line_strict(text: str, alphabet: tuple[str, ...]) -> ParseOutcome:
             "extra-prose-strict", f"expected one line, payload has {len(lines)}"
         )
     line = lines[0]
-    if _canonical_re(alphabet).match(line):
-        return _vector_from_assignments(_known_assignments(line, alphabet), alphabet)
+    match = _canonical_re(alphabet).fullmatch(line)
+    if match:
+        return _canonical_vector(match, alphabet)
     # diagnose the deviation
     assignments = _known_assignments(line, alphabet)
     if not assignments:

@@ -60,14 +60,15 @@ from .evaluation import (
     run_stats,
     theme_distribution,
 )
-from .jsonl import JsonLines
+from .jsonl import JsonLines, atomic_write
 from .parsing import PARSE_MODES, ParseOutcome, assemble_per_theme, parse_single_answer, parse_single_line
 from .prompting import (
     DEFAULT_EXEMPLAR_BUDGET,
     DEFAULT_TEMPLATE_VERSION,
     ShotPolicy,
     load_template,
-    render_prompt,
+    prompt_renderer,
+    render_prompt,  # noqa: F401  unused here; perfbench/spans.py wraps pipeline.render_prompt
 )
 
 try:
@@ -615,26 +616,16 @@ def cmd_ingest(cfg: RunConfig) -> dict:
         write_posts(corpus, out_dir / outputs["sampled"])
 
     summary["outputs"] = outputs
-    (cfg.output_dir / "ingest_summary.json").write_text(
-        json.dumps(summary, indent=2, sort_keys=True, ensure_ascii=False) + "\n",
-        encoding="utf-8",
-    )
+    with atomic_write(cfg.output_dir / "ingest_summary.json") as fh:
+        fh.write(json.dumps(summary, indent=2, sort_keys=True, ensure_ascii=False) + "\n")
     parts = [f"{k}={summary[k]}" for k in ("loaded", "filtered", "cleaned", "sampled") if k in summary]
     print(", ".join(parts))
     return summary
 
 
-def _classify_one(post, cb: Codebook, tpl, shot, cfg: RunConfig, backend, policy, cache, audit) -> dict:
+def _classify_one(post, cb: Codebook, render, cfg: RunConfig, backend, policy, cache, audit) -> dict:
     """Render and classify one post; returns its store record."""
-    rendered = render_prompt(
-        post,
-        cb,
-        tpl,
-        shot,
-        seed=cfg.exemplar_seed,
-        include_title=cfg.include_title,
-        exemplar_budget=cfg.exemplar_budget,
-    )
+    rendered = render(post)
 
     def classify(prompt, parser):
         return classify_with_retry(cfg.backend, policy, prompt, parser, backend=backend, cache=cache, audit=audit)
@@ -670,7 +661,7 @@ def _classify_one(post, cb: Codebook, tpl, shot, cfg: RunConfig, backend, policy
     else:
         rec.update(status="failed", failures=[{"reason": f.reason, "detail": f.detail} for f in failures])
     rec.update(
-        attempts=attempts, template_version=tpl.version, backend_kind=cfg.backend.kind, fingerprint=fingerprint
+        attempts=attempts, template_version=cfg.template_version, backend_kind=cfg.backend.kind, fingerprint=fingerprint
     )
     return rec
 
@@ -717,7 +708,14 @@ def cmd_classify(cfg: RunConfig, *, resume: bool = False) -> list[ResultsStore]:
     corpus = load_posts(cfg.corpus_path, cfg.corpus_format)
     cb = load_codebook(cfg.codebook_path)
     tpl = load_template(cfg.template_version, cfg.template_path)
-    shot = ShotPolicy(shots=cfg.shots, selection=cfg.selection)
+    render = prompt_renderer(  # a bad shot policy fails here, before any run file exists
+        cb,
+        tpl,
+        ShotPolicy(shots=cfg.shots, selection=cfg.selection),
+        seed=cfg.exemplar_seed,
+        include_title=cfg.include_title,
+        exemplar_budget=cfg.exemplar_budget,
+    )
     manifest = build_manifest(cfg, tpl.scaffold)
 
     with RunLock(run_dir), ExitStack() as run_files:  # files close after the pool has drained
@@ -738,10 +736,8 @@ def cmd_classify(cfg: RunConfig, *, resume: bool = False) -> list[ResultsStore]:
                     "resume refused: config or input hashes differ from the original manifest"
                 )
         else:
-            manifest_path.write_text(
-                json.dumps(manifest, indent=2, sort_keys=True, ensure_ascii=False) + "\n",
-                encoding="utf-8",
-            )
+            with atomic_write(manifest_path) as fh:
+                fh.write(json.dumps(manifest, indent=2, sort_keys=True, ensure_ascii=False) + "\n")
 
         ledger = run_files.enter_context(closing(RunLedger(run_dir / "ledger.jsonl")))
         ledger.events()  # finds a torn last line, cut off before the next event
@@ -765,7 +761,7 @@ def cmd_classify(cfg: RunConfig, *, resume: bool = False) -> list[ResultsStore]:
             )
             backend = make_backend(cfg.backend, retry=cfg.retry, audit=audit)
             classify_one = partial(
-                _classify_one, cb=cb, tpl=tpl, shot=shot, cfg=cfg, backend=backend, policy=cfg.retry, cache=cache,
+                _classify_one, cb=cb, render=render, cfg=cfg, backend=backend, policy=cfg.retry, cache=cache,
                 audit=audit,
             )
             try:
@@ -821,12 +817,10 @@ def _write_ranking(ranking: ModelRanking, out_dir: Path) -> tuple[Path, Path]:
         }
         for row in ranking.rows
     ]
-    json_path.write_text(
-        json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False) + "\n",
-        encoding="utf-8",
-    )
+    with atomic_write(json_path) as fh:
+        fh.write(json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False) + "\n")
     csv_path = out_dir / "ranking.csv"
-    with csv_path.open("w", encoding="utf-8", newline="") as fh:
+    with atomic_write(csv_path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
             ["label", *METRIC_NAMES, *(f"rank_{m}" for m in METRIC_NAMES), "avg_rank"]
@@ -956,11 +950,9 @@ def cmd_distribute(cfg: RunConfig, *, store_path: str | Path | None = None, top_
     }
     reports_dir = cfg.output_dir / "reports"
     reports_dir.mkdir(parents=True, exist_ok=True)
-    (reports_dir / "distribution.json").write_text(
-        json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False) + "\n",
-        encoding="utf-8",
-    )
-    with (reports_dir / "distribution.csv").open("w", encoding="utf-8", newline="") as fh:
+    with atomic_write(reports_dir / "distribution.json") as fh:
+        fh.write(json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False) + "\n")
+    with atomic_write(reports_dir / "distribution.csv", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["code", "count", "percentage"])
         for code in dist.codes:

@@ -200,6 +200,83 @@ def _v1_examples_section(
     return "".join(parts).rstrip("\n")
 
 
+def prompt_renderer(
+    cb: Codebook,
+    tpl: PromptTemplate,
+    policy: ShotPolicy,
+    seed: int = 0,
+    include_title: bool = False,
+    exemplar_budget: int = DEFAULT_EXEMPLAR_BUDGET,
+):
+    """Fill every slot but ``{{post}}`` once; return the per-post render.
+
+    The returned function maps a post to one RenderedPrompt for v2/v3, or
+    to a list with one per code for v1-per-theme. ``{{post}}`` is the last
+    slot filled, so the text is the same as filling every slot per post.
+    A bad shot policy raises here, before any post is rendered.
+    """
+    exemplars = select_exemplars(cb, policy, seed)
+    alphabet = cb.alphabet
+
+    if tpl.version == "v1-per-theme":
+        frames = [
+            (
+                (theme.code,),
+                tpl.scaffold.replace("{{theme_name}}", theme.name)
+                .replace("{{theme_definition}}", theme.definition)
+                .replace("{{code}}", theme.code)
+                .replace(
+                    "{{examples_section}}",
+                    _v1_examples_section(exemplars, theme.code, cb, exemplar_budget),
+                ),
+            )
+            for theme in cb.themes
+        ]
+    elif tpl.version == "v2-multi-question":
+        questions = "\n\n".join(
+            f'{i}. {t.name}: {t.definition}. Format: "{t.code}=[answer]".'
+            for i, t in enumerate(cb.themes, start=1)
+        )
+        frames = [
+            (
+                alphabet,
+                tpl.scaffold.replace("{{questions}}", questions)
+                .replace("{{examples_section}}", _examples_section(exemplars, cb, exemplar_budget)),
+            )
+        ]
+    else:  # v3-single-line
+        categories = "\n\n".join(f"{t.code}. {t.name}\n{t.definition}" for t in cb.themes)
+        format_line = ", ".join(f"{c}=_" for c in alphabet)
+        frames = [
+            (
+                alphabet,
+                tpl.scaffold.replace("{{n_topics}}", str(len(alphabet)))
+                .replace("{{first_code}}", alphabet[0])
+                .replace("{{last_code}}", alphabet[-1])
+                .replace("{{format_line}}", format_line)
+                .replace("{{categories}}", categories)
+                .replace("{{examples_section}}", _examples_section(exemplars, cb, exemplar_budget)),
+            )
+        ]
+
+    def render(post: Post):
+        payload = _payload(post, include_title)
+        prompts = [
+            RenderedPrompt(
+                text=frame.replace("{{post}}", payload),
+                template_version=tpl.version,
+                shots=policy.shots,
+                target=target,
+                post_id=post.id,
+                post_text=payload,
+            )
+            for target, frame in frames
+        ]
+        return prompts if tpl.version == "v1-per-theme" else prompts[0]
+
+    return render
+
+
 def render_prompt(
     post: Post,
     cb: Codebook,
@@ -214,62 +291,4 @@ def render_prompt(
     Returns one RenderedPrompt for v2/v3, or a list with one per code for
     v1-per-theme. Identical inputs produce byte-identical text.
     """
-    exemplars = select_exemplars(cb, policy, seed)
-    payload = _payload(post, include_title)
-    alphabet = cb.alphabet
-
-    if tpl.version == "v1-per-theme":
-        prompts = []
-        for theme in cb.themes:
-            text = (
-                tpl.scaffold.replace("{{theme_name}}", theme.name)
-                .replace("{{theme_definition}}", theme.definition)
-                .replace("{{code}}", theme.code)
-                .replace(
-                    "{{examples_section}}",
-                    _v1_examples_section(exemplars, theme.code, cb, exemplar_budget),
-                )
-                .replace("{{post}}", payload)
-            )
-            prompts.append(
-                RenderedPrompt(
-                    text=text,
-                    template_version=tpl.version,
-                    shots=policy.shots,
-                    target=(theme.code,),
-                    post_id=post.id,
-                    post_text=payload,
-                )
-            )
-        return prompts
-
-    if tpl.version == "v2-multi-question":
-        questions = "\n\n".join(
-            f'{i}. {t.name}: {t.definition}. Format: "{t.code}=[answer]".'
-            for i, t in enumerate(cb.themes, start=1)
-        )
-        text = (
-            tpl.scaffold.replace("{{questions}}", questions)
-            .replace("{{examples_section}}", _examples_section(exemplars, cb, exemplar_budget))
-            .replace("{{post}}", payload)
-        )
-    else:  # v3-single-line
-        categories = "\n\n".join(f"{t.code}. {t.name}\n{t.definition}" for t in cb.themes)
-        format_line = ", ".join(f"{c}=_" for c in alphabet)
-        text = (
-            tpl.scaffold.replace("{{n_topics}}", str(len(alphabet)))
-            .replace("{{first_code}}", alphabet[0])
-            .replace("{{last_code}}", alphabet[-1])
-            .replace("{{format_line}}", format_line)
-            .replace("{{categories}}", categories)
-            .replace("{{examples_section}}", _examples_section(exemplars, cb, exemplar_budget))
-            .replace("{{post}}", payload)
-        )
-    return RenderedPrompt(
-        text=text,
-        template_version=tpl.version,
-        shots=policy.shots,
-        target=alphabet,
-        post_id=post.id,
-        post_text=payload,
-    )
+    return prompt_renderer(cb, tpl, policy, seed, include_title, exemplar_budget)(post)

@@ -660,6 +660,17 @@ def test_remote_malformed_response(monkeypatch, chat_server):
         complete(cfg, PROBE, retry=FAST_RETRY)
 
 
+@pytest.mark.parametrize("status", [400, 404])
+def test_remote_other_error_status_names_it_without_retry(monkeypatch, chat_server, status):
+    monkeypatch.setenv("TC_TEST_KEY", "sekret-value-123")
+    chat_server["responses"].append((status, {"error": {"message": "body-not-echoed"}}))
+    cfg = remote_cfg(chat_server["endpoint"])
+    with pytest.raises(BackendError) as excinfo:
+        complete(cfg, PROBE, retry=FAST_RETRY)
+    assert str(excinfo.value) == f"endpoint answered HTTP {status}"
+    assert len(chat_server["requests"]) == 1
+
+
 @pytest.mark.parametrize("status", [301, 302, 303, 307, 308])
 def test_remote_never_follows_a_redirect(monkeypatch, chat_server, status):
     monkeypatch.setenv("TC_TEST_KEY", "sekret-value-123")

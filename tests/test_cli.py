@@ -142,6 +142,89 @@ def test_truncated_manifest_exits_two(tmp_path, capsys, clean_corpus_path):
     assert "Traceback" not in err
 
 
+def test_manifest_write_cut_part_way_leaves_no_manifest(tmp_path, capsys, clean_corpus_path, monkeypatch):
+    from contextlib import contextmanager
+
+    from themecoder import pipeline
+    from themecoder.jsonl import atomic_write
+
+    class HalfWriter:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def write(self, text):
+            self.fh.write(text[: len(text) // 2])
+            self.fh.flush()
+            raise OSError("write cut part-way")
+
+    @contextmanager
+    def cut_write(path, newline=None):
+        with atomic_write(path, newline) as fh:
+            yield HalfWriter(fh)
+
+    cfg_path, run_dir = write_cfg(tmp_path, clean_corpus_path)
+    monkeypatch.setattr(pipeline, "atomic_write", cut_write)
+    with pytest.raises(OSError, match="cut part-way"):
+        pipeline.cmd_classify(load_config(cfg_path))
+    monkeypatch.undo()
+    assert sorted(p.name for p in run_dir.iterdir()) == []  # no manifest, no temp file, no lock
+    assert main(["classify", "--config", str(cfg_path)]) == 0
+    assert json.loads((run_dir / "manifest.json").read_text(encoding="utf-8"))["config"]
+
+
+def test_atomic_write_keeps_the_old_file_on_error(tmp_path):
+    from themecoder.jsonl import atomic_write
+
+    path = tmp_path / "report.json"
+    path.write_text("old\n", encoding="utf-8")
+    with pytest.raises(RuntimeError):
+        with atomic_write(path) as fh:
+            fh.write("new, half")
+            raise RuntimeError("stop")
+    assert path.read_text(encoding="utf-8") == "old\n"
+    with atomic_write(path, newline="") as fh:
+        fh.write("a\r\nb\n")
+    assert path.read_bytes() == b"a\r\nb\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json"]
+
+
+@pytest.mark.parametrize(
+    "prompting, message",
+    [
+        ({"shots": 1, "selection": [99]}, "exemplar index 99 out of range (pool has 5)"),
+        ({"shots": 6}, "shot policy wants 6 exemplars but the codebook has 5"),
+    ],
+    ids=["selection-out-of-range", "too-few-exemplars"],
+)
+def test_bad_shot_policy_exits_one_before_any_run_file(tmp_path, capsys, clean_corpus_path, prompting, message):
+    cfg_path, run_dir = write_cfg(tmp_path, clean_corpus_path, prompting=prompting)
+    assert main(["classify", "--config", str(cfg_path)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (run_dir / "manifest.json").exists()
+    assert not run_dir.exists() or not any(run_dir.iterdir())
+
+
+@pytest.mark.parametrize("mode", ["lenient", "strict"])
+def test_non_ascii_code_exits_two_at_load(tmp_path, capsys, clean_corpus_path, mode):
+    # lenient parsing used to fail every post with missing-code; strict raised KeyError
+    import yaml
+
+    from themecoder.codebook import load_codebook
+
+    book = load_codebook().to_mapping()
+    book["themes"][1]["code"] = "É"
+    for theme in book["themes"]:
+        for ex in theme.get("exemplars", ()):
+            ex["labels"]["É"] = ex["labels"].pop("B")
+    codebook = tmp_path / "codebook.yaml"
+    codebook.write_text(yaml.safe_dump(book, allow_unicode=True), encoding="utf-8")
+    cfg_path, run_dir = write_cfg(tmp_path, clean_corpus_path, codebook={"path": str(codebook)}, parsing={"mode": mode})
+    assert main(["classify", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: codebook file {codebook} is invalid: code 'É' is not a single uppercase letter A-Z")
+    assert not (run_dir / "manifest.json").exists()
+
+
 @pytest.mark.parametrize(
     "record",
     [

@@ -118,6 +118,13 @@ def test_validate_flags_bad_codes():
     assert any("'BB' is not a single uppercase letter" in f for f in findings)
 
 
+@pytest.mark.parametrize("code", ["É", "Σ", "Ａ"])
+def test_validate_flags_non_ascii_codes(code):
+    # str.isupper() accepts these, but no parser grammar can read them back
+    findings = validate_codebook(small_book(codes=("A", code, "X")))
+    assert findings == [f"code {code!r} is not a single uppercase letter A-Z"]
+
+
 def test_validate_flags_duplicates_and_blanks():
     themes = (
         ThemeDef(code="A", name="", definition="d"),

@@ -133,6 +133,37 @@ def test_lenient_missing_code_detail(cb):
         assert code in outcome.failure.detail
 
 
+@pytest.mark.parametrize(
+    "before, reason",
+    [
+        ("A=1, B=0", None),  # a partial line
+        (CANONICAL + ", A=1", None),  # a duplicate-code line
+        (CANONICAL.replace("B=1", "B=2"), "non-binary-value"),  # a full line that decides first
+        (CANONICAL.replace(", ", ",").replace("K=1", "K=0"), None),  # full and clean, but not canonical
+    ],
+    ids=["partial", "duplicate", "non-binary", "non-canonical"],
+)
+def test_lenient_canonical_line_keeps_scan_order(cb, before, reason):
+    outcome = parse_single_line(f"{before}\n{CANONICAL}", cb)
+    if reason is None:
+        assert outcome.ok
+        expected = ("B",) if before.startswith("A=0,B=1") else ("B", "K")
+        assert outcome.vector.positives() == expected
+    else:
+        assert outcome.failure.reason == reason
+        assert "B" in outcome.failure.detail and "'2'" in outcome.failure.detail
+
+
+def test_canonical_line_reads_every_value(cb):
+    rng = np.random.default_rng(3)
+    for values in rng.integers(0, 2, size=(50, len(cb.alphabet))):
+        vector = make_vector(cb, positives=tuple(c for c, v in zip(cb.alphabet, values) if v))
+        line = canonical_line(vector, cb)
+        for mode in PARSE_MODES:
+            assert parse_single_line(line, cb, mode=mode).vector == vector
+        assert parse_single_line(f"Answer:\n{line}\n", cb).vector == vector
+
+
 def test_lenient_non_binary(cb):
     outcome = parse_single_line(CANONICAL.replace("D=0", "D=yes"), cb)
     assert outcome.failure.reason == "non-binary-value"

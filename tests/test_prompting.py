@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+from dataclasses import asdict, replace
 from datetime import datetime, timezone
 
 import pytest
@@ -16,6 +19,7 @@ from themecoder.prompting import (
     ShotPolicy,
     canonical_line,
     load_template,
+    prompt_renderer,
     render_prompt,
     select_exemplars,
 )
@@ -239,3 +243,99 @@ def test_v2_renders_numbered_questions(cb):
         assert f"{i}. {theme.name}: {theme.definition}." in prompt.text
         assert f'Format: "{theme.code}=[answer]"' in prompt.text
     assert "{{" not in prompt.text
+
+
+# --- golden renders ---------------------------------------------------------------------
+# sha256 over every RenderedPrompt field of each case, taken when every slot was
+# still filled per post: render_prompt and prompt_renderer must reproduce them.
+
+SLOTTED = Post(**{**POST.__dict__, "body": "body with {{categories}} and {{post}} and {{examples_section}}"})
+
+
+def _slotted_codebook(cb):
+    """The shipped codebook with slot names inside a theme definition and an exemplar."""
+    first = cb.themes[0]
+    exemplar = replace(first.exemplars[0], text="exemplar {{post}} text")
+    first = replace(
+        first,
+        definition=first.definition + " {{examples_section}} then {{post}} then {{code}}",
+        exemplars=(exemplar, *first.exemplars[1:]),
+    )
+    return replace(cb, themes=(first, *cb.themes[1:]))
+
+
+def _custom_template(version):
+    scaffold = {
+        "v1-per-theme": "{{post}}|{{theme_name}}|{{theme_definition}}|{{code}}|{{examples_section}}|{{post}}",
+        "v2-multi-question": "{{post}}|{{questions}}|{{examples_section}}|{{post}}",
+        "v3-single-line": (
+            "{{post}} strictly in the format: {{format_line}}|{{categories}}|{{n_topics}} "
+            "{{first_code}}-{{last_code}}{{examples_section}}|{{post}}"
+        ),
+    }[version]
+    return PromptTemplate(version=version, scaffold=scaffold)
+
+
+def _golden_cases():
+    cases = {}
+    for version in TEMPLATE_VERSIONS:
+        v = version.split("-")[0]
+        cases[f"{v}-0shot"] = (version, "shipped", POST, ShotPolicy(), {})
+        cases[f"{v}-1shot-seed0"] = (version, "shipped", POST, ShotPolicy(shots=1), {"seed": 0})
+        cases[f"{v}-2shot-seed5"] = (version, "shipped", POST, ShotPolicy(shots=2), {"seed": 5})
+        cases[f"{v}-2shot-selection"] = (version, "shipped", POST, ShotPolicy(shots=2, selection=(4, 1)), {})
+        cases[f"{v}-title"] = (version, "shipped", POST, ShotPolicy(shots=1, selection=(2,)), {"include_title": True})
+        cases[f"{v}-budget"] = (
+            version, "shipped", POST, ShotPolicy(shots=2, selection=(0, 3)), {"exemplar_budget": 12}
+        )
+        cases[f"{v}-slotted-body"] = (version, "shipped", SLOTTED, ShotPolicy(shots=1, selection=(0,)), {})
+        cases[f"{v}-slotted-codebook"] = (version, "custom", SLOTTED, ShotPolicy(shots=2, selection=(0, 4)), {})
+    return cases
+
+
+GOLDEN = {
+    "v1-0shot": "70b668fb01e91a30ca5bf844eb8ded3359fa95f05fd995308478a8f8cd0f64f6",
+    "v1-1shot-seed0": "4d25b03a7459a374529267b09682cf02b340ea080d3ada6865bbec2707161ced",
+    "v1-2shot-seed5": "6e5bb238f5b9018718d324cfe09bd97f76b34c4cd29f793f5f0f9e1e021efc24",
+    "v1-2shot-selection": "3c46454da38600aa4af0a5d2df6128e3635399dfaef329bfeaeae1cda6631835",
+    "v1-title": "4784efca828a1ce81c1710895a36ac17b6b5b45511b4db085251f244014329b2",
+    "v1-budget": "985ea73d4115f3cf9ce240b231a6155a17a3af16973b65ad063d0082755e519e",
+    "v1-slotted-body": "c08874e98efe18d5f295823ab2f424ff284d23f988fb5261731e0105f99dbcfb",
+    "v1-slotted-codebook": "11ad4755441c6f06fc0fd71cceff5a22a039b6cda2e00f90bb1f2746025ae217",
+    "v2-0shot": "1273d4f65d40f2f133a647841f720e64f2ad9be0f11173b8b6a2f6efb0089193",
+    "v2-1shot-seed0": "51e932b5d3d80f9aaef453133d38d253b883c4ead915f650e739c43f2fd9be90",
+    "v2-2shot-seed5": "f481f92f417065da6a89b76a8efca237481d8ffe5b4a58a0dee7924816c734eb",
+    "v2-2shot-selection": "4c052ed97804f1bae695be2d6d742309f90657c42eda339a50d36ab8c75dcb88",
+    "v2-title": "523381c3846a4ca0d763b0d8e424ab89a66412f1190b5c1339ac1ba6c4c9c96f",
+    "v2-budget": "4173759818d7dd7d333da5b3de9105dca9858e48584f46250acefb5b5270acbc",
+    "v2-slotted-body": "437ee803f53e20175989d7970a0a960f4b006e1c2b7cff444cb9bab172e558fd",
+    "v2-slotted-codebook": "27e18e6da029ae061d19dfbc371f152552395dd3269a3bf2587a9beb8535c313",
+    "v3-0shot": "21b7e9cc2256672ec2a6bfa9e6e61b925b5e5be3529d010f67ebb2e8ca1fa15e",
+    "v3-1shot-seed0": "7d6b9c60cab89fef9deb8babe3db3fcdaa61b4d93c823e0542731f12d7ef5dbf",
+    "v3-2shot-seed5": "574d167b27cf66739b174b637b529fda57f62594d3a2137166f9b9e46e373e0a",
+    "v3-2shot-selection": "336f583e4629fa8f81be5221e33f36243f6f0ba2cb5df3274bd68d0673e68d33",
+    "v3-title": "9195c8a4d51198ea190c4513f9d190cac4c1ab38d8a37bcb7282e5a2549253c9",
+    "v3-budget": "569345437394fbd1580e48fd9b1378467a62e8b810bb98298108555415fc4849",
+    "v3-slotted-body": "5d8766f46738e37a9e1ec2e2fe36a7d132ceca3a142debab05e5a43d69a09228",
+    "v3-slotted-codebook": "c243842b2dbcfd5b74146b6957a9568e2d4ccbbafb7e4834724539b5dbaee101",
+}
+
+
+def _digest(rendered) -> str:
+    prompts = rendered if isinstance(rendered, list) else [rendered]
+    blob = json.dumps([asdict(rp) for rp in prompts], sort_keys=True, ensure_ascii=False)
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_render_matches_golden(cb, name):
+    version, kind, post, policy, kw = _golden_cases()[name]
+    book, tpl = (cb, load_template(version)) if kind == "shipped" else (_slotted_codebook(cb), _custom_template(version))
+    assert _digest(render_prompt(post, book, tpl, policy, **kw)) == GOLDEN[name]
+    render = prompt_renderer(book, tpl, policy, **kw)
+    assert _digest(render(post)) == GOLDEN[name]
+    assert _digest(render(post)) == GOLDEN[name]  # the frames are not consumed
+
+
+def test_golden_cases_cover_every_case():
+    assert sorted(GOLDEN) == sorted(_golden_cases())
