@@ -9,13 +9,18 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+from contextlib import contextmanager
 
 import pytest
+import yaml
 
 from conftest import FIXTURES, base_config, write_config
 
+from themecoder import pipeline
 from themecoder.cli import main
+from themecoder.codebook import load_codebook
 from themecoder.corpus import SamplingSpec, dedup_clean, load_posts, sample_random
+from themecoder.jsonl import atomic_write
 from themecoder.pipeline import load_config
 
 DS2 = FIXTURES / "ds2_reference_metrics.csv"
@@ -143,11 +148,6 @@ def test_truncated_manifest_exits_two(tmp_path, capsys, clean_corpus_path):
 
 
 def test_manifest_write_cut_part_way_leaves_no_manifest(tmp_path, capsys, clean_corpus_path, monkeypatch):
-    from contextlib import contextmanager
-
-    from themecoder import pipeline
-    from themecoder.jsonl import atomic_write
-
     class HalfWriter:
         def __init__(self, fh):
             self.fh = fh
@@ -173,8 +173,6 @@ def test_manifest_write_cut_part_way_leaves_no_manifest(tmp_path, capsys, clean_
 
 
 def test_atomic_write_keeps_the_old_file_on_error(tmp_path):
-    from themecoder.jsonl import atomic_write
-
     path = tmp_path / "report.json"
     path.write_text("old\n", encoding="utf-8")
     with pytest.raises(RuntimeError):
@@ -207,10 +205,6 @@ def test_bad_shot_policy_exits_one_before_any_run_file(tmp_path, capsys, clean_c
 @pytest.mark.parametrize("mode", ["lenient", "strict"])
 def test_non_ascii_code_exits_two_at_load(tmp_path, capsys, clean_corpus_path, mode):
     # lenient parsing used to fail every post with missing-code; strict raised KeyError
-    import yaml
-
-    from themecoder.codebook import load_codebook
-
     book = load_codebook().to_mapping()
     book["themes"][1]["code"] = "É"
     for theme in book["themes"]:
