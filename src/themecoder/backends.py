@@ -59,6 +59,10 @@ class BackendConfig:
             raise ConfigError("replay backend requires replay_path")
         if self.in_flight_limit < 1:
             raise ConfigError("in_flight_limit must be >= 1")
+        if not math.isfinite(self.timeout) or self.timeout <= 0:
+            raise ConfigError(f"timeout must be finite and > 0, got {self.timeout}")
+        if not math.isfinite(self.requests_per_second) or self.requests_per_second < 0:
+            raise ConfigError(f"requests_per_second must be finite and >= 0, got {self.requests_per_second}")
 
 
 @dataclass(frozen=True)
@@ -75,6 +79,10 @@ class RetryPolicy:
             raise ConfigError(f"max_attempts must be >= 1, got {self.max_attempts}")
         if self.transport_retries < 0:
             raise ConfigError("transport_retries must be >= 0")
+        for name in ("backoff_initial", "backoff_multiplier", "backoff_cap"):
+            value = getattr(self, name)
+            if not math.isfinite(value) or value < 0:
+                raise ConfigError(f"{name} must be finite and >= 0, got {value}")
 
 
 @dataclass(frozen=True)

@@ -65,7 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _seed_overrides(args: argparse.Namespace) -> dict[str, int]:
     out = {}
-    for name in ("sample_seed", "exemplar_seed", "bootstrap_seed"):
+    for name in pipeline.SEED_FIELDS:
         value = getattr(args, name, None)
         if value is not None:
             out[name] = value

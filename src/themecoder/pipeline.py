@@ -18,12 +18,13 @@ import socket
 from collections import Counter, deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack, closing
-from dataclasses import MISSING, asdict, dataclass, fields
-from datetime import datetime, timezone
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
+from datetime import date, datetime, timezone
 from functools import partial
 from hashlib import sha256
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence, get_args, get_type_hints
+from types import NoneType
+from typing import Iterable, Iterator, Mapping, Sequence, get_args, get_origin, get_type_hints
 
 import yaml
 
@@ -97,110 +98,137 @@ def _utcnow() -> str:
 
 # --- configuration ------------------------------------------------------------
 
-_SECTION_KEYS = {
-    "run": {"label", "dataset", "output_dir", "repeats"},
-    "corpus": {"path", "format", "keywords", "rule", "split_at", "sample"},
-    "codebook": {"path"},
-    "gold": {"path"},
-    "prompting": {
-        "template_version",
-        "template_path",
-        "shots",
-        "selection",
-        "exemplar_seed",
-        "include_title",
-        "exemplar_budget",
-    },
-    "parsing": {"mode"},
-    "backend": {f.name for f in fields(BackendConfig)},
-    "retry": {f.name for f in fields(RetryPolicy)},
-    "evaluation": {
-        "aggregation",
-        "failure_policy",
-        "bootstrap_resamples",
-        "bootstrap_seed",
-        "bootstrap_metrics",
-    },
-}
-_SAMPLE_KEYS = {"n", "seed", "from"}
+SEED_FIELDS = ("sample_seed", "exemplar_seed", "bootstrap_seed")  # the seeds an override may replace
 
 
-@dataclass(frozen=True)
+def _key(key: str, default=MISSING, **checks):
+    """A RunConfig field read from config ``key``, required unless it has a ``default``
+    or is ``derived``; ``checks`` may give ``allowed`` (with ``noun``) and ``exists``."""
+    return field(default=default, metadata={"key": key, **checks})
+
+
+@dataclass(frozen=True, kw_only=True)
 class RunConfig:
-    """One run's full configuration with every seed made explicit."""
+    """One run's full configuration with every seed made explicit. Each field
+    of ``backend`` and ``retry`` is read from its name in that section."""
 
-    label: str
-    dataset: str
-    output_dir: Path
-    repeats: int
-    corpus_path: Path
-    corpus_format: str
-    keywords_path: Path | None
-    filter_rule: str | None
-    split_at: str | None
-    sample_n: int | None
-    sample_seed: int
-    sample_from: str
-    codebook_path: Path | None
-    gold_path: Path | None
-    template_version: str
-    template_path: Path | None
-    shots: int
-    selection: tuple[int, ...] | None
-    exemplar_seed: int
-    include_title: bool
-    exemplar_budget: int
-    parse_mode: str
-    backend: BackendConfig
-    retry: RetryPolicy
-    aggregation: str
-    failure_policy: str
-    bootstrap_resamples: int
-    bootstrap_seed: int
-    bootstrap_metrics: tuple[str, ...]
+    label: str = _key("run.label", derived=True)
+    dataset: str = _key("run.dataset", derived=True)
+    output_dir: Path = _key("run.output_dir")
+    repeats: int = _key("run.repeats", derived=True)
+    corpus_path: Path = _key("corpus.path", exists="corpus path")
+    corpus_format: str = _key("corpus.format", "post-lines")
+    keywords_path: Path | None = _key("corpus.keywords", None, exists="keyword set path")
+    filter_rule: str | None = _key("corpus.rule", None)
+    split_at: str | None = _key("corpus.split_at", None)
+    sample_n: int | None = _key("corpus.sample.n", None)
+    sample_seed: int = _key("corpus.sample.seed", 0)
+    sample_from: str = _key("corpus.sample.from", "pre", allowed=("pre", "post"))
+    codebook_path: Path | None = _key("codebook.path", None, exists="codebook path")
+    gold_path: Path | None = _key("gold.path", None, exists="gold path")
+    template_version: str = _key("prompting.template_version", DEFAULT_TEMPLATE_VERSION)
+    template_path: Path | None = _key("prompting.template_path", None, exists="template path")
+    shots: int = _key("prompting.shots", 0)
+    selection: tuple[int, ...] | None = _key("prompting.selection", None)
+    exemplar_seed: int = _key("prompting.exemplar_seed", 0)
+    include_title: bool = _key("prompting.include_title", False)
+    exemplar_budget: int = _key("prompting.exemplar_budget", DEFAULT_EXEMPLAR_BUDGET)
+    parse_mode: str = _key("parsing.mode", "lenient", allowed=PARSE_MODES, noun="parsing mode")
+    backend: BackendConfig = _key("backend")
+    retry: RetryPolicy = _key("retry")
+    # kept in the manifest; every report and ranking is micro
+    aggregation: str = _key("evaluation.aggregation", "micro", allowed=("micro",))
+    failure_policy: str = _key(
+        "evaluation.failure_policy", "exclude-and-report", allowed=FAILURE_POLICIES, noun="failure_policy"
+    )
+    bootstrap_resamples: int = _key("evaluation.bootstrap_resamples", 2000)
+    bootstrap_seed: int = _key("evaluation.bootstrap_seed", 0)
+    bootstrap_metrics: tuple[str, ...] = _key(
+        "evaluation.bootstrap_metrics", (), allowed=METRIC_NAMES, noun="bootstrap metric"
+    )
 
     def to_dict(self) -> dict:
         """JSON-safe mirror, frozen into the manifest."""
         return json.loads(json.dumps(asdict(self), default=str))
 
 
-def _check_keys(section: str, raw: Mapping, allowed: set[str]) -> None:
-    unknown = sorted(set(raw) - allowed)
-    if unknown:
-        raise ConfigError(
-            f"config section {section!r} has unknown key(s): {', '.join(unknown)}"
-        )
-
-
-def _typed(cls, section: str, raw: Mapping):
-    """Build config dataclass ``cls`` from ``raw`` after checking each value
-    against its field's type: an int field takes no bool, a float field also
-    takes an int."""
+def _config_keys(cls, section: str = "") -> Iterator[str]:
+    """The dotted config key of every field of ``cls`` and of its nested config classes."""
     hints = get_type_hints(cls)
-    for name, value in raw.items():
-        kinds = get_args(hints[name]) or (hints[name],)
-        if isinstance(value, bool):
-            ok = bool in kinds
+    for f in fields(cls):
+        key = f.metadata.get("key", f"{section}.{f.name}")
+        yield from _config_keys(hints[f.name], key) if is_dataclass(hints[f.name]) else (key,)
+
+
+# every dotted config key, and every section that holds one
+_KEYS = frozenset(_config_keys(RunConfig))
+_SECTIONS = frozenset(key.rsplit(".", 1)[0] for key in _KEYS)
+
+
+def _flatten(body, section: str, flat: dict) -> None:
+    """Add the values under config ``section`` to ``flat`` by dotted key,
+    after checking that the section is a mapping of known keys."""
+    if not isinstance(body, dict):
+        raise ConfigError(f"config section {section!r} must be a mapping")
+    unknown = sorted(str(name) for name in body if f"{section}.{name}" not in _KEYS | _SECTIONS)
+    if unknown:
+        raise ConfigError(f"config section {section!r} has unknown key(s): {', '.join(unknown)}")
+    for name, value in body.items():
+        key = f"{section}.{name}"
+        if key in _KEYS:
+            flat[key] = value
         else:
-            ok = isinstance(value, kinds) or (float in kinds and isinstance(value, int))
-        if not ok:
-            names = " or ".join(k.__name__ for k in kinds)
-            raise TypeError(f"{section}.{name} must be {names}, got {value!r}")
-    return cls(**raw)
+            _flatten(value or {}, key, flat)
 
 
-def _int(name: str, value) -> int:
-    """A config value for an int field, which takes no bool, float or str."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"{name} must be int, got {value!r}")
-    return value
+def _is(value, kind) -> bool:
+    """The one type rule for config values: an int field takes no bool, a
+    float field also takes an int, and a path is given as a string."""
+    if isinstance(value, bool):
+        return kind is bool
+    return isinstance(value, {float: (int, float), Path: str}.get(kind, kind))
 
 
-def _existing_path(value, what: str) -> Path:
-    p = Path(value)
-    if not p.exists():
-        raise ConfigError(f"{what} does not exist: {p}")
-    return p
+def _checked(key: str, kind, value, checks: Mapping):
+    """The value of config ``key`` for a field of type ``kind``, checked. A null
+    leaves an optional field unset, as does "" for an optional path or string."""
+    if NoneType in get_args(kind):
+        kind = next(k for k in get_args(kind) if k is not NoneType)
+        if value is None or (value == "" and kind in (str, Path)):
+            return None
+    many = get_origin(kind) is tuple  # tuple[X, ...], given as a list
+    item = get_args(kind)[0] if many else kind
+    items = value if many else [value]
+    if many and not isinstance(value, list) or not all(_is(v, item) for v in items):
+        raise TypeError(f"{key} must be {'a list of ' * many}{item.__name__}, got {value!r}")
+    allowed = checks.get("allowed")
+    for v in items:
+        if allowed is not None and v not in allowed:
+            if "noun" in checks:
+                raise ConfigError(f"unknown {checks['noun']} {v!r}; known: {', '.join(allowed)}")
+            raise ConfigError(f"{key} must be {' or '.join(map(repr, allowed))}, got {v!r}")
+    if kind is Path:
+        value = Path(value)
+        if "exists" in checks and not value.exists():
+            raise ConfigError(f"{checks['exists']} does not exist: {value}")
+    return tuple(value) if many else value
+
+
+def _read(cls, flat: Mapping, section: str = "") -> dict:
+    """Keyword arguments for ``cls`` from the flattened config; a derived
+    field is left out when its key is absent."""
+    hints, values = get_type_hints(cls), {}
+    for f in fields(cls):
+        key, kind = f.metadata.get("key", f"{section}.{f.name}"), hints[f.name]
+        if is_dataclass(kind):
+            values[f.name] = kind(**_read(kind, flat, key))
+        elif key in flat:
+            values[f.name] = _checked(key, kind, flat[key], f.metadata)
+        elif f.default is not MISSING:
+            values[f.name] = f.default
+        elif not f.metadata.get("derived"):
+            raise ConfigError(f"config requires {key}")
+    return values
 
 
 def load_config(
@@ -213,8 +241,8 @@ def load_config(
 
     Every seed is defaulted here, never downstream, so the manifest's
     frozen config always shows the exact values used. ``overrides`` may
-    carry sample_seed / exemplar_seed / bootstrap_seed replacements;
-    ``offline`` forbids remote backend kinds.
+    replace the seeds named in ``SEED_FIELDS``; ``offline`` forbids remote
+    backend kinds.
     """
     p = Path(path)
     try:
@@ -225,160 +253,49 @@ def load_config(
         raise ConfigError(f"config file {p} is not valid YAML: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"config file {p} must contain a mapping")
-    unknown = sorted(set(raw) - set(_SECTION_KEYS))
+    unknown = sorted(str(name) for name in raw.keys() - {key.split(".")[0] for key in _KEYS})
     if unknown:
         raise ConfigError(f"config file {p} has unknown section(s): {', '.join(unknown)}")
-
-    sections = {name: raw.get(name) or {} for name in _SECTION_KEYS}
-    for name, body in sections.items():
-        if not isinstance(body, dict):
-            raise ConfigError(f"config section {name!r} must be a mapping")
-        _check_keys(name, body, _SECTION_KEYS[name])
+    flat: dict = {}
+    for name, body in raw.items():
+        _flatten(body or {}, name, flat)
+    if isinstance(flat.get("corpus.split_at"), date):  # an unquoted YAML timestamp
+        flat["corpus.split_at"] = str(flat["corpus.split_at"])
     try:
-        return _run_config(sections, overrides or {}, offline)
-    except (TypeError, ValueError) as exc:  # a value of the wrong type for its conversion
+        return _run_config(flat, overrides or {}, offline)
+    except (TypeError, ValueError) as exc:  # a value of the wrong type for its field
         raise ConfigError(f"config file {p} has a value of the wrong type: {exc}") from None
 
 
-def _run_config(sections: dict[str, dict], overrides: Mapping[str, int], offline: bool) -> RunConfig:
-    run = sections["run"]
-    corpus = sections["corpus"]
-    if "path" not in corpus:
-        raise ConfigError("config requires corpus.path")
-    if "output_dir" not in run:
-        raise ConfigError("config requires run.output_dir")
-    corpus_path = _existing_path(corpus["path"], "corpus path")
-
-    sample = corpus.get("sample") or {}
-    if not isinstance(sample, dict):
-        raise ConfigError("corpus.sample must be a mapping")
-    _check_keys("corpus.sample", sample, _SAMPLE_KEYS)
-    sample_n = _int("corpus.sample.n", sample["n"]) if "n" in sample else None
-    sample_seed = _int("corpus.sample.seed", sample.get("seed", 0))
-    sample_from = str(sample.get("from", "pre"))
-    if sample_from not in ("pre", "post"):
-        raise ConfigError(f"corpus.sample.from must be 'pre' or 'post', got {sample_from!r}")
-
-    split_at = corpus.get("split_at")
-    if split_at is not None:
-        split_at = str(split_at)
+def _run_config(flat: Mapping, overrides: Mapping[str, int], offline: bool) -> RunConfig:
+    values = _read(RunConfig, flat)
+    if values["split_at"] is not None:
         try:
-            parse_timestamp(split_at)
+            parse_timestamp(values["split_at"])
         except (ThemecoderError, ValueError) as exc:
             raise ConfigError(f"corpus.split_at is not a timestamp: {exc}") from exc
 
-    keywords_path = (
-        _existing_path(corpus["keywords"], "keyword set path")
-        if corpus.get("keywords")
-        else None
-    )
-    codebook_path = (
-        _existing_path(sections["codebook"]["path"], "codebook path")
-        if sections["codebook"].get("path")
-        else None
-    )
-    gold_path = (
-        _existing_path(sections["gold"]["path"], "gold path")
-        if sections["gold"].get("path")
-        else None
-    )
-
-    prompting = sections["prompting"]
-    template_version = str(prompting.get("template_version", DEFAULT_TEMPLATE_VERSION))
-    template_path = (
-        _existing_path(prompting["template_path"], "template path")
-        if prompting.get("template_path")
-        else None
-    )
-    shots = _int("prompting.shots", prompting.get("shots", 0))
-    selection = prompting.get("selection")
-    if selection is not None:
-        selection = tuple(_int("prompting.selection", i) for i in selection)
-    exemplar_seed = _int("prompting.exemplar_seed", prompting.get("exemplar_seed", 0))
-    include_title = prompting.get("include_title", False)
-    if not isinstance(include_title, bool):
-        raise TypeError(f"prompting.include_title must be bool, got {include_title!r}")
-
-    parse_mode = str(sections["parsing"].get("mode", "lenient"))
-    if parse_mode not in PARSE_MODES:
-        raise ConfigError(f"unknown parsing mode {parse_mode!r}; known: {', '.join(PARSE_MODES)}")
-
-    for f in fields(BackendConfig):
-        if f.default is MISSING and f.name not in sections["backend"]:
-            raise ConfigError(f"config requires backend.{f.name}")
-    backend = _typed(BackendConfig, "backend", sections["backend"])
+    backend = values["backend"]
     if offline and backend.kind == "remote-chat":
         raise ConfigError("remote backends are forbidden in offline mode")
-    if backend.kind == "replay":
-        _existing_path(backend.replay_path, "replay script path")
-    retry = _typed(RetryPolicy, "retry", sections["retry"])
+    if backend.kind == "replay" and not Path(backend.replay_path).exists():
+        raise ConfigError(f"replay script path does not exist: {Path(backend.replay_path)}")
 
-    evaluation = sections["evaluation"]
-    aggregation = str(evaluation.get("aggregation", "micro"))
-    if aggregation != "micro":  # kept in the manifest; every report and ranking is micro
-        raise ConfigError(f"evaluation.aggregation must be 'micro', got {aggregation!r}")
-    failure_policy = str(evaluation.get("failure_policy", "exclude-and-report"))
-    if failure_policy not in FAILURE_POLICIES:
-        raise ConfigError(
-            f"unknown failure_policy {failure_policy!r}; known: {', '.join(FAILURE_POLICIES)}"
-        )
-    bootstrap_metrics = tuple(str(m) for m in evaluation.get("bootstrap_metrics", ()))
-    for m in bootstrap_metrics:
-        if m not in METRIC_NAMES:
-            raise ConfigError(f"unknown bootstrap metric {m!r}; known: {', '.join(METRIC_NAMES)}")
-    bootstrap_seed = _int("evaluation.bootstrap_seed", evaluation.get("bootstrap_seed", 0))
+    unknown = sorted(set(overrides) - set(SEED_FIELDS))
+    if unknown:
+        raise ConfigError(f"unknown seed override(s): {', '.join(unknown)}")
+    values.update((name, int(seed)) for name, seed in overrides.items())
+    for name in SEED_FIELDS:
+        if values[name] < 0:
+            raise ConfigError(f"{name.replace('_', ' ')} must be >= 0, got {values[name]}")
 
-    unknown_ov = sorted(set(overrides) - {"sample_seed", "exemplar_seed", "bootstrap_seed"})
-    if unknown_ov:
-        raise ConfigError(f"unknown seed override(s): {', '.join(unknown_ov)}")
-    sample_seed = int(overrides.get("sample_seed", sample_seed))
-    exemplar_seed = int(overrides.get("exemplar_seed", exemplar_seed))
-    bootstrap_seed = int(overrides.get("bootstrap_seed", bootstrap_seed))
-
-    dataset = str(run.get("dataset", corpus_path.stem))
-    model_part = backend.model or backend.kind
-    label = str(run.get("label", f"{dataset}_{shots}shot_{model_part}"))
+    values.setdefault("dataset", values["corpus_path"].stem)
+    values.setdefault("label", f"{values['dataset']}_{values['shots']}shot_{backend.model or backend.kind}")
     # repeat runs only make sense against a nondeterministic backend
-    default_repeats = 1 if (backend.temperature == 0 or backend.kind != "remote-chat") else 3
-    repeats = _int("run.repeats", run.get("repeats", default_repeats))
-    if repeats < 1:
-        raise ConfigError(f"run.repeats must be >= 1, got {repeats}")
-
-    return RunConfig(
-        label=label,
-        dataset=dataset,
-        output_dir=Path(run["output_dir"]),
-        repeats=repeats,
-        corpus_path=corpus_path,
-        corpus_format=str(corpus.get("format", "post-lines")),
-        keywords_path=keywords_path,
-        filter_rule=str(corpus["rule"]) if corpus.get("rule") else None,
-        split_at=split_at,
-        sample_n=sample_n,
-        sample_seed=sample_seed,
-        sample_from=sample_from,
-        codebook_path=codebook_path,
-        gold_path=gold_path,
-        template_version=template_version,
-        template_path=template_path,
-        shots=shots,
-        selection=selection,
-        exemplar_seed=exemplar_seed,
-        include_title=include_title,
-        exemplar_budget=_int(
-            "prompting.exemplar_budget", prompting.get("exemplar_budget", DEFAULT_EXEMPLAR_BUDGET)
-        ),
-        parse_mode=parse_mode,
-        backend=backend,
-        retry=retry,
-        aggregation=aggregation,
-        failure_policy=failure_policy,
-        bootstrap_resamples=_int(
-            "evaluation.bootstrap_resamples", evaluation.get("bootstrap_resamples", 2000)
-        ),
-        bootstrap_seed=bootstrap_seed,
-        bootstrap_metrics=bootstrap_metrics,
-    )
+    values.setdefault("repeats", 1 if (backend.temperature == 0 or backend.kind != "remote-chat") else 3)
+    if values["repeats"] < 1:
+        raise ConfigError(f"run.repeats must be >= 1, got {values['repeats']}")
+    return RunConfig(**values)
 
 
 # --- manifest, ledger, store, lock --------------------------------------------

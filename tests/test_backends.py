@@ -111,6 +111,30 @@ def test_retry_policy_validation():
         RetryPolicy(transport_retries=-1)
 
 
+@pytest.mark.parametrize(
+    "section, key, value, message",
+    [
+        ("backend", "timeout", -1, "timeout must be finite and > 0, got -1"),
+        ("backend", "timeout", 0, "timeout must be finite and > 0, got 0"),
+        ("backend", "timeout", float("nan"), "timeout must be finite and > 0, got nan"),
+        ("backend", "timeout", float("inf"), "timeout must be finite and > 0, got inf"),
+        ("backend", "requests_per_second", float("nan"), "requests_per_second must be finite and >= 0, got nan"),
+        ("backend", "requests_per_second", -0.5, "requests_per_second must be finite and >= 0, got -0.5"),
+        ("retry", "backoff_initial", -1, "backoff_initial must be finite and >= 0, got -1"),
+        ("retry", "backoff_multiplier", float("nan"), "backoff_multiplier must be finite and >= 0, got nan"),
+        ("retry", "backoff_cap", -1, "backoff_cap must be finite and >= 0, got -1"),
+        ("retry", "backoff_cap", float("inf"), "backoff_cap must be finite and >= 0, got inf"),
+    ],
+)
+def test_out_of_range_backend_and_retry_numbers_fail_at_load(tmp_path, section, key, value, message):
+    remote = {"kind": "remote-chat", "model": "m", "endpoint": "http://127.0.0.1:9/v1/chat"}
+    sections = base_config(tmp_path, FIXTURES / "posts_50.jsonl", backend=remote)
+    sections.setdefault(section, {})[key] = value
+    with pytest.raises(ConfigError, match=f"^{message}$") as exc:
+        load_config(write_config(tmp_path / "run.yaml", **sections))
+    assert exc.value.exit_code == 1
+
+
 # --- request fingerprints -----------------------------------------------------------
 
 

@@ -299,6 +299,15 @@ def test_offline_blocks_remote_backends(tmp_path, capsys, clean_corpus_path):
         ("evaluation.bootstrap_resamples", True),
         ("evaluation.bootstrap_seed", 0.5),
         ("prompting.include_title", "false"),
+        ("corpus.format", 5),
+        ("prompting.template_version", 3),
+        ("run.label", ["a", "b"]),
+        ("run.dataset", None),
+        ("prompting.selection", {0: 1}),
+        ("evaluation.bootstrap_metrics", "f1"),
+        ("parsing.mode", 5),
+        ("corpus.sample.from", 5),
+        ("evaluation.failure_policy", 5),
     ],
 )
 def test_config_value_of_the_wrong_type_exits_one(tmp_path, capsys, clean_corpus_path, key, value):
@@ -311,6 +320,27 @@ def test_config_value_of_the_wrong_type_exits_one(tmp_path, capsys, clean_corpus
     err = capsys.readouterr().err
     assert err.startswith(f"error: config file {cfg_path} has a value of the wrong type: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "verb, seed, sections, flags",
+    [
+        ("ingest", "sample", {"corpus": {"sample": {"n": 5, "seed": -1}}}, []),
+        ("ingest", "sample", {"corpus": {"sample": {"n": 5}}}, ["--sample-seed", "-1"]),
+        ("classify", "exemplar", {"prompting": {"shots": 1, "exemplar_seed": -1}}, []),
+        ("classify", "exemplar", {"prompting": {"shots": 1}}, ["--exemplar-seed", "-1"]),
+        ("evaluate", "bootstrap", {"evaluation": {"bootstrap_metrics": ["f1"], "bootstrap_seed": -1}}, []),
+        ("evaluate", "bootstrap", {"evaluation": {"bootstrap_metrics": ["f1"]}}, ["--bootstrap-seed", "-1"]),
+    ],
+    ids=["sample-key", "sample-flag", "exemplar-key", "exemplar-flag", "bootstrap-key", "bootstrap-flag"],
+)
+def test_negative_seed_exits_one_at_load(tmp_path, capsys, clean_corpus_path, verb, seed, sections, flags):
+    cfg_path, run_dir = write_cfg(tmp_path, clean_corpus_path, **sections)
+    assert main([verb, "--config", str(cfg_path), *flags]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {seed} seed must be >= 0, got -1\n"
+    assert "Traceback" not in err
+    assert not run_dir.exists()
 
 
 def test_config_int_for_a_float_field_loads(tmp_path, clean_corpus_path):

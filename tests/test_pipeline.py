@@ -33,6 +33,7 @@ from themecoder.backends import (
     BackendConfig,
     MockRulesBackend,
     ReplayBackend,
+    RetryPolicy,
     cache_key,
     mock_rule_vector,
 )
@@ -52,6 +53,7 @@ from themecoder.evaluation import METRIC_NAMES, evaluate_predictions, theme_dist
 from themecoder.jsonl import JsonLines
 from themecoder.pipeline import (
     ResultsStore,
+    RunConfig,
     RunLedger,
     RunLock,
     build_manifest,
@@ -247,6 +249,16 @@ def test_load_config_split_at_validation(tmp_path, clean_corpus_path):
         load_config(path)
 
 
+def test_load_config_freezes_an_unquoted_yaml_timestamp_as_its_string(tmp_path, clean_corpus_path):
+    path = write_config(tmp_path / "c.yaml", **base_config(tmp_path, clean_corpus_path))
+    # unquoted, PyYAML reads the value as a datetime
+    text = path.read_text(encoding="utf-8").replace("corpus:\n", "corpus:\n  split_at: 2023-07-01T00:00:00Z\n")
+    path.write_text(text, encoding="utf-8")
+    cfg = load_config(path)
+    assert cfg.split_at == "2023-07-01 00:00:00+00:00"
+    assert cfg.to_dict()["split_at"] == "2023-07-01 00:00:00+00:00"
+
+
 def test_load_config_parse_mode_validation(tmp_path, clean_corpus_path):
     cfg = make_cfg(tmp_path, clean_corpus_path, parsing={"mode": "strict"})
     assert cfg.parse_mode == "strict"
@@ -347,6 +359,16 @@ def test_load_config_replay_script_must_exist(tmp_path, clean_corpus_path):
     path = write_config(tmp_path / "c.yaml", **sections)
     with pytest.raises(ConfigError, match="replay script path does not exist"):
         load_config(path)
+
+
+def test_readme_configuration_table_lists_every_config_key():
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    table = readme.split("## Configuration\n", 1)[1].split("\n## ", 1)[0]
+    documented = set(re.findall(r"^\| `([a-z_.]+)` \|", table, flags=re.M))
+    keys = {f.metadata["key"] for f in dataclasses.fields(RunConfig)} - {"backend", "retry"}
+    for section, cls in (("backend", BackendConfig), ("retry", RetryPolicy)):
+        keys |= {f"{section}.{f.name}" for f in dataclasses.fields(cls)}
+    assert documented == keys
 
 
 # --- manifest, ledger, store, lock ---------------------------------------------
