@@ -20,7 +20,9 @@ import os
 import threading
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache
 from hashlib import sha256
+from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 from urllib.parse import urlsplit
@@ -106,20 +108,67 @@ class ClassificationFailure:
         return tuple(f.reason for _, f in self.attempts)
 
 
-def cache_key(cfg: BackendConfig, prompt: RenderedPrompt) -> str:
-    """Stable fingerprint of one request: model, temperature, template
-    version, and the base prompt text. Identical across runs and machines."""
-    payload = json.dumps(
+def _request_json(cfg: BackendConfig, template_version: str, prompt_text: str) -> str:
+    """The JSON text whose SHA-256 is a request's fingerprint."""
+    return json.dumps(
         {
             "model": cfg.model,
             "temperature": repr(float(cfg.temperature)),
-            "template_version": prompt.template_version,
-            "prompt": prompt.text,
+            "template_version": template_version,
+            "prompt": prompt_text,
         },
         sort_keys=True,
         ensure_ascii=False,
     )
-    return sha256(payload.encode("utf-8")).hexdigest()
+
+
+def cache_key(cfg: BackendConfig, prompt: RenderedPrompt) -> str:
+    """Stable fingerprint of one request: model, temperature, template
+    version, and the base prompt text. Identical across runs and machines."""
+    return sha256(_request_json(cfg, prompt.template_version, prompt.text).encode("utf-8")).hexdigest()
+
+
+_PROMPT_SLOT = "<<prompt>>"  # a stand-in prompt that JSON leaves as it is
+
+
+def frame_fingerprints(
+    cfg: BackendConfig, template_version: str, frames: Sequence[str]
+) -> Callable[[str], list[str]]:
+    """Return ``fingerprints(payload)``: for each frame, the ``cache_key`` of
+    the prompt that frame gives with every ``{{post}}`` replaced by ``payload``.
+
+    SHA-256 is fed left to right, so the hash state after the fixed head of
+    each frame (the JSON before the prompt, then the frame up to its first
+    ``{{post}}``) is taken once here and copied per post. JSON escapes a
+    string one character at a time, so the escaped frame pieces and the
+    escaped payload join to the escaped prompt.
+    """
+    # keys are sorted, so the prompt follows the model: its slot is the last one
+    head, _, tail = _request_json(cfg, template_version, _PROMPT_SLOT).rpartition(_PROMPT_SLOT)
+    prepared = []
+    for frame in frames:
+        pieces = [_escape(piece) for piece in frame.split("{{post}}")]
+        pieces[-1] += tail
+        pieces[0] = head + pieces[0]
+        prepared.append((sha256(pieces[0].encode("utf-8")), [piece.encode("utf-8") for piece in pieces[1:]]))
+
+    def fingerprints(payload: str) -> list[str]:
+        slot = _escape(payload).encode("utf-8")
+        digests = []
+        for state, rest in prepared:
+            digest = state.copy()
+            for piece in rest:
+                digest.update(slot)
+                digest.update(piece)
+            digests.append(digest.hexdigest())
+        return digests
+
+    return fingerprints
+
+
+def _escape(text: str) -> str:
+    """``text`` as ``json.dumps(..., ensure_ascii=False)`` writes it inside quotes."""
+    return encode_basestring(text)[1:-1]
 
 
 class AuditLog(JsonLines):
@@ -220,6 +269,12 @@ MOCK_RULES: Mapping[str, tuple[str, ...]] = {
 _XYLAZINE_TERMS = ("xylazine", "tranq")
 
 
+@lru_cache(maxsize=64)
+def _mock_rules(codes: tuple[str, ...]) -> tuple[tuple[str, tuple[str, ...]], ...]:
+    """Each code with its keywords, looked up once per code tuple."""
+    return tuple((code, MOCK_RULES.get(code, ())) for code in codes)
+
+
 def mock_rule_vector(post_text: str, codes: Sequence[str]) -> dict[str, int]:
     """Evaluate the mock rule table over one post text for the given codes.
 
@@ -228,8 +283,7 @@ def mock_rule_vector(post_text: str, codes: Sequence[str]) -> dict[str, int]:
     """
     folded = post_text.casefold()
     values: dict[str, int] = {}
-    for code in codes:
-        keywords = MOCK_RULES.get(code, ())
+    for code, keywords in _mock_rules(tuple(codes)):
         values[code] = 1 if any(kw in folded for kw in keywords) else 0
     xyl = any(term in folded for term in _XYLAZINE_TERMS)
     if "K" in values:
@@ -444,6 +498,7 @@ def classify_with_retry(
     backend: _BaseBackend | None = None,
     cache: ResponseCache | None = None,
     audit: AuditLog | None = None,
+    fingerprint: str | None = None,
 ):
     """Classify one prompt, re-asking on parse failures.
 
@@ -451,9 +506,10 @@ def classify_with_retry(
     ``(ClassificationFailure, CompletionResult)`` after the attempt budget
     is spent. Re-asks resend the prompt with a one-line format reminder
     appended; the fingerprint always reflects the base prompt, so cached
-    and replayed attempt lists line up across runs.
+    and replayed attempt lists line up across runs. ``fingerprint``
+    defaults to ``cache_key(cfg, prompt)``.
     """
-    fp = cache_key(cfg, prompt)
+    fp = fingerprint if fingerprint is not None else cache_key(cfg, prompt)
     budget = policy.max_attempts if policy.reask_on_parse_failure else 1
 
     cached = cache.get(fp) if cache is not None else None

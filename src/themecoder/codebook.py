@@ -12,6 +12,7 @@ import csv
 import logging
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -42,7 +43,7 @@ class LabelVector:
             raise DataError(
                 f"label vector has {len(self.codes)} codes but {len(self.values)} values"
             )
-        if len(set(self.codes)) != len(self.codes):
+        if not _unique(self.codes):
             raise DataError("label vector codes are not unique")
         bad = [v for v in self.values if v not in (0, 1)]
         if bad:
@@ -73,6 +74,12 @@ class LabelVector:
 
     def positives(self) -> tuple[str, ...]:
         return tuple(c for c, v in zip(self.codes, self.values) if v == 1)
+
+
+@lru_cache(maxsize=64)
+def _unique(codes: tuple[str, ...]) -> bool:
+    """Whether no code repeats; asked once per code tuple, not per vector."""
+    return len(set(codes)) == len(codes)
 
 
 def label_rows(vectors: Iterable[LabelVector], codes: Sequence[str]) -> np.ndarray:
@@ -181,7 +188,7 @@ class Codebook:
     themes: tuple[ThemeDef, ...]
     null_code: str
 
-    @property
+    @cached_property
     def alphabet(self) -> tuple[str, ...]:
         return tuple(t.code for t in self.themes)
 

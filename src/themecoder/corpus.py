@@ -29,6 +29,9 @@ log = logging.getLogger(__name__)
 DEFAULT_KEYWORDS_PATH = Path(__file__).parent / "data" / "keywords_default.yaml"
 
 POST_FIELDS = ("id", "title", "body", "source", "created_at", "url")
+_ENCODER = json.JSONEncoder(ensure_ascii=False)  # json.dumps with options builds one per call
+_SURROGATE_RE = re.compile("[\ud800-\udfff]")
+_SURROGATE_ESCAPE_RE = re.compile(r"\\u[dD][89a-fA-F]")
 
 
 def parse_timestamp(value) -> datetime:
@@ -240,16 +243,33 @@ def _posts(p: Path, format: str) -> Iterator[Post]:
     else:
         raise ConfigError(f"unknown corpus format {format!r}")
     held: DataError | None = None
-    for where, rec in records:
-        try:
-            post = _post_from_record(rec, where)
-        except DataError as exc:
-            held = held or exc
-            continue
-        if held is None:
-            yield post
+    try:
+        for where, rec in records:
+            try:
+                post = _post_from_record(rec, where)
+            except DataError as exc:
+                held = held or exc
+                continue
+            if held is None:
+                yield post
+    except UnicodeDecodeError:  # read again only to name the line
+        raise DataError(f"{p} line {_undecodable_line(p)}: not valid UTF-8") from None
     if held is not None:
         raise held
+
+
+def _lines(fh) -> Iterator[str]:
+    # splitlines() on each line read numbers lines as on the whole text,
+    # whose line boundaries also include \v, \f, \x85 and U+2028
+    return (line for chunk in fh for line in chunk.splitlines())
+
+
+def _undecodable_line(p: Path) -> int:
+    """The number of the first line of ``p`` that is not UTF-8, counted as
+    ``_read_post_lines`` counts. Each byte that does not decode becomes a
+    lone surrogate under ``surrogateescape``, which UTF-8 text never holds."""
+    with p.open(encoding="utf-8", errors="surrogateescape") as fh:
+        return next(n for n, line in enumerate(_lines(fh), start=1) if _SURROGATE_RE.search(line))
 
 
 def _read_post_lines(p: Path) -> Iterator[tuple[str, dict]]:
@@ -258,10 +278,7 @@ def _read_post_lines(p: Path) -> Iterator[tuple[str, dict]]:
     except FileNotFoundError:
         raise DataError(f"corpus file not found: {p}") from None
     with fh:
-        # splitlines() on each line read numbers lines as on the whole text,
-        # whose line boundaries also include \v, \f, \x85 and U+2028
-        lines = (line for chunk in fh for line in chunk.splitlines())
-        for lineno, line in enumerate(lines, start=1):
+        for lineno, line in enumerate(_lines(fh), start=1):
             if not line.strip():
                 continue
             try:
@@ -270,6 +287,10 @@ def _read_post_lines(p: Path) -> Iterator[tuple[str, dict]]:
                 raise DataError(f"{p} line {lineno}: malformed record ({exc.msg})") from None
             if not isinstance(rec, dict):
                 raise DataError(f"{p} line {lineno}: record is not an object")
+            # a \uD800-\uDFFF escape may decode to a lone surrogate, which no
+            # UTF-8 file can hold; only lines with such an escape are checked
+            if _SURROGATE_ESCAPE_RE.search(line) and _SURROGATE_RE.search(_ENCODER.encode(rec)):
+                raise DataError(f"{p} line {lineno}: a \\u escape gives a lone surrogate, not valid Unicode")
             yield f"{p} line {lineno}", rec
 
 
@@ -316,7 +337,7 @@ def write_posts(corpus: Corpus, path: str | Path, format: str = "post-lines") ->
     if format == "post-lines":
         with atomic_write(p) as fh:
             for post in corpus.posts:
-                fh.write(json.dumps(post.to_record(), ensure_ascii=False) + "\n")
+                fh.write(_ENCODER.encode(post.to_record()) + "\n")
     elif format == "delimited-table":
         with atomic_write(p, newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=list(POST_FIELDS))

@@ -22,6 +22,7 @@ from typing import Iterator, TextIO
 from .errors import DataError
 
 _TAIL_BLOCK = 1 << 16  # bytes read per step back from the end by scan_tail
+_ENCODER = json.JSONEncoder(sort_keys=True, ensure_ascii=False)  # json.dumps with options builds one per call
 
 
 @contextmanager
@@ -125,7 +126,7 @@ class JsonLines:
         return rec
 
     def write(self, record: dict) -> None:
-        line = json.dumps(record, sort_keys=True, ensure_ascii=False) + "\n"
+        line = _ENCODER.encode(record) + "\n"
         with self._lock:
             if self._fh is None:
                 self.path.parent.mkdir(parents=True, exist_ok=True)

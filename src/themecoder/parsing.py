@@ -182,6 +182,12 @@ def _parse_line_strict(text: str, alphabet: tuple[str, ...]) -> ParseOutcome:
     )
 
 
+@lru_cache(maxsize=64)
+def _answer_re(code: str) -> re.Pattern:
+    """An assignment to ``code``, its value token as the one group."""
+    return re.compile(rf"(?<![A-Za-z0-9_]){re.escape(code)}\s*=\s*(\[[^\]\n]*\]|[^\s,]*)")
+
+
 def parse_single_answer(text: str, code: str, mode: str = "lenient") -> ParseOutcome:
     """Parse one per-theme answer ("A=1", "A=[0]", ...) for the target code.
 
@@ -189,9 +195,7 @@ def parse_single_answer(text: str, code: str, mode: str = "lenient") -> ParseOut
     prose for the assignment; strict requires the payload to be exactly the
     assignment.
     """
-    target_re = re.compile(
-        rf"(?<![A-Za-z0-9_]){re.escape(code)}\s*=\s*(\[[^\]\n]*\]|[^\s,]*)"
-    )
+    target_re = _answer_re(code)
     matches = [m.group(1) for m in target_re.finditer(text)]
     if mode == "strict":
         stripped = text.strip()

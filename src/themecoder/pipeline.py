@@ -35,6 +35,7 @@ from .backends import (
     ResponseCache,
     RetryPolicy,
     classify_with_retry,
+    frame_fingerprints,
     make_backend,
 )
 from .codebook import Codebook, LabelMatrix, load_codebook, load_gold
@@ -103,7 +104,9 @@ SEED_FIELDS = ("sample_seed", "exemplar_seed", "bootstrap_seed")  # the seeds an
 
 def _key(key: str, default=MISSING, **checks):
     """A RunConfig field read from config ``key``, required unless it has a ``default``
-    or is ``derived``; ``checks`` may give ``allowed`` (with ``noun``) and ``exists``."""
+    or is ``derived``; ``checks`` may give ``allowed`` (with ``noun``), ``exists``, and
+    ``minimum``, a (least value, message) pair checked once every field is set,
+    only while the field named by ``when`` (if any) is set."""
     return field(default=default, metadata={"key": key, **checks})
 
 
@@ -115,14 +118,14 @@ class RunConfig:
     label: str = _key("run.label", derived=True)
     dataset: str = _key("run.dataset", derived=True)
     output_dir: Path = _key("run.output_dir")
-    repeats: int = _key("run.repeats", derived=True)
+    repeats: int = _key("run.repeats", derived=True, minimum=(1, "run.repeats must be >= 1, got {}"))
     corpus_path: Path = _key("corpus.path", exists="corpus path")
     corpus_format: str = _key("corpus.format", "post-lines")
     keywords_path: Path | None = _key("corpus.keywords", None, exists="keyword set path")
     filter_rule: str | None = _key("corpus.rule", None)
     split_at: str | None = _key("corpus.split_at", None)
-    sample_n: int | None = _key("corpus.sample.n", None)
-    sample_seed: int = _key("corpus.sample.seed", 0)
+    sample_n: int | None = _key("corpus.sample.n", None, minimum=(1, "sampling target_n must be >= 1, got {}"))
+    sample_seed: int = _key("corpus.sample.seed", 0, minimum=(0, "sample seed must be >= 0, got {}"))
     sample_from: str = _key("corpus.sample.from", "pre", allowed=("pre", "post"))
     codebook_path: Path | None = _key("codebook.path", None, exists="codebook path")
     gold_path: Path | None = _key("gold.path", None, exists="gold path")
@@ -130,9 +133,12 @@ class RunConfig:
     template_path: Path | None = _key("prompting.template_path", None, exists="template path")
     shots: int = _key("prompting.shots", 0)
     selection: tuple[int, ...] | None = _key("prompting.selection", None)
-    exemplar_seed: int = _key("prompting.exemplar_seed", 0)
+    exemplar_seed: int = _key("prompting.exemplar_seed", 0, minimum=(0, "exemplar seed must be >= 0, got {}"))
     include_title: bool = _key("prompting.include_title", False)
-    exemplar_budget: int = _key("prompting.exemplar_budget", DEFAULT_EXEMPLAR_BUDGET)
+    exemplar_budget: int = _key(
+        "prompting.exemplar_budget", DEFAULT_EXEMPLAR_BUDGET,
+        minimum=(0, "prompting.exemplar_budget must be >= 0, got {}"),
+    )
     parse_mode: str = _key("parsing.mode", "lenient", allowed=PARSE_MODES, noun="parsing mode")
     backend: BackendConfig = _key("backend")
     retry: RetryPolicy = _key("retry")
@@ -141,8 +147,11 @@ class RunConfig:
     failure_policy: str = _key(
         "evaluation.failure_policy", "exclude-and-report", allowed=FAILURE_POLICIES, noun="failure_policy"
     )
-    bootstrap_resamples: int = _key("evaluation.bootstrap_resamples", 2000)
-    bootstrap_seed: int = _key("evaluation.bootstrap_seed", 0)
+    bootstrap_resamples: int = _key(
+        "evaluation.bootstrap_resamples", 2000,
+        minimum=(100, "bootstrap requires >= 100 resamples, got {}"), when="bootstrap_metrics",
+    )
+    bootstrap_seed: int = _key("evaluation.bootstrap_seed", 0, minimum=(0, "bootstrap seed must be >= 0, got {}"))
     bootstrap_metrics: tuple[str, ...] = _key(
         "evaluation.bootstrap_metrics", (), allowed=METRIC_NAMES, noun="bootstrap metric"
     )
@@ -285,16 +294,17 @@ def _run_config(flat: Mapping, overrides: Mapping[str, int], offline: bool) -> R
     if unknown:
         raise ConfigError(f"unknown seed override(s): {', '.join(unknown)}")
     values.update((name, int(seed)) for name, seed in overrides.items())
-    for name in SEED_FIELDS:
-        if values[name] < 0:
-            raise ConfigError(f"{name.replace('_', ' ')} must be >= 0, got {values[name]}")
 
     values.setdefault("dataset", values["corpus_path"].stem)
     values.setdefault("label", f"{values['dataset']}_{values['shots']}shot_{backend.model or backend.kind}")
     # repeat runs only make sense against a nondeterministic backend
     values.setdefault("repeats", 1 if (backend.temperature == 0 or backend.kind != "remote-chat") else 3)
-    if values["repeats"] < 1:
-        raise ConfigError(f"run.repeats must be >= 1, got {values['repeats']}")
+    for f in fields(RunConfig):
+        if "minimum" not in f.metadata:
+            continue
+        (least, message), value, when = f.metadata["minimum"], values[f.name], f.metadata.get("when")
+        if value is not None and value < least and (when is None or values[when]):
+            raise ConfigError(message.format(value))
     return RunConfig(**values)
 
 
@@ -540,22 +550,36 @@ def cmd_ingest(cfg: RunConfig) -> dict:
     return summary
 
 
-def _classify_one(post, cb: Codebook, render, cfg: RunConfig, backend, policy, cache, audit) -> dict:
+def _prompt_classifier(cfg: RunConfig, cb: Codebook, frames, backend, cache, audit):
+    """Return ``classify(prompts)``: ``classify_with_retry``'s answer for each
+    of one post's prompts, one per frame. Each frame's fingerprint state and
+    parser are built here, once per run, not per post."""
+    fingerprints = frame_fingerprints(cfg.backend, cfg.template_version, [text for _, text in frames])
+    if cfg.template_version == "v1-per-theme":
+        parsers = [partial(parse_single_answer, code=target[0], mode=cfg.parse_mode) for target, _ in frames]
+    else:
+        parsers = [partial(parse_single_line, cb=cb, mode=cfg.parse_mode)]
+
+    def classify(prompts) -> list:
+        return [
+            classify_with_retry(
+                cfg.backend, cfg.retry, rp, parser, backend=backend, cache=cache, audit=audit, fingerprint=fp
+            )
+            for rp, parser, fp in zip(prompts, parsers, fingerprints(prompts[0].post_text))
+        ]
+
+    return classify
+
+
+def _classify_one(post, cb: Codebook, render, classify, cfg: RunConfig) -> dict:
     """Render and classify one post; returns its store record."""
     rendered = render(post)
-
-    def classify(prompt, parser):
-        return classify_with_retry(cfg.backend, policy, prompt, parser, backend=backend, cache=cache, audit=audit)
+    answers = classify(rendered if isinstance(rendered, list) else [rendered])
 
     if isinstance(rendered, list):  # one prompt per theme
         outcomes: dict[str, ParseOutcome] = {}
-        attempts = 0
-        fingerprints = []
-        for rp in rendered:
+        for rp, (result, _) in zip(rendered, answers):
             code = rp.target[0]
-            result, cres = classify(rp, lambda text, c=code: parse_single_answer(text, c, cfg.parse_mode))
-            attempts += cres.attempts
-            fingerprints.append(cres.fingerprint)
             if isinstance(result, ClassificationFailure):
                 raw, failure = result.attempts[-1]
                 outcomes[code] = ParseOutcome.fail(failure.reason, failure.detail)
@@ -563,9 +587,10 @@ def _classify_one(post, cb: Codebook, render, cfg: RunConfig, backend, policy, c
                 outcomes[code] = ParseOutcome.success(result)
         merged = assemble_per_theme(outcomes, cb)
         vector, failures = merged.vector, [merged.failure]
-        fingerprint = _sha256_text("\n".join(fingerprints))
+        attempts = sum(cres.attempts for _, cres in answers)
+        fingerprint = _sha256_text("\n".join(cres.fingerprint for _, cres in answers))
     else:
-        result, cres = classify(rendered, lambda text: parse_single_line(text, cb, cfg.parse_mode))
+        result, cres = answers[0]
         attempts, fingerprint = cres.attempts, cres.fingerprint
         if isinstance(result, ClassificationFailure):
             vector, failures = None, [f for _, f in result.attempts]
@@ -677,10 +702,8 @@ def cmd_classify(cfg: RunConfig, *, resume: bool = False) -> list[ResultsStore]:
                 {"event": "start", "run_index": r, "total": len(corpus), "pending": len(pending)}
             )
             backend = make_backend(cfg.backend, retry=cfg.retry, audit=audit)
-            classify_one = partial(
-                _classify_one, cb=cb, render=render, cfg=cfg, backend=backend, policy=cfg.retry, cache=cache,
-                audit=audit,
-            )
+            classify = _prompt_classifier(cfg, cb, render.frames, backend, cache, audit)
+            classify_one = partial(_classify_one, cb=cb, render=render, classify=classify, cfg=cfg)
             try:
                 with closing(_records(pending, classify_one, backend, cfg.backend.in_flight_limit)) as records:
                     for rec in records:  # backend errors abort here

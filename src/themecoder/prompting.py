@@ -213,7 +213,9 @@ def prompt_renderer(
     The returned function maps a post to one RenderedPrompt for v2/v3, or
     to a list with one per code for v1-per-theme. ``{{post}}`` is the last
     slot filled, so the text is the same as filling every slot per post.
-    A bad shot policy raises here, before any post is rendered.
+    Its ``frames`` attribute holds one ``(target, text)`` pair per prompt,
+    in render order, with ``{{post}}`` still in the text. A bad shot policy
+    raises here, before any post is rendered.
     """
     exemplars = select_exemplars(cb, policy, seed)
     alphabet = cb.alphabet
@@ -274,6 +276,7 @@ def prompt_renderer(
         ]
         return prompts if tpl.version == "v1-per-theme" else prompts[0]
 
+    render.frames = tuple(frames)
     return render
 
 

@@ -352,6 +352,17 @@ def test_retry_fingerprints_each_prompt_once(monkeypatch, cb):
     assert fingerprints == [cache_key(MOCK_CFG, prompt)] == [result.fingerprint]
 
 
+def test_retry_uses_a_given_fingerprint_as_is(monkeypatch, cb):
+    import themecoder.backends as backends
+
+    monkeypatch.setattr(backends, "cache_key", lambda cfg, prompt: pytest.fail("cache_key called"))
+    backend = ScriptedBackend(MOCK_CFG, ["junk", good_line(cb)])
+    _, result = classify_with_retry(
+        MOCK_CFG, RetryPolicy(), full_prompt(cb), line_parser(cb), backend=backend, fingerprint="f" * 64
+    )
+    assert result.attempts == 2 and result.fingerprint == "f" * 64
+
+
 def test_retry_audit_records_parse_failures(tmp_path, cb):
     audit = AuditLog(tmp_path / "audit.jsonl")
     backend = ScriptedBackend(MOCK_CFG, ["garbage", good_line(cb)])

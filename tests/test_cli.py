@@ -98,6 +98,23 @@ def test_bad_utf8_byte_names_its_line_and_exits_two(tmp_path, capsys, clean_corp
         assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("damage", ["bad-byte", "lone-surrogate"])
+@pytest.mark.parametrize("verb", ["ingest", "classify"])
+def test_corpus_text_that_is_not_unicode_names_its_line_and_exits_two(
+    tmp_path, capsys, clean_corpus_path, verb, damage
+):
+    bad = {"bad-byte": b"\xe9", "lone-surrogate": b"\\ud800"}[damage]  # 0xe9 then ASCII is not UTF-8
+    lines = clean_corpus_path.read_bytes().splitlines(keepends=True)
+    lines[2] = lines[2].replace(b'"body": "', b'"body": "' + bad)
+    clean_corpus_path.write_bytes(b"".join(lines))
+    cfg_path, run_dir = write_cfg(tmp_path, clean_corpus_path)
+    assert main([verb, "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"{clean_corpus_path} line 3: " in err.splitlines()[0], err
+    assert "Traceback" not in err
+    assert not (run_dir / "results.jsonl").exists()
+
+
 def drop(*keys):
     return lambda rec: [rec.pop(k) for k in keys]
 
@@ -323,22 +340,41 @@ def test_config_value_of_the_wrong_type_exits_one(tmp_path, capsys, clean_corpus
 
 
 @pytest.mark.parametrize(
-    "verb, seed, sections, flags",
+    "verb, message, sections, flags",
     [
-        ("ingest", "sample", {"corpus": {"sample": {"n": 5, "seed": -1}}}, []),
-        ("ingest", "sample", {"corpus": {"sample": {"n": 5}}}, ["--sample-seed", "-1"]),
-        ("classify", "exemplar", {"prompting": {"shots": 1, "exemplar_seed": -1}}, []),
-        ("classify", "exemplar", {"prompting": {"shots": 1}}, ["--exemplar-seed", "-1"]),
-        ("evaluate", "bootstrap", {"evaluation": {"bootstrap_metrics": ["f1"], "bootstrap_seed": -1}}, []),
-        ("evaluate", "bootstrap", {"evaluation": {"bootstrap_metrics": ["f1"]}}, ["--bootstrap-seed", "-1"]),
+        ("ingest", "sample seed must be >= 0, got -1", {"corpus": {"sample": {"n": 5, "seed": -1}}}, []),
+        ("ingest", "sample seed must be >= 0, got -1", {"corpus": {"sample": {"n": 5}}}, ["--sample-seed", "-1"]),
+        ("classify", "exemplar seed must be >= 0, got -1", {"prompting": {"shots": 1, "exemplar_seed": -1}}, []),
+        ("classify", "exemplar seed must be >= 0, got -1", {"prompting": {"shots": 1}}, ["--exemplar-seed", "-1"]),
+        (
+            "evaluate", "bootstrap seed must be >= 0, got -1",
+            {"evaluation": {"bootstrap_metrics": ["f1"], "bootstrap_seed": -1}}, [],
+        ),
+        (
+            "evaluate", "bootstrap seed must be >= 0, got -1",
+            {"evaluation": {"bootstrap_metrics": ["f1"]}}, ["--bootstrap-seed", "-1"],
+        ),
+        (
+            "classify", "prompting.exemplar_budget must be >= 0, got -1",
+            {"prompting": {"shots": 1, "exemplar_budget": -1}}, [],
+        ),
+        ("ingest", "sampling target_n must be >= 1, got 0", {"corpus": {"sample": {"n": 0}}}, []),
+        (
+            "classify", "bootstrap requires >= 100 resamples, got 0",
+            {"evaluation": {"bootstrap_metrics": ["f1"], "bootstrap_resamples": 0}}, [],
+        ),
     ],
-    ids=["sample-key", "sample-flag", "exemplar-key", "exemplar-flag", "bootstrap-key", "bootstrap-flag"],
+    ids=[
+        "sample-key", "sample-flag", "exemplar-key", "exemplar-flag", "bootstrap-key", "bootstrap-flag",
+        "exemplar-budget", "sample-n", "bootstrap-resamples",
+    ],
 )
-def test_negative_seed_exits_one_at_load(tmp_path, capsys, clean_corpus_path, verb, seed, sections, flags):
+def test_negative_seed_exits_one_at_load(tmp_path, capsys, clean_corpus_path, verb, message, sections, flags):
+    """A seed, or another value with a least value, out of range."""
     cfg_path, run_dir = write_cfg(tmp_path, clean_corpus_path, **sections)
     assert main([verb, "--config", str(cfg_path), *flags]) == 1
     err = capsys.readouterr().err
-    assert err == f"error: {seed} seed must be >= 0, got -1\n"
+    assert err == f"error: {message}\n"
     assert "Traceback" not in err
     assert not run_dir.exists()
 

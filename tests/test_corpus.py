@@ -203,9 +203,11 @@ def post_line(pid: str, created: str = "2023-06-01T08:00:00Z", **drop) -> str:
          "duplicate post id 'p1'"),  # the first repeat in (created_at, id) order, not in file order
         (post_line("p1") + post_line(""), "post with empty id"),
         (post_line("p1").replace('"b"', '"b\u2028"', 1), "line 1: malformed record"),
+        (post_line("p1") + post_line("p2").replace('"b"', '"b\\ud800"', 1), "line 2: .* lone surrogate"),
+        (post_line("p1").replace('"t"', '"\\uDC00t"', 1), "line 1: .* lone surrogate"),
     ],
     ids=["malformed-after-missing-field", "non-object-after-missing-field", "first-field-error",
-         "duplicate-id", "empty-id", "u2028-line-break"],
+         "duplicate-id", "empty-id", "u2028-line-break", "lone-high-surrogate", "lone-low-surrogate"],
 )
 def test_load_post_ids_raises_what_load_posts_raises(tmp_path, text, message):
     path = tmp_path / "bad.jsonl"
@@ -215,6 +217,25 @@ def test_load_post_ids_raises_what_load_posts_raises(tmp_path, text, message):
     with pytest.raises(DataError) as from_ids:
         load_post_ids(path)
     assert str(from_ids.value) == str(from_posts.value)
+
+
+def test_load_posts_reads_a_surrogate_pair_escape(tmp_path):
+    path = tmp_path / "pair.jsonl"
+    path.write_text(post_line("p1").replace('"b"', '"b \\ud83e\\udddf \\\\ud800"', 1), encoding="utf-8")
+    assert load_posts(path).posts[0].body == "b \U0001f9df \\ud800"  # a pair, then an escaped backslash
+
+
+# post-lines line 48 starts past the first 8 KiB the reader decodes, so posts came out before it
+@pytest.mark.parametrize("format,line", [("post-lines", 48), ("delimited-table", 41)])
+def test_load_posts_names_the_line_of_a_byte_that_is_not_utf8(tmp_path, corpus50, format, line):
+    path = tmp_path / "bad.txt"
+    write_posts(corpus50, path, format=format)
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[line - 1] = lines[line - 1].replace(b"e", b"\xe9", 1)
+    path.write_bytes(b"".join(lines))
+    for load in (load_posts, load_post_ids):
+        with pytest.raises(DataError, match=f"^{path} line {line}: not valid UTF-8$"):
+            load(path, format)
 
 
 def test_load_post_ids_of_a_corpus(fixtures_dir, corpus50):

@@ -332,6 +332,14 @@ def test_load_config_bootstrap_metric_validation(tmp_path, clean_corpus_path):
         load_config(path)
 
 
+def test_load_config_bounds_resamples_only_when_bootstrap_metrics_are_asked(tmp_path, clean_corpus_path):
+    cfg = make_cfg(tmp_path, clean_corpus_path, name="a", evaluation={"bootstrap_resamples": 0})
+    assert cfg.bootstrap_resamples == 0 and cfg.bootstrap_metrics == ()
+    least = {"bootstrap_resamples": 100, "bootstrap_metrics": ["f1"]}
+    cfg = make_cfg(tmp_path, clean_corpus_path, name="b", evaluation=least)
+    assert cfg.bootstrap_resamples == 100
+
+
 def test_load_config_failure_policy_validation(tmp_path, clean_corpus_path):
     sections = base_config(tmp_path, clean_corpus_path)
     sections["evaluation"] = {"failure_policy": "ignore"}

@@ -10,6 +10,7 @@ from datetime import datetime, timezone
 import pytest
 
 from conftest import make_vector
+from themecoder.backends import BackendConfig, cache_key, frame_fingerprints
 from themecoder.corpus import Post
 from themecoder.errors import ConfigError, DataError
 from themecoder.prompting import (
@@ -339,3 +340,50 @@ def test_render_matches_golden(cb, name):
 
 def test_golden_cases_cover_every_case():
     assert sorted(GOLDEN) == sorted(_golden_cases())
+
+
+# --- request fingerprints from frames ------------------------------------------
+
+FINGERPRINT_BACKENDS = [
+    BackendConfig(kind="mock-rules", model=model, temperature=temperature)
+    for model in ("mock", 'm "<<prompt>>" \\ \u00e9')  # the second holds the slot marker and escapes
+    for temperature in (0, 0.7)
+]
+
+
+def _assert_fingerprints_match_cache_key(render, post, version) -> None:
+    rendered = render(post)
+    prompts = rendered if isinstance(rendered, list) else [rendered]
+    frames = [text for _, text in render.frames]
+    assert len(frames) == len(prompts)
+    for bcfg in FINGERPRINT_BACKENDS:
+        fingerprints = frame_fingerprints(bcfg, version, frames)
+        assert fingerprints(prompts[0].post_text) == [cache_key(bcfg, rp) for rp in prompts]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_frame_fingerprints_match_cache_key(cb, name):
+    version, kind, post, policy, kw = _golden_cases()[name]
+    book, tpl = (cb, load_template(version)) if kind == "shipped" else (_slotted_codebook(cb), _custom_template(version))
+    _assert_fingerprints_match_cache_key(prompt_renderer(book, tpl, policy, **kw), post, version)
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        'a "quoted" word',
+        "a back\\slash and \\u0041 as text",
+        "tab\tnewline\ncarriage\rbell\x07nul\x00escape\x1bdel\x7f",
+        "line\u2028separator\u2029paragraph",
+        "emoji \U0001f9df and \u00e9",
+        "a literal {{post}} slot",
+    ],
+    ids=["quote", "backslash", "control", "u2028", "non-bmp", "post-slot"],
+)
+@pytest.mark.parametrize("scaffold", ["shipped", "custom"])  # the custom scaffolds hold {{post}} twice
+@pytest.mark.parametrize("version", TEMPLATE_VERSIONS)
+def test_frame_fingerprints_escape_the_payload_as_cache_key_does(cb, version, scaffold, body):
+    tpl = load_template(version) if scaffold == "shipped" else _custom_template(version)
+    post = replace(POST, body=body)
+    render = prompt_renderer(cb, tpl, ShotPolicy(shots=1), include_title=True)
+    _assert_fingerprints_match_cache_key(render, post, version)
