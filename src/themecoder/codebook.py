@@ -13,18 +13,22 @@ import logging
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 import yaml
 
 from .errors import DataError
-from .jsonl import atomic_write
+from .jsonl import atomic_write, read_text, undecodable_line
 
 log = logging.getLogger(__name__)
 
 DEFAULT_CODEBOOK_PATH = Path(__file__).parent / "data" / "codebook_default.yaml"
+
+_BINARY_CELLS = frozenset(("0", "1"))
+_CELL_BITS = bytes.maketrans(b"01", b"\x00\x01")  # a gold cell's ASCII digit -> its label
 
 
 @dataclass(frozen=True)
@@ -80,6 +84,14 @@ class LabelVector:
 def _unique(codes: tuple[str, ...]) -> bool:
     """Whether no code repeats; asked once per code tuple, not per vector."""
     return len(set(codes)) == len(codes)
+
+
+def tuple_getter(keys: Sequence) -> Callable:
+    """``itemgetter(*keys)``, which gives a tuple for a single key too."""
+    if len(keys) == 1:
+        key = keys[0]
+        return lambda obj: (obj[key],)
+    return itemgetter(*keys)
 
 
 def label_rows(vectors: Iterable[LabelVector], codes: Sequence[str]) -> np.ndarray:
@@ -322,7 +334,7 @@ def load_codebook(path: str | Path | None = None) -> Codebook:
     """Load and validate a codebook file (the shipped default when path is None)."""
     p = Path(path) if path is not None else DEFAULT_CODEBOOK_PATH
     try:
-        raw = yaml.safe_load(p.read_text(encoding="utf-8"))
+        raw = yaml.safe_load(read_text(p, "codebook file"))
     except FileNotFoundError:
         raise DataError(f"codebook file not found: {p}") from None
     except yaml.YAMLError as exc:
@@ -360,6 +372,15 @@ def load_codebook(path: str | Path | None = None) -> Codebook:
     return cb
 
 
+def _utf8_lines(fh, p: Path) -> Iterator[str]:
+    """The lines of the gold table open as ``fh``; a byte that is not UTF-8
+    raises ``DataError`` naming the file and the line."""
+    try:
+        yield from fh
+    except UnicodeDecodeError:
+        raise DataError(f"gold label file {p} line {undecodable_line(p)} is not valid UTF-8") from None
+
+
 def load_gold(path: str | Path, corpus, cb: Codebook) -> GoldLabelSet:
     """Load expert labels from a wide delimited table, one row at a time.
 
@@ -382,7 +403,7 @@ def load_gold(path: str | Path, corpus, cb: Codebook) -> GoldLabelSet:
     except FileNotFoundError:
         raise DataError(f"gold label file not found: {p}") from None
     with fh:
-        rows = csv.reader(fh)
+        rows = csv.reader(_utf8_lines(fh, p))
         header = next(rows, None)
         if header is None:
             raise DataError(f"gold label file {p} is empty")
@@ -397,11 +418,11 @@ def load_gold(path: str | Path, corpus, cb: Codebook) -> GoldLabelSet:
             raise DataError(f"gold label file {p}: unknown code column {', '.join(unknown)}")
         if len(set(code_cols)) != len(code_cols):
             raise DataError(f"gold label file {p}: duplicated code column")
-        columns = [code_cols.index(c) for c in alphabet]
+        in_alphabet_order = tuple_getter([code_cols.index(c) for c in alphabet])
         null_column = code_cols.index(cb.null_code)
         ids: list[str] = []
         seen: set[str] = set()
-        values = bytearray()  # the rows' cells in alphabet order
+        values = bytearray()  # the rows' cells in alphabet order, as ASCII digits
         conflicts: list[str] = []  # post ids with the null code set beside another
 
         for lineno, row in enumerate(rows, start=2):
@@ -417,17 +438,15 @@ def load_gold(path: str | Path, corpus, cb: Codebook) -> GoldLabelSet:
                     f"gold label file {p} row {lineno}: unknown post id {post_id!r} "
                     f"(not in corpus {corpus.name!r})"
                 )
-            cells = [cell.strip() for cell in row[1:]]
-            for code, cell in zip(code_cols, cells):
-                if cell not in ("0", "1"):
-                    raise DataError(
-                        f"gold label file {p} row {lineno}: non-binary cell {cell!r} for code {code}"
-                    )
+            cells = list(map(str.strip, row[1:]))
+            if not _BINARY_CELLS.issuperset(cells):
+                code, cell = next((code, cell) for code, cell in zip(code_cols, cells) if cell not in _BINARY_CELLS)
+                raise DataError(f"gold label file {p} row {lineno}: non-binary cell {cell!r} for code {code}")
             if cells[null_column] == "1" and cells.count("1") > 1:
                 conflicts.append(post_id)
             seen.add(post_id)
             ids.append(post_id)
-            values.extend(cells[i] == "1" for i in columns)
+            values += "".join(in_alphabet_order(cells)).encode()
     del seen  # freed before the sort copies the ids
 
     log.info("loaded %d gold-labeled posts from %s", len(ids), p)
@@ -436,7 +455,7 @@ def load_gold(path: str | Path, corpus, cb: Codebook) -> GoldLabelSet:
                     len(conflicts), cb.null_code, ", ".join(conflicts[:5]))
     return GoldLabelSet(
         corpus_name=corpus.name,
-        labels=LabelMatrix.from_rows(ids, values, alphabet),
+        labels=LabelMatrix.from_rows(ids, values.translate(_CELL_BITS), alphabet),
         note=f"{len(ids)} labeled posts from {p.name}",
         lint_warnings=tuple(
             f"post {pid}: null code {cb.null_code} set alongside a substantive code" for pid in conflicts

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import operator
 import re
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -22,7 +23,7 @@ import numpy as np
 import yaml
 
 from .errors import ConfigError, DataError
-from .jsonl import atomic_write
+from .jsonl import atomic_write, read_text
 
 log = logging.getLogger(__name__)
 
@@ -44,13 +45,18 @@ def parse_timestamp(value) -> datetime:
     if text.endswith(("Z", "z")):
         text = text[:-1] + "+00:00"
     dt = datetime.fromisoformat(text)
+    if dt.tzinfo is timezone.utc and not dt.microsecond:  # as format_timestamp writes: nothing to convert
+        return dt
     if dt.tzinfo is None:
         dt = dt.replace(tzinfo=timezone.utc)
     return dt.astimezone(timezone.utc).replace(microsecond=0)
 
 
 def format_timestamp(dt: datetime) -> str:
-    return dt.astimezone(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+    dt = dt.astimezone(timezone.utc)
+    if dt.year < 1000:  # glibc's %Y does not zero-pad these years, so they keep strftime's text
+        return dt.strftime("%Y-%m-%dT%H:%M:%SZ")
+    return "%04d-%02d-%02dT%02d:%02d:%02dZ" % (dt.year, dt.month, dt.day, dt.hour, dt.minute, dt.second)
 
 
 @dataclass(frozen=True)
@@ -84,7 +90,7 @@ class Corpus:
     provenance: str = ""
 
     def __post_init__(self) -> None:
-        ordered = tuple(sorted(self.posts, key=lambda p: (p.created_at, p.id)))
+        ordered = tuple(sorted(self.posts, key=operator.attrgetter("created_at", "id")))
         object.__setattr__(self, "posts", ordered)
         seen: set[str] = set()
         for p in ordered:
@@ -163,7 +169,7 @@ def load_keywords(path: str | Path | None = None) -> KeywordSet:
     """
     p = Path(path) if path is not None else DEFAULT_KEYWORDS_PATH
     try:
-        raw = yaml.safe_load(p.read_text(encoding="utf-8"))
+        raw = yaml.safe_load(read_text(p, "keyword set file"))
     except FileNotFoundError:
         raise DataError(f"keyword set file not found: {p}") from None
     except yaml.YAMLError as exc:
@@ -289,7 +295,7 @@ def _read_post_lines(p: Path) -> Iterator[tuple[str, dict]]:
                 raise DataError(f"{p} line {lineno}: record is not an object")
             # a \uD800-\uDFFF escape may decode to a lone surrogate, which no
             # UTF-8 file can hold; only lines with such an escape are checked
-            if _SURROGATE_ESCAPE_RE.search(line) and _SURROGATE_RE.search(_ENCODER.encode(rec)):
+            if "\\u" in line and _SURROGATE_ESCAPE_RE.search(line) and _SURROGATE_RE.search(_ENCODER.encode(rec)):
                 raise DataError(f"{p} line {lineno}: a \\u escape gives a lone surrogate, not valid Unicode")
             yield f"{p} line {lineno}", rec
 
@@ -438,7 +444,11 @@ def keyword_filter(corpus: Corpus, keywords: KeywordSet, rule: str) -> Corpus:
 # --- cleanup ----------------------------------------------------------------
 
 _URL_RE = re.compile(r"https?://\S+|www\.\S+", re.IGNORECASE)
-_MARKUP_RE = re.compile(r"<[^>]*>|&[a-z]+;|[\[\]()*_#>`~|\\=+:;.,!?'\"-]")
+# The garbage check's markup is tags, entities and single characters, none of
+# which is alphanumeric, "<" or "&"; so the single characters can stay in the
+# residue without changing which tags and entities match, or the answer.
+_TAG_RE = re.compile(r"<[^>]*>|&[a-z]+;")
+_ALNUM_RE = re.compile(r"[^\W_]")  # exactly the characters str.isalnum() accepts
 
 
 def _normalize(text: str) -> str:
@@ -449,12 +459,16 @@ def _poorly_formatted(body: str) -> bool:
     stripped = body.strip()
     if not stripped:
         return False
-    nonspace = [ch for ch in stripped if not ch.isspace()]
-    alnum = sum(ch.isalnum() for ch in nonspace)
-    if alnum / len(nonspace) < 0.10:
+    # whitespace is never alphanumeric, and split() drops exactly the characters isspace() accepts
+    alnum = sum(map(str.isalnum, stripped))
+    if alnum / sum(map(len, stripped.split())) < 0.10:
         return True
-    residue = _MARKUP_RE.sub("", _URL_RE.sub("", stripped))
-    return not any(ch.isalnum() for ch in residue)
+    residue = stripped
+    if "://" in residue or "www." in residue.lower():  # else _URL_RE cannot match
+        residue = _URL_RE.sub("", residue)
+    if "<" in residue or "&" in residue:
+        residue = _TAG_RE.sub("", residue)
+    return not _ALNUM_RE.search(residue)
 
 
 @dataclass(frozen=True)
@@ -476,13 +490,13 @@ def dedup_clean(corpus: Corpus) -> CleanResult:
     seen: set[tuple[str, str]] = set()
     kept: list[Post] = []
     for post in corpus.posts:
-        if not _normalize(post.title) and not _normalize(post.body):
+        key = (_normalize(post.title), _normalize(post.body))
+        if key == ("", ""):
             removed["blank"] += 1
             continue
         if _poorly_formatted(post.body):
             removed["poorly_formatted"] += 1
             continue
-        key = (_normalize(post.title), _normalize(post.body))
         if key in seen:
             removed["duplicate"] += 1
             continue

@@ -306,18 +306,30 @@ def wald_ci(p: float, n: int, confidence: float = 0.95) -> IntervalEstimate:
 def _resample_sums(counts: np.ndarray, resamples: int, seed: int, budget: int = BOOTSTRAP_INDEX_BUDGET):
     """(resamples × 3) exact tp, fp and fn totals of each bootstrap resample.
 
-    ``counts`` holds the per-post tp, fp and fn rows. Resample r is row r of
+    ``counts`` holds the per-post tp, fp and fn rows, each count below 2**21
+    (a post's counts are at most its number of codes). Resample r is row r of
     ``default_rng(seed).integers(0, n, size=(resamples, n))``, drawn in chunks
     of at most ``budget`` indices; chunked draws continue the same stream.
     """
     n = counts.shape[1]
+    top = int(counts.max())
+    # Each post's three counts share one int64 word, so a resample is one
+    # gather and one sum. A field must hold the sum of ``block`` draws; when
+    # three fields of that width pass 63 bits, the draws are summed in blocks.
+    block = n if 3 * (top * n).bit_length() <= 63 else (2**21 - 1) // top
+    width = (top * block).bit_length()
+    mask = (1 << width) - 1
+    tp, fp, fn = counts.astype(np.int64)
+    words = tp << 2 * width | fp << width | fn
     rng = np.random.default_rng(seed)
-    sums = np.empty((resamples, 3), dtype=np.int64)
+    sums = np.zeros((resamples, 3), dtype=np.int64)
     step = max(1, budget // n)
     for start in range(0, resamples, step):
         idx = rng.integers(0, n, size=(min(step, resamples - start), n))
-        for j, column in enumerate(counts):
-            sums[start : start + len(idx), j] = column[idx].sum(axis=1, dtype=np.int64)
+        out = sums[start : start + len(idx)]
+        for first in range(0, n, block):
+            packed = words[idx[:, first : first + block]].sum(axis=1)
+            out += np.stack([packed >> 2 * width, packed >> width & mask, packed & mask], axis=1)
     return sums
 
 

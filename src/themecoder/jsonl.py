@@ -1,5 +1,6 @@
-"""Append-only JSON-lines files shared by the run artifacts, and the one
-way every whole-file artifact is written.
+"""Append-only JSON-lines files shared by the run artifacts, the one way
+every whole-file artifact is written, and the one way a whole input file
+is read as text.
 
 A ``JsonLines`` opens its file on the first append and keeps it open until
 ``close()``, flushing after every line. ``read()`` drops a torn final line
@@ -19,7 +20,7 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterator, TextIO
 
-from .errors import DataError
+from .errors import DataError, ThemecoderError
 
 _TAIL_BLOCK = 1 << 16  # bytes read per step back from the end by scan_tail
 _ENCODER = json.JSONEncoder(sort_keys=True, ensure_ascii=False)  # json.dumps with options builds one per call
@@ -45,6 +46,28 @@ def atomic_write(path: str | Path, newline: str | None = None) -> Iterator[TextI
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def read_text(path: Path, noun: str, error: type[ThemecoderError] = DataError) -> str:
+    """``path.read_text(encoding="utf-8")``, but a byte that is not UTF-8
+    raises ``error`` naming ``noun``, the file and the line."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise error(f"{noun} {path} line {undecodable_line(path)} is not valid UTF-8") from None
+
+
+def undecodable_line(path: Path) -> int:
+    """The number of the first ``\\n``-ended line of ``path`` that is not
+    UTF-8, or 0. No UTF-8 sequence holds the byte ``\\n``, so a line decodes
+    alone exactly when it decodes within the file."""
+    with path.open("rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError:
+                return lineno
+    return 0
 
 
 class JsonLines:

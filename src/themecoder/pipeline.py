@@ -38,7 +38,7 @@ from .backends import (
     frame_fingerprints,
     make_backend,
 )
-from .codebook import Codebook, LabelMatrix, load_codebook, load_gold
+from .codebook import Codebook, LabelMatrix, load_codebook, load_gold, tuple_getter
 from .corpus import (
     SamplingSpec,
     dedup_clean,
@@ -62,7 +62,7 @@ from .evaluation import (
     run_stats,
     theme_distribution,
 )
-from .jsonl import JsonLines, atomic_write
+from .jsonl import JsonLines, atomic_write, read_text
 from .parsing import PARSE_MODES, ParseOutcome, assemble_per_theme, parse_single_answer, parse_single_line
 from .prompting import (
     DEFAULT_EXEMPLAR_BUDGET,
@@ -255,7 +255,7 @@ def load_config(
     """
     p = Path(path)
     try:
-        raw = yaml.safe_load(p.read_text(encoding="utf-8"))
+        raw = yaml.safe_load(read_text(p, "config file", ConfigError))
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {p}") from None
     except yaml.YAMLError as exc:
@@ -358,7 +358,7 @@ def _checked_records(source: JsonLines, ids: dict[str, set[str]]) -> Iterator[di
         elif rec.get("status") not in ("classified", "failed"):
             problem = "needs status classified or failed"
         elif rec["status"] == "classified" and not (
-            isinstance(rec.get("vector"), dict) and all(v in (0, 1) for v in rec["vector"].values())
+            isinstance(rec.get("vector"), dict) and all(map((0, 1).__contains__, rec["vector"].values()))
         ):
             problem = "is classified without a 0/1 vector"
         else:
@@ -372,6 +372,7 @@ def read_results(path: str | Path, alphabet: Sequence[str]) -> dict[str, tuple[L
     """Read a results file once: per label, in label order, its classified
     posts as a label matrix over ``alphabet`` and its sorted failed ids."""
     source, codes = JsonLines(path), tuple(alphabet)
+    cells = tuple_getter(codes)
     if not source.path.exists():
         raise DataError(f"results store not found: {source.path}")
     parts: dict[str, tuple[list[str], bytearray, list[str]]] = {}  # label -> classified ids, rows, failed ids
@@ -381,7 +382,7 @@ def read_results(path: str | Path, alphabet: Sequence[str]) -> dict[str, tuple[L
             failed.append(rec["post_id"])
             continue
         try:
-            rows.extend([int(rec["vector"][code]) for code in codes])
+            rows.extend(map(int, cells(rec["vector"])))
         except KeyError as exc:
             raise DataError(
                 f"{source.path}: record for post {rec['post_id']!r} under label {rec['label']!r} "

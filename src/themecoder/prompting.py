@@ -17,6 +17,7 @@ import numpy as np
 from .codebook import Codebook, Exemplar, LabelVector
 from .corpus import Post
 from .errors import ConfigError, DataError
+from .jsonl import read_text
 
 TEMPLATE_VERSIONS = ("v1-per-theme", "v2-multi-question", "v3-single-line")
 DEFAULT_TEMPLATE_VERSION = "v3-single-line"
@@ -108,7 +109,7 @@ class RenderedPrompt:
 def load_template(version: str = DEFAULT_TEMPLATE_VERSION, path: str | Path | None = None) -> PromptTemplate:
     """Load a shipped template by version, or an override scaffold from path."""
     if path is not None:
-        scaffold = Path(path).read_text(encoding="utf-8")
+        scaffold = read_text(Path(path), "template file")
     else:
         try:
             filename = _TEMPLATE_FILES[version]

@@ -18,10 +18,11 @@ from conftest import FIXTURES, base_config, write_config
 
 from themecoder import pipeline
 from themecoder.cli import main
-from themecoder.codebook import load_codebook
-from themecoder.corpus import SamplingSpec, dedup_clean, load_posts, sample_random
+from themecoder.codebook import DEFAULT_CODEBOOK_PATH, load_codebook
+from themecoder.corpus import DEFAULT_KEYWORDS_PATH, SamplingSpec, dedup_clean, load_posts, sample_random
 from themecoder.jsonl import atomic_write
 from themecoder.pipeline import load_config
+from themecoder.prompting import load_template
 
 DS2 = FIXTURES / "ds2_reference_metrics.csv"
 
@@ -115,6 +116,44 @@ def test_corpus_text_that_is_not_unicode_names_its_line_and_exits_two(
     assert not (run_dir / "results.jsonl").exists()
 
 
+@pytest.mark.parametrize(
+    "noun,verb,code",
+    [
+        ("codebook file", "classify", 2),
+        ("keyword set file", "ingest", 2),
+        ("gold label file", "evaluate", 2),
+        ("template file", "classify", 2),
+        ("config file", "classify", 1),
+    ],
+)
+def test_input_file_that_is_not_utf8_names_its_line_and_exits(tmp_path, capsys, clean_corpus_path, noun, verb, code):
+    text = {
+        "codebook file": DEFAULT_CODEBOOK_PATH.read_bytes(),
+        "keyword set file": DEFAULT_KEYWORDS_PATH.read_bytes(),
+        "gold label file": (FIXTURES / "gold_clean.csv").read_bytes(),
+        "template file": load_template().scaffold.encode(),
+    }
+    bad = tmp_path / "bad_input"
+    bad.write_bytes(text.get(noun, b"") + b"\xe9")  # 0xe9 at the end of a file is not UTF-8
+    cfg_path, run_dir = write_cfg(
+        tmp_path,
+        clean_corpus_path,
+        codebook={"path": str(bad if noun == "codebook file" else DEFAULT_CODEBOOK_PATH)},
+        corpus={"rule": "xylazine AND wound", **({"keywords": str(bad)} if noun == "keyword set file" else {})},
+        gold={"path": str(bad if noun == "gold label file" else FIXTURES / "gold_clean.csv")},
+        prompting={"template_path": str(bad)} if noun == "template file" else None,
+    )
+    if noun == "config file":
+        bad = cfg_path
+        bad.write_bytes(bad.read_bytes() + b"\xe9")
+    line = bad.read_bytes().count(b"\n") + 1
+    assert main([verb, "--config", str(cfg_path)]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.endswith(f"{noun} {bad} line {line} is not valid UTF-8\n"), err
+    assert "Traceback" not in err
+    assert not (run_dir / "results.jsonl").exists()
+
+
 def drop(*keys):
     return lambda rec: [rec.pop(k) for k in keys]
 
@@ -128,13 +167,14 @@ RECORD_DAMAGE = {  # each found on load by every verb
 }
 CODEBOOK_DAMAGE = {  # found only where vectors are read against the codebook
     "no-code": (lambda rec: rec["vector"].pop("C"), "has no value for code C"),
+    "no-codes": (lambda rec: [rec["vector"].pop(c) for c in "EC"], "has no value for code C"),  # the first in code order
 }
 
 
 @pytest.mark.parametrize(
     "verb,damage",
     [(verb, damage) for verb in ("classify", "evaluate", "distribute") for damage in RECORD_DAMAGE]
-    + [("evaluate", "no-code"), ("distribute", "no-code")],
+    + [("evaluate", "no-code"), ("distribute", "no-code"), ("evaluate", "no-codes")],
 )
 def test_malformed_results_record_exits_two(tmp_path, capsys, clean_corpus_path, verb, damage):
     cfg_path, run_dir = write_cfg(tmp_path, clean_corpus_path)

@@ -275,6 +275,9 @@ def test_load_gold_row_errors(tmp_path, corpus50, cb):
     bad_cell = gold_file(tmp_path, cb, ["p001,0,0,yes" + ",0" * 10])
     with pytest.raises(DataError, match="row 2: non-binary cell 'yes' for code C"):
         load_gold(bad_cell, corpus50, cb)
+    two_bad_cells = gold_file(tmp_path, cb, ["p001,0,0,yes,2" + ",0" * 9])  # the first one is named
+    with pytest.raises(DataError, match="row 2: non-binary cell 'yes' for code C"):
+        load_gold(two_bad_cells, corpus50, cb)
 
 
 def test_load_gold_skips_blank_rows(tmp_path, corpus50, cb):

@@ -3,12 +3,17 @@
 from __future__ import annotations
 
 import json
+import random
+import re
+import sys
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
 
 from themecoder.corpus import (
+    _ALNUM_RE,
+    _URL_RE,
     Corpus,
     KeywordSet,
     Post,
@@ -24,6 +29,7 @@ from themecoder.corpus import (
     sample_random,
     temporal_split,
     write_posts,
+    _poorly_formatted,
 )
 from themecoder.errors import ConfigError, DataError
 
@@ -77,6 +83,88 @@ def test_timestamp_round_trip_seeded():
         epoch = int(rng.integers(1_500_000_000, 1_800_000_000))
         dt = parse_timestamp(epoch)
         assert parse_timestamp(format_timestamp(dt)) == dt
+
+
+def strftime_timestamp(dt: datetime) -> str:
+    """format_timestamp as one strftime call, the oracle of its faster form."""
+    return dt.astimezone(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+
+
+def general_parse_timestamp(value) -> datetime:
+    """parse_timestamp without its early return for whole-second UTC values."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return datetime.fromtimestamp(int(value), tz=timezone.utc)
+    if not isinstance(value, str):
+        raise ValueError(f"not a timestamp: {value!r}")
+    text = value.strip()
+    if text.endswith(("Z", "z")):
+        text = text[:-1] + "+00:00"
+    dt = datetime.fromisoformat(text)
+    if dt.tzinfo is None:
+        dt = dt.replace(tzinfo=timezone.utc)
+    return dt.astimezone(timezone.utc).replace(microsecond=0)
+
+
+def outcome(fn, arg):
+    """What ``fn(arg)`` gives: its value's repr (which shows the tzinfo), or its error."""
+    try:
+        return repr(fn(arg))
+    except Exception as exc:  # noqa: BLE001 - the error and its text are what is compared
+        return type(exc), str(exc)
+
+
+def random_datetimes(rng: random.Random, count: int):
+    for _ in range(count):
+        offset = rng.choice([None, 0, rng.randint(-14 * 60, 14 * 60)])
+        tz = None if offset is None else timezone(timedelta(minutes=offset))
+        yield datetime(
+            rng.choice([rng.randint(1, 999), rng.randint(1000, 9999), rng.randint(1990, 2030)]),
+            rng.randint(1, 12), rng.randint(1, 28), rng.randint(0, 23), rng.randint(0, 59), rng.randint(0, 59),
+            rng.choice([0, rng.randint(1, 999_999)]), tzinfo=tz,
+        )
+
+
+def test_format_timestamp_gives_strftime_text():
+    for dt in random_datetimes(random.Random(5), 5000):
+        assert outcome(format_timestamp, dt) == outcome(strftime_timestamp, dt), dt
+    assert format_timestamp(datetime(999, 1, 2, 3, 4, 5, tzinfo=UTC)) == strftime_timestamp(
+        datetime(999, 1, 2, 3, 4, 5, tzinfo=UTC)
+    )
+
+
+def test_parse_timestamp_gives_the_general_parse():
+    rng = random.Random(6)
+    texts = [
+        "2024-01-01T00:00+01Z",
+        "2024-13-01T00:00:00Z",
+        "2024-01-01 00:00:00Z",
+        "2024-01-01T00:00:00Z",
+        "2024-01-01T24:00:00Z",
+        "2024-02-30T00:00:00Z",
+        "2024-01-01T00:00:60Z",
+        " 024-01-01T00:00:00Z",
+        " 2024-01-01T00:00:00Z",
+        "\t2024-01-01T00:00:00+01:00Z",
+        "2024-01-01T00:00:00+01:00Z",
+        "2024-01-01T00:00:00.5Z",
+        "2024-01-01Z",
+        "Z",
+    ]
+    for dt in random_datetimes(rng, 3000):
+        stamp = f"{dt.year:04d}-{dt:%m-%dT%H:%M:%S}"
+        texts += [
+            strftime_timestamp(dt),
+            stamp + "Z",
+            stamp + "z",
+            stamp + f".{dt.microsecond:06d}Z",
+            dt.isoformat(),
+            dt.isoformat(sep=" ") + "Z",
+        ]
+        chars = list(stamp + "Z")
+        chars[rng.randrange(20)] = rng.choice("0123456789-:TZz +.\u0663")
+        texts.append("".join(chars))
+    for text in texts:
+        assert outcome(parse_timestamp, text) == outcome(general_parse_timestamp, text), text
 
 
 # --- Corpus invariants --------------------------------------------------------
@@ -448,6 +536,50 @@ def test_poor_format_removed_before_duplicate_check():
 def test_poor_format_detector(body, removed):
     result = dedup_clean(Corpus(name="x", posts=(make_post("a", body=body),)))
     assert (result.removed["poorly_formatted"] == 1) is removed
+
+
+_OLD_MARKUP_RE = re.compile(r"<[^>]*>|&[a-z]+;|[\[\]()*_#>`~|\\=+:;.,!?'\"-]")
+
+
+def per_character_poorly_formatted(body: str) -> bool:
+    """The garbage check as a loop over characters, the oracle of its faster form."""
+    stripped = body.strip()
+    if not stripped:
+        return False
+    nonspace = [ch for ch in stripped if not ch.isspace()]
+    alnum = sum(ch.isalnum() for ch in nonspace)
+    if alnum / len(nonspace) < 0.10:
+        return True
+    residue = _OLD_MARKUP_RE.sub("", _URL_RE.sub("", stripped))
+    return not any(ch.isalnum() for ch in residue)
+
+
+GARBAGE_FRAGMENTS = [
+    "http://", "HTTPS://", "https:/", "www.", "WwW.", "ww.", "x.org/", "/", ":", ".", "<b>", "</i>", "<", ">",
+    "&amp;", "&AMP;", "&", ";", "&#39;", "a", "Z", "0", "_", "-", "!", "*", "[", "]", "(", "=", "'", '"',
+    "é", "٣", "²", "ſ", "\u00a0", "\u2028", "\u3000", " ", "\n", "\t", "\x1c", "\x85",
+]
+
+
+def test_poorly_formatted_gives_the_per_character_answer():
+    rng = random.Random(7)
+    answers = set()
+    for _ in range(30_000):
+        body = "".join(rng.choices(GARBAGE_FRAGMENTS, k=rng.randint(0, 14)))
+        answer = _poorly_formatted(body)
+        assert answer == per_character_poorly_formatted(body), repr(body)
+        answers.add(answer)
+    assert answers == {True, False}
+
+
+def test_split_drops_exactly_the_characters_isspace_accepts():
+    every = "".join(map(chr, range(sys.maxunicode + 1)))
+    assert "".join(every.split()) == "".join(ch for ch in every if not ch.isspace())
+
+
+def test_alnum_pattern_matches_exactly_the_characters_isalnum_accepts():
+    every = "".join(map(chr, range(sys.maxunicode + 1)))
+    assert "".join(_ALNUM_RE.findall(every)) == "".join(filter(str.isalnum, every))
 
 
 def test_clean_funnel_conservation():

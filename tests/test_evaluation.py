@@ -360,6 +360,36 @@ def test_chunked_bootstrap_draws_equal_the_one_shot_draw(rows):
     assert np.array_equal(sums, counts.astype(np.int64)[:, one_shot].sum(axis=2).T)
 
 
+def three_gather_sums(counts, resamples, seed, budget):
+    """_resample_sums with one gather per count row, the oracle of its packed form."""
+    n = counts.shape[1]
+    rng = np.random.default_rng(seed)
+    sums = np.empty((resamples, 3), dtype=np.int64)
+    step = max(1, budget // n)
+    for start in range(0, resamples, step):
+        idx = rng.integers(0, n, size=(min(step, resamples - start), n))
+        for j, column in enumerate(counts):
+            sums[start : start + len(idx), j] = column[idx].sum(axis=1, dtype=np.int64)
+    return sums
+
+
+@pytest.mark.parametrize(
+    "n,top,dtype,budget",
+    [
+        (500, 13, np.uint8, 2**18),  # thirteen codes: one block
+        (37, 3, np.uint8, 64 * 37),  # chunks that do not divide the resamples
+        (40, 0, np.uint8, 2**18),  # no count at all
+        (100, 60_000, np.uint16, 2**18),  # counts × draws >= 2**21: the draws are summed in blocks
+        (7, 2**21 - 1, np.int64, 50),  # the largest count, one draw per block
+    ],
+)
+def test_packed_resample_sums_equal_three_gathers(n, top, dtype, budget):
+    counts = np.random.default_rng(n).integers(0, top, size=(3, n), endpoint=True).astype(dtype)
+    counts[:, 0] = top  # the largest count is there, so it sets the field width
+    sums = _resample_sums(counts, 230, 9, budget=budget)
+    assert np.array_equal(sums, three_gather_sums(counts, 230, 9, budget))
+
+
 def test_report_bootstrap_intervals_equal_separate_bootstrap_calls():
     gold, pred = random_labels(400, SMALL.alphabet, seed=8)
     report = evaluate_predictions(

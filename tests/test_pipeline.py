@@ -593,6 +593,28 @@ def test_ingest_split_and_sample(tmp_path, clean_corpus_path):
     assert [p.id for p in sampled.posts] == [p.id for p in oracle.posts]
 
 
+INGEST_SHA256 = {  # the sha256 of every file ingest writes for the config below
+    "corpora/posts_50_clean.jsonl": "60cc3d4abcf1cc0503e7eba2dba31f27910e9a13d2ee0d7c2739f3bd54780234",
+    "corpora/posts_50_filtered.jsonl": "dde45250d5d6ce175a8356fdb7c98da4c59b7f5fbd08675ffa9a47e43b95903e",
+    "corpora/posts_50_post.jsonl": "fdc1f00ff41b97eb86e1aacbb326429bf3b5042450ecfb1c2d65ebfc95f83456",
+    "corpora/posts_50_pre.jsonl": "96b5b0988b8fbb2a23288b9642d5f3cf33f9c7c0876e38dbe7fd4a05b870910c",
+    "corpora/posts_50_pre_sampled.jsonl": "023e54b2e2a4a25eacc83949e129a96d0b296d189b4af00d459c943f1bc8d58a",
+    "ingest_summary.json": "e84535af2c7bb20d02932c1cbc3aa4ce3cadd9bb791bdb5fd647f98ccc025e3c",
+}
+
+
+def test_ingest_output_bytes_are_pinned(tmp_path, capsys):
+    cfg = make_cfg(
+        tmp_path,
+        POSTS_50,
+        corpus={"rule": "xylazine AND wound", "split_at": "2024-01-01T00:00:00Z", "sample": {"n": 5, "seed": 3}},
+    )
+    cmd_ingest(cfg)
+    written = sorted(p for p in cfg.output_dir.rglob("*") if p.is_file())
+    got = {p.relative_to(cfg.output_dir).as_posix(): sha256_of(p) for p in written}
+    assert got == INGEST_SHA256
+
+
 def test_ingest_sample_from_post_side(tmp_path, clean_corpus_path):
     cfg = make_cfg(
         tmp_path,
