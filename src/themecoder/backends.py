@@ -29,7 +29,7 @@ from urllib.parse import urlsplit
 
 from .errors import BackendError, ConfigError, DataError
 from .jsonl import JsonLines
-from .parsing import ParseFailure, ParseOutcome
+from .parsing import ParseFailure, ParseOutcome, render_answer, render_line
 from .prompting import RenderedPrompt
 
 BACKEND_KINDS = ("remote-chat", "mock-rules", "replay")
@@ -276,7 +276,8 @@ def _mock_rules(codes: tuple[str, ...]) -> tuple[tuple[str, tuple[str, ...]], ..
 
 
 def mock_rule_vector(post_text: str, codes: Sequence[str]) -> dict[str, int]:
-    """Evaluate the mock rule table over one post text for the given codes.
+    """Evaluate the mock rule table over one post text for the given codes,
+    keyed in the order of ``codes``.
 
     K fires for xylazine mentions with no use/wound/withdrawal signal; X
     fires when nothing at all matched and no xylazine term is present.
@@ -322,9 +323,8 @@ class MockRulesBackend(_BaseBackend):
     def _raw(self, message: str, prompt: RenderedPrompt, fingerprint: str, attempt: int) -> str:
         values = mock_rule_vector(prompt.post_text, prompt.target)
         if len(prompt.target) == 1:
-            code = prompt.target[0]
-            return f"{code}=[{values[code]}]"
-        return ", ".join(f"{c}={values[c]}" for c in prompt.target)
+            return render_answer(prompt.target[0], values[prompt.target[0]])
+        return render_line(values, values.values())
 
 
 class ReplayBackend(_BaseBackend):

@@ -198,7 +198,7 @@ def load_posts(path: str | Path, format: str = "post-lines") -> Corpus:
     """Load a corpus file in post-lines (one JSON record per line) or
     delimited-table (RFC-4180 header row) format."""
     p = Path(path)
-    posts = tuple(_posts(p, format))
+    posts = tuple(_posts(p, format, _post_from_record))
     corpus = Corpus(
         name=p.stem,
         posts=posts,
@@ -224,9 +224,9 @@ def load_post_ids(path: str | Path, format: str = "post-lines") -> CorpusIds:
 
     def ids() -> Iterator[str]:
         nonlocal count
-        for post in _posts(p, format):
+        for post_id in _posts(p, format, _record_id):
             count += 1
-            yield post.id
+            yield post_id
 
     found = frozenset(ids())
     if count != len(found) or "" in found:
@@ -234,8 +234,8 @@ def load_post_ids(path: str | Path, format: str = "post-lines") -> CorpusIds:
     return CorpusIds(name=p.stem, ids=found)
 
 
-def _posts(p: Path, format: str) -> Iterator[Post]:
-    """Each record's Post in file order.
+def _posts(p: Path, format: str, build: Callable[[dict, str], object]) -> Iterator:
+    """``build(record, where)`` of each record in file order.
 
     A record that is not a post (a missing field, a bad timestamp) is
     raised only once the whole file has parsed, so a malformed record
@@ -252,12 +252,12 @@ def _posts(p: Path, format: str) -> Iterator[Post]:
     try:
         for where, rec in records:
             try:
-                post = _post_from_record(rec, where)
+                built = build(rec, where)
             except DataError as exc:
                 held = held or exc
                 continue
             if held is None:
-                yield post
+                yield built
     except UnicodeDecodeError:  # read again only to name the line
         raise DataError(f"{p} line {_undecodable_line(p)}: not valid UTF-8") from None
     if held is not None:
@@ -318,14 +318,24 @@ def _read_delimited(p: Path) -> Iterator[tuple[str, dict]]:
             yield f"{p} record {recno}", row
 
 
-def _post_from_record(rec: dict, where: str) -> Post:
+def _check_record(rec: dict, where: str) -> datetime:
+    """Check that the record holds every post field and a timestamp that parses; return the timestamp."""
     for f in ("id", "title", "body", "source", "created_at"):
         if f not in rec:
             raise DataError(f"{where}: missing field {f!r}")
     try:
-        created = parse_timestamp(rec["created_at"])
-    except (ValueError, TypeError) as exc:
+        return parse_timestamp(rec["created_at"])
+    except (ValueError, TypeError, OverflowError, OSError) as exc:  # an epoch beyond datetime's range
         raise DataError(f"{where}: bad created_at ({exc})") from None
+
+
+def _record_id(rec: dict, where: str) -> str:
+    _check_record(rec, where)
+    return str(rec["id"])
+
+
+def _post_from_record(rec: dict, where: str) -> Post:
+    created = _check_record(rec, where)
     url = rec.get("url")
     return Post(
         id=str(rec["id"]),

@@ -1,10 +1,10 @@
-"""Parsers for model output.
+"""The answer grammars, rendered and parsed.
 
 Two grammars: the single-line vector grammar ("A=0, B=1, ..., X=0") and the
-per-theme single-answer grammar ("A=[1]"). Strict mode demands exactly the
-canonical form; lenient mode scans prose, since models sometimes wrap the
-classification line in chatter. Parsers return outcomes, never raise on
-arbitrary input.
+per-theme single-answer grammar ("A=[1]"), each written only by its renderer
+here. Strict mode demands exactly the canonical form; lenient mode scans
+prose, since models sometimes wrap the classification line in chatter.
+Parsers return outcomes, never raise on arbitrary input.
 """
 
 from __future__ import annotations
@@ -13,7 +13,8 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Mapping
+from itertools import repeat
+from typing import Iterable, Mapping
 
 from .codebook import Codebook, LabelVector
 
@@ -29,6 +30,16 @@ PARSE_MODES = ("strict", "lenient")
 
 _ASSIGN_RE = re.compile(r"([A-Za-z]+)\s*=\s*(\[[^\]\n]*\]|[^\s,]*)")
 _TRAILING_PUNCT = ".,;:!?"
+
+
+def render_line(codes: Iterable[str], values: Iterable[object]) -> str:
+    """One line assigning each code its value, in order ("A=0, B=1")."""
+    return ", ".join([f"{c}={v}" for c, v in zip(codes, values)])  # join lists a generator first anyway
+
+
+def render_answer(code: str, value: object) -> str:
+    """One per-theme answer ("A=[1]")."""
+    return f"{code}=[{value}]"
 
 
 @dataclass(frozen=True)
@@ -81,7 +92,7 @@ def _known_assignments(line: str, alphabet: tuple[str, ...]) -> list[tuple[str, 
 @lru_cache(maxsize=32)
 def _canonical_re(alphabet: tuple[str, ...]) -> re.Pattern:
     """The canonical line over ``alphabet``, one group per value."""
-    return re.compile(", ".join(f"{re.escape(c)}=([01])" for c in alphabet))
+    return re.compile(render_line(map(re.escape, alphabet), repeat("([01])")))
 
 
 def _canonical_vector(match: re.Match, alphabet: tuple[str, ...]) -> ParseOutcome:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import json
+import operator
 import os
 import socket
 from collections import Counter, deque
@@ -105,8 +106,8 @@ SEED_FIELDS = ("sample_seed", "exemplar_seed", "bootstrap_seed")  # the seeds an
 def _key(key: str, default=MISSING, **checks):
     """A RunConfig field read from config ``key``, required unless it has a ``default``
     or is ``derived``; ``checks`` may give ``allowed`` (with ``noun``), ``exists``, and
-    ``minimum``, a (least value, message) pair checked once every field is set,
-    only while the field named by ``when`` (if any) is set."""
+    ``minimum`` and ``maximum``, each a (bound, message) pair checked once every field
+    is set, only while the field named by ``when`` (if any) is set."""
     return field(default=default, metadata={"key": key, **checks})
 
 
@@ -149,7 +150,8 @@ class RunConfig:
     )
     bootstrap_resamples: int = _key(
         "evaluation.bootstrap_resamples", 2000,
-        minimum=(100, "bootstrap requires >= 100 resamples, got {}"), when="bootstrap_metrics",
+        minimum=(100, "bootstrap requires >= 100 resamples, got {}"),
+        maximum=(1_000_000, "bootstrap allows <= 1000000 resamples, got {}"), when="bootstrap_metrics",
     )
     bootstrap_seed: int = _key("evaluation.bootstrap_seed", 0, minimum=(0, "bootstrap seed must be >= 0, got {}"))
     bootstrap_metrics: tuple[str, ...] = _key(
@@ -218,9 +220,17 @@ def _checked(key: str, kind, value, checks: Mapping):
             raise ConfigError(f"{key} must be {' or '.join(map(repr, allowed))}, got {v!r}")
     if kind is Path:
         value = Path(value)
-        if "exists" in checks and not value.exists():
-            raise ConfigError(f"{checks['exists']} does not exist: {value}")
+        if "exists" in checks:
+            _require_file(value, checks["exists"])
     return tuple(value) if many else value
+
+
+def _require_file(path: Path, noun: str) -> None:
+    """Raise unless ``path`` names a regular file (an empty path reads as ".", a directory)."""
+    if not path.exists():
+        raise ConfigError(f"{noun} does not exist: {path}")
+    if not path.is_file():
+        raise ConfigError(f"{noun} is not a file: {path}")
 
 
 def _read(cls, flat: Mapping, section: str = "") -> dict:
@@ -287,8 +297,8 @@ def _run_config(flat: Mapping, overrides: Mapping[str, int], offline: bool) -> R
     backend = values["backend"]
     if offline and backend.kind == "remote-chat":
         raise ConfigError("remote backends are forbidden in offline mode")
-    if backend.kind == "replay" and not Path(backend.replay_path).exists():
-        raise ConfigError(f"replay script path does not exist: {Path(backend.replay_path)}")
+    if backend.kind == "replay":
+        _require_file(Path(backend.replay_path), "replay script path")
 
     unknown = sorted(set(overrides) - set(SEED_FIELDS))
     if unknown:
@@ -300,11 +310,12 @@ def _run_config(flat: Mapping, overrides: Mapping[str, int], offline: bool) -> R
     # repeat runs only make sense against a nondeterministic backend
     values.setdefault("repeats", 1 if (backend.temperature == 0 or backend.kind != "remote-chat") else 3)
     for f in fields(RunConfig):
-        if "minimum" not in f.metadata:
+        value, when = values[f.name], f.metadata.get("when")
+        if value is None or (when is not None and not values[when]):
             continue
-        (least, message), value, when = f.metadata["minimum"], values[f.name], f.metadata.get("when")
-        if value is not None and value < least and (when is None or values[when]):
-            raise ConfigError(message.format(value))
+        for check, outside in (("minimum", operator.lt), ("maximum", operator.gt)):
+            if check in f.metadata and outside(value, f.metadata[check][0]):
+                raise ConfigError(f.metadata[check][1].format(value))
     return RunConfig(**values)
 
 

@@ -10,6 +10,7 @@ pure function of its arguments.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,7 @@ from .codebook import Codebook, Exemplar, LabelVector
 from .corpus import Post
 from .errors import ConfigError, DataError
 from .jsonl import read_text
+from .parsing import render_answer, render_line
 
 TEMPLATE_VERSIONS = ("v1-per-theme", "v2-multi-question", "v3-single-line")
 DEFAULT_TEMPLATE_VERSION = "v3-single-line"
@@ -94,16 +96,9 @@ class RenderedPrompt:
     def format_reminder(self) -> str:
         """One-line format reminder appended on a re-ask."""
         if len(self.target) == 1:
-            code = self.target[0]
-            return (
-                f'Reminder: answer with exactly "{code}=[0]" or "{code}=[1]" '
-                "and nothing else."
-            )
-        line = ", ".join(f"{c}=_" for c in self.target)
-        return (
-            "Reminder: reply with exactly one line, strictly in the format: "
-            f"{line}"
-        )
+            zero, one = render_answer(self.target[0], 0), render_answer(self.target[0], 1)
+            return f'Reminder: answer with exactly "{zero}" or "{one}" and nothing else.'
+        return f"Reminder: reply with exactly one line, strictly in the format: {render_line(self.target, repeat('_'))}"
 
 
 def load_template(version: str = DEFAULT_TEMPLATE_VERSION, path: str | Path | None = None) -> PromptTemplate:
@@ -130,7 +125,7 @@ def canonical_line(v: LabelVector, cb: Codebook) -> str:
     missing = [c for c in cb.alphabet if c not in v.codes]
     if missing:
         raise DataError(f"vector is missing code(s) {', '.join(missing)}")
-    return ", ".join(f"{c}={v[c]}" for c in cb.alphabet)
+    return render_line(cb.alphabet, map(v.__getitem__, cb.alphabet))
 
 
 def select_exemplars(cb: Codebook, policy: ShotPolicy, seed: int = 0) -> tuple[Exemplar, ...]:
@@ -172,32 +167,13 @@ def _payload(post: Post, include_title: bool) -> str:
     return post.body
 
 
-def _examples_section(
-    exemplars: tuple[Exemplar, ...], cb: Codebook, budget: int
-) -> str:
+def _examples_section(exemplars: tuple[Exemplar, ...], heading: str, answers: list[str], budget: int) -> str:
+    """Each exemplar's text, then its answer under ``heading``."""
     if not exemplars:
         return ""
     parts = ["\n\nExamples:\n"]
-    for i, ex in enumerate(exemplars, start=1):
-        line = canonical_line(ex.vector(cb.alphabet), cb)
-        parts.append(
-            f'\n{i}. Post:\n"{_truncate(ex.text, budget)}"\n\nClassification:\n{line}\n'
-        )
-    return "".join(parts).rstrip("\n")
-
-
-def _v1_examples_section(
-    exemplars: tuple[Exemplar, ...], code: str, cb: Codebook, budget: int
-) -> str:
-    # per-theme prompts show only the target code's answer for each exemplar
-    if not exemplars:
-        return ""
-    parts = ["\n\nExamples:\n"]
-    for i, ex in enumerate(exemplars, start=1):
-        value = ex.vector(cb.alphabet)[code]
-        parts.append(
-            f'\n{i}. Post:\n"{_truncate(ex.text, budget)}"\n\nAnswer:\n{code}=[{value}]\n'
-        )
+    for i, (ex, answer) in enumerate(zip(exemplars, answers), start=1):
+        parts.append(f'\n{i}. Post:\n"{_truncate(ex.text, budget)}"\n\n{heading}:\n{answer}\n')
     return "".join(parts).rstrip("\n")
 
 
@@ -220,6 +196,16 @@ def prompt_renderer(
     """
     exemplars = select_exemplars(cb, policy, seed)
     alphabet = cb.alphabet
+    vectors = [ex.vector(alphabet) for ex in exemplars]
+
+    def line_examples() -> str:
+        lines = [canonical_line(v, cb) for v in vectors]
+        return _examples_section(exemplars, "Classification", lines, exemplar_budget)
+
+    def answer_examples(code: str) -> str:
+        # per-theme prompts show only the target code's answer for each exemplar
+        answers = [render_answer(code, v[code]) for v in vectors]
+        return _examples_section(exemplars, "Answer", answers, exemplar_budget)
 
     if tpl.version == "v1-per-theme":
         frames = [
@@ -228,37 +214,32 @@ def prompt_renderer(
                 tpl.scaffold.replace("{{theme_name}}", theme.name)
                 .replace("{{theme_definition}}", theme.definition)
                 .replace("{{code}}", theme.code)
-                .replace(
-                    "{{examples_section}}",
-                    _v1_examples_section(exemplars, theme.code, cb, exemplar_budget),
-                ),
+                .replace("{{examples_section}}", answer_examples(theme.code)),
             )
             for theme in cb.themes
         ]
     elif tpl.version == "v2-multi-question":
         questions = "\n\n".join(
-            f'{i}. {t.name}: {t.definition}. Format: "{t.code}=[answer]".'
+            f'{i}. {t.name}: {t.definition}. Format: "{render_answer(t.code, "answer")}".'
             for i, t in enumerate(cb.themes, start=1)
         )
         frames = [
             (
                 alphabet,
-                tpl.scaffold.replace("{{questions}}", questions)
-                .replace("{{examples_section}}", _examples_section(exemplars, cb, exemplar_budget)),
+                tpl.scaffold.replace("{{questions}}", questions).replace("{{examples_section}}", line_examples()),
             )
         ]
     else:  # v3-single-line
         categories = "\n\n".join(f"{t.code}. {t.name}\n{t.definition}" for t in cb.themes)
-        format_line = ", ".join(f"{c}=_" for c in alphabet)
         frames = [
             (
                 alphabet,
                 tpl.scaffold.replace("{{n_topics}}", str(len(alphabet)))
                 .replace("{{first_code}}", alphabet[0])
                 .replace("{{last_code}}", alphabet[-1])
-                .replace("{{format_line}}", format_line)
+                .replace("{{format_line}}", render_line(alphabet, repeat("_")))
                 .replace("{{categories}}", categories)
-                .replace("{{examples_section}}", _examples_section(exemplars, cb, exemplar_budget)),
+                .replace("{{examples_section}}", line_examples()),
             )
         ]
 

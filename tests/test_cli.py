@@ -116,6 +116,46 @@ def test_corpus_text_that_is_not_unicode_names_its_line_and_exits_two(
     assert not (run_dir / "results.jsonl").exists()
 
 
+@pytest.mark.parametrize("created_at", ["1e30", "-1e30", "Infinity"])
+@pytest.mark.parametrize("verb", ["ingest", "classify"])
+def test_out_of_range_epoch_timestamp_names_its_line_and_exits_two(
+    tmp_path, capsys, clean_corpus_path, verb, created_at
+):
+    lines = clean_corpus_path.read_text(encoding="utf-8").splitlines(keepends=True)
+    record = json.loads(lines[2])
+    lines[2] = json.dumps(record).replace(json.dumps(record["created_at"]), created_at) + "\n"
+    clean_corpus_path.write_text("".join(lines), encoding="utf-8")
+    cfg_path, run_dir = write_cfg(tmp_path, clean_corpus_path)
+    assert main([verb, "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"{clean_corpus_path} line 3: bad created_at (" in err.splitlines()[0], err
+    assert "Traceback" not in err
+    assert not (run_dir / "results.jsonl").exists()
+
+
+@pytest.mark.parametrize(
+    "key, noun",
+    [
+        ("corpus.path", "corpus path"),
+        ("codebook.path", "codebook path"),
+        ("gold.path", "gold path"),
+        ("corpus.keywords", "keyword set path"),
+        ("prompting.template_path", "template path"),
+        ("backend.replay_path", "replay script path"),
+    ],
+)
+def test_input_path_that_names_a_directory_exits_one_at_load(tmp_path, capsys, clean_corpus_path, key, noun):
+    section, leaf = key.split(".")
+    value = "" if key == "corpus.path" else str(tmp_path)  # an empty corpus.path reads as "."
+    extra = {"backend": {"kind": "replay"}} if section == "backend" else {}
+    extra.setdefault(section, {})[leaf] = value
+    cfg_path, run_dir = write_cfg(tmp_path, clean_corpus_path, **extra)
+    assert main(["classify", "--config", str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {noun} is not a file: {value or '.'}\n", err
+    assert not run_dir.exists()
+
+
 @pytest.mark.parametrize(
     "noun,verb,code",
     [
@@ -403,14 +443,23 @@ def test_config_value_of_the_wrong_type_exits_one(tmp_path, capsys, clean_corpus
             "classify", "bootstrap requires >= 100 resamples, got 0",
             {"evaluation": {"bootstrap_metrics": ["f1"], "bootstrap_resamples": 0}}, [],
         ),
+        (
+            "evaluate", f"bootstrap allows <= 1000000 resamples, got {10**30}",
+            {"evaluation": {"bootstrap_metrics": ["f1"], "bootstrap_resamples": 10**30}}, [],
+        ),
+        (
+            "evaluate", "bootstrap allows <= 1000000 resamples, got 1000001",
+            {"evaluation": {"bootstrap_metrics": ["f1"], "bootstrap_resamples": 1_000_001}}, [],
+        ),
     ],
     ids=[
         "sample-key", "sample-flag", "exemplar-key", "exemplar-flag", "bootstrap-key", "bootstrap-flag",
-        "exemplar-budget", "sample-n", "bootstrap-resamples",
+        "exemplar-budget", "sample-n", "bootstrap-resamples", "bootstrap-resamples-huge",
+        "bootstrap-resamples-above-bound",
     ],
 )
 def test_negative_seed_exits_one_at_load(tmp_path, capsys, clean_corpus_path, verb, message, sections, flags):
-    """A seed, or another value with a least value, out of range."""
+    """A seed, or another value with a least or greatest value, out of range."""
     cfg_path, run_dir = write_cfg(tmp_path, clean_corpus_path, **sections)
     assert main([verb, "--config", str(cfg_path), *flags]) == 1
     err = capsys.readouterr().err

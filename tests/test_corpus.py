@@ -11,6 +11,7 @@ from datetime import datetime, timedelta, timezone
 import numpy as np
 import pytest
 
+from themecoder import corpus as corpus_module
 from themecoder.corpus import (
     _ALNUM_RE,
     _URL_RE,
@@ -329,6 +330,16 @@ def test_load_posts_names_the_line_of_a_byte_that_is_not_utf8(tmp_path, corpus50
 def test_load_post_ids_of_a_corpus(fixtures_dir, corpus50):
     ids = load_post_ids(fixtures_dir / "posts_50.jsonl")
     assert ids.name == corpus50.name and ids.ids == frozenset(corpus50.ids)
+
+
+def test_load_post_ids_builds_no_post(fixtures_dir, corpus50, monkeypatch):
+    def no_post(**fields):
+        raise AssertionError("load_post_ids built a Post")
+
+    monkeypatch.setattr(corpus_module, "Post", no_post)
+    assert load_post_ids(fixtures_dir / "posts_50.jsonl").ids == frozenset(corpus50.ids)
+    with pytest.raises(AssertionError, match="built a Post"):
+        load_posts(fixtures_dir / "posts_50.jsonl")
 
 
 def test_load_posts_missing_file(tmp_path):

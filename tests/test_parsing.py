@@ -15,6 +15,7 @@ from themecoder.parsing import (
     assemble_per_theme,
     parse_single_answer,
     parse_single_line,
+    render_answer,
 )
 from themecoder.prompting import canonical_line
 
@@ -187,6 +188,10 @@ def test_round_trip_seeded(cb):
             assert outcome.ok and outcome.vector.values == values
         wrapped = f"Classification below.\n{line}\nDone."
         assert parse_single_line(wrapped, cb).vector.values == values
+        for code, value in zip(cb.alphabet, values):
+            answer = render_answer(code, value)
+            for mode in PARSE_MODES:
+                assert parse_single_answer(answer, code, mode=mode).vector.values == (value,)
 
 
 # --- per-theme answer grammar ------------------------------------------------------

@@ -338,6 +338,11 @@ def test_load_config_bounds_resamples_only_when_bootstrap_metrics_are_asked(tmp_
     least = {"bootstrap_resamples": 100, "bootstrap_metrics": ["f1"]}
     cfg = make_cfg(tmp_path, clean_corpus_path, name="b", evaluation=least)
     assert cfg.bootstrap_resamples == 100
+    cfg = make_cfg(tmp_path, clean_corpus_path, name="c", evaluation={"bootstrap_resamples": 10**30})
+    assert cfg.bootstrap_resamples == 10**30 and cfg.bootstrap_metrics == ()
+    greatest = {"bootstrap_resamples": 1_000_000, "bootstrap_metrics": ["f1"]}
+    cfg = make_cfg(tmp_path, clean_corpus_path, name="d", evaluation=greatest)
+    assert cfg.bootstrap_resamples == 1_000_000
 
 
 def test_load_config_failure_policy_validation(tmp_path, clean_corpus_path):
