@@ -19,7 +19,7 @@ import math
 import os
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from hashlib import sha256
 from json.encoder import encode_basestring
@@ -28,7 +28,7 @@ from typing import Callable, Mapping, Sequence
 from urllib.parse import urlsplit
 
 from .errors import BackendError, ConfigError, DataError
-from .jsonl import JsonLines
+from .jsonl import JsonLines, read_text
 from .parsing import ParseFailure, ParseOutcome, render_answer, render_line
 from .prompting import RenderedPrompt
 
@@ -334,13 +334,15 @@ class ReplayBackend(_BaseBackend):
         super().__init__(cfg)
         path = Path(cfg.replay_path)
         try:
-            self._script: dict[str, list[str]] = {
-                fp: list(texts) for fp, texts in json.loads(path.read_text(encoding="utf-8")).items()
-            }
-        except FileNotFoundError:
-            raise ConfigError(f"replay script not found: {path}") from None
+            script = json.loads(read_text(path, "replay script", ConfigError))
         except json.JSONDecodeError as exc:
             raise ConfigError(f"replay script {path} is not valid JSON: {exc}") from exc
+        if not isinstance(script, dict):
+            raise ConfigError(f"replay script {path} must be a JSON object")
+        for fp, texts in script.items():
+            if not isinstance(texts, list) or not all(isinstance(t, str) for t in texts):
+                raise ConfigError(f"replay script {path}: the entry for fingerprint {fp} is not a list of strings")
+        self._script: dict[str, list[str]] = script
 
     def _raw(self, message: str, prompt: RenderedPrompt, fingerprint: str, attempt: int) -> str:
         texts = self._script.get(fingerprint)

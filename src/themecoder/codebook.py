@@ -21,7 +21,7 @@ import numpy as np
 import yaml
 
 from .errors import DataError
-from .jsonl import atomic_write, read_text, undecodable_line
+from .jsonl import atomic_write, input_lines, read_yaml
 
 log = logging.getLogger(__name__)
 
@@ -333,13 +333,8 @@ def validate_codebook(cb: Codebook) -> list[str]:
 def load_codebook(path: str | Path | None = None) -> Codebook:
     """Load and validate a codebook file (the shipped default when path is None)."""
     p = Path(path) if path is not None else DEFAULT_CODEBOOK_PATH
-    try:
-        raw = yaml.safe_load(read_text(p, "codebook file"))
-    except FileNotFoundError:
-        raise DataError(f"codebook file not found: {p}") from None
-    except yaml.YAMLError as exc:
-        raise DataError(f"codebook file {p} is not valid YAML: {exc}") from exc
-    if not isinstance(raw, dict) or "themes" not in raw:
+    raw = read_yaml(p, "codebook file")
+    if not isinstance(raw, dict) or not isinstance(raw.get("themes"), list):
         raise DataError(f"codebook file {p} must be a mapping with a 'themes' list")
 
     themes: list[ThemeDef] = []
@@ -352,11 +347,15 @@ def load_codebook(path: str | Path | None = None) -> Codebook:
             definition = str(entry["definition"])
         except KeyError as exc:
             raise DataError(f"codebook theme entry {i} missing field {exc}") from None
-        exemplars = tuple(
-            Exemplar(text=str(e["text"]), labels=dict(e.get("labels", {})))
-            for e in entry.get("exemplars", ())
-        )
-        themes.append(ThemeDef(code=code, name=name, definition=definition, exemplars=exemplars))
+        entries = entry.get("exemplars", [])
+        if not isinstance(entries, list):
+            raise DataError(f"codebook theme {code} exemplars must be a list")
+        exemplars = []
+        for j, e in enumerate(entries):
+            if not isinstance(e, dict) or "text" not in e or not isinstance(e.get("labels", {}), dict):
+                raise DataError(f"codebook theme {code} exemplar {j} needs a 'text' and a 'labels' mapping")
+            exemplars.append(Exemplar(text=str(e["text"]), labels=dict(e.get("labels", {}))))
+        themes.append(ThemeDef(code=code, name=name, definition=definition, exemplars=tuple(exemplars)))
 
     cb = Codebook(
         version=str(raw.get("version", "unversioned")),
@@ -370,15 +369,6 @@ def load_codebook(path: str | Path | None = None) -> Codebook:
         if lint_null_conflict(ex.vector(cb.alphabet), cb.null_code):
             log.warning("codebook exemplar %d sets the null code alongside a substantive code", i)
     return cb
-
-
-def _utf8_lines(fh, p: Path) -> Iterator[str]:
-    """The lines of the gold table open as ``fh``; a byte that is not UTF-8
-    raises ``DataError`` naming the file and the line."""
-    try:
-        yield from fh
-    except UnicodeDecodeError:
-        raise DataError(f"gold label file {p} line {undecodable_line(p)} is not valid UTF-8") from None
 
 
 def load_gold(path: str | Path, corpus, cb: Codebook) -> GoldLabelSet:
@@ -398,12 +388,8 @@ def load_gold(path: str | Path, corpus, cb: Codebook) -> GoldLabelSet:
     p = Path(path)
     alphabet = cb.alphabet
     corpus_ids = frozenset(corpus.ids)  # no copy when corpus is a CorpusIds
-    try:
-        fh = p.open(encoding="utf-8", newline="")
-    except FileNotFoundError:
-        raise DataError(f"gold label file not found: {p}") from None
-    with fh:
-        rows = csv.reader(_utf8_lines(fh, p))
+    with input_lines(p, "gold label file") as lines:
+        rows = csv.reader(lines)
         header = next(rows, None)
         if header is None:
             raise DataError(f"gold label file {p} is empty")

@@ -14,16 +14,15 @@ import json
 import logging
 import operator
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping
 
 import numpy as np
-import yaml
 
 from .errors import ConfigError, DataError
-from .jsonl import atomic_write, read_text
+from .jsonl import atomic_write, holds_surrogate, read_yaml, undecodable_line
 
 log = logging.getLogger(__name__)
 
@@ -31,7 +30,6 @@ DEFAULT_KEYWORDS_PATH = Path(__file__).parent / "data" / "keywords_default.yaml"
 
 POST_FIELDS = ("id", "title", "body", "source", "created_at", "url")
 _ENCODER = json.JSONEncoder(ensure_ascii=False)  # json.dumps with options builds one per call
-_SURROGATE_RE = re.compile("[\ud800-\udfff]")
 _SURROGATE_ESCAPE_RE = re.compile(r"\\u[dD][89a-fA-F]")
 
 
@@ -168,20 +166,19 @@ def load_keywords(path: str | Path | None = None) -> KeywordSet:
     keys term, mode, case_sensitive.
     """
     p = Path(path) if path is not None else DEFAULT_KEYWORDS_PATH
-    try:
-        raw = yaml.safe_load(read_text(p, "keyword set file"))
-    except FileNotFoundError:
-        raise DataError(f"keyword set file not found: {p}") from None
-    except yaml.YAMLError as exc:
-        raise DataError(f"keyword set file {p} is not valid YAML: {exc}") from exc
+    raw = read_yaml(p, "keyword set file")
     if not isinstance(raw, dict) or not isinstance(raw.get("groups"), dict):
         raise DataError(f"keyword set file {p} must contain a 'groups' mapping")
     groups: dict[str, tuple[Term, ...]] = {}
     for name, entries in raw["groups"].items():
+        if not isinstance(entries or [], list):
+            raise DataError(f"keyword group {name!r} must be a list of terms")
         terms: list[Term] = []
-        for e in entries or ():
+        for j, e in enumerate(entries or ()):
             if isinstance(e, str):
                 terms.append(Term(text=e))
+            elif not isinstance(e, dict) or "term" not in e:
+                raise DataError(f"keyword group {name!r} entry {j} must be a term or a mapping with 'term'")
             else:
                 terms.append(
                     Term(
@@ -259,23 +256,9 @@ def _posts(p: Path, format: str, build: Callable[[dict, str], object]) -> Iterat
             if held is None:
                 yield built
     except UnicodeDecodeError:  # read again only to name the line
-        raise DataError(f"{p} line {_undecodable_line(p)}: not valid UTF-8") from None
+        raise DataError(f"{p} line {undecodable_line(p)}: not valid UTF-8") from None
     if held is not None:
         raise held
-
-
-def _lines(fh) -> Iterator[str]:
-    # splitlines() on each line read numbers lines as on the whole text,
-    # whose line boundaries also include \v, \f, \x85 and U+2028
-    return (line for chunk in fh for line in chunk.splitlines())
-
-
-def _undecodable_line(p: Path) -> int:
-    """The number of the first line of ``p`` that is not UTF-8, counted as
-    ``_read_post_lines`` counts. Each byte that does not decode becomes a
-    lone surrogate under ``surrogateescape``, which UTF-8 text never holds."""
-    with p.open(encoding="utf-8", errors="surrogateescape") as fh:
-        return next(n for n, line in enumerate(_lines(fh), start=1) if _SURROGATE_RE.search(line))
 
 
 def _read_post_lines(p: Path) -> Iterator[tuple[str, dict]]:
@@ -284,7 +267,7 @@ def _read_post_lines(p: Path) -> Iterator[tuple[str, dict]]:
     except FileNotFoundError:
         raise DataError(f"corpus file not found: {p}") from None
     with fh:
-        for lineno, line in enumerate(_lines(fh), start=1):
+        for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
@@ -295,7 +278,7 @@ def _read_post_lines(p: Path) -> Iterator[tuple[str, dict]]:
                 raise DataError(f"{p} line {lineno}: record is not an object")
             # a \uD800-\uDFFF escape may decode to a lone surrogate, which no
             # UTF-8 file can hold; only lines with such an escape are checked
-            if "\\u" in line and _SURROGATE_ESCAPE_RE.search(line) and _SURROGATE_RE.search(_ENCODER.encode(rec)):
+            if "\\u" in line and _SURROGATE_ESCAPE_RE.search(line) and holds_surrogate(rec):
                 raise DataError(f"{p} line {lineno}: a \\u escape gives a lone surrogate, not valid Unicode")
             yield f"{p} line {lineno}", rec
 

@@ -1,6 +1,10 @@
 """Append-only JSON-lines files shared by the run artifacts, the one way
-every whole-file artifact is written, and the one way a whole input file
-is read as text.
+every whole-file artifact is written, and the one way an input file is
+opened, decoded and, for YAML, parsed: ``read_text``, ``read_yaml`` and
+``input_lines`` name a missing file, a byte that is not UTF-8 and bad YAML
+in one form for every input. The corpus reader alone opens its own file,
+since each corpus error reads ``{path} line N: ...``; it finds the line of
+a bad byte with ``undecodable_line``.
 
 A ``JsonLines`` opens its file on the first append and keeps it open until
 ``close()``, flushing after every line. ``read()`` drops a torn final line
@@ -15,15 +19,19 @@ from __future__ import annotations
 import io
 import json
 import os
+import re
 import threading
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterator, TextIO
 
+import yaml
+
 from .errors import DataError, ThemecoderError
 
 _TAIL_BLOCK = 1 << 16  # bytes read per step back from the end by scan_tail
 _ENCODER = json.JSONEncoder(sort_keys=True, ensure_ascii=False)  # json.dumps with options builds one per call
+_SURROGATE_RE = re.compile("[\ud800-\udfff]")
 
 
 @contextmanager
@@ -49,10 +57,52 @@ def atomic_write(path: str | Path, newline: str | None = None) -> Iterator[TextI
 
 
 def read_text(path: Path, noun: str, error: type[ThemecoderError] = DataError) -> str:
-    """``path.read_text(encoding="utf-8")``, but a byte that is not UTF-8
-    raises ``error`` naming ``noun``, the file and the line."""
+    """``path.read_text(encoding="utf-8")``, but a missing file or a byte
+    that is not UTF-8 raises ``error`` as ``input_lines`` does."""
+    with input_lines(path, noun, error, newline=None) as lines:
+        return "".join(lines)
+
+
+def read_yaml(path: Path, noun: str, error: type[ThemecoderError] = DataError):
+    """The YAML document of ``path``, read as ``read_text`` reads it. Bad YAML
+    raises ``error``, as does a lone surrogate in any string: only a ``\\u``
+    escape gives one, and no UTF-8 output can hold it."""
     try:
-        return path.read_text(encoding="utf-8")
+        data = yaml.safe_load(read_text(path, noun, error))
+    except yaml.YAMLError as exc:
+        raise error(f"{noun} {path} is not valid YAML: {exc}") from exc
+    if holds_surrogate(data):
+        raise error(f"{noun} {path}: a \\u escape gives a lone surrogate, not valid Unicode")
+    return data
+
+
+def holds_surrogate(value) -> bool:
+    """Whether any string in ``value``, a key or a value at any depth, holds a lone surrogate."""
+    if isinstance(value, str):
+        return _SURROGATE_RE.search(value) is not None
+    if isinstance(value, dict):
+        return any(holds_surrogate(k) or holds_surrogate(v) for k, v in value.items())
+    return isinstance(value, list) and any(map(holds_surrogate, value))
+
+
+@contextmanager
+def input_lines(
+    path: Path, noun: str, error: type[ThemecoderError] = DataError, newline: str | None = ""
+) -> Iterator[Iterator[str]]:
+    """The lines of ``path``, opened as UTF-8 with ``newline`` (``""`` by
+    default, as ``csv`` needs). A missing file raises ``error`` naming
+    ``noun`` and the file; a byte that is not UTF-8 also names the line."""
+    try:
+        fh = path.open(encoding="utf-8", newline=newline)
+    except FileNotFoundError:
+        raise error(f"{noun} not found: {path}") from None
+    with fh:
+        yield _decoded(fh, path, noun, error)
+
+
+def _decoded(fh: TextIO, path: Path, noun: str, error: type[ThemecoderError]) -> Iterator[str]:
+    try:
+        yield from fh
     except UnicodeDecodeError:
         raise error(f"{noun} {path} line {undecodable_line(path)} is not valid UTF-8") from None
 

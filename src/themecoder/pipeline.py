@@ -25,9 +25,7 @@ from functools import partial
 from hashlib import sha256
 from pathlib import Path
 from types import NoneType
-from typing import Iterable, Iterator, Mapping, Sequence, get_args, get_origin, get_type_hints
-
-import yaml
+from typing import Iterator, Mapping, Sequence, get_args, get_origin, get_type_hints
 
 from .backends import (
     AuditLog,
@@ -63,7 +61,7 @@ from .evaluation import (
     run_stats,
     theme_distribution,
 )
-from .jsonl import JsonLines, atomic_write, read_text
+from .jsonl import JsonLines, atomic_write, input_lines, read_yaml
 from .parsing import PARSE_MODES, ParseOutcome, assemble_per_theme, parse_single_answer, parse_single_line
 from .prompting import (
     DEFAULT_EXEMPLAR_BUDGET,
@@ -264,12 +262,7 @@ def load_config(
     backend kinds.
     """
     p = Path(path)
-    try:
-        raw = yaml.safe_load(read_text(p, "config file", ConfigError))
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {p}") from None
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"config file {p} is not valid YAML: {exc}") from exc
+    raw = read_yaml(p, "config file", ConfigError)
     if not isinstance(raw, dict):
         raise ConfigError(f"config file {p} must contain a mapping")
     unknown = sorted(str(name) for name in raw.keys() - {key.split(".")[0] for key in _KEYS})
@@ -736,22 +729,21 @@ def cmd_classify(cfg: RunConfig, *, resume: bool = False) -> list[ResultsStore]:
 def _load_metrics_table(path: str | Path) -> list[tuple[str, MetricSet]]:
     """Read a delimited metrics table: label plus the four metric columns."""
     p = Path(path)
-    try:
-        with p.open(encoding="utf-8", newline="") as fh:
-            reader = csv.DictReader(fh)
-            fields = reader.fieldnames or []
-            for col in ("label", *METRIC_NAMES):
-                if col not in fields:
-                    raise DataError(f"metrics table {p}: missing column {col!r}")
-            rows = []
-            for lineno, row in enumerate(reader, start=2):
-                try:
-                    mset = MetricSet(**{m: float(row[m]) for m in METRIC_NAMES}, aggregation="micro", n_decisions=0)
-                except ValueError as exc:
-                    raise DataError(f"metrics table {p} row {lineno}: {exc}") from exc
-                rows.append((row["label"], mset))
-    except FileNotFoundError:
-        raise DataError(f"metrics table not found: {p}") from None
+    with input_lines(p, "metrics table") as lines:
+        reader = csv.DictReader(lines)
+        fields = reader.fieldnames or []
+        for col in ("label", *METRIC_NAMES):
+            if col not in fields:
+                raise DataError(f"metrics table {p}: missing column {col!r}")
+        rows = []
+        for lineno, row in enumerate(reader, start=2):
+            if None in row or None in row.values():
+                raise DataError(f"metrics table {p} row {lineno}: wrong cell count")
+            try:
+                mset = MetricSet(**{m: float(row[m]) for m in METRIC_NAMES}, aggregation="micro", n_decisions=0)
+            except ValueError as exc:
+                raise DataError(f"metrics table {p} row {lineno}: {exc}") from exc
+            rows.append((row["label"], mset))
     if not rows:
         raise DataError(f"metrics table {p} has no rows")
     return rows

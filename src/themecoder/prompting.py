@@ -112,7 +112,7 @@ def load_template(version: str = DEFAULT_TEMPLATE_VERSION, path: str | Path | No
             raise ConfigError(
                 f"unknown template version {version!r}; known: {', '.join(TEMPLATE_VERSIONS)}"
             ) from None
-        scaffold = (_TEMPLATE_DIR / filename).read_text(encoding="utf-8")
+        scaffold = read_text(_TEMPLATE_DIR / filename, "template file")
     return PromptTemplate(version=version, scaffold=scaffold)
 
 

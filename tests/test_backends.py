@@ -275,6 +275,22 @@ def test_replay_script_file_errors(tmp_path):
         ReplayBackend(BackendConfig(kind="replay", replay_path=str(bad)))
 
 
+@pytest.mark.parametrize(
+    "script,message",
+    [
+        ('["A=[1]"]', "must be a JSON object"),
+        ('{"fp1": "A=[1]"}', "entry for fingerprint fp1 is not a list of strings"),
+        ('{"fp1": ["A=[1]"], "fp2": [1]}', "entry for fingerprint fp2 is not a list of strings"),
+    ],
+    ids=["not-an-object", "entry-not-a-list", "entry-of-numbers"],
+)
+def test_replay_script_of_the_wrong_shape_is_a_config_error(tmp_path, script, message):
+    path = tmp_path / "script.json"
+    path.write_text(script, encoding="utf-8")
+    with pytest.raises(ConfigError, match=message):
+        ReplayBackend(BackendConfig(kind="replay", replay_path=str(path)))
+
+
 # --- retry loop ------------------------------------------------------------------------
 
 

@@ -49,6 +49,16 @@ def test_missing_metrics_table_exits_two(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: metrics table not found")
 
 
+@pytest.mark.parametrize("cells", ["", ",0.9,0.1"], ids=["too-few", "too-many"])
+def test_metrics_table_row_of_the_wrong_width_exits_two(tmp_path, capsys, cells):
+    lines = DS2.read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[2] = lines[2].rstrip("\n").rsplit(",", 1)[0] + cells + "\n"  # row 3 drops or adds a cell
+    table = tmp_path / "table.csv"
+    table.write_text("".join(lines), encoding="utf-8")
+    assert main(["rank", "--metrics-table", str(table)]) == 2
+    assert capsys.readouterr().err == f"error: metrics table {table} row 3: wrong cell count\n"
+
+
 def test_missing_config_exits_one(tmp_path, capsys):
     code = main(["ingest", "--config", str(tmp_path / "absent.yaml")])
     assert code == 1
@@ -164,6 +174,8 @@ def test_input_path_that_names_a_directory_exits_one_at_load(tmp_path, capsys, c
         ("gold label file", "evaluate", 2),
         ("template file", "classify", 2),
         ("config file", "classify", 1),
+        ("metrics table", "rank", 2),
+        ("replay script", "classify", 1),
     ],
 )
 def test_input_file_that_is_not_utf8_names_its_line_and_exits(tmp_path, capsys, clean_corpus_path, noun, verb, code):
@@ -172,6 +184,8 @@ def test_input_file_that_is_not_utf8_names_its_line_and_exits(tmp_path, capsys, 
         "keyword set file": DEFAULT_KEYWORDS_PATH.read_bytes(),
         "gold label file": (FIXTURES / "gold_clean.csv").read_bytes(),
         "template file": load_template().scaffold.encode(),
+        "metrics table": DS2.read_bytes(),
+        "replay script": b'{\n"fp": ["A=[1]"]}\n',
     }
     bad = tmp_path / "bad_input"
     bad.write_bytes(text.get(noun, b"") + b"\xe9")  # 0xe9 at the end of a file is not UTF-8
@@ -182,15 +196,78 @@ def test_input_file_that_is_not_utf8_names_its_line_and_exits(tmp_path, capsys, 
         corpus={"rule": "xylazine AND wound", **({"keywords": str(bad)} if noun == "keyword set file" else {})},
         gold={"path": str(bad if noun == "gold label file" else FIXTURES / "gold_clean.csv")},
         prompting={"template_path": str(bad)} if noun == "template file" else None,
+        backend={"kind": "replay", "replay_path": str(bad)} if noun == "replay script" else {},
     )
     if noun == "config file":
         bad = cfg_path
         bad.write_bytes(bad.read_bytes() + b"\xe9")
     line = bad.read_bytes().count(b"\n") + 1
-    assert main([verb, "--config", str(cfg_path)]) == code
+    args = ["--metrics-table", str(bad)] if verb == "rank" else ["--config", str(cfg_path)]
+    assert main([verb, *args]) == code
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.endswith(f"{noun} {bad} line {line} is not valid UTF-8\n"), err
     assert "Traceback" not in err
+    assert not (run_dir / "results.jsonl").exists()
+
+
+def first_exemplar(raw):
+    return raw["themes"][0]["exemplars"][0]
+
+
+SHAPE_DAMAGE = {  # (file, change to its YAML, message)
+    "themes-not-a-list": ("codebook", lambda raw: raw.update(themes=5), "must be a mapping with a 'themes' list"),
+    "exemplars-not-a-list": ("codebook", lambda raw: raw["themes"][0].update(exemplars=5), "theme A exemplars must be"),
+    "exemplar-without-text": ("codebook", lambda raw: first_exemplar(raw).pop("text"), "theme A exemplar 0 needs a"),
+    "null-labels": ("codebook", lambda raw: first_exemplar(raw).update(labels=None), "theme A exemplar 0 needs a"),
+    "group-not-a-list": ("keywords", lambda raw: raw["groups"].update(wound=5), "group 'wound' must be a list"),
+    "entry-without-term": ("keywords", lambda raw: raw["groups"]["wound"].insert(1, {"mode": "word"}), "entry 1 must"),
+    "entry-a-number": ("keywords", lambda raw: raw["groups"]["wound"].insert(0, 5), "group 'wound' entry 0 must"),
+}
+
+
+@pytest.mark.parametrize("damage", SHAPE_DAMAGE)
+def test_codebook_or_keyword_entry_of_the_wrong_shape_exits_two(tmp_path, capsys, clean_corpus_path, damage):
+    kind, change, message = SHAPE_DAMAGE[damage]
+    raw = yaml.safe_load((DEFAULT_CODEBOOK_PATH if kind == "codebook" else DEFAULT_KEYWORDS_PATH).read_text("utf-8"))
+    change(raw)
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(yaml.safe_dump(raw), encoding="utf-8")
+    cfg_path, run_dir = write_cfg(
+        tmp_path,
+        clean_corpus_path,
+        codebook={"path": str(bad)} if kind == "codebook" else {},
+        corpus={"rule": "xylazine AND wound", **({"keywords": str(bad)} if kind == "keywords" else {})},
+    )
+    assert main(["classify" if kind == "codebook" else "ingest", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err, err
+    assert "Traceback" not in err
+    assert not (run_dir / "results.jsonl").exists()
+
+
+@pytest.mark.parametrize(
+    "noun,verb,code",
+    [("config file", "classify", 1), ("codebook file", "classify", 2), ("keyword set file", "ingest", 2)],
+)
+def test_lone_surrogate_escape_in_a_yaml_input_exits(tmp_path, capsys, clean_corpus_path, noun, verb, code):
+    bad = tmp_path / "bad.yaml"
+    cfg_path, run_dir = write_cfg(
+        tmp_path,
+        clean_corpus_path,
+        codebook={"path": str(bad)} if noun == "codebook file" else {},
+        corpus={"rule": "xylazine AND wound", **({"keywords": str(bad)} if noun == "keyword set file" else {})},
+    )
+    source, old, new = {  # a double-quoted YAML string with a \u escape of a lone surrogate
+        "config file": (cfg_path, "dataset: FIX", 'dataset: "FIX\\ud800"'),
+        "codebook file": (DEFAULT_CODEBOOK_PATH, "name: Xylazine Use Habits", 'name: "\\ud800Xylazine"'),
+        "keyword set file": (DEFAULT_KEYWORDS_PATH, "- tranq\n", '- "tranq\\uDC00"\n'),
+    }[noun]
+    bad = cfg_path if noun == "config file" else bad
+    bad.write_text(source.read_text("utf-8").replace(old, new), encoding="utf-8")
+    assert main([verb, "--config", str(cfg_path)]) == code
+    err = capsys.readouterr().err
+    tail = f"{noun} {bad}: a \\u escape gives a lone surrogate, not valid Unicode\n"
+    assert err.startswith("error: ") and err.endswith(tail), err
     assert not (run_dir / "results.jsonl").exists()
 
 
