@@ -22,7 +22,7 @@ from typing import Callable, Iterator, Mapping
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .jsonl import atomic_write, holds_surrogate, read_yaml, undecodable_line
+from .jsonl import atomic_write, holds_surrogate, read_yaml, undecodable_line, write_table
 
 log = logging.getLogger(__name__)
 
@@ -171,24 +171,26 @@ def load_keywords(path: str | Path | None = None) -> KeywordSet:
         raise DataError(f"keyword set file {p} must contain a 'groups' mapping")
     groups: dict[str, tuple[Term, ...]] = {}
     for name, entries in raw["groups"].items():
+        where = f"keyword set file {p} group {name!r}"
         if not isinstance(entries or [], list):
-            raise DataError(f"keyword group {name!r} must be a list of terms")
+            raise DataError(f"{where} must be a list of terms")
         terms: list[Term] = []
         for j, e in enumerate(entries or ()):
-            if isinstance(e, str):
-                terms.append(Term(text=e))
-            elif not isinstance(e, dict) or "term" not in e:
-                raise DataError(f"keyword group {name!r} entry {j} must be a term or a mapping with 'term'")
-            else:
-                terms.append(
-                    Term(
-                        text=str(e["term"]),
-                        mode=str(e.get("mode", "word")),
-                        case_sensitive=bool(e.get("case_sensitive", False)),
-                    )
-                )
+            e = {"term": e} if isinstance(e, str) else e
+            if not isinstance(e, dict) or not isinstance(e.get("term"), str):
+                raise DataError(f"{where} entry {j} must be a term or a mapping with a string 'term'")
+            case_sensitive = e.get("case_sensitive", False)
+            if not isinstance(case_sensitive, bool):
+                raise DataError(f"{where} entry {j} case_sensitive must be true or false")
+            try:
+                terms.append(Term(text=e["term"], mode=e.get("mode", "word"), case_sensitive=case_sensitive))
+            except ConfigError as exc:
+                raise DataError(f"{where} entry {j}: {exc}") from None
         groups[str(name)] = tuple(terms)
-    return KeywordSet(groups=groups)
+    try:
+        return KeywordSet(groups=groups)
+    except ConfigError as exc:
+        raise DataError(f"keyword set file {p}: {exc}") from None
 
 
 def load_posts(path: str | Path, format: str = "post-lines") -> Corpus:
@@ -338,11 +340,7 @@ def write_posts(corpus: Corpus, path: str | Path, format: str = "post-lines") ->
             for post in corpus.posts:
                 fh.write(_ENCODER.encode(post.to_record()) + "\n")
     elif format == "delimited-table":
-        with atomic_write(p, newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=list(POST_FIELDS))
-            writer.writeheader()
-            for post in corpus.posts:
-                writer.writerow({"url": "", **post.to_record()})
+        write_table(p, POST_FIELDS, (post.to_record() for post in corpus.posts))
     else:
         raise ConfigError(f"unknown corpus format {format!r}")
 

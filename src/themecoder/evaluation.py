@@ -15,8 +15,6 @@ F1 of (0, 0) is 0; themes that trigger the rule are flagged in reports.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 import statistics
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -27,7 +25,7 @@ import numpy as np
 
 from .codebook import Codebook, GoldLabelSet, LabelMatrix, LabelVector, label_rows
 from .errors import ConfigError, DataError
-from .jsonl import atomic_write
+from .jsonl import write_json, write_table
 
 METRIC_NAMES = ("precision", "recall", "f1", "accuracy")
 AGGREGATIONS = ("per-theme", "micro", "macro")
@@ -158,6 +156,9 @@ class ThemeDistribution:
 
     def percentage(self, code: str) -> float:
         return 100.0 * self.counts[code] / self.n
+
+    def to_dict(self) -> dict:
+        return {"n": self.n, "counts": dict(self.counts), "percentages": {c: self.percentage(c) for c in self.codes}}
 
 
 @dataclass(frozen=True)
@@ -573,11 +574,7 @@ class EvalReport:
             ]
         for key, dist in (("distribution", self.distribution), ("gold_distribution", self.gold_distribution)):
             if dist is not None:
-                out[key] = {
-                    "n": dist.n,
-                    "counts": dict(dist.counts),
-                    "percentages": {code: dist.percentage(code) for code in dist.codes},
-                }
+                out[key] = dist.to_dict()
         if self.delta is not None:
             out["distribution_delta"] = {
                 "per_code": dict(self.delta.deltas),
@@ -621,19 +618,13 @@ class EvalReport:
         """Write report.json and metrics.csv; byte-stable given equal inputs."""
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        report_path = out / "report.json"
-        with atomic_write(report_path) as fh:
-            fh.write(json.dumps(self.to_dict(), indent=2, sort_keys=True, ensure_ascii=False) + "\n")
-        csv_path = out / "metrics.csv"
+        report_path, csv_path = out / "report.json", out / "metrics.csv"
+        write_json(report_path, self.to_dict())
         fieldnames = [
             "scope", "label", *(f.name for f in fields(ConfusionMatrix)), *METRIC_NAMES,
             "avg_rank", "count", "percentage", "delta_pp",
         ]
-        with atomic_write(csv_path, newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=fieldnames, restval="")
-            writer.writeheader()
-            for row in self.flat_rows():
-                writer.writerow(row)
+        write_table(csv_path, fieldnames, self.flat_rows())
         return report_path, csv_path
 
 

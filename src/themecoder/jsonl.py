@@ -1,5 +1,6 @@
 """Append-only JSON-lines files shared by the run artifacts, the one way
-every whole-file artifact is written, and the one way an input file is
+every whole-file artifact is written (``write_json`` and ``write_table``
+for the JSON and table ones), and the one way an input file is
 opened, decoded and, for YAML, parsed: ``read_text``, ``read_yaml`` and
 ``input_lines`` name a missing file, a byte that is not UTF-8 and bad YAML
 in one form for every input. The corpus reader alone opens its own file,
@@ -16,6 +17,7 @@ its end.
 
 from __future__ import annotations
 
+import csv
 import io
 import json
 import os
@@ -23,7 +25,7 @@ import re
 import threading
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterator, TextIO
+from typing import Iterable, Iterator, Mapping, Sequence, TextIO
 
 import yaml
 
@@ -54,6 +56,20 @@ def atomic_write(path: str | Path, newline: str | None = None) -> Iterator[TextI
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_json(path: str | Path, payload) -> None:
+    """Write ``payload`` to ``path`` as indented JSON with sorted keys, whole or not at all."""
+    with atomic_write(path) as fh:
+        fh.write(json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False) + "\n")
+
+
+def write_table(path: str | Path, header: Sequence[str], rows: Iterable[Mapping]) -> None:
+    """Write ``header``, then one row per mapping, as an RFC-4180 table; a key a row lacks is an empty cell."""
+    with atomic_write(path, newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=header, restval="")
+        writer.writeheader()
+        writer.writerows(rows)
 
 
 def read_text(path: Path, noun: str, error: type[ThemecoderError] = DataError) -> str:

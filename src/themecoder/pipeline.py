@@ -61,7 +61,7 @@ from .evaluation import (
     run_stats,
     theme_distribution,
 )
-from .jsonl import JsonLines, atomic_write, input_lines, read_yaml
+from .jsonl import JsonLines, input_lines, read_yaml, write_json, write_table
 from .parsing import PARSE_MODES, ParseOutcome, assemble_per_theme, parse_single_answer, parse_single_line
 from .prompting import (
     DEFAULT_EXEMPLAR_BUDGET,
@@ -548,8 +548,7 @@ def cmd_ingest(cfg: RunConfig) -> dict:
         write_posts(corpus, out_dir / outputs["sampled"])
 
     summary["outputs"] = outputs
-    with atomic_write(cfg.output_dir / "ingest_summary.json") as fh:
-        fh.write(json.dumps(summary, indent=2, sort_keys=True, ensure_ascii=False) + "\n")
+    write_json(cfg.output_dir / "ingest_summary.json", summary)
     parts = [f"{k}={summary[k]}" for k in ("loaded", "filtered", "cleaned", "sampled") if k in summary]
     print(", ".join(parts))
     return summary
@@ -683,8 +682,7 @@ def cmd_classify(cfg: RunConfig, *, resume: bool = False) -> list[ResultsStore]:
                     "resume refused: config or input hashes differ from the original manifest"
                 )
         else:
-            with atomic_write(manifest_path) as fh:
-                fh.write(json.dumps(manifest, indent=2, sort_keys=True, ensure_ascii=False) + "\n")
+            write_json(manifest_path, manifest)
 
         ledger = run_files.enter_context(closing(RunLedger(run_dir / "ledger.jsonl")))
         ledger.events()  # finds a torn last line, cut off before the next event
@@ -749,9 +747,8 @@ def _load_metrics_table(path: str | Path) -> list[tuple[str, MetricSet]]:
     return rows
 
 
-def _write_ranking(ranking: ModelRanking, out_dir: Path) -> tuple[Path, Path]:
+def _write_ranking(ranking: ModelRanking, out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    json_path = out_dir / "ranking.json"
     payload = [
         {
             "label": row.label,
@@ -761,24 +758,18 @@ def _write_ranking(ranking: ModelRanking, out_dir: Path) -> tuple[Path, Path]:
         }
         for row in ranking.rows
     ]
-    with atomic_write(json_path) as fh:
-        fh.write(json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False) + "\n")
-    csv_path = out_dir / "ranking.csv"
-    with atomic_write(csv_path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["label", *METRIC_NAMES, *(f"rank_{m}" for m in METRIC_NAMES), "avg_rank"]
-        )
-        for row in ranking.rows:
-            writer.writerow(
-                [
-                    row.label,
-                    *(f"{row.metrics.value(m):.6f}" for m in METRIC_NAMES),
-                    *(f"{row.ranks[m]:g}" for m in METRIC_NAMES),
-                    f"{row.avg_rank:.3f}",
-                ]
-            )
-    return json_path, csv_path
+    write_json(out_dir / "ranking.json", payload)
+    rows = (
+        {
+            "label": row.label,
+            **{m: f"{row.metrics.value(m):.6f}" for m in METRIC_NAMES},
+            **{f"rank_{m}": f"{row.ranks[m]:g}" for m in METRIC_NAMES},
+            "avg_rank": f"{row.avg_rank:.3f}",
+        }
+        for row in ranking.rows
+    )
+    header = ["label", *METRIC_NAMES, *(f"rank_{m}" for m in METRIC_NAMES), "avg_rank"]
+    write_table(out_dir / "ranking.csv", header, rows)
 
 
 def _print_ranking(ranking: ModelRanking) -> None:
@@ -886,21 +877,15 @@ def cmd_distribute(cfg: RunConfig, *, store_path: str | Path | None = None, top_
     ranked = sorted(dist.codes, key=lambda c: (-dist.counts[c], c))
     top = ranked[: max(top_k, 0)]
     payload = {
-        "n": dist.n,
+        **dist.to_dict(),
         "n_failed": sum(len(failed) for _, failed in results.values()),
-        "counts": dict(dist.counts),
-        "percentages": {c: dist.percentage(c) for c in dist.codes},
         "top_themes": top,
     }
     reports_dir = cfg.output_dir / "reports"
     reports_dir.mkdir(parents=True, exist_ok=True)
-    with atomic_write(reports_dir / "distribution.json") as fh:
-        fh.write(json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False) + "\n")
-    with atomic_write(reports_dir / "distribution.csv", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["code", "count", "percentage"])
-        for code in dist.codes:
-            writer.writerow([code, dist.counts[code], f"{dist.percentage(code):.1f}"])
+    write_json(reports_dir / "distribution.json", payload)
+    rows = ({"code": c, "count": dist.counts[c], "percentage": f"{dist.percentage(c):.1f}"} for c in dist.codes)
+    write_table(reports_dir / "distribution.csv", ["code", "count", "percentage"], rows)
     for code in top:
         print(f"{code}: {dist.counts[code]} ({dist.percentage(code):.1f}%)")
     return payload

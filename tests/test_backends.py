@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import socket
@@ -588,6 +589,7 @@ def chat_server(request):
             state["requests"].append(
                 {
                     "auth": self.headers.get("Authorization"),
+                    "proxy_auth": self.headers.get("Proxy-Authorization"),
                     "type": self.headers.get("Content-Type"),
                     "body": body,
                     "path": self.path,
@@ -833,6 +835,107 @@ def test_remote_honours_http_proxy_and_no_proxy(monkeypatch, chat_server):
     with pytest.raises(BackendError, match=r"transport retries exhausted \(last status: gaierror\)"):
         complete(cfg, PROBE, retry=FAST_RETRY)
     assert len(chat_server["requests"]) == 1
+
+
+PROXY_USERINFO = "us%40er:p%3Ass"  # user "us@er", password "p:ss", both percent-escaped
+PROXY_AUTH = "Basic dXNAZXI6cDpzcw=="  # base64 of "us@er:p:ss"
+
+
+@pytest.fixture()
+def proxy_env(monkeypatch):
+    """No proxy variables set, a credential, and ``UNRESOLVABLE`` failing at once."""
+    monkeypatch.setenv("TC_TEST_KEY", "sekret-value-123")
+    for var in PROXY_VARS:
+        monkeypatch.delenv(var, raising=False)
+        monkeypatch.delenv(var.upper(), raising=False)
+    real_lookup = socket.getaddrinfo
+
+    def lookup(host, *args, **kwargs):
+        if host == UNRESOLVABLE:
+            raise socket.gaierror(socket.EAI_NONAME, "Name or service not known")
+        return real_lookup(host, *args, **kwargs)
+
+    monkeypatch.setattr(socket, "getaddrinfo", lookup)
+    return monkeypatch
+
+
+def test_remote_sends_proxy_credentials_with_the_bearer_token(proxy_env, chat_server):
+    proxy = chat_server["endpoint"].removesuffix("/v1/chat/completions").replace("//", f"//{PROXY_USERINFO}@")
+    proxy_env.setenv("http_proxy", proxy)
+    cfg = remote_cfg(f"http://{UNRESOLVABLE}/v1/chat/completions")
+    assert complete(cfg, PROBE, retry=FAST_RETRY).raw_text == "fallback"
+    (request,) = chat_server["requests"]
+    assert request["path"] == cfg.endpoint
+    assert request["proxy_auth"] == PROXY_AUTH
+    assert request["auth"] == "Bearer sekret-value-123"
+
+
+@contextlib.contextmanager
+def tunnel_proxy():
+    """An https proxy on 127.0.0.1: it records the head of each CONNECT,
+    answers 200 and relays bytes both ways until either side closes.
+    Yields the proxy's port and the list of heads."""
+    heads: list[str] = []
+    stop = threading.Event()
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(0.05)
+
+    def relay(src, dst):
+        with contextlib.suppress(OSError):
+            while data := src.recv(65536):
+                dst.sendall(data)
+            dst.shutdown(socket.SHUT_WR)
+
+    def tunnel(client):
+        head = b""
+        while b"\r\n\r\n" not in head and (chunk := client.recv(4096)):
+            head += chunk
+        heads.append(head.decode("latin-1"))
+        host, port = head.split()[1].decode().rsplit(":", 1)
+        with socket.create_connection((host, int(port)), timeout=5) as upstream:
+            client.sendall(b"HTTP/1.1 200 Connection established\r\n\r\n")
+            back = threading.Thread(target=relay, args=(upstream, client))
+            back.start()
+            relay(client, upstream)
+            back.join(timeout=5)
+
+    def serve():
+        while not stop.is_set():
+            try:
+                client, _ = listener.accept()
+            except TimeoutError:
+                continue
+            with client:
+                client.settimeout(5)
+                tunnel(client)
+
+    thread = threading.Thread(target=serve)
+    thread.start()
+    try:
+        yield listener.getsockname()[1], heads
+    finally:
+        stop.set()
+        thread.join(timeout=15)
+        listener.close()
+    assert not thread.is_alive()
+
+
+@pytest.mark.parametrize("chat_server", ["tls"], indirect=True)
+def test_remote_https_goes_through_one_authenticated_connect(proxy_env, chat_server):
+    proxy_env.setenv("SSL_CERT_FILE", str(TLS_CERT))
+    cfg = remote_cfg(chat_server["endpoint"])
+    target = cfg.endpoint.split("/")[2]
+    with tunnel_proxy() as (port, heads):
+        proxy_env.setenv("https_proxy", f"http://{PROXY_USERINFO}@127.0.0.1:{port}")
+        assert complete(cfg, PROBE, retry=FAST_RETRY).raw_text == "fallback"
+    (head,) = heads
+    request_line, *header_lines = head.split("\r\n")
+    assert request_line.startswith(f"CONNECT {target} ")
+    headers = {name.strip().lower(): value.strip() for name, _, value in (h.partition(":") for h in header_lines if h)}
+    assert headers["proxy-authorization"] == PROXY_AUTH
+    (request,) = chat_server["requests"]  # the endpoint sees the token, never the proxy's credentials
+    assert request["auth"] == "Bearer sekret-value-123"
+    assert request["proxy_auth"] is None
 
 
 def cut_short(handler):

@@ -16,7 +16,7 @@ import yaml
 
 from conftest import FIXTURES, base_config, write_config
 
-from themecoder import pipeline
+from themecoder import jsonl, pipeline
 from themecoder.cli import main
 from themecoder.codebook import DEFAULT_CODEBOOK_PATH, load_codebook
 from themecoder.corpus import DEFAULT_KEYWORDS_PATH, SamplingSpec, dedup_clean, load_posts, sample_random
@@ -222,6 +222,19 @@ SHAPE_DAMAGE = {  # (file, change to its YAML, message)
     "group-not-a-list": ("keywords", lambda raw: raw["groups"].update(wound=5), "group 'wound' must be a list"),
     "entry-without-term": ("keywords", lambda raw: raw["groups"]["wound"].insert(1, {"mode": "word"}), "entry 1 must"),
     "entry-a-number": ("keywords", lambda raw: raw["groups"]["wound"].insert(0, 5), "group 'wound' entry 0 must"),
+    "unknown-mode": (
+        "keywords",
+        lambda raw: raw["groups"]["xylazine"].insert(0, {"term": "xylazine", "mode": "regex"}),
+        "bad.yaml group 'xylazine' entry 0: unknown term mode 'regex'",
+    ),
+    "empty-group": ("keywords", lambda raw: raw["groups"].update(xylazine=[]), "bad.yaml: keyword group 'xylazine' is"),
+    "term-a-number": ("keywords", lambda raw: raw["groups"]["wound"].insert(2, {"term": 5}), "'wound' entry 2 must"),
+    "empty-term": ("keywords", lambda raw: raw["groups"]["wound"].insert(0, ""), "entry 0: keyword term must be non"),
+    "case-sensitive-a-string": (
+        "keywords",
+        lambda raw: raw["groups"]["wound"].insert(1, {"term": "XYLAZINE", "case_sensitive": "no"}),
+        "bad.yaml group 'wound' entry 1 case_sensitive must be true or false",
+    ),
 }
 
 
@@ -337,7 +350,7 @@ def test_manifest_write_cut_part_way_leaves_no_manifest(tmp_path, capsys, clean_
             yield HalfWriter(fh)
 
     cfg_path, run_dir = write_cfg(tmp_path, clean_corpus_path)
-    monkeypatch.setattr(pipeline, "atomic_write", cut_write)
+    monkeypatch.setattr(jsonl, "atomic_write", cut_write)
     with pytest.raises(OSError, match="cut part-way"):
         pipeline.cmd_classify(load_config(cfg_path))
     monkeypatch.undo()

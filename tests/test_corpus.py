@@ -485,6 +485,13 @@ def test_load_keywords_errors(tmp_path):
         load_keywords(flat)
 
 
+def test_load_keywords_reads_a_yaml_boolean_case_sensitive(tmp_path):
+    path = tmp_path / "kw.yaml"
+    entries = "    - {term: X, case_sensitive: true}\n    - {term: y, case_sensitive: false}\n"
+    path.write_text(f"groups:\n  g:\n{entries}", encoding="utf-8")
+    assert load_keywords(path).groups["g"] == (Term("X", case_sensitive=True), Term("y"))
+
+
 def test_keyword_filter_fixture_oracle(corpus50, filter_oracle_ids):
     filtered = keyword_filter(corpus50, load_keywords(), "xylazine AND wound")
     assert list(filtered.ids) == filter_oracle_ids
