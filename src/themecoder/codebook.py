@@ -340,20 +340,20 @@ def load_codebook(path: str | Path | None = None) -> Codebook:
     themes: list[ThemeDef] = []
     for i, entry in enumerate(raw["themes"]):
         if not isinstance(entry, dict):
-            raise DataError(f"codebook theme entry {i} is not a mapping")
+            raise DataError(f"codebook file {p} theme entry {i} is not a mapping")
         try:
             code = str(entry["code"])
             name = str(entry["name"])
             definition = str(entry["definition"])
         except KeyError as exc:
-            raise DataError(f"codebook theme entry {i} missing field {exc}") from None
+            raise DataError(f"codebook file {p} theme entry {i} missing field {exc}") from None
         entries = entry.get("exemplars", [])
         if not isinstance(entries, list):
-            raise DataError(f"codebook theme {code} exemplars must be a list")
+            raise DataError(f"codebook file {p} theme {code} exemplars must be a list")
         exemplars = []
         for j, e in enumerate(entries):
             if not isinstance(e, dict) or "text" not in e or not isinstance(e.get("labels", {}), dict):
-                raise DataError(f"codebook theme {code} exemplar {j} needs a 'text' and a 'labels' mapping")
+                raise DataError(f"codebook file {p} theme {code} exemplar {j} needs a 'text' and a 'labels' mapping")
             exemplars.append(Exemplar(text=str(e["text"]), labels=dict(e.get("labels", {}))))
         themes.append(ThemeDef(code=code, name=name, definition=definition, exemplars=tuple(exemplars)))
 

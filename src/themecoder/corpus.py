@@ -179,6 +179,9 @@ def load_keywords(path: str | Path | None = None) -> KeywordSet:
             e = {"term": e} if isinstance(e, str) else e
             if not isinstance(e, dict) or not isinstance(e.get("term"), str):
                 raise DataError(f"{where} entry {j} must be a term or a mapping with a string 'term'")
+            unknown = sorted(map(str, e.keys() - {"term", "mode", "case_sensitive"}))
+            if unknown:
+                raise DataError(f"{where} entry {j} has unknown key(s): {', '.join(unknown)}")
             case_sensitive = e.get("case_sensitive", False)
             if not isinstance(case_sensitive, bool):
                 raise DataError(f"{where} entry {j} case_sensitive must be true or false")

@@ -103,8 +103,8 @@ SEED_FIELDS = ("sample_seed", "exemplar_seed", "bootstrap_seed")  # the seeds an
 
 def _key(key: str, default=MISSING, **checks):
     """A RunConfig field read from config ``key``, required unless it has a ``default``
-    or is ``derived``; ``checks`` may give ``allowed`` (with ``noun``), ``exists``, and
-    ``minimum`` and ``maximum``, each a (bound, message) pair checked once every field
+    or is ``derived``; ``checks`` may give ``allowed`` (with ``noun``), ``exists``, ``directory``,
+    and ``minimum`` and ``maximum``, each a (bound, message) pair checked once every field
     is set, only while the field named by ``when`` (if any) is set."""
     return field(default=default, metadata={"key": key, **checks})
 
@@ -116,7 +116,7 @@ class RunConfig:
 
     label: str = _key("run.label", derived=True)
     dataset: str = _key("run.dataset", derived=True)
-    output_dir: Path = _key("run.output_dir")
+    output_dir: Path = _key("run.output_dir", directory="output directory")
     repeats: int = _key("run.repeats", derived=True, minimum=(1, "run.repeats must be >= 1, got {}"))
     corpus_path: Path = _key("corpus.path", exists="corpus path")
     corpus_format: str = _key("corpus.format", "post-lines")
@@ -220,6 +220,8 @@ def _checked(key: str, kind, value, checks: Mapping):
         value = Path(value)
         if "exists" in checks:
             _require_file(value, checks["exists"])
+        if "directory" in checks:
+            _require_directory(value, checks["directory"])
     return tuple(value) if many else value
 
 
@@ -229,6 +231,14 @@ def _require_file(path: Path, noun: str) -> None:
         raise ConfigError(f"{noun} does not exist: {path}")
     if not path.is_file():
         raise ConfigError(f"{noun} is not a file: {path}")
+
+
+def _require_directory(path: Path, noun: str) -> None:
+    """Raise unless ``path`` is a directory or can be made one: the first of
+    ``path`` and its parents that exists must be a directory."""
+    existing = next((p for p in (path, *path.parents) if p.exists()), None)
+    if existing is not None and not existing.is_dir():
+        raise ConfigError(f"{noun} {path}: {existing} is not a directory")
 
 
 def _read(cls, flat: Mapping, section: str = "") -> dict:
@@ -556,13 +566,12 @@ def cmd_ingest(cfg: RunConfig) -> dict:
 
 def _prompt_classifier(cfg: RunConfig, cb: Codebook, frames, backend, cache, audit):
     """Return ``classify(prompts)``: ``classify_with_retry``'s answer for each
-    of one post's prompts, one per frame. Each frame's fingerprint state and
-    parser are built here, once per run, not per post."""
+    of one post's prompts, one per frame, parsed as one answer ("A=[1]") when
+    the frame assigns one code and as one line when it assigns several. Each
+    frame's fingerprint state and parser are built here, once per run, not per post."""
     fingerprints = frame_fingerprints(cfg.backend, cfg.template_version, [text for _, text in frames])
-    if cfg.template_version == "v1-per-theme":
-        parsers = [partial(parse_single_answer, code=target[0], mode=cfg.parse_mode) for target, _ in frames]
-    else:
-        parsers = [partial(parse_single_line, cb=cb, mode=cfg.parse_mode)]
+    line = partial(parse_single_line, cb=cb, mode=cfg.parse_mode)
+    parsers = [partial(parse_single_answer, code=t[0], mode=cfg.parse_mode) if len(t) == 1 else line for t, _ in frames]
 
     def classify(prompts) -> list:
         return [
@@ -576,30 +585,29 @@ def _prompt_classifier(cfg: RunConfig, cb: Codebook, frames, backend, cache, aud
 
 
 def _classify_one(post, cb: Codebook, render, classify, cfg: RunConfig) -> dict:
-    """Render and classify one post; returns its store record."""
-    rendered = render(post)
-    answers = classify(rendered if isinstance(rendered, list) else [rendered])
-
-    if isinstance(rendered, list):  # one prompt per theme
-        outcomes: dict[str, ParseOutcome] = {}
-        for rp, (result, _) in zip(rendered, answers):
-            code = rp.target[0]
-            if isinstance(result, ClassificationFailure):
-                raw, failure = result.attempts[-1]
-                outcomes[code] = ParseOutcome.fail(failure.reason, failure.detail)
-            else:
-                outcomes[code] = ParseOutcome.success(result)
-        merged = assemble_per_theme(outcomes, cb)
-        vector, failures = merged.vector, [merged.failure]
-        attempts = sum(cres.attempts for _, cres in answers)
-        fingerprint = _sha256_text("\n".join(cres.fingerprint for _, cres in answers))
-    else:
-        result, cres = answers[0]
+    """Render and classify one post; returns its store record. A single
+    frame's answer is the post's; several frames' answers merge code by code."""
+    prompts = render(post)
+    answers = classify(prompts)
+    if len(answers) == 1:
+        (result, cres), = answers
         attempts, fingerprint = cres.attempts, cres.fingerprint
         if isinstance(result, ClassificationFailure):
             vector, failures = None, [f for _, f in result.attempts]
         else:
             vector = result
+    else:
+        outcomes = {
+            code: ParseOutcome(failure=result.attempts[-1][1])
+            if isinstance(result, ClassificationFailure)
+            else ParseOutcome(vector=result)
+            for rp, (result, _) in zip(prompts, answers)
+            for code in rp.target
+        }
+        merged = assemble_per_theme(outcomes, cb)
+        vector, failures = merged.vector, [merged.failure]
+        attempts = sum(cres.attempts for _, cres in answers)
+        fingerprint = _sha256_text("\n".join(cres.fingerprint for _, cres in answers))
 
     rec: dict = {"post_id": post.id, "label": cfg.label}
     if vector is not None:
@@ -893,6 +901,8 @@ def cmd_distribute(cfg: RunConfig, *, store_path: str | Path | None = None, top_
 
 def cmd_rank(metrics_table: str | Path, out_dir: str | Path | None = None) -> ModelRanking:
     """Rank externally supplied metric rows; no model calls involved."""
+    if out_dir is not None:
+        _require_directory(Path(out_dir), "ranking output directory")
     ranking = avg_rank(_load_metrics_table(metrics_table))
     if out_dir is not None:
         _write_ranking(ranking, Path(out_dir))

@@ -187,12 +187,12 @@ def prompt_renderer(
 ):
     """Fill every slot but ``{{post}}`` once; return the per-post render.
 
-    The returned function maps a post to one RenderedPrompt for v2/v3, or
-    to a list with one per code for v1-per-theme. ``{{post}}`` is the last
-    slot filled, so the text is the same as filling every slot per post.
-    Its ``frames`` attribute holds one ``(target, text)`` pair per prompt,
-    in render order, with ``{{post}}`` still in the text. A bad shot policy
-    raises here, before any post is rendered.
+    The returned function maps a post to a tuple of RenderedPrompts, one
+    per frame: one frame for v2/v3, one per code for v1-per-theme. Its
+    ``frames`` attribute holds one ``(target, text)`` pair per frame, in
+    render order, with ``{{post}}`` still in the text. ``{{post}}`` is the
+    last slot filled, so the text is the same as filling every slot per
+    post. A bad shot policy raises here, before any post is rendered.
     """
     exemplars = select_exemplars(cb, policy, seed)
     alphabet = cb.alphabet
@@ -243,9 +243,9 @@ def prompt_renderer(
             )
         ]
 
-    def render(post: Post):
+    def render(post: Post) -> tuple[RenderedPrompt, ...]:
         payload = _payload(post, include_title)
-        prompts = [
+        return tuple([  # a list comprehension, which builds faster than a generator
             RenderedPrompt(
                 text=frame.replace("{{post}}", payload),
                 template_version=tpl.version,
@@ -255,8 +255,7 @@ def prompt_renderer(
                 post_text=payload,
             )
             for target, frame in frames
-        ]
-        return prompts if tpl.version == "v1-per-theme" else prompts[0]
+        ])
 
     render.frames = tuple(frames)
     return render
@@ -276,4 +275,5 @@ def render_prompt(
     Returns one RenderedPrompt for v2/v3, or a list with one per code for
     v1-per-theme. Identical inputs produce byte-identical text.
     """
-    return prompt_renderer(cb, tpl, policy, seed, include_title, exemplar_budget)(post)
+    prompts = prompt_renderer(cb, tpl, policy, seed, include_title, exemplar_budget)(post)
+    return list(prompts) if tpl.version == "v1-per-theme" else prompts[0]

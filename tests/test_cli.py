@@ -215,10 +215,16 @@ def first_exemplar(raw):
 
 
 SHAPE_DAMAGE = {  # (file, change to its YAML, message)
-    "themes-not-a-list": ("codebook", lambda raw: raw.update(themes=5), "must be a mapping with a 'themes' list"),
-    "exemplars-not-a-list": ("codebook", lambda raw: raw["themes"][0].update(exemplars=5), "theme A exemplars must be"),
-    "exemplar-without-text": ("codebook", lambda raw: first_exemplar(raw).pop("text"), "theme A exemplar 0 needs a"),
-    "null-labels": ("codebook", lambda raw: first_exemplar(raw).update(labels=None), "theme A exemplar 0 needs a"),
+    "themes-not-a-list": ("codebook", lambda raw: raw.update(themes=5), "bad.yaml must be a mapping with a 'themes'"),
+    "theme-entry-not-a-mapping": ("codebook", lambda raw: raw["themes"].insert(1, 5), "bad.yaml theme entry 1 is not"),
+    "theme-without-definition": (
+        "codebook",
+        lambda raw: raw["themes"][2].pop("definition"),
+        "bad.yaml theme entry 2 missing field 'definition'",
+    ),
+    "exemplars-not-a-list": ("codebook", lambda raw: raw["themes"][0].update(exemplars=5), "bad.yaml theme A exemplars"),
+    "exemplar-without-text": ("codebook", lambda raw: first_exemplar(raw).pop("text"), "bad.yaml theme A exemplar 0"),
+    "null-labels": ("codebook", lambda raw: first_exemplar(raw).update(labels=None), "bad.yaml theme A exemplar 0"),
     "group-not-a-list": ("keywords", lambda raw: raw["groups"].update(wound=5), "group 'wound' must be a list"),
     "entry-without-term": ("keywords", lambda raw: raw["groups"]["wound"].insert(1, {"mode": "word"}), "entry 1 must"),
     "entry-a-number": ("keywords", lambda raw: raw["groups"]["wound"].insert(0, 5), "group 'wound' entry 0 must"),
@@ -226,6 +232,11 @@ SHAPE_DAMAGE = {  # (file, change to its YAML, message)
         "keywords",
         lambda raw: raw["groups"]["xylazine"].insert(0, {"term": "xylazine", "mode": "regex"}),
         "bad.yaml group 'xylazine' entry 0: unknown term mode 'regex'",
+    ),
+    "misspelt-key": (
+        "keywords",
+        lambda raw: raw["groups"]["xylazine"].insert(0, {"term": "xylazine", "case_sensitve": 1, "mod": "substring"}),
+        "bad.yaml group 'xylazine' entry 0 has unknown key(s): case_sensitve, mod\n",
     ),
     "empty-group": ("keywords", lambda raw: raw["groups"].update(xylazine=[]), "bad.yaml: keyword group 'xylazine' is"),
     "term-a-number": ("keywords", lambda raw: raw["groups"]["wound"].insert(2, {"term": 5}), "'wound' entry 2 must"),
@@ -640,6 +651,21 @@ def test_rank_out_flag_writes_files(tmp_path, capsys):
     capsys.readouterr()
     rows = json.loads((out / "ranking.json").read_text(encoding="utf-8"))
     assert [r["label"] for r in rows] == ["DS2_gpt-4o", "DS2_deepseekV3"]
+
+
+@pytest.mark.parametrize("verb", ["ingest", "classify", "rank"])
+def test_output_path_under_a_regular_file_exits_one_naming_it(tmp_path, capsys, clean_corpus_path, verb):
+    blocker = tmp_path / "notadir"
+    blocker.write_text("a file\n", encoding="utf-8")
+    sections = base_config(tmp_path, clean_corpus_path)
+    sections["run"]["output_dir"] = str(blocker / "run")
+    cfg_path = write_config(tmp_path / "run.yaml", **sections)
+    args = ["--metrics-table", str(DS2), "--out", str(blocker)] if verb == "rank" else ["--config", str(cfg_path)]
+    assert main([verb, *args]) == 1
+    err = capsys.readouterr().err
+    named = f"ranking output directory {blocker}" if verb == "rank" else f"output directory {blocker / 'run'}"
+    assert err == f"error: {named}: {blocker} is not a directory\n", err
+    assert blocker.read_text(encoding="utf-8") == "a file\n"
 
 
 def test_sample_seed_override_flag(tmp_path, capsys, clean_corpus_path):

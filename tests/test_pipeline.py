@@ -65,7 +65,7 @@ from themecoder.pipeline import (
     load_config,
     read_results,
 )
-from themecoder.prompting import ShotPolicy, load_template, render_prompt
+from themecoder.prompting import TEMPLATE_VERSIONS, ShotPolicy, load_template, render_prompt
 
 POSTS_50 = FIXTURES / "posts_50.jsonl"
 
@@ -681,6 +681,23 @@ def test_classify_mock_run(tmp_path, capsys, clean_corpus_path, cb):
     assert [e["event"] for e in ledger.events()] == ["start", "end"]  # post statuses live in the store
     reloaded = ResultsStore(cfg.output_dir / "results.jsonl")
     assert {r["post_id"]: r["status"] for r in reloaded.records} == {p.id: "classified" for p in corpus.posts}
+
+
+@pytest.mark.parametrize("version", TEMPLATE_VERSIONS)
+def test_classify_a_codebook_of_only_the_null_theme_under_strict_parsing(tmp_path, clean_corpus_path, version):
+    # every template then renders frames of one code, answered and parsed as "X=[0]"
+    book = tmp_path / "null_only.yaml"
+    book.write_text(json.dumps({"themes": [{"code": "X", "name": "None", "definition": "No theme applies"}]}))
+    cfg = make_cfg(
+        tmp_path,
+        clean_corpus_path,
+        codebook={"path": str(book)},
+        prompting={"template_version": version},
+        parsing={"mode": "strict"},
+    )
+    (store,) = cmd_classify(cfg)
+    assert len(store) == 18
+    assert {(rec["status"], rec["attempts"]) for rec in store.records} == {("classified", 1)}
 
 
 def test_classify_byte_identity_across_runs(tmp_path, clean_corpus_path):

@@ -323,7 +323,7 @@ GOLDEN = {
 
 
 def _digest(rendered) -> str:
-    prompts = rendered if isinstance(rendered, list) else [rendered]
+    prompts = rendered if isinstance(rendered, (list, tuple)) else [rendered]  # render_prompt's shape or render's
     blob = json.dumps([asdict(rp) for rp in prompts], sort_keys=True, ensure_ascii=False)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
@@ -352,8 +352,8 @@ FINGERPRINT_BACKENDS = [
 
 
 def _assert_fingerprints_match_cache_key(render, post, version) -> None:
-    rendered = render(post)
-    prompts = rendered if isinstance(rendered, list) else [rendered]
+    prompts = render(post)
+    assert isinstance(prompts, tuple)
     frames = [text for _, text in render.frames]
     assert len(frames) == len(prompts)
     for bcfg in FINGERPRINT_BACKENDS:
