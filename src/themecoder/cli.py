@@ -2,7 +2,7 @@
 
 Verbs: ingest, classify, evaluate, distribute, rank. Exit codes: 0 on
 success, 1 for usage or config errors, 2 for data errors, 3 for backend
-failures after retries.
+failures after retries, 130 (128 + SIGINT) on an interrupt.
 """
 
 from __future__ import annotations
@@ -96,6 +96,10 @@ def main(argv: list[str] | None = None) -> int:
     except ThemecoderError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
+    except KeyboardInterrupt:
+        hint = "; continue with classify --resume" if args.command == "classify" else ""
+        print(f"error: interrupted{hint}", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

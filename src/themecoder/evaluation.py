@@ -541,13 +541,12 @@ class EvalReport:
     micro: MetricSet
     macro: MetricSet
     accuracy_interval: IntervalEstimate
+    distribution: ThemeDistribution
+    gold_distribution: ThemeDistribution
+    delta: DistributionDelta
     bootstrap_intervals: dict[str, IntervalEstimate] = field(default_factory=dict)
     zero_denominator: tuple[str, ...] = ()
     stats: RunStats | None = None
-    ranking: ModelRanking | None = None
-    distribution: ThemeDistribution | None = None
-    gold_distribution: ThemeDistribution | None = None
-    delta: DistributionDelta | None = None
 
     def to_dict(self) -> dict:
         out: dict = {
@@ -567,19 +566,9 @@ class EvalReport:
             out["bootstrap_intervals"] = {k: _set_fields(v) for k, v in self.bootstrap_intervals.items()}
         if self.stats is not None:
             out["run_stats"] = _set_fields(self.stats)
-        if self.ranking is not None:
-            out["ranking"] = [
-                {"label": row.label, "avg_rank": row.avg_rank, "ranks": dict(row.ranks), **asdict(row.metrics)}
-                for row in self.ranking.rows
-            ]
-        for key, dist in (("distribution", self.distribution), ("gold_distribution", self.gold_distribution)):
-            if dist is not None:
-                out[key] = dist.to_dict()
-        if self.delta is not None:
-            out["distribution_delta"] = {
-                "per_code": dict(self.delta.deltas),
-                "max_abs": self.delta.max_abs,
-            }
+        out["distribution"] = self.distribution.to_dict()
+        out["gold_distribution"] = self.gold_distribution.to_dict()
+        out["distribution_delta"] = {"per_code": dict(self.delta.deltas), "max_abs": self.delta.max_abs}
         return out
 
     def flat_rows(self) -> list[dict]:
@@ -595,37 +584,30 @@ class EvalReport:
             {"scope": scope, "label": self.label, **scores(m)}
             for scope, m in (("micro", self.micro), ("macro", self.macro))
         ]
-        if self.ranking is not None:
-            rows += [
-                {"scope": "ranking", "label": row.label, **scores(row.metrics), "avg_rank": f"{row.avg_rank:g}"}
-                for row in self.ranking.rows
-            ]
-        if self.distribution is not None:
-            delta = self.delta.deltas if self.delta is not None else {}
-            for code in self.distribution.codes:
-                row = {
-                    "scope": "distribution",
-                    "label": code,
-                    "count": self.distribution.counts[code],
-                    "percentage": f"{self.distribution.percentage(code):.1f}",
-                }
-                if code in delta:
-                    row["delta_pp"] = f"{delta[code]:.1f}"
-                rows.append(row)
+        rows += [
+            {
+                "scope": "distribution",
+                "label": code,
+                "count": self.distribution.counts[code],
+                "percentage": f"{self.distribution.percentage(code):.1f}",
+                "delta_pp": f"{self.delta.deltas[code]:.1f}",
+            }
+            for code in self.distribution.codes
+        ]
         return rows
 
-    def write(self, out_dir: str | Path) -> tuple[Path, Path]:
-        """Write report.json and metrics.csv; byte-stable given equal inputs."""
+    def write(self, out_dir: str | Path) -> None:
+        """Write report.json and metrics.csv; byte-stable given equal inputs.
+        metrics.csv keeps an ``avg_rank`` column that no row fills: rankings
+        are written by the ranking files only."""
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        report_path, csv_path = out / "report.json", out / "metrics.csv"
-        write_json(report_path, self.to_dict())
+        write_json(out / "report.json", self.to_dict())
         fieldnames = [
             "scope", "label", *(f.name for f in fields(ConfusionMatrix)), *METRIC_NAMES,
             "avg_rank", "count", "percentage", "delta_pp",
         ]
-        write_table(csv_path, fieldnames, self.flat_rows())
-        return report_path, csv_path
+        write_table(out / "metrics.csv", fieldnames, self.flat_rows())
 
 
 def evaluate_predictions(
@@ -656,6 +638,7 @@ def evaluate_predictions(
     per_theme = _confusions(g, p, cb.alphabet)
     micro = metrics(per_theme, "micro")
     macro = metrics(per_theme, "macro")
+    distribution, gold_distribution = _distribution(p, cb.alphabet), _distribution(g, cb.alphabet)
     report = EvalReport(
         label=label,
         n_posts=len(gold),
@@ -667,10 +650,10 @@ def evaluate_predictions(
         macro=macro,
         accuracy_interval=wald_ci(micro.accuracy, micro.n_decisions),
         zero_denominator=zero_denominator_themes(per_theme),
-        distribution=_distribution(p, cb.alphabet),
-        gold_distribution=_distribution(g, cb.alphabet),
+        distribution=distribution,
+        gold_distribution=gold_distribution,
+        delta=distribution_delta(distribution, gold_distribution),
     )
-    report.delta = distribution_delta(report.distribution, report.gold_distribution)
     if bootstrap_metrics:  # one draw of resamples serves every metric
         report.bootstrap_intervals = _bootstrap_intervals(
             g, p, micro, bootstrap_metrics, bootstrap_resamples, bootstrap_seed

@@ -519,6 +519,7 @@ def cmd_ingest(cfg: RunConfig) -> dict:
     Returns the stage-count summary and prints it as one line.
     """
     out_dir = cfg.output_dir / "corpora"
+    _require_directory(out_dir, "corpus output directory")
     out_dir.mkdir(parents=True, exist_ok=True)
     summary: dict = {"loaded": 0}
     outputs: dict[str, str] = {}
@@ -722,6 +723,9 @@ def cmd_classify(cfg: RunConfig, *, resume: bool = False) -> list[ResultsStore]:
             except BackendError:
                 ledger.append({"event": "abort", "run_index": r})
                 raise
+            except KeyboardInterrupt:
+                ledger.append({"event": "interrupt", "run_index": r})
+                raise
             totals = store.status_counts(cfg.label)
             ledger.append({"event": "end", "run_index": r, **totals})
             print(
@@ -815,7 +819,8 @@ def cmd_evaluate(
     if not paths:
         raise DataError(f"no results stores found under {cfg.output_dir}")
 
-    # every store is read and checked against gold before any report is written
+    # every store is read and checked against gold, and every report directory
+    # checked, before any report is written
     by_label: dict[str, list[tuple[LabelMatrix, tuple[str, ...]]]] = {}
     for path in paths:
         results = read_results(path, cb.alphabet)
@@ -829,26 +834,27 @@ def cmd_evaluate(
                     + ", ".join(missing[:20])
                 )
             by_label.setdefault(label, []).append((preds, failed))
+    for label in sorted(by_label):
+        _require_directory(reports_dir / label, "report output directory")
 
     reports = {}
     headline_rows: list[tuple[str, MetricSet]] = []
     for label in sorted(by_label):
-        runs = by_label[label]
-        per_run_reports = []
-        for preds, failed in runs:
-            per_run_reports.append(
-                evaluate_predictions(
-                    gold.labels.take(sorted(preds.ids + failed)),
-                    preds,
-                    cb,
-                    failed_ids=failed,
-                    failure_policy=cfg.failure_policy,
-                    label=label,
-                    bootstrap_metrics=cfg.bootstrap_metrics,
-                    bootstrap_resamples=cfg.bootstrap_resamples,
-                    bootstrap_seed=cfg.bootstrap_seed,
-                )
+        # the first repeat's report is written; later repeats give only their micro set to run_stats
+        per_run_reports = [
+            evaluate_predictions(
+                gold.labels.take(sorted(preds.ids + failed)),
+                preds,
+                cb,
+                failed_ids=failed,
+                failure_policy=cfg.failure_policy,
+                label=label,
+                bootstrap_metrics=cfg.bootstrap_metrics if i == 0 else (),
+                bootstrap_resamples=cfg.bootstrap_resamples,
+                bootstrap_seed=cfg.bootstrap_seed,
             )
+            for i, (preds, failed) in enumerate(by_label[label])
+        ]
         report = per_run_reports[0]
         if len(per_run_reports) > 1:
             report.stats = run_stats([r.micro for r in per_run_reports])
@@ -890,6 +896,7 @@ def cmd_distribute(cfg: RunConfig, *, store_path: str | Path | None = None, top_
         "top_themes": top,
     }
     reports_dir = cfg.output_dir / "reports"
+    _require_directory(reports_dir, "report output directory")
     reports_dir.mkdir(parents=True, exist_ok=True)
     write_json(reports_dir / "distribution.json", payload)
     rows = ({"code": c, "count": dist.counts[c], "percentage": f"{dist.percentage(c):.1f}"} for c in dist.codes)

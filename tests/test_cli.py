@@ -653,19 +653,43 @@ def test_rank_out_flag_writes_files(tmp_path, capsys):
     assert [r["label"] for r in rows] == ["DS2_gpt-4o", "DS2_deepseekV3"]
 
 
-@pytest.mark.parametrize("verb", ["ingest", "classify", "rank"])
-def test_output_path_under_a_regular_file_exits_one_naming_it(tmp_path, capsys, clean_corpus_path, verb):
-    blocker = tmp_path / "notadir"
-    blocker.write_text("a file\n", encoding="utf-8")
+@pytest.mark.parametrize(
+    "verb, blocked, noun, named",
+    [
+        ("ingest", "notadir", "output directory", "notadir/run"),
+        ("classify", "notadir", "output directory", "notadir/run"),
+        ("rank", "notadir", "ranking output directory", "notadir"),
+        ("ingest", "run/corpora", "corpus output directory", "run/corpora"),
+        ("evaluate", "run/reports", "report output directory", "run/reports/A_copy"),
+        ("evaluate", "run/reports/FIX_0shot_mock", "report output directory", "run/reports/FIX_0shot_mock"),
+        ("distribute", "run/reports", "report output directory", "run/reports"),
+    ],
+    ids=["ingest", "classify", "rank", "ingest-corpora", "evaluate-reports", "evaluate-label", "distribute-reports"],
+)
+def test_output_path_under_a_regular_file_exits_one_naming_it(
+    tmp_path, capsys, clean_corpus_path, verb, blocked, noun, named
+):
     sections = base_config(tmp_path, clean_corpus_path)
-    sections["run"]["output_dir"] = str(blocker / "run")
+    if blocked == "notadir":
+        sections["run"]["output_dir"] = str(tmp_path / "notadir" / "run")
     cfg_path = write_config(tmp_path / "run.yaml", **sections)
+    if verb in ("evaluate", "distribute"):
+        assert main(["classify", "--config", str(cfg_path)]) == 0
+        results = tmp_path / "run" / "results.jsonl"
+        # a second label that sorts first, so a report written before the check would show
+        copy = results.read_text(encoding="utf-8").replace('"label": "FIX_0shot_mock"', '"label": "A_copy"')
+        (tmp_path / "run" / "results_copy.jsonl").write_text(copy, encoding="utf-8")
+    blocker = tmp_path / blocked
+    blocker.parent.mkdir(parents=True, exist_ok=True)
+    blocker.write_text("a file\n", encoding="utf-8")
+    before = sorted(tmp_path.rglob("*"))
+    capsys.readouterr()
     args = ["--metrics-table", str(DS2), "--out", str(blocker)] if verb == "rank" else ["--config", str(cfg_path)]
     assert main([verb, *args]) == 1
     err = capsys.readouterr().err
-    named = f"ranking output directory {blocker}" if verb == "rank" else f"output directory {blocker / 'run'}"
-    assert err == f"error: {named}: {blocker} is not a directory\n", err
+    assert err == f"error: {noun} {tmp_path / named}: {blocker} is not a directory\n", err
     assert blocker.read_text(encoding="utf-8") == "a file\n"
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_sample_seed_override_flag(tmp_path, capsys, clean_corpus_path):

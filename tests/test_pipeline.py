@@ -28,7 +28,7 @@ import pytest
 
 from conftest import FIXTURES, base_config, write_config
 
-from themecoder import pipeline
+from themecoder import evaluation, pipeline
 from themecoder.backends import (
     BackendConfig,
     MockRulesBackend,
@@ -1133,6 +1133,44 @@ def test_classify_remote_auth_failure_stops_within_window(tmp_path, monkeypatch,
     assert len(ResultsStore(cfg.output_dir / "results.jsonl")) == 2
 
 
+@pytest.mark.parametrize("kind", ["mock-rules", "remote-chat"])
+def test_classify_interrupt_exits_130_and_resumes_byte_identical(
+    tmp_path, monkeypatch, capsys, clean_corpus_path, cb, chat_stub, kind
+):
+    monkeypatch.setenv("TC_TEST_KEY", "test-key")
+    limit = 2
+    if kind == "remote-chat":
+        whole, cut = (
+            remote_run(tmp_path, clean_corpus_path, chat_stub, cb, name=name, limit=limit) for name in ("whole", "cut")
+        )
+    else:
+        whole, cut = (make_cfg(tmp_path, clean_corpus_path, name=name) for name in ("whole", "cut"))
+    cmd_classify(whole)
+    tenth = json.loads((whole.output_dir / "results.jsonl").read_bytes().splitlines()[9])["post_id"]
+    calls = itertools.count(1)
+    real_one = pipeline._classify_one
+
+    def interrupted_at_tenth(post, *args, **kwargs):
+        next(calls)
+        if post.id == tenth:
+            raise KeyboardInterrupt
+        return real_one(post, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "_classify_one", interrupted_at_tenth)
+    capsys.readouterr()
+    assert main(["classify", "--config", str(tmp_path / "cut.yaml")]) == 130
+    assert capsys.readouterr().err == "error: interrupted; continue with classify --resume\n"
+    events = RunLedger(cut.output_dir / "ledger.jsonl").events()
+    assert [(e["event"], e["run_index"]) for e in events] == [("start", 1), ("interrupt", 1)]
+    assert len(ResultsStore(cut.output_dir / "results.jsonl")) == 9
+    # the pool cancels its queued posts: at most 2 * limit start after the interrupted one
+    assert next(calls) - 1 <= 10 + 2 * limit < 18
+
+    monkeypatch.setattr(pipeline, "_classify_one", real_one)
+    assert main(["classify", "--config", str(tmp_path / "cut.yaml"), "--resume"]) == 0
+    assert (cut.output_dir / "results.jsonl").read_bytes() == (whole.output_dir / "results.jsonl").read_bytes()
+
+
 @pytest.mark.parametrize("abort", [False, True], ids=["success", "abort"])
 def test_classify_remote_closes_run_files_after_the_pool_drains(
     tmp_path, monkeypatch, clean_corpus_path, cb, chat_stub, abort
@@ -1354,6 +1392,35 @@ def test_evaluate_repeat_stores_fold_into_stats(tmp_path, clean_corpus_path):
     assert report.stats.r == 2
     assert report.stats.mean["f1"] == pytest.approx(report.micro.f1)
     assert report.stats.sd["f1"] == pytest.approx(0.0)
+
+
+def test_evaluate_repeats_draw_one_bootstrap_per_label(tmp_path, monkeypatch, clean_corpus_path):
+    cfg = make_cfg(
+        tmp_path, clean_corpus_path, run={"repeats": 3},
+        evaluation={"bootstrap_metrics": ["f1"], "bootstrap_resamples": 200},
+    )
+    for r, store in enumerate(cmd_classify(cfg), start=1):
+        # a second label whose repeats differ: its middle repeat is flipped
+        (cfg.output_dir / f"results_mixed_r{r}.jsonl").write_text(
+            "".join(relabelled(store.path, "mixed", flip=r == 2)), encoding="utf-8"
+        )
+    draws = []
+    real = evaluation._resample_sums
+    monkeypatch.setattr(evaluation, "_resample_sums", lambda *a, **k: draws.append(1) or real(*a, **k))
+    reports = cmd_evaluate(cfg)
+    assert len(draws) == len(reports) == 2
+    assert reports["mixed"].stats.r == 3 and reports["mixed"].stats.sd["f1"] > 0
+    # the bytes these reports had when every repeat drew its own bootstrap
+    assert {
+        f"{label}/{name}": sha256_of(cfg.output_dir / "reports" / label / name)
+        for label in reports
+        for name in ("report.json", "metrics.csv")
+    } == {
+        "FIX_0shot_mock/report.json": "60e71fdb6e90683b13ea65871f3f8993c8cae72babc706d369269307efddb77a",
+        "FIX_0shot_mock/metrics.csv": "53723501dfd6d088a239fe65b229e666538919ce6a5ec92b3459b5e91ffc05eb",
+        "mixed/report.json": "4267ffa2311668174c63d5e6b414d3bb60a3663ef4c4db6e81427661da5646e0",
+        "mixed/metrics.csv": "2105d19338aa74016ab0424c442cbe7ee3e31806be97761f09b23347800ffddb",
+    }
 
 
 def test_evaluate_two_labels_produce_ranking(tmp_path, capsys, clean_corpus_path, cb):
