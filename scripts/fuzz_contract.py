@@ -15,9 +15,10 @@ directory and runs one command in process, with a 10 s alarm.
 - Input side: one file, read by one command, gets one mutation: a byte
   flip; a truncation; a dropped, duplicated or inserted line or byte; or
   one JSON, YAML or table value swapped for null, "", -1, 1.5, true, [],
-  {}, "\\ud800", 10**30 or NaN.
+  {}, "\\ud800", 10**30, 10**400 or NaN.
 - Output side: a directory that a command makes is replaced by a regular
-  file.
+  file, and a file that a command reads or writes in a run or output
+  directory is replaced by a directory.
 
 The output-side cases come first, then input cases drawn from one seeded
 ``random.Random``, so a seed and a case count give the same cases on every
@@ -57,7 +58,7 @@ FIXTURES = ROOT / "tests" / "fixtures"
 CONTRACT = (0, 1, 2, 3)
 ALARM_S = 10
 LABEL = "fuzz"
-VALUES = (None, "", -1, 1.5, True, [], {}, "\ud800", 10**30, math.nan)
+VALUES = (None, "", -1, 1.5, True, [], {}, "\ud800", 10**30, 10**400, math.nan)
 
 INGEST = ("ingest", "--config", "inputs/ingest.yaml")
 CLASSIFY = ("classify", "--config", "inputs/fresh.yaml")
@@ -66,11 +67,10 @@ CLASSIFY_REPLAY = ("classify", "--config", "inputs/replay.yaml")
 RESUME = ("classify", "--config", "inputs/run.yaml", "--resume")
 EVALUATE = ("evaluate", "--config", "inputs/run.yaml")
 EVALUATE_STORE = (*EVALUATE, "--store", "run/results.jsonl")
-EVALUATE_TABLE = (*EVALUATE, "--metrics-table", "inputs/metrics.csv")
 DISTRIBUTE = ("distribute", "--config", "inputs/run.yaml")
 RANK = ("rank", "--metrics-table", "inputs/metrics.csv", "--out", "ranked")
 
-# (file, command reading it): 23 input pairs
+# (file, command reading it): 22 input pairs
 INPUT_PAIRS = (
     ("inputs/ingest.yaml", INGEST),
     ("inputs/fresh.yaml", CLASSIFY),
@@ -86,7 +86,6 @@ INPUT_PAIRS = (
     ("inputs/gold.csv", EVALUATE),
     ("inputs/replay.json", CLASSIFY_REPLAY),
     ("inputs/metrics.csv", RANK),
-    ("inputs/metrics.csv", EVALUATE_TABLE),
     ("run/results.jsonl", RESUME),
     ("run/results.jsonl", EVALUATE),
     ("run/results.jsonl", EVALUATE_STORE),
@@ -108,17 +107,34 @@ OUTPUT_PAIRS = (
     ("ranked", RANK),
 )
 
+RUN_FILES = ("results.jsonl", "cache.jsonl", "ledger.jsonl", "audit.jsonl", "manifest.json")
+
+# (file a command reads or writes, that command)
+FILE_PAIRS = (
+    *((f"run/{name}", RESUME) for name in RUN_FILES),
+    *((f"fresh/{name}", CLASSIFY) for name in RUN_FILES),
+    ("run/results.jsonl", EVALUATE),
+    ("run/results.jsonl", DISTRIBUTE),
+    ("run/reports/distribution.json", DISTRIBUTE),
+    (f"run/reports/{LABEL}/report.json", EVALUATE),
+    (f"run/reports/{LABEL}/metrics.csv", EVALUATE),
+    ("ranked/ranking.json", RANK),
+    ("ingested/ingest_summary.json", INGEST),
+    ("ingested/corpora/posts_50_filtered.jsonl", INGEST),
+    ("inputs/metrics.csv", RANK),
+)
+
 
 @dataclass(frozen=True)
 class Case:
     target: str
     argv: tuple[str, ...]
-    mutation: str  # "dir-to-file", one of OPERATORS or "swap-value"
+    mutation: str  # "dir-to-file", "file-to-dir", one of OPERATORS or "swap-value"
     position: int = 0  # picks the byte, line or value, modulo how many there are
     extra: object = None  # the line or byte inserted, the bit flipped, or an index into VALUES
 
     def __str__(self) -> str:
-        what = self.mutation if self.mutation == "dir-to-file" else f"{self.mutation}@{self.position} {self.extra!r}"
+        what = self.mutation if self.mutation in SWAPS else f"{self.mutation}@{self.position} {self.extra!r}"
         return f"{' '.join(self.argv)} <- {self.target}: {what}"
 
 
@@ -205,6 +221,7 @@ def build_template(root: Path) -> Path:
 # --- case generation -------------------------------------------------------------------
 
 
+SWAPS = ("dir-to-file", "file-to-dir")  # the output-side mutations
 OPERATORS = ("flip", "truncate", "drop-line", "dup-line", "insert-line", "drop-byte", "dup-byte", "insert-byte")
 INSERTED_LINES = (b"\n", b"{}\n", b"null\n", b"[]\n", b"\xff\xfe\n", b"a,b,c\n", b"- x\n")
 
@@ -213,6 +230,8 @@ def cases(seed: int):
     """Every output-side case, then input cases drawn from ``seed``, without end."""
     for target, argv in OUTPUT_PAIRS:
         yield Case(target, argv, "dir-to-file")
+    for target, argv in FILE_PAIRS:
+        yield Case(target, argv, "file-to-dir")
     rng = random.Random(seed)
     while True:
         target, argv = rng.choice(INPUT_PAIRS)
@@ -344,6 +363,9 @@ def run_case(template: Path, work: Path, case: Case) -> int | str:
             shutil.rmtree(target)
         target.parent.mkdir(parents=True, exist_ok=True)
         target.write_text("a regular file\n", encoding="utf-8")
+    elif case.mutation == "file-to-dir":
+        target.unlink(missing_ok=True)
+        target.mkdir(parents=True)
     else:
         target.write_bytes(mutate(target.read_bytes(), case))
     try:

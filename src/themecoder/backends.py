@@ -33,6 +33,7 @@ from .parsing import ParseFailure, ParseOutcome, render_answer, render_line
 from .prompting import RenderedPrompt
 
 BACKEND_KINDS = ("remote-chat", "mock-rules", "replay")
+MAX_WAIT_S = 86_400  # one day: the longest timeout, backoff or wait between requests a setting may ask for
 
 
 @dataclass(frozen=True)
@@ -63,8 +64,12 @@ class BackendConfig:
             raise ConfigError("in_flight_limit must be >= 1")
         if not math.isfinite(self.timeout) or self.timeout <= 0:
             raise ConfigError(f"timeout must be finite and > 0, got {self.timeout}")
+        if self.timeout > MAX_WAIT_S:
+            raise ConfigError(f"timeout must be <= {MAX_WAIT_S} s, got {self.timeout}")
         if not math.isfinite(self.requests_per_second) or self.requests_per_second < 0:
             raise ConfigError(f"requests_per_second must be finite and >= 0, got {self.requests_per_second}")
+        if 0 < self.requests_per_second < 1 / MAX_WAIT_S:
+            raise ConfigError(f"requests_per_second must be 0 or >= 1/{MAX_WAIT_S}, got {self.requests_per_second}")
 
 
 @dataclass(frozen=True)
@@ -85,6 +90,8 @@ class RetryPolicy:
             value = getattr(self, name)
             if not math.isfinite(value) or value < 0:
                 raise ConfigError(f"{name} must be finite and >= 0, got {value}")
+        if self.backoff_cap > MAX_WAIT_S:
+            raise ConfigError(f"backoff_cap must be <= {MAX_WAIT_S} s, got {self.backoff_cap}")
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,9 @@
 """Command line interface.
 
 Verbs: ingest, classify, evaluate, distribute, rank. Exit codes: 0 on
-success, 1 for usage or config errors, 2 for data errors, 3 for backend
-failures after retries, 130 (128 + SIGINT) on an interrupt.
+success, 1 for usage or config errors and for a file that cannot be
+opened or written, 2 for data errors, 3 for backend failures after
+retries, 130 (128 + SIGINT) on an interrupt.
 """
 
 from __future__ import annotations
@@ -49,9 +50,6 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate.add_argument(
         "--store", action="append", help="results store path (repeatable; default: run dir)"
     )
-    evaluate.add_argument(
-        "--metrics-table", help="rank externally supplied metric rows instead of scoring"
-    )
 
     distribute = subs.add_parser("distribute", help="theme distribution over classified posts")
     _add_common(distribute)
@@ -87,15 +85,17 @@ def main(argv: list[str] | None = None) -> int:
         elif args.command == "classify":
             pipeline.cmd_classify(cfg, resume=args.resume)
         elif args.command == "evaluate":
-            pipeline.cmd_evaluate(
-                cfg, store_paths=args.store, metrics_table=args.metrics_table
-            )
+            pipeline.cmd_evaluate(cfg, store_paths=args.store)
         elif args.command == "distribute":
             pipeline.cmd_distribute(cfg, store_path=args.store)
         return 0
     except ThemecoderError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
+    except OSError as exc:  # a file that cannot be opened or written: a directory in its place, a full disk
+        path = exc.filename if exc.filename2 is None else exc.filename2  # the target of a rename
+        print(f"error: {exc}" if path is None else f"error: {path}: {exc.strerror}", file=sys.stderr)
+        return 1
     except KeyboardInterrupt:
         hint = "; continue with classify --resume" if args.command == "classify" else ""
         print(f"error: interrupted{hint}", file=sys.stderr)

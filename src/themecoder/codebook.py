@@ -18,10 +18,9 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
-import yaml
 
 from .errors import DataError
-from .jsonl import atomic_write, input_lines, read_yaml
+from .jsonl import input_lines, read_yaml
 
 log = logging.getLogger(__name__)
 
@@ -223,34 +222,6 @@ class Codebook:
 
     def vector(self, labels: Mapping[str, int]) -> LabelVector:
         return LabelVector.from_mapping(labels, self.alphabet)
-
-    def to_mapping(self) -> dict:
-        return {
-            "version": self.version,
-            "null_code": self.null_code,
-            "themes": [
-                {
-                    "code": t.code,
-                    "name": t.name,
-                    "definition": t.definition,
-                    **(
-                        {
-                            "exemplars": [
-                                {"text": e.text, "labels": dict(e.labels)}
-                                for e in t.exemplars
-                            ]
-                        }
-                        if t.exemplars
-                        else {}
-                    ),
-                }
-                for t in self.themes
-            ],
-        }
-
-    def save(self, path: str | Path) -> None:
-        with atomic_write(path) as fh:
-            fh.write(yaml.safe_dump(self.to_mapping(), sort_keys=False, allow_unicode=True))
 
 
 @dataclass(frozen=True)

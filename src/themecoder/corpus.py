@@ -149,13 +149,10 @@ class KeywordSet:
 class SamplingSpec:
     target_n: int
     seed: int
-    method: str = "uniform-without-replacement"
 
     def __post_init__(self) -> None:
         if self.target_n < 1:
             raise ConfigError(f"sampling target_n must be >= 1, got {self.target_n}")
-        if self.method != "uniform-without-replacement":
-            raise ConfigError(f"unknown sampling method {self.method!r}")
 
 
 def load_keywords(path: str | Path | None = None) -> KeywordSet:

@@ -16,6 +16,7 @@ import json
 import operator
 import os
 import socket
+import sys
 from collections import Counter, deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack, closing
@@ -212,6 +213,8 @@ def _checked(key: str, kind, value, checks: Mapping):
         raise TypeError(f"{key} must be {'a list of ' * many}{item.__name__}, got {value!r}")
     allowed = checks.get("allowed")
     for v in items:
+        if item is float and isinstance(v, int) and abs(v) > sys.float_info.max:
+            raise ConfigError(f"{key} must fit in a float, got an integer of {len(str(abs(v)))} digits")
         if allowed is not None and v not in allowed:
             if "noun" in checks:
                 raise ConfigError(f"unknown {checks['noun']} {v!r}; known: {', '.join(allowed)}")
@@ -789,22 +792,10 @@ def _print_ranking(ranking: ModelRanking) -> None:
         print(f"{row.avg_rank:>7.3f}  {row.label}")
 
 
-def cmd_evaluate(
-    cfg: RunConfig,
-    *,
-    store_paths: Sequence[str | Path] | None = None,
-    metrics_table: str | Path | None = None,
-):
-    """Score stored predictions against gold, or rank an external metrics table.
-
-    Store mode writes one report per model-prompt label plus a ranking when
-    two or more labels are present; metrics-table mode skips scoring and
-    ranks the supplied rows directly.
-    """
+def cmd_evaluate(cfg: RunConfig, *, store_paths: Sequence[str | Path] | None = None) -> dict:
+    """Score stored predictions against gold: one report per model-prompt
+    label, plus a ranking when two or more labels are present."""
     reports_dir = cfg.output_dir / "reports"
-    if metrics_table is not None:
-        return cmd_rank(metrics_table, reports_dir)
-
     corpus_ids = load_post_ids(cfg.corpus_path, cfg.corpus_format)
     cb = load_codebook(cfg.codebook_path)
     if cfg.gold_path is None:
@@ -875,7 +866,10 @@ def cmd_evaluate(
     return reports
 
 
-def cmd_distribute(cfg: RunConfig, *, store_path: str | Path | None = None, top_k: int = 5) -> dict:
+TOP_THEMES = 5  # the most frequent themes distribute prints and lists as top_themes
+
+
+def cmd_distribute(cfg: RunConfig, *, store_path: str | Path | None = None) -> dict:
     """Theme distribution over all classified posts; no gold required."""
     cb = load_codebook(cfg.codebook_path)
     path = Path(store_path) if store_path is not None else cfg.output_dir / "results.jsonl"
@@ -889,7 +883,7 @@ def cmd_distribute(cfg: RunConfig, *, store_path: str | Path | None = None, top_
         raise DataError(f"results store {path} has no classified posts")
     dist = theme_distribution(preds, cb)
     ranked = sorted(dist.codes, key=lambda c: (-dist.counts[c], c))
-    top = ranked[: max(top_k, 0)]
+    top = ranked[:TOP_THEMES]
     payload = {
         **dist.to_dict(),
         "n_failed": sum(len(failed) for _, failed in results.values()),

@@ -125,6 +125,23 @@ def test_retry_policy_validation():
         ("retry", "backoff_multiplier", float("nan"), "backoff_multiplier must be finite and >= 0, got nan"),
         ("retry", "backoff_cap", -1, "backoff_cap must be finite and >= 0, got -1"),
         ("retry", "backoff_cap", float("inf"), "backoff_cap must be finite and >= 0, got inf"),
+        # math.isfinite raises OverflowError on an integer too large for a float
+        ("backend", "timeout", 10**400, "backend.timeout must fit in a float, got an integer of 401 digits"),
+        ("backend", "temperature", -(10**400), "backend.temperature must fit in a float, got an integer of 401 digits"),
+        ("backend", "requests_per_second", 10**400,
+         "backend.requests_per_second must fit in a float, got an integer of 401 digits"),
+        ("retry", "backoff_initial", 10**400,
+         "retry.backoff_initial must fit in a float, got an integer of 401 digits"),
+        ("retry", "backoff_multiplier", 10**400,
+         "retry.backoff_multiplier must fit in a float, got an integer of 401 digits"),
+        ("retry", "backoff_cap", 10**400, "retry.backoff_cap must fit in a float, got an integer of 401 digits"),
+        # time.sleep and socket.settimeout raise OverflowError on waits far above one day
+        ("backend", "timeout", 86_401, "timeout must be <= 86400 s, got 86401"),
+        ("backend", "timeout", 1.0e12, "timeout must be <= 86400 s, got 1000000000000.0"),
+        ("retry", "backoff_cap", 1.0e12, "backoff_cap must be <= 86400 s, got 1000000000000.0"),
+        ("backend", "requests_per_second", 1.0e-12, "requests_per_second must be 0 or >= 1/86400, got 1e-12"),
+        ("backend", "requests_per_second", 1 / 86_401,
+         f"requests_per_second must be 0 or >= 1/86400, got {1 / 86_401}"),
     ],
 )
 def test_out_of_range_backend_and_retry_numbers_fail_at_load(tmp_path, section, key, value, message):
@@ -134,6 +151,18 @@ def test_out_of_range_backend_and_retry_numbers_fail_at_load(tmp_path, section, 
     with pytest.raises(ConfigError, match=f"^{message}$") as exc:
         load_config(write_config(tmp_path / "run.yaml", **sections))
     assert exc.value.exit_code == 1
+
+
+def test_backend_and_retry_numbers_at_their_bounds_load(tmp_path):
+    remote = {
+        "kind": "remote-chat", "model": "m", "endpoint": "http://127.0.0.1:9/v1/chat",
+        "timeout": 86_400, "requests_per_second": 1 / 86_400, "temperature": 10**308,
+    }
+    sections = base_config(tmp_path, FIXTURES / "posts_50.jsonl", backend=remote)
+    sections["retry"] = {"backoff_cap": 86_400.0, "backoff_initial": 10**300}
+    cfg = load_config(write_config(tmp_path / "run.yaml", **sections))
+    assert (cfg.backend.timeout, cfg.backend.requests_per_second) == (86_400, 1 / 86_400)
+    assert cfg.backend.temperature == 10**308 and cfg.retry.backoff_cap == 86_400.0
 
 
 # --- request fingerprints -----------------------------------------------------------

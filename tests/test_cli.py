@@ -6,7 +6,9 @@ Exit codes: 0 success, 1 usage or config problems, 2 data problems,
 
 from __future__ import annotations
 
+import errno
 import json
+import os
 import subprocess
 import sys
 from contextlib import contextmanager
@@ -18,7 +20,7 @@ from conftest import FIXTURES, base_config, write_config
 
 from themecoder import jsonl, pipeline
 from themecoder.cli import main
-from themecoder.codebook import DEFAULT_CODEBOOK_PATH, load_codebook
+from themecoder.codebook import DEFAULT_CODEBOOK_PATH
 from themecoder.corpus import DEFAULT_KEYWORDS_PATH, SamplingSpec, dedup_clean, load_posts, sample_random
 from themecoder.jsonl import atomic_write
 from themecoder.pipeline import load_config
@@ -403,7 +405,7 @@ def test_bad_shot_policy_exits_one_before_any_run_file(tmp_path, capsys, clean_c
 @pytest.mark.parametrize("mode", ["lenient", "strict"])
 def test_non_ascii_code_exits_two_at_load(tmp_path, capsys, clean_corpus_path, mode):
     # lenient parsing used to fail every post with missing-code; strict raised KeyError
-    book = load_codebook().to_mapping()
+    book = yaml.safe_load(DEFAULT_CODEBOOK_PATH.read_text(encoding="utf-8"))
     book["themes"][1]["code"] = "É"
     for theme in book["themes"]:
         for ex in theme.get("exemplars", ()):
@@ -637,14 +639,6 @@ def test_evaluate_store_flag(tmp_path, capsys, clean_corpus_path):
     assert "n_posts=18" in capsys.readouterr().out
 
 
-def test_evaluate_metrics_table_flag(tmp_path, capsys, clean_corpus_path):
-    cfg_path, out_dir = write_cfg(tmp_path, clean_corpus_path)
-    code = main(["evaluate", "--config", str(cfg_path), "--metrics-table", str(DS2)])
-    assert code == 0
-    assert "DS2_gpt-4o" in capsys.readouterr().out
-    assert (out_dir / "reports" / "ranking.json").exists()
-
-
 def test_rank_out_flag_writes_files(tmp_path, capsys):
     out = tmp_path / "ranked"
     assert main(["rank", "--metrics-table", str(DS2), "--out", str(out)]) == 0
@@ -690,6 +684,45 @@ def test_output_path_under_a_regular_file_exits_one_naming_it(
     assert err == f"error: {noun} {tmp_path / named}: {blocker} is not a directory\n", err
     assert blocker.read_text(encoding="utf-8") == "a file\n"
     assert sorted(tmp_path.rglob("*")) == before
+
+
+RUN_FILES = ("results.jsonl", "cache.jsonl", "ledger.jsonl", "audit.jsonl", "manifest.json")
+
+
+@pytest.mark.parametrize(
+    "verb, path",
+    [
+        *(("resume", f"run/{name}") for name in RUN_FILES),
+        *(("classify", f"run/{name}") for name in RUN_FILES),
+        ("evaluate", "run/results.jsonl"),
+        ("distribute", "run/results.jsonl"),
+        ("evaluate", "run/reports/FIX_0shot_mock/report.json"),
+        ("evaluate", "run/reports/FIX_0shot_mock/metrics.csv"),
+        ("distribute", "run/reports/distribution.json"),
+        ("ingest", "run/ingest_summary.json"),
+        ("ingest", "run/corpora/clean_clean.jsonl"),
+        ("rank", "ranked/ranking.json"),
+        ("rank", "metrics.csv"),
+    ],
+)
+def test_directory_where_a_file_belongs_exits_one_naming_it(tmp_path, capsys, clean_corpus_path, verb, path):
+    # open and os.replace raise IsADirectoryError; the message names the path, the target of a rename
+    cfg_path, run_dir = write_cfg(tmp_path, clean_corpus_path)
+    if verb in ("resume", "evaluate", "distribute"):
+        assert main(["classify", "--config", str(cfg_path)]) == 0
+    target = tmp_path / path
+    target.unlink(missing_ok=True)
+    target.mkdir(parents=True)
+    capsys.readouterr()
+    argv = [verb, "--config", str(cfg_path)]
+    if verb == "resume":
+        argv = ["classify", "--config", str(cfg_path), "--resume"]
+    elif verb == "rank":
+        table = target if path == "metrics.csv" else DS2
+        argv = ["rank", "--metrics-table", str(table), "--out", str(tmp_path / "ranked")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {target}: {os.strerror(errno.EISDIR)}\n"
+    assert target.is_dir()
 
 
 def test_sample_seed_override_flag(tmp_path, capsys, clean_corpus_path):

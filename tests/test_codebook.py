@@ -62,16 +62,6 @@ def test_default_exemplar_pool(cb):
     assert list(pool) == rebuilt
 
 
-def test_default_codebook_round_trip(tmp_path, cb):
-    path = tmp_path / "book.yaml"
-    cb.save(path)
-    back = load_codebook(path)
-    assert back.alphabet == cb.alphabet
-    assert back.null_code == cb.null_code
-    assert [t.definition for t in back.themes] == [t.definition for t in cb.themes]
-    assert [e.labels for e in back.exemplars] == [dict(e.labels) for e in cb.exemplars]
-
-
 def test_theme_lookup(cb):
     assert cb.theme("K").code == "K"
     with pytest.raises(KeyError):

@@ -26,8 +26,9 @@ def test_every_mutated_input_and_blocked_output_ends_in_a_contract_exit(tmp_path
     fuzz = _fuzzer()
     template = fuzz.build_template(tmp_path)
     cases = list(itertools.islice(fuzz.cases(SEED), CASES))
-    # the fixed cases reach every input pair and every directory a command makes
-    assert {(c.target, c.argv) for c in cases} >= set(fuzz.INPUT_PAIRS) | set(fuzz.OUTPUT_PAIRS)
+    # the fixed cases reach every input pair, every directory a command makes and every file made a directory
+    pairs = set(fuzz.INPUT_PAIRS) | set(fuzz.OUTPUT_PAIRS) | set(fuzz.FILE_PAIRS)
+    assert {(c.target, c.argv) for c in cases} >= pairs
     outcomes = [(case, fuzz.run_case(template, tmp_path / "case", case)) for case in cases]
     assert not fuzz.breaches(outcomes), "\n".join(f"{case}\n{out}" for case, out in fuzz.breaches(outcomes))
     assert {out for _, out in outcomes} == set(fuzz.CONTRACT)

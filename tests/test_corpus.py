@@ -665,8 +665,6 @@ def test_sample_rejects_oversized_target(corpus50):
 def test_sampling_spec_validation():
     with pytest.raises(ConfigError, match="target_n"):
         SamplingSpec(target_n=0, seed=0)
-    with pytest.raises(ConfigError, match="unknown sampling method"):
-        SamplingSpec(target_n=1, seed=0, method="stratified")
 
 
 def test_sample_subset_property_seeded(corpus50):

@@ -1368,18 +1368,6 @@ def test_evaluate_failure_banner_and_policies(tmp_path, capsys, clean_corpus_pat
     assert scored.micro.accuracy < report.micro.accuracy
 
 
-def test_evaluate_metrics_table_mode(tmp_path, capsys, clean_corpus_path):
-    cfg = make_cfg(tmp_path, clean_corpus_path)
-    ranking = cmd_evaluate(cfg, metrics_table=FIXTURES / "ds2_reference_metrics.csv")
-    assert [row.label for row in ranking.rows] == ["DS2_gpt-4o", "DS2_deepseekV3"]
-    assert [row.avg_rank for row in ranking.rows] == [1.0, 2.0]
-    out = capsys.readouterr().out
-    assert "  1.000  DS2_gpt-4o" in out
-    assert "  2.000  DS2_deepseekV3" in out
-    reports = cfg.output_dir / "reports"
-    assert (reports / "ranking.json").exists() and (reports / "ranking.csv").exists()
-
-
 def test_evaluate_repeat_stores_fold_into_stats(tmp_path, clean_corpus_path):
     cfg = make_cfg(tmp_path, clean_corpus_path)
     cmd_classify(cfg)
@@ -1474,7 +1462,7 @@ def test_distribute_counts_and_files(tmp_path, capsys, clean_corpus_path, cb):
     cfg = make_cfg(tmp_path, clean_corpus_path)
     store = cmd_classify(cfg)[0]
     capsys.readouterr()
-    payload = cmd_distribute(cfg, top_k=3)
+    payload = cmd_distribute(cfg)
 
     vectors, _ = stored(store.path, cb)
     dist = theme_distribution(vectors, cb)
@@ -1482,7 +1470,7 @@ def test_distribute_counts_and_files(tmp_path, capsys, clean_corpus_path, cb):
     assert payload["counts"] == dict(dist.counts)
     for code in cb.alphabet:
         assert payload["percentages"][code] == pytest.approx(dist.percentage(code))
-    expected_top = sorted(cb.alphabet, key=lambda c: (-dist.counts[c], c))[:3]
+    expected_top = sorted(cb.alphabet, key=lambda c: (-dist.counts[c], c))[:5]
     assert payload["top_themes"] == expected_top
 
     out_lines = capsys.readouterr().out.strip().splitlines()
