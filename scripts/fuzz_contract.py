@@ -19,12 +19,14 @@ directory and runs one command in process, with a 10 s alarm.
 - Output side: a directory that a command makes is replaced by a regular
   file, and a file that a command reads or writes in a run or output
   directory is replaced by a directory.
+- Float settings: each float key of a run config is set to 10**400, an int
+  too large for a float, and the case must exit 1.
 
-The output-side cases come first, then input cases drawn from one seeded
-``random.Random``, so a seed and a case count give the same cases on every
-machine. The tier-1 test ``tests/test_contract_fuzz.py`` runs a fixed
-number of them; this script runs cases for ``--seconds`` and exits 1 if any
-case breaks the contract.
+The output-side and float-setting cases come first, then input cases drawn
+from one seeded ``random.Random``, so a seed and a case count give the same
+cases on every machine. The tier-1 test ``tests/test_contract_fuzz.py`` runs
+a fixed number of them; this script runs cases for ``--seconds`` and exits 1
+if any case breaks the contract.
 """
 
 from __future__ import annotations
@@ -107,6 +109,16 @@ OUTPUT_PAIRS = (
     ("ranked", RANK),
 )
 
+# (section, key) of every float setting of a run config
+FLOAT_KEYS = (
+    ("backend", "temperature"),
+    ("backend", "timeout"),
+    ("backend", "requests_per_second"),
+    ("retry", "backoff_initial"),
+    ("retry", "backoff_multiplier"),
+    ("retry", "backoff_cap"),
+)
+
 RUN_FILES = ("results.jsonl", "cache.jsonl", "ledger.jsonl", "audit.jsonl", "manifest.json")
 
 # (file a command reads or writes, that command)
@@ -129,9 +141,10 @@ FILE_PAIRS = (
 class Case:
     target: str
     argv: tuple[str, ...]
-    mutation: str  # "dir-to-file", "file-to-dir", one of OPERATORS or "swap-value"
+    mutation: str  # "dir-to-file", "file-to-dir", "float-overflow", one of OPERATORS or "swap-value"
     position: int = 0  # picks the byte, line or value, modulo how many there are
-    extra: object = None  # the line or byte inserted, the bit flipped, or an index into VALUES
+    extra: object = None  # the line or byte inserted, the bit flipped, an index into VALUES or a FLOAT_KEYS pair
+    exits: tuple[int, ...] = CONTRACT  # the exit codes that keep the contract
 
     def __str__(self) -> str:
         what = self.mutation if self.mutation in SWAPS else f"{self.mutation}@{self.position} {self.extra!r}"
@@ -227,11 +240,14 @@ INSERTED_LINES = (b"\n", b"{}\n", b"null\n", b"[]\n", b"\xff\xfe\n", b"a,b,c\n",
 
 
 def cases(seed: int):
-    """Every output-side case, then input cases drawn from ``seed``, without end."""
+    """Every output-side and float-setting case, then input cases drawn from
+    ``seed``, without end."""
     for target, argv in OUTPUT_PAIRS:
         yield Case(target, argv, "dir-to-file")
     for target, argv in FILE_PAIRS:
         yield Case(target, argv, "file-to-dir")
+    for key in FLOAT_KEYS:
+        yield Case("inputs/fresh.yaml", CLASSIFY, "float-overflow", extra=key, exits=(1,))
     rng = random.Random(seed)
     while True:
         target, argv = rng.choice(INPUT_PAIRS)
@@ -295,6 +311,11 @@ def mutate(data: bytes, case: Case) -> bytes:
     """``data`` (a template file, never empty) with ``case``'s one mutation applied."""
     if case.mutation == "swap-value":
         return _swap_value(data, case.target, case.position, VALUES[case.extra])
+    if case.mutation == "float-overflow":
+        section, key = case.extra
+        config = yaml.safe_load(data)
+        config.setdefault(section, {})[key] = 10**400
+        return yaml.safe_dump(config, sort_keys=True).encode("utf-8")
     i = case.position % len(data)
     lines = data.splitlines(keepends=True)
     k = case.position % len(lines)
@@ -379,8 +400,8 @@ def run_case(template: Path, work: Path, case: Case) -> int | str:
 
 
 def breaches(outcomes) -> list[tuple[Case, int | str]]:
-    """The (case, outcome) pairs outside the contract."""
-    return [(case, out) for case, out in outcomes if out not in CONTRACT]
+    """The (case, outcome) pairs whose outcome is not one of the case's exits."""
+    return [(case, out) for case, out in outcomes if out not in case.exits]
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -402,7 +423,7 @@ def main(argv: list[str] | None = None) -> int:
             counts[key] = counts.get(key, 0) + 1
         bad = breaches(outcomes)
     for case, out in bad:
-        print(f"OUTSIDE THE CONTRACT: {case}\n{out}", file=sys.stderr)
+        print(f"OUTSIDE THE CONTRACT (exits {case.exits}): {case}\n{out}", file=sys.stderr)
     summary = ", ".join(f"{k}: {v}" for k, v in sorted(counts.items()))
     print(f"seed {args.seed}: {len(outcomes)} cases in {args.seconds:g} s; {summary}")
     return 1 if bad else 0

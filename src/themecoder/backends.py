@@ -442,7 +442,10 @@ class RemoteChatBackend(_BaseBackend):
                     raise BackendError(f"endpoint answered HTTP {status}")
                 else:
                     try:
-                        return json.loads(reply)["choices"][0]["message"]["content"]
+                        content = json.loads(reply)["choices"][0]["message"]["content"]
+                        if not isinstance(content, str):
+                            raise TypeError(f"message content is {type(content).__name__}, not a string")
+                        return content
                     except (ValueError, KeyError, IndexError, TypeError) as exc:
                         raise BackendError(f"malformed completion response: {exc}") from exc
             if i < self.retry.transport_retries:
@@ -517,53 +520,46 @@ def classify_with_retry(
     appended; the fingerprint always reflects the base prompt, so cached
     and replayed attempt lists line up across runs. ``fingerprint``
     defaults to ``cache_key(cfg, prompt)``.
+
+    A cache hit runs the same loop over the stored attempt texts, without a
+    backend, up to the budget or the end of the entry; it writes one
+    ``cache-hit`` audit line at the attempt that decided.
     """
     fp = fingerprint if fingerprint is not None else cache_key(cfg, prompt)
     budget = policy.max_attempts if policy.reask_on_parse_failure else 1
-
-    cached = cache.get(fp) if cache is not None else None
-    if cached is not None:
-        texts = cached[:budget]
-        failures: list[tuple[str, ParseFailure]] = []
-        for i, raw in enumerate(texts, start=1):
-            outcome = parser(raw)
-            if outcome.ok:
-                if audit is not None:
-                    audit.append(fingerprint=fp, attempt=i, status="cache-hit", kind=cfg.kind)
-                return outcome.vector, CompletionResult(
-                    raw_text=raw, attempts=i, backend_kind=cfg.kind,
-                    latency=0.0, cache_hit=True, fingerprint=fp,
-                )
-            failures.append((raw, outcome.failure))
-        if audit is not None:
-            audit.append(fingerprint=fp, attempt=len(texts), status="cache-hit", kind=cfg.kind)
-        return ClassificationFailure(attempts=tuple(failures)), CompletionResult(
-            raw_text=texts[-1] if texts else "", attempts=max(len(texts), 1),
-            backend_kind=cfg.kind, latency=0.0, cache_hit=True, fingerprint=fp,
-        )
-
-    be = backend if backend is not None else make_backend(cfg, retry=policy, audit=audit)
-    attempt_texts: list[str] = []
-    failures = []
-    last: CompletionResult | None = None
+    stored = cache.get(fp) if cache is not None else None  # a hit replays these instead of calling
+    if stored is None and backend is None:
+        backend = make_backend(cfg, retry=policy, audit=audit)
+    texts: list[str] = []
+    failures: list[tuple[str, ParseFailure]] = []
     for attempt in range(1, budget + 1):
-        message = prompt.text if attempt == 1 else f"{prompt.text}\n\n{prompt.format_reminder()}"
-        last = complete(
-            cfg, prompt, attempt=attempt, message=message, backend=be, retry=policy, audit=audit,
-            fingerprint=fp,
-        )
-        attempt_texts.append(last.raw_text)
-        outcome = parser(last.raw_text)
+        if stored is None:
+            message = prompt.text if attempt == 1 else f"{prompt.text}\n\n{prompt.format_reminder()}"
+            result = complete(
+                cfg, prompt, attempt=attempt, message=message, backend=backend, retry=policy, audit=audit,
+                fingerprint=fp,
+            )
+        elif attempt <= len(stored):
+            result = CompletionResult(
+                raw_text=stored[attempt - 1], attempts=attempt, backend_kind=cfg.kind,
+                latency=0.0, cache_hit=True, fingerprint=fp,
+            )
+        else:
+            break
+        texts.append(result.raw_text)
+        outcome = parser(result.raw_text)
         if outcome.ok:
-            if cache is not None:
-                cache.put(fp, attempt_texts)
-            return outcome.vector, last
-        failures.append((last.raw_text, outcome.failure))
-        if audit is not None:
+            break
+        failures.append((result.raw_text, outcome.failure))
+        if stored is None and audit is not None:
             audit.append(
                 fingerprint=fp, attempt=attempt, status="parse-failure",
-                reason=outcome.failure.reason, detail=outcome.failure.detail, kind=be.kind,
+                reason=outcome.failure.reason, detail=outcome.failure.detail, kind=result.backend_kind,
             )
-    if cache is not None:
-        cache.put(fp, attempt_texts)
-    return ClassificationFailure(attempts=tuple(failures)), last
+    if stored is None and cache is not None:
+        cache.put(fp, texts)
+    if stored is not None and audit is not None:
+        audit.append(fingerprint=fp, attempt=result.attempts, status="cache-hit", kind=cfg.kind)
+    if outcome.ok:
+        return outcome.vector, result
+    return ClassificationFailure(attempts=tuple(failures)), result

@@ -20,6 +20,7 @@ from themecoder.backends import (
     AuditLog,
     BackendConfig,
     ClassificationFailure,
+    CompletionResult,
     MockRulesBackend,
     RemoteChatBackend,
     ReplayBackend,
@@ -423,6 +424,48 @@ def test_retry_audit_records_parse_failures(tmp_path, cb):
     assert any(r.get("status") == "ok" for r in records)
 
 
+def test_retry_live_path_writes_its_exact_audit_and_cache_lines(tmp_path, cb):
+    audit = AuditLog(tmp_path / "audit.jsonl")
+    cache = ResponseCache(tmp_path / "cache.jsonl")
+    first = full_prompt(cb)
+    second = dataclasses.replace(first, text="classify that", post_id="p2")
+    backend = ScriptedBackend(MOCK_CFG, ["garbage", good_line(cb), "junk a", "junk b"])
+    for prompt in (first, second):
+        classify_with_retry(
+            MOCK_CFG, RetryPolicy(max_attempts=2), prompt, line_parser(cb),
+            backend=backend, cache=cache, audit=audit,
+        )
+    audit.close()
+    cache.close()
+    records = [json.loads(l) for l in (tmp_path / "audit.jsonl").read_text().splitlines()]
+    for record in records:
+        assert isinstance(record.pop("ts"), float)
+        if record["status"] == "ok":
+            assert record.pop("latency") >= 0
+    fp1, fp2 = cache_key(MOCK_CFG, first), cache_key(MOCK_CFG, second)
+    ok = {"status": "ok", "kind": "scripted"}
+    failed = {
+        "status": "parse-failure",
+        "reason": "no-line-found",
+        "detail": "no classification assignments found",
+        "kind": "scripted",
+    }
+    assert records == [
+        {"fingerprint": fp1, "attempt": 1, **ok},
+        {"fingerprint": fp1, "attempt": 1, **failed},
+        {"fingerprint": fp1, "attempt": 2, **ok},
+        {"fingerprint": fp2, "attempt": 1, **ok},
+        {"fingerprint": fp2, "attempt": 1, **failed},
+        {"fingerprint": fp2, "attempt": 2, **ok},
+        {"fingerprint": fp2, "attempt": 2, **failed},
+    ]
+    # one line per prompt, success or failure, holding every attempt text in order
+    assert [json.loads(l) for l in (tmp_path / "cache.jsonl").read_text().splitlines()] == [
+        {"fingerprint": fp1, "attempts": ["garbage", good_line(cb)]},
+        {"fingerprint": fp2, "attempts": ["junk a", "junk b"]},
+    ]
+
+
 @pytest.mark.parametrize(
     "tail,torn",
     [
@@ -506,6 +549,51 @@ def test_cache_respects_attempt_budget(tmp_path, cb):
     )
     assert isinstance(failure, ClassificationFailure)  # budget 1 never sees attempt 2
     assert result.attempts == 1
+
+
+GOOD = object()  # stands for a line that parses
+
+
+@pytest.mark.parametrize(
+    "stored,max_attempts,decided",
+    [
+        (["junk", GOOD], 3, 2),
+        (["junk a", "junk b", "junk c"], 3, 3),
+        (["junk a", "junk b", GOOD], 2, 2),  # attempt 3 lies past the budget
+        (["junk"], 3, 1),  # the replay stops where the entry ends
+    ],
+    ids=["succeeds-at-attempt-2", "every-attempt-fails", "longer-than-budget", "shorter-than-budget"],
+)
+def test_cache_hit_writes_one_audit_line_and_makes_no_backend(monkeypatch, tmp_path, cb, stored, max_attempts, decided):
+    import themecoder.backends as backends
+
+    monkeypatch.setattr(backends, "make_backend", lambda *a, **k: pytest.fail("make_backend called on a hit"))
+    monkeypatch.setattr(backends, "complete", lambda *a, **k: pytest.fail("complete called on a hit"))
+    prompt = full_prompt(cb)
+    fp = cache_key(MOCK_CFG, prompt)
+    texts = [good_line(cb) if text is GOOD else text for text in stored]
+    cache = ResponseCache(tmp_path / "cache.jsonl")
+    cache.put(fp, texts)
+    audit = AuditLog(tmp_path / "audit.jsonl")
+    outcome, result = classify_with_retry(
+        MOCK_CFG, RetryPolicy(max_attempts=max_attempts), prompt, line_parser(cb), cache=cache, audit=audit
+    )
+    audit.close()
+    cache.close()
+    records = [json.loads(l) for l in (tmp_path / "audit.jsonl").read_text().splitlines()]
+    assert [{k: v for k, v in r.items() if k != "ts"} for r in records] == [
+        {"fingerprint": fp, "attempt": decided, "status": "cache-hit", "kind": "mock-rules"}
+    ]
+    assert result == CompletionResult(
+        raw_text=texts[decided - 1], attempts=decided, backend_kind="mock-rules",
+        latency=0.0, cache_hit=True, fingerprint=fp,
+    )
+    if stored[decided - 1] is GOOD:
+        assert isinstance(outcome, LabelVector) and outcome.positives() == ("B",)
+    else:
+        assert isinstance(outcome, ClassificationFailure)
+        assert [raw for raw, _ in outcome.attempts] == texts[:decided]
+    assert len((tmp_path / "cache.jsonl").read_text().splitlines()) == 1  # a hit adds no cache line
 
 
 def test_cache_persistence_and_isolation(tmp_path):
@@ -740,6 +828,26 @@ def test_remote_malformed_response(monkeypatch, chat_server):
     chat_server["responses"].append((200, {"unexpected": "shape"}))
     with pytest.raises(BackendError, match="malformed completion response"):
         complete(cfg, PROBE, retry=FAST_RETRY)
+
+
+@pytest.mark.parametrize(
+    "content", [None, [{"type": "text", "text": "A=0"}], 7], ids=["null", "list", "number"]
+)
+def test_remote_reply_content_that_is_not_a_string_is_malformed(monkeypatch, chat_server, tmp_path, content):
+    monkeypatch.setenv("TC_TEST_KEY", "sekret-value-123")
+    chat_server["responses"].append((200, {"choices": [{"message": {"content": content}}]}))
+    cache = ResponseCache(tmp_path / "cache.jsonl")
+    audit = AuditLog(tmp_path / "audit.jsonl")
+    with pytest.raises(BackendError, match="malformed completion response: message content is .+, not a string"):
+        classify_with_retry(
+            remote_cfg(chat_server["endpoint"]), FAST_RETRY, PROBE, lambda raw: pytest.fail("parser called"),
+            cache=cache, audit=audit,
+        )
+    cache.close()
+    audit.close()
+    assert len(chat_server["requests"]) == 1
+    assert not (tmp_path / "cache.jsonl").exists()
+    assert not (tmp_path / "audit.jsonl").exists()  # no ok line
 
 
 @pytest.mark.parametrize("status", [400, 404])
