@@ -111,7 +111,7 @@ def build_posts() -> tuple[list[Post], dict[str, str]]:
 def main() -> None:
     FIXTURES.mkdir(parents=True, exist_ok=True)
     posts, tag_by_id = build_posts()
-    corpus = Corpus(name="posts_50", posts=tuple(posts), provenance="synthetic fixture")
+    corpus = Corpus(name="posts_50", posts=tuple(posts))
     write_posts(corpus, FIXTURES / "posts_50.jsonl")
 
     # oracle files come from construction intent, not from running the filter

@@ -230,7 +230,6 @@ class GoldLabelSet:
 
     corpus_name: str
     labels: LabelMatrix
-    note: str = ""
     lint_warnings: tuple[str, ...] = ()
 
     def __len__(self) -> int:
@@ -413,7 +412,6 @@ def load_gold(path: str | Path, corpus, cb: Codebook) -> GoldLabelSet:
     return GoldLabelSet(
         corpus_name=corpus.name,
         labels=LabelMatrix.from_rows(ids, values.translate(_CELL_BITS), alphabet),
-        note=f"{len(ids)} labeled posts from {p.name}",
         lint_warnings=tuple(
             f"post {pid}: null code {cb.null_code} set alongside a substantive code" for pid in conflicts
         ),

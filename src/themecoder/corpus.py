@@ -85,7 +85,6 @@ class Corpus:
 
     name: str
     posts: tuple[Post, ...]
-    provenance: str = ""
 
     def __post_init__(self) -> None:
         ordered = tuple(sorted(self.posts, key=operator.attrgetter("created_at", "id")))
@@ -197,12 +196,7 @@ def load_posts(path: str | Path, format: str = "post-lines") -> Corpus:
     """Load a corpus file in post-lines (one JSON record per line) or
     delimited-table (RFC-4180 header row) format."""
     p = Path(path)
-    posts = tuple(_posts(p, format, _post_from_record))
-    corpus = Corpus(
-        name=p.stem,
-        posts=posts,
-        provenance=f"loaded {len(posts)} posts from {p.name} ({format})",
-    )
+    corpus = Corpus(name=p.stem, posts=tuple(_posts(p, format, _post_from_record)))
     log.info("loaded %d posts from %s", len(corpus), p)
     return corpus
 
@@ -425,11 +419,7 @@ def keyword_filter(corpus: Corpus, keywords: KeywordSet, rule: str) -> Corpus:
         }
         if evaluate(env):
             kept.append(post)
-    return Corpus(
-        name=corpus.name,
-        posts=tuple(kept),
-        provenance=f"{corpus.provenance} | keyword_filter({rule!r}): kept {len(kept)} of {len(corpus)}",
-    )
+    return Corpus(name=corpus.name, posts=tuple(kept))
 
 
 # --- cleanup ----------------------------------------------------------------
@@ -493,16 +483,7 @@ def dedup_clean(corpus: Corpus) -> CleanResult:
             continue
         seen.add(key)
         kept.append(post)
-    cleaned = Corpus(
-        name=corpus.name,
-        posts=tuple(kept),
-        provenance=(
-            f"{corpus.provenance} | dedup_clean: kept {len(kept)} of {len(corpus)} "
-            f"(blank={removed['blank']}, poorly_formatted={removed['poorly_formatted']}, "
-            f"duplicate={removed['duplicate']})"
-        ),
-    )
-    return CleanResult(corpus=cleaned, removed=dict(removed))
+    return CleanResult(corpus=Corpus(name=corpus.name, posts=tuple(kept)), removed=dict(removed))
 
 
 def sample_random(corpus: Corpus, spec: SamplingSpec) -> Corpus:
@@ -526,13 +507,7 @@ def sample_random(corpus: Corpus, spec: SamplingSpec) -> Corpus:
         j = int(rng.integers(i, n))
         idx[i], idx[j] = idx[j], idx[i]
     chosen = tuple(corpus.posts[k] for k in idx[: spec.target_n])
-    return Corpus(
-        name=corpus.name,
-        posts=chosen,
-        provenance=(
-            f"{corpus.provenance} | sample_random(n={spec.target_n}, seed={spec.seed})"
-        ),
-    )
+    return Corpus(name=corpus.name, posts=chosen)
 
 
 def temporal_split(corpus: Corpus, boundary: datetime) -> tuple[Corpus, Corpus]:
@@ -541,16 +516,4 @@ def temporal_split(corpus: Corpus, boundary: datetime) -> tuple[Corpus, Corpus]:
         boundary = boundary.replace(tzinfo=timezone.utc)
     early = tuple(p for p in corpus.posts if p.created_at < boundary)
     late = tuple(p for p in corpus.posts if p.created_at >= boundary)
-    stamp = format_timestamp(boundary)
-    return (
-        Corpus(
-            name=f"{corpus.name}_pre",
-            posts=early,
-            provenance=f"{corpus.provenance} | temporal_split: created_at < {stamp}",
-        ),
-        Corpus(
-            name=f"{corpus.name}_post",
-            posts=late,
-            provenance=f"{corpus.provenance} | temporal_split: created_at >= {stamp}",
-        ),
-    )
+    return Corpus(name=f"{corpus.name}_pre", posts=early), Corpus(name=f"{corpus.name}_post", posts=late)

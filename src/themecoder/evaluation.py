@@ -239,23 +239,15 @@ def all_confusions(gold, pred: Mapping[str, LabelVector], cb: Codebook) -> dict[
     return _confusions(*_paired_rows(gold, pred, cb.alphabet), cb.alphabet)
 
 
-def _matrix_list(matrices) -> list[ConfusionMatrix]:
-    if isinstance(matrices, ConfusionMatrix):
-        return [matrices]
-    if isinstance(matrices, Mapping):
-        return list(matrices.values())
-    return list(matrices)
-
-
-def metrics(matrices, aggregation: str = "micro") -> MetricSet:
-    """Aggregate confusion counts into a MetricSet.
+def metrics(matrices: Mapping[str, ConfusionMatrix], aggregation: str = "micro") -> MetricSet:
+    """Aggregate per-code confusion counts into a MetricSet.
 
     micro pools counts across themes before computing; macro averages the
     per-theme metrics. Accuracy is always micro over every decision.
     """
     if aggregation not in AGGREGATIONS:
         raise ConfigError(f"unknown aggregation {aggregation!r}; known: {', '.join(AGGREGATIONS)}")
-    mats = _matrix_list(matrices)
+    mats = list(matrices.values())
     if not mats:
         raise ConfigError("metrics requires at least one confusion matrix")
     # micro is the per-theme formula on pooled counts; accuracy stays micro

@@ -24,7 +24,7 @@ from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from datetime import date, datetime, timezone
 from functools import partial
 from hashlib import sha256
-from pathlib import Path
+from pathlib import Path, PurePath
 from types import NoneType
 from typing import Iterator, Mapping, Sequence, get_args, get_origin, get_type_hints
 
@@ -313,6 +313,8 @@ def _run_config(flat: Mapping, overrides: Mapping[str, int], offline: bool) -> R
 
     values.setdefault("dataset", values["corpus_path"].stem)
     values.setdefault("label", f"{values['dataset']}_{values['shots']}shot_{backend.model or backend.kind}")
+    if not _is_label(values["label"]):
+        raise ConfigError(f"run.label {values['label']!r} {_LABEL_RULE}")
     # repeat runs only make sense against a nondeterministic backend
     values.setdefault("repeats", 1 if (backend.temperature == 0 or backend.kind != "remote-chat") else 3)
     for f in fields(RunConfig):
@@ -357,6 +359,17 @@ class RunLedger(JsonLines):
         return list(self.read())
 
 
+_LABEL_RULE = "must be a relative path under reports/: not empty, no NUL, no '..' part"
+
+
+def _is_label(label: str) -> bool:
+    """Whether ``label`` names a directory strictly inside ``reports/``."""
+    if "\0" in label:
+        return False
+    path = PurePath(label)
+    return not path.is_absolute() and bool(path.parts) and ".." not in path.parts
+
+
 def _add_key(path: Path, ids: dict[str, set[str]], rec: dict) -> None:
     """Add the record's (post, label) key to ``ids``, refusing a second one."""
     post_id, label = rec["post_id"], rec["label"]
@@ -372,6 +385,8 @@ def _checked_records(source: JsonLines, ids: dict[str, set[str]]) -> Iterator[di
     for lineno, rec in source.read_numbered():
         if not (isinstance(rec.get("post_id"), str) and isinstance(rec.get("label"), str)):
             problem = "needs a string post_id and label"
+        elif not _is_label(rec["label"]):
+            problem = f"label {rec['label']!r} {_LABEL_RULE}"
         elif rec.get("status") not in ("classified", "failed"):
             problem = "needs status classified or failed"
         elif rec["status"] == "classified" and not (
@@ -527,39 +542,34 @@ def cmd_ingest(cfg: RunConfig) -> dict:
     summary: dict = {"loaded": 0}
     outputs: dict[str, str] = {}
 
+    def write_stage(stage: str, stage_corpus, file_name: str) -> None:
+        summary[stage] = len(stage_corpus)
+        outputs[stage] = file_name
+        write_posts(stage_corpus, out_dir / file_name)
+
     corpus = _stage("load", load_posts, cfg.corpus_path, cfg.corpus_format)
     summary["loaded"] = len(corpus)
 
     if cfg.filter_rule:
         keywords = _stage("keywords", load_keywords, cfg.keywords_path)
         corpus = _stage("keyword_filter", keyword_filter, corpus, keywords, cfg.filter_rule)
-        summary["filtered"] = len(corpus)
-        outputs["filtered"] = f"{corpus.name}_filtered.jsonl"
-        write_posts(corpus, out_dir / outputs["filtered"])
+        write_stage("filtered", corpus, f"{corpus.name}_filtered.jsonl")
 
     clean = _stage("dedup_clean", dedup_clean, corpus)
     corpus = clean.corpus
-    summary["cleaned"] = len(corpus)
+    write_stage("cleaned", corpus, f"{corpus.name}_clean.jsonl")
     summary["removed"] = dict(clean.removed)
-    outputs["cleaned"] = f"{corpus.name}_clean.jsonl"
-    write_posts(corpus, out_dir / outputs["cleaned"])
 
     if cfg.split_at is not None:
         pre, post = _stage("temporal_split", temporal_split, corpus, parse_timestamp(cfg.split_at))
-        summary["split_pre"] = len(pre)
-        summary["split_post"] = len(post)
-        outputs["split_pre"] = f"{pre.name}.jsonl"
-        outputs["split_post"] = f"{post.name}.jsonl"
-        write_posts(pre, out_dir / outputs["split_pre"])
-        write_posts(post, out_dir / outputs["split_post"])
+        write_stage("split_pre", pre, f"{pre.name}.jsonl")
+        write_stage("split_post", post, f"{post.name}.jsonl")
         corpus = pre if cfg.sample_from == "pre" else post
 
     if cfg.sample_n is not None:
         spec = SamplingSpec(target_n=cfg.sample_n, seed=cfg.sample_seed)
         corpus = _stage("sample_random", sample_random, corpus, spec)
-        summary["sampled"] = len(corpus)
-        outputs["sampled"] = f"{corpus.name}_sampled.jsonl"
-        write_posts(corpus, out_dir / outputs["sampled"])
+        write_stage("sampled", corpus, f"{corpus.name}_sampled.jsonl")
 
     summary["outputs"] = outputs
     write_json(cfg.output_dir / "ingest_summary.json", summary)

@@ -698,6 +698,65 @@ def test_classify_a_codebook_of_only_the_null_theme_under_strict_parsing(tmp_pat
     (store,) = cmd_classify(cfg)
     assert len(store) == 18
     assert {(rec["status"], rec["attempts"]) for rec in store.records} == {("classified", 1)}
+    # a one-code alphabet reads each record's vector as a one-cell row
+    payload = cmd_distribute(cfg)
+    assert payload["n"] == 18 and payload["counts"] == {"X": 0}
+
+
+def per_theme_prompts(post, cb):
+    """The v1-per-theme frames of one post, as a zero-shot run renders them."""
+    return render_prompt(post, cb, load_template("v1-per-theme"), ShotPolicy(shots=0), seed=0, include_title=False)
+
+
+def test_classify_per_theme_merges_its_frames(tmp_path, clean_corpus_path, cb):
+    single = make_cfg(tmp_path, clean_corpus_path, name="single")
+    cfg = make_cfg(tmp_path, clean_corpus_path, prompting={"template_version": "v1-per-theme"})
+    whole = {rec["post_id"]: rec["vector"] for rec in cmd_classify(single)[0].records}
+    (store,) = cmd_classify(cfg)
+    by_id = {post.id: post for post in load_posts(clean_corpus_path).posts}
+    assert len(store.records) == 18
+    for rec in store.records:
+        prompts = per_theme_prompts(by_id[rec["post_id"]], cb)
+        # each frame's answer is the mock rule of its one code; K and X, whose
+        # rules read the other codes, see none of them, so only they may differ
+        # from the one-line run's vector
+        framewise = {rp.target[0]: mock_rule_vector(rp.post_text, rp.target)[rp.target[0]] for rp in prompts}
+        assert rec["status"] == "classified" and rec["vector"] == framewise
+        assert {c: v for c, v in rec["vector"].items() if c not in "KX"} == {
+            c: v for c, v in whole[rec["post_id"]].items() if c not in "KX"
+        }
+        assert rec["attempts"] == len(cb.alphabet) == 13
+        keys = [cache_key(cfg.backend, rp) for rp in prompts]
+        assert rec["fingerprint"] == hashlib.sha256("\n".join(keys).encode("utf-8")).hexdigest()
+
+
+def test_classify_per_theme_fails_a_post_whose_one_frame_never_parses(tmp_path, clean_corpus_path, cb):
+    corpus = load_posts(clean_corpus_path)
+    broken = corpus.posts[0].id
+    script_path = tmp_path / "script.json"
+    bcfg = BackendConfig(kind="replay", model="replay-model", replay_path=str(script_path))
+    script = {}
+    for post in corpus.posts:
+        vec = mock_rule_vector(post.body, cb.alphabet)
+        for rp in per_theme_prompts(post, cb):
+            (code,) = rp.target
+            broken_frame = post.id == broken and code == "C"
+            script[cache_key(bcfg, rp)] = ["no answer here"] * 3 if broken_frame else [f"{code}=[{vec[code]}]"]
+    script_path.write_text(json.dumps(script), encoding="utf-8")
+
+    cfg = replay_cfg(
+        tmp_path, clean_corpus_path, script_path,
+        prompting={"template_version": "v1-per-theme"}, retry={"reask_on_parse_failure": True},
+    )
+    (store,) = cmd_classify(cfg)
+    statuses = {rec["post_id"]: rec["status"] for rec in store.records}
+    assert statuses == {post.id: "failed" if post.id == broken else "classified" for post in corpus.posts}
+    (rec,) = [rec for rec in store.records if rec["post_id"] == broken]
+    (failure,) = rec["failures"]
+    assert failure["reason"] == "no-line-found"
+    assert failure["detail"].startswith("failed code(s): C: no-line-found")
+    assert ";" not in failure["detail"]  # no other code failed
+    assert rec["attempts"] == 12 + 3  # one for each frame that parsed, three for C
 
 
 def test_classify_byte_identity_across_runs(tmp_path, clean_corpus_path):
@@ -1432,6 +1491,55 @@ def test_evaluate_explicit_store_paths(tmp_path, clean_corpus_path):
     (cfg.output_dir / "results.jsonl").rename(moved)
     reports = cmd_evaluate(cfg, store_paths=[moved])
     assert reports[cfg.label].n_posts == 18
+
+
+# a label names the directory its report goes to, so it must stay inside reports/
+BAD_LABELS = pytest.mark.parametrize(
+    "label",
+    ["ABSOLUTE", "../outside", "a/../../b", "", ".", "a\x00b"],
+    ids=["absolute", "parent", "nested-parent", "empty", "dot", "nul"],
+)
+
+
+def bad_label(tmp_path: Path, label: str) -> str:
+    """``label``, with ABSOLUTE standing for a directory under ``tmp_path``."""
+    return str(tmp_path / "escaped") if label == "ABSOLUTE" else label
+
+
+def tree(root: Path) -> set[Path]:
+    return set(root.rglob("*"))
+
+
+@BAD_LABELS
+def test_evaluate_refuses_a_store_label_outside_reports(tmp_path, capsys, clean_corpus_path, label):
+    cfg = make_cfg(tmp_path, clean_corpus_path)
+    store = cmd_classify(cfg)[0]
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("".join(relabelled(store.path, bad_label(tmp_path, label), flip=False)), encoding="utf-8")
+    before = tree(tmp_path)
+    assert main(["evaluate", "--config", str(tmp_path / "run.yaml"), "--store", str(bad)]) == 2
+    assert tree(tmp_path) == before
+    assert f"{bad} line 1: record label" in capsys.readouterr().err
+    with pytest.raises(DataError, match="line 1: record label"):
+        ResultsStore(bad)
+
+
+@BAD_LABELS
+def test_config_refuses_a_run_label_outside_reports(tmp_path, capsys, clean_corpus_path, label):
+    sections = base_config(tmp_path, clean_corpus_path, run={"label": bad_label(tmp_path, label)})
+    path = write_config(tmp_path / "run.yaml", **sections)
+    before = tree(tmp_path)
+    for command in ("classify", "evaluate"):
+        assert main([command, "--config", str(path)]) == 1
+        assert "run.label" in capsys.readouterr().err
+    assert tree(tmp_path) == before
+
+
+def test_a_label_with_slashes_nests_under_reports(tmp_path, clean_corpus_path):
+    cfg = make_cfg(tmp_path, clean_corpus_path, run={"label": "org/model"})
+    cmd_classify(cfg)
+    assert set(cmd_evaluate(cfg)) == {"org/model"}
+    assert (cfg.output_dir / "reports" / "org" / "model" / "report.json").is_file()
 
 
 def test_evaluate_and_distribute_open_each_results_file_once(tmp_path, monkeypatch, capsys, clean_corpus_path):
