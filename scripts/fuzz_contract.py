@@ -21,12 +21,17 @@ directory and runs one command in process, with a 10 s alarm.
   directory is replaced by a directory.
 - Float settings: each float key of a run config is set to 10**400, an int
   too large for a float, and the case must exit 1.
+- Manifest structure: `classify --resume` reads a `manifest.json` whose
+  frozen config lacks a key, holds an unknown key, has a section replaced
+  by a string, a list or null, or holds a retired key of the wrong type.
+  A dropped key that has a default must resume (exit 0); every other case
+  must exit 1.
 
-The output-side and float-setting cases come first, then input cases drawn
-from one seeded ``random.Random``, so a seed and a case count give the same
-cases on every machine. The tier-1 test ``tests/test_contract_fuzz.py`` runs
-a fixed number of them; this script runs cases for ``--seconds`` and exits 1
-if any case breaks the contract.
+The output-side, float-setting and manifest cases come first, then input
+cases drawn from one seeded ``random.Random``, so a seed and a case count
+give the same cases on every machine. The tier-1 test
+``tests/test_contract_fuzz.py`` runs a fixed number of them; this script
+runs cases for ``--seconds`` and exits 1 if any case breaks the contract.
 """
 
 from __future__ import annotations
@@ -119,6 +124,26 @@ FLOAT_KEYS = (
     ("retry", "backoff_cap"),
 )
 
+# (entry of manifest.json dropped, the exit resume must end in): a key with a default resumes at it
+MANIFEST_DROPS = (
+    (("config", "exemplar_budget"), 0),
+    (("config", "retry", "backoff_cap"), 0),
+    (("config", "output_dir"), 1),
+    (("config", "backend", "kind"), 1),
+)
+
+# (entry of manifest.json, the value it is set to): each refuses the resume
+MANIFEST_SETS = (
+    (("config", "bogus"), 1),
+    (("config", "retry", "bogus"), 1),
+    *(((section,), value) for section in ("config", "hashes") for value in ("x", [], None)),
+    *((("config", section), value) for section in ("backend", "retry") for value in ("x", [], None)),
+    (("config", "retry", "reask_on_parse_failure"), "yes"),
+    (("config", "retry", "reask_on_parse_failure"), 1),
+    (("config", "aggregation"), 5),
+    (("config", "aggregation"), None),
+)
+
 RUN_FILES = ("results.jsonl", "cache.jsonl", "ledger.jsonl", "audit.jsonl", "manifest.json")
 
 # (file a command reads or writes, that command)
@@ -141,9 +166,12 @@ FILE_PAIRS = (
 class Case:
     target: str
     argv: tuple[str, ...]
-    mutation: str  # "dir-to-file", "file-to-dir", "float-overflow", one of OPERATORS or "swap-value"
+    # "dir-to-file", "file-to-dir", "float-overflow", "drop-entry", "set-entry", one of OPERATORS or "swap-value"
+    mutation: str
     position: int = 0  # picks the byte, line or value, modulo how many there are
-    extra: object = None  # the line or byte inserted, the bit flipped, an index into VALUES or a FLOAT_KEYS pair
+    # the line or byte inserted, the bit flipped, an index into VALUES, a FLOAT_KEYS pair,
+    # a MANIFEST_DROPS path or a MANIFEST_SETS pair
+    extra: object = None
     exits: tuple[int, ...] = CONTRACT  # the exit codes that keep the contract
 
     def __str__(self) -> str:
@@ -240,14 +268,18 @@ INSERTED_LINES = (b"\n", b"{}\n", b"null\n", b"[]\n", b"\xff\xfe\n", b"a,b,c\n",
 
 
 def cases(seed: int):
-    """Every output-side and float-setting case, then input cases drawn from
-    ``seed``, without end."""
+    """Every output-side, float-setting and manifest case, then input cases
+    drawn from ``seed``, without end."""
     for target, argv in OUTPUT_PAIRS:
         yield Case(target, argv, "dir-to-file")
     for target, argv in FILE_PAIRS:
         yield Case(target, argv, "file-to-dir")
     for key in FLOAT_KEYS:
         yield Case("inputs/fresh.yaml", CLASSIFY, "float-overflow", extra=key, exits=(1,))
+    for path, code in MANIFEST_DROPS:
+        yield Case("run/manifest.json", RESUME, "drop-entry", extra=path, exits=(code,))
+    for edit in MANIFEST_SETS:
+        yield Case("run/manifest.json", RESUME, "set-entry", extra=edit, exits=(1,))
     rng = random.Random(seed)
     while True:
         target, argv = rng.choice(INPUT_PAIRS)
@@ -316,6 +348,16 @@ def mutate(data: bytes, case: Case) -> bytes:
         config = yaml.safe_load(data)
         config.setdefault(section, {})[key] = 10**400
         return yaml.safe_dump(config, sort_keys=True).encode("utf-8")
+    if case.mutation in ("drop-entry", "set-entry"):
+        manifest = section = json.loads(data)
+        *parents, leaf = case.extra if case.mutation == "drop-entry" else case.extra[0]
+        for name in parents:
+            section = section[name]
+        if case.mutation == "drop-entry":
+            del section[leaf]
+        else:
+            section[leaf] = case.extra[1]
+        return (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode("utf-8")
     i = case.position % len(data)
     lines = data.splitlines(keepends=True)
     k = case.position % len(lines)

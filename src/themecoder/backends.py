@@ -62,6 +62,8 @@ class BackendConfig:
             raise ConfigError("replay backend requires replay_path")
         if self.in_flight_limit < 1:
             raise ConfigError("in_flight_limit must be >= 1")
+        if self.max_output_tokens < 1:
+            raise ConfigError(f"max_output_tokens must be >= 1, got {self.max_output_tokens}")
         if not math.isfinite(self.timeout) or self.timeout <= 0:
             raise ConfigError(f"timeout must be finite and > 0, got {self.timeout}")
         if self.timeout > MAX_WAIT_S:
@@ -75,7 +77,6 @@ class BackendConfig:
 @dataclass(frozen=True)
 class RetryPolicy:
     max_attempts: int = 3
-    reask_on_parse_failure: bool = True
     backoff_initial: float = 0.5
     backoff_multiplier: float = 2.0
     backoff_cap: float = 8.0
@@ -526,13 +527,12 @@ def classify_with_retry(
     ``cache-hit`` audit line at the attempt that decided.
     """
     fp = fingerprint if fingerprint is not None else cache_key(cfg, prompt)
-    budget = policy.max_attempts if policy.reask_on_parse_failure else 1
     stored = cache.get(fp) if cache is not None else None  # a hit replays these instead of calling
     if stored is None and backend is None:
         backend = make_backend(cfg, retry=policy, audit=audit)
     texts: list[str] = []
     failures: list[tuple[str, ParseFailure]] = []
-    for attempt in range(1, budget + 1):
+    for attempt in range(1, policy.max_attempts + 1):
         if stored is None:
             message = prompt.text if attempt == 1 else f"{prompt.text}\n\n{prompt.format_reminder()}"
             result = complete(

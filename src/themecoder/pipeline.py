@@ -142,8 +142,6 @@ class RunConfig:
     parse_mode: str = _key("parsing.mode", "lenient", allowed=PARSE_MODES, noun="parsing mode")
     backend: BackendConfig = _key("backend")
     retry: RetryPolicy = _key("retry")
-    # kept in the manifest; every report and ranking is micro
-    aggregation: str = _key("evaluation.aggregation", "micro", allowed=("micro",))
     failure_policy: str = _key(
         "evaluation.failure_policy", "exclude-and-report", allowed=FAILURE_POLICIES, noun="failure_policy"
     )
@@ -162,17 +160,44 @@ class RunConfig:
         return json.loads(json.dumps(asdict(self), default=str))
 
 
-def _config_keys(cls, section: str = "") -> Iterator[str]:
-    """The dotted config key of every field of ``cls`` and of its nested config classes."""
+def _leaves(cls, section: str = "", names: tuple[str, ...] = ()) -> Iterator[tuple[str, tuple[str, ...], object]]:
+    """Each field of ``cls`` and its nested config classes: config key, ``to_dict`` path, JSON default or MISSING."""
     hints = get_type_hints(cls)
     for f in fields(cls):
-        key = f.metadata.get("key", f"{section}.{f.name}")
-        yield from _config_keys(hints[f.name], key) if is_dataclass(hints[f.name]) else (key,)
+        key, path = f.metadata.get("key", f"{section}.{f.name}"), (*names, f.name)
+        if is_dataclass(hints[f.name]):
+            yield from _leaves(hints[f.name], key, path)
+        else:
+            yield key, path, f.default if f.default is MISSING else json.loads(json.dumps(f.default, default=str))
 
 
+# A config key taken out of RunConfig: its path in an old manifest's config, its
+# type, what replaced it, and per value it may hold, the config keys it reads as.
+RETIRED = {
+    "evaluation.aggregation": (("aggregation",), str, "every report is micro", {"micro": {}}),
+    "retry.reask_on_parse_failure": (
+        ("retry", "reask_on_parse_failure"), bool,
+        "retry.max_attempts replaces it, and false reads as retry.max_attempts: 1",
+        {True: {}, False: {"retry.max_attempts": 1}},
+    ),
+}
+
+_LEAVES = tuple(_leaves(RunConfig))
 # every dotted config key, and every section that holds one
-_KEYS = frozenset(_config_keys(RunConfig))
+_KEYS = frozenset(key for key, _, _ in _LEAVES)
 _SECTIONS = frozenset(key.rsplit(".", 1)[0] for key in _KEYS)
+# the config key at each path of a manifest's config, retired ones included
+_PATHS = {path: key for key, path, _ in _LEAVES} | {path: key for key, (path, *_) in RETIRED.items()}
+
+
+def _retire(flat: dict) -> list[str]:
+    """Read each retired key in ``flat``, checked as before, as what replaced it; one warning per key."""
+    warnings = []
+    for key, (_, kind, note, replaced) in RETIRED.items():
+        if key in flat:
+            flat.update(replaced[_checked(key, kind, flat.pop(key), {"allowed": tuple(replaced)})])
+            warnings.append(f"warning: {key} is retired: {note}")
+    return warnings
 
 
 def _flatten(body, section: str, flat: dict) -> None:
@@ -180,15 +205,15 @@ def _flatten(body, section: str, flat: dict) -> None:
     after checking that the section is a mapping of known keys."""
     if not isinstance(body, dict):
         raise ConfigError(f"config section {section!r} must be a mapping")
-    unknown = sorted(str(name) for name in body if f"{section}.{name}" not in _KEYS | _SECTIONS)
+    unknown = sorted(str(name) for name in body if f"{section}.{name}" not in _KEYS | RETIRED.keys() | _SECTIONS)
     if unknown:
         raise ConfigError(f"config section {section!r} has unknown key(s): {', '.join(unknown)}")
     for name, value in body.items():
         key = f"{section}.{name}"
-        if key in _KEYS:
-            flat[key] = value
-        else:
+        if key in _SECTIONS:
             _flatten(value or {}, key, flat)
+        else:
+            flat[key] = value
 
 
 def _is(value, kind) -> bool:
@@ -287,6 +312,8 @@ def load_config(
     if isinstance(flat.get("corpus.split_at"), date):  # an unquoted YAML timestamp
         flat["corpus.split_at"] = str(flat["corpus.split_at"])
     try:
+        for warning in _retire(flat):
+            print(warning, file=sys.stderr)
         return _run_config(flat, overrides or {}, offline)
     except (TypeError, ValueError) as exc:  # a value of the wrong type for its field
         raise ConfigError(f"config file {p} has a value of the wrong type: {exc}") from None
@@ -345,6 +372,40 @@ def build_manifest(cfg: RunConfig, scaffold: str) -> dict:
         "tool_version": TOOL_VERSION,
         "started_at": _utcnow(),
     }
+
+
+def _frozen(config, names: tuple[str, ...] = ()) -> dict:
+    """A manifest's frozen config by dotted config key, each section checked to be an object of known keys."""
+    if not isinstance(config, dict):
+        raise ConfigError(f"config key {'.'.join(names)} is not an object" if names else "config is not an object")
+    flat: dict = {}
+    for name, value in config.items():
+        path = (*names, name)
+        if path in _PATHS:
+            flat[_PATHS[path]] = value
+        elif any(known[: len(path)] == path for known in _PATHS):
+            flat.update(_frozen(value, path))
+        else:
+            raise ConfigError(f"config key {'.'.join(path)} is unknown")
+    return flat
+
+
+def _check_resume(existing: dict, manifest: dict) -> None:
+    """Refuse to resume unless the ``existing`` manifest froze what ``manifest`` does: a key
+    the old config lacks reads as its default, a retired key as what replaced it."""
+    try:
+        old = _frozen(existing.get("config"))
+        _retire(old)
+    except (TypeError, ConfigError) as exc:
+        raise ConfigError(f"resume refused: the original manifest's {exc}") from None
+    new = _frozen(manifest["config"])
+    for key, _, default in _LEAVES:
+        if old.get(key, default) != new[key]:
+            raise ConfigError(f"resume refused: config key {key} differs from the original manifest")
+    hashes = existing.get("hashes")
+    if hashes != manifest["hashes"]:
+        changed = [n for n, sha in manifest["hashes"].items() if isinstance(hashes, dict) and hashes.get(n) != sha]
+        raise ConfigError(f"resume refused: input {(changed or ['hashes'])[0]} differs from the original manifest")
 
 
 class RunLedger(JsonLines):
@@ -699,10 +760,7 @@ def cmd_classify(cfg: RunConfig, *, resume: bool = False) -> list[ResultsStore]:
                 raise ConfigError(
                     f"{manifest_path} already exists; pass resume to continue that run"
                 )
-            if existing.get("config") != manifest["config"] or existing.get("hashes") != manifest["hashes"]:
-                raise ConfigError(
-                    "resume refused: config or input hashes differ from the original manifest"
-                )
+            _check_resume(existing, manifest)
         else:
             write_json(manifest_path, manifest)
 
@@ -822,7 +880,7 @@ def cmd_evaluate(cfg: RunConfig, *, store_paths: Sequence[str | Path] | None = N
 
     # every store is read and checked against gold, and every report directory
     # checked, before any report is written
-    by_label: dict[str, list[tuple[LabelMatrix, tuple[str, ...]]]] = {}
+    by_label: dict[str, list[tuple[Path, LabelMatrix, tuple[str, ...]]]] = {}
     for path in paths:
         results = read_results(path, cb.alphabet)
         if not results:
@@ -834,7 +892,13 @@ def cmd_evaluate(cfg: RunConfig, *, store_paths: Sequence[str | Path] | None = N
                     f"gold does not cover {len(missing)} evaluated post(s): "
                     + ", ".join(missing[:20])
                 )
-            by_label.setdefault(label, []).append((preds, failed))
+            runs = by_label.setdefault(label, [])
+            if runs and runs[0][0].resolve().parent != path.resolve().parent:  # repeats of one run share its directory
+                raise DataError(
+                    f"results stores {runs[0][0]} and {path} are from different run directories but both hold "
+                    f"label {label!r}; give each run its own run.label"
+                )
+            runs.append((path, preds, failed))
     for label in sorted(by_label):
         _require_directory(reports_dir / label, "report output directory")
 
@@ -854,7 +918,7 @@ def cmd_evaluate(cfg: RunConfig, *, store_paths: Sequence[str | Path] | None = N
                 bootstrap_resamples=cfg.bootstrap_resamples,
                 bootstrap_seed=cfg.bootstrap_seed,
             )
-            for i, (preds, failed) in enumerate(by_label[label])
+            for i, (_, preds, failed) in enumerate(by_label[label])
         ]
         report = per_run_reports[0]
         if len(per_run_reports) > 1:

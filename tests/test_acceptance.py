@@ -469,7 +469,7 @@ def test_08_retry_budget_and_failure_policies(tmp_path, cb, clean_corpus_path):
         clean_corpus_path,
         "retry",
         backend={"kind": "replay", "model": "rm", "replay_path": str(script_path)},
-        retry={"max_attempts": 3, "reask_on_parse_failure": True},
+        retry={"max_attempts": 3},
     )
     store = cmd_classify(cfg)[0]
 

@@ -122,6 +122,8 @@ def test_retry_policy_validation():
         ("backend", "timeout", float("inf"), "timeout must be finite and > 0, got inf"),
         ("backend", "requests_per_second", float("nan"), "requests_per_second must be finite and >= 0, got nan"),
         ("backend", "requests_per_second", -0.5, "requests_per_second must be finite and >= 0, got -0.5"),
+        ("backend", "max_output_tokens", 0, "max_output_tokens must be >= 1, got 0"),
+        ("backend", "max_output_tokens", -5, "max_output_tokens must be >= 1, got -5"),
         ("retry", "backoff_initial", -1, "backoff_initial must be finite and >= 0, got -1"),
         ("retry", "backoff_multiplier", float("nan"), "backoff_multiplier must be finite and >= 0, got nan"),
         ("retry", "backoff_cap", -1, "backoff_cap must be finite and >= 0, got -1"),
@@ -376,7 +378,7 @@ def test_retry_budget_exhaustion(cb):
 
 def test_reask_disabled_spends_one_attempt(cb):
     backend = ScriptedBackend(MOCK_CFG, ["junk", good_line(cb)])
-    policy = RetryPolicy(max_attempts=3, reask_on_parse_failure=False)
+    policy = RetryPolicy(max_attempts=1)
     failure, result = classify_with_retry(
         MOCK_CFG, policy, full_prompt(cb), line_parser(cb), backend=backend
     )
@@ -542,7 +544,7 @@ def test_cache_respects_attempt_budget(tmp_path, cb):
     fp = cache_key(MOCK_CFG, prompt)
     cache.put(fp, ["junk", good_line(cb)])
     cache.close()
-    policy = RetryPolicy(max_attempts=3, reask_on_parse_failure=False)
+    policy = RetryPolicy(max_attempts=1)
     failure, result = classify_with_retry(
         MOCK_CFG, policy, prompt, line_parser(cb),
         backend=ExplodingBackend(MOCK_CFG), cache=cache,

@@ -488,6 +488,7 @@ def test_offline_blocks_remote_backends(tmp_path, capsys, clean_corpus_path):
         ("retry.max_attempts", 2.5),
         ("backend.in_flight_limit", "3"),
         ("retry.reask_on_parse_failure", "yes"),
+        ("backend.max_output_tokens", 2.5),
         ("prompting.shots", True),
         ("prompting.shots", 2.5),
         ("run.repeats", 1.9),
@@ -554,11 +555,12 @@ def test_config_value_of_the_wrong_type_exits_one(tmp_path, capsys, clean_corpus
             "evaluate", "bootstrap allows <= 1000000 resamples, got 1000001",
             {"evaluation": {"bootstrap_metrics": ["f1"], "bootstrap_resamples": 1_000_001}}, [],
         ),
+        ("classify", "max_output_tokens must be >= 1, got 0", {"backend": {"max_output_tokens": 0}}, []),
     ],
     ids=[
         "sample-key", "sample-flag", "exemplar-key", "exemplar-flag", "bootstrap-key", "bootstrap-flag",
         "exemplar-budget", "sample-n", "bootstrap-resamples", "bootstrap-resamples-huge",
-        "bootstrap-resamples-above-bound",
+        "bootstrap-resamples-above-bound", "max-output-tokens",
     ],
 )
 def test_negative_seed_exits_one_at_load(tmp_path, capsys, clean_corpus_path, verb, message, sections, flags):

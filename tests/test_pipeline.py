@@ -124,7 +124,7 @@ def replay_cfg(tmp_path: Path, corpus_path: Path, script_path: Path, name: str =
         "replay_path": str(script_path),
         **extra["backend"],
     }
-    extra.setdefault("retry", {"reask_on_parse_failure": False})
+    extra.setdefault("retry", {"max_attempts": 1})
     return make_cfg(tmp_path, corpus_path, name=name, **extra)
 
 
@@ -144,12 +144,11 @@ def test_load_config_defaults(tmp_path, clean_corpus_path):
     assert cfg.shots == 0 and cfg.selection is None and cfg.exemplar_seed == 0
     assert cfg.include_title is False and cfg.exemplar_budget == 1500
     assert cfg.parse_mode == "lenient"
-    assert cfg.aggregation == "micro"
     assert cfg.failure_policy == "exclude-and-report"
     assert cfg.bootstrap_resamples == 2000
     assert cfg.bootstrap_seed == 0 and cfg.bootstrap_metrics == ()
     assert cfg.backend.kind == "mock-rules"
-    assert cfg.retry.max_attempts == 3 and cfg.retry.reask_on_parse_failure is True
+    assert cfg.retry.max_attempts == 3
 
 
 def test_load_config_label_defaults_from_stem_and_kind(tmp_path, clean_corpus_path):
@@ -354,13 +353,33 @@ def test_load_config_failure_policy_validation(tmp_path, clean_corpus_path):
 
 
 @pytest.mark.parametrize("aggregation", ["macro", "per-theme", "pooled"])
-def test_load_config_rejects_an_aggregation_other_than_micro(tmp_path, clean_corpus_path, aggregation):
-    assert make_cfg(tmp_path, clean_corpus_path, evaluation={"aggregation": "micro"}).aggregation == "micro"
+def test_load_config_rejects_an_aggregation_other_than_micro(tmp_path, capsys, clean_corpus_path, aggregation):
+    make_cfg(tmp_path, clean_corpus_path, evaluation={"aggregation": "micro"})
+    assert capsys.readouterr().err == "warning: evaluation.aggregation is retired: every report is micro\n"
     sections = base_config(tmp_path, clean_corpus_path)
     sections["evaluation"] = {"aggregation": aggregation}
     path = write_config(tmp_path / "c.yaml", **sections)
     with pytest.raises(ConfigError, match=f"evaluation.aggregation must be 'micro', got '{aggregation}'"):
         load_config(path)
+
+
+@pytest.mark.parametrize(
+    "retry, max_attempts",
+    [
+        ({"reask_on_parse_failure": True}, 3),
+        ({"reask_on_parse_failure": True, "max_attempts": 2}, 2),
+        ({"reask_on_parse_failure": False, "max_attempts": 4}, 1),
+    ],
+    ids=["true", "true-beside-max-attempts", "false-beside-max-attempts"],
+)
+def test_load_config_reads_the_retired_reask_key_as_max_attempts(
+    tmp_path, capsys, clean_corpus_path, retry, max_attempts
+):
+    assert make_cfg(tmp_path, clean_corpus_path, retry=retry).retry.max_attempts == max_attempts
+    assert capsys.readouterr().err == (
+        "warning: retry.reask_on_parse_failure is retired: "
+        "retry.max_attempts replaces it, and false reads as retry.max_attempts: 1\n"
+    )
 
 
 def test_load_config_replay_script_must_exist(tmp_path, clean_corpus_path):
@@ -746,7 +765,7 @@ def test_classify_per_theme_fails_a_post_whose_one_frame_never_parses(tmp_path, 
 
     cfg = replay_cfg(
         tmp_path, clean_corpus_path, script_path,
-        prompting={"template_version": "v1-per-theme"}, retry={"reask_on_parse_failure": True},
+        prompting={"template_version": "v1-per-theme"}, retry={"max_attempts": 3},
     )
     (store,) = cmd_classify(cfg)
     statuses = {rec["post_id"]: rec["status"] for rec in store.records}
@@ -791,16 +810,95 @@ def test_classify_resume_refuses_changed_config(tmp_path, clean_corpus_path):
     cmd_classify(cfg)
     changed = make_cfg(tmp_path, clean_corpus_path, name="changed", parsing={"mode": "strict"})
     changed = dataclasses.replace(changed, output_dir=cfg.output_dir)
-    with pytest.raises(ConfigError, match="resume refused"):
+    with pytest.raises(ConfigError, match="^resume refused: config key parsing.mode differs from the original manifest$"):
         cmd_classify(changed, resume=True)
 
 
-def test_classify_resume_refuses_changed_input(tmp_path, clean_corpus_path):
-    cfg = make_cfg(tmp_path, clean_corpus_path)
-    cmd_classify(cfg)
+def test_classify_resume_refuses_changed_input(tmp_path, capsys, clean_corpus_path):
+    cfg_path = write_config(tmp_path / "run.yaml", **base_config(tmp_path, clean_corpus_path))
+    assert main(["classify", "--config", str(cfg_path)]) == 0
     clean_corpus_path.write_bytes(clean_corpus_path.read_bytes() + b"\n")
-    with pytest.raises(ConfigError, match="resume refused"):
-        cmd_classify(cfg, resume=True)
+    capsys.readouterr()
+    assert main(["classify", "--config", str(cfg_path), "--resume"]) == 1
+    assert capsys.readouterr().err == "error: resume refused: input corpus differs from the original manifest\n"
+
+
+DROP = object()
+
+
+def manifest_edit(path: str, value=DROP):
+    """An edit of a manifest that sets the entry at dotted ``path``, or drops it."""
+
+    def edit(manifest: dict) -> None:
+        *parents, leaf = path.split(".")
+        node = manifest
+        for name in parents:
+            node = node[name]
+        if value is DROP:
+            del node[leaf]
+        else:
+            node[leaf] = value
+
+    return edit
+
+
+def differs(what: str) -> str:
+    return f"{what} differs from the original manifest"
+
+
+@pytest.mark.parametrize(
+    "edit, changes, refusal",
+    [
+        (manifest_edit("config.exemplar_budget"), {}, None),
+        (manifest_edit("config.retry.backoff_cap"), {}, None),
+        (manifest_edit("config.exemplar_budget"), {"prompting": {"exemplar_budget": 900}},
+         differs("config key prompting.exemplar_budget")),
+        (manifest_edit("config.output_dir"), {}, differs("config key run.output_dir")),
+        (manifest_edit("config.backend.kind"), {}, differs("config key backend.kind")),
+        (manifest_edit("config.aggregation", "micro"), {}, None),
+        (manifest_edit("config.retry.reask_on_parse_failure", True), {}, None),
+        (manifest_edit("config.retry.reask_on_parse_failure", False), {"retry": {"max_attempts": 1}}, None),
+        (manifest_edit("config.retry.reask_on_parse_failure", False), {}, differs("config key retry.max_attempts")),
+        (manifest_edit("config.retry", "x"), {}, "the original manifest's config key retry is not an object"),
+        (manifest_edit("config.backend", []), {}, "the original manifest's config key backend is not an object"),
+        (manifest_edit("config.retry", None), {}, "the original manifest's config key retry is not an object"),
+        (manifest_edit("config", None), {}, "the original manifest's config is not an object"),
+        (manifest_edit("config.bogus", 1), {}, "the original manifest's config key bogus is unknown"),
+        (manifest_edit("config.retry.bogus", 1), {}, "the original manifest's config key retry.bogus is unknown"),
+        (manifest_edit("config.retry.reask_on_parse_failure", "yes"), {},
+         "the original manifest's retry.reask_on_parse_failure must be bool, got 'yes'"),
+        (manifest_edit("config.retry.reask_on_parse_failure", 1), {},
+         "the original manifest's retry.reask_on_parse_failure must be bool, got 1"),
+        (manifest_edit("config.aggregation", "macro"), {},
+         "the original manifest's evaluation.aggregation must be 'micro', got 'macro'"),
+        (manifest_edit("hashes.gold", "0" * 64), {}, differs("input gold")),
+        (manifest_edit("hashes", None), {}, differs("input hashes")),
+    ],
+    ids=[
+        "later-key", "later-nested-key", "later-key-other-value", "required-key", "required-nested-key",
+        "aggregation-micro", "reask-true", "reask-false-at-one-attempt", "reask-false-at-three-attempts",
+        "section-string", "section-list", "section-null", "config-null", "unknown-key",
+        "unknown-nested-key", "retired-string", "retired-int", "retired-other-value", "changed-hash", "hashes-null",
+    ],
+)
+def test_classify_resume_compares_the_manifest_key_by_key(tmp_path, capsys, clean_corpus_path, edit, changes, refusal):
+    """A key the manifest lacks reads as its default and a retired key as what
+    replaced it; any other difference refuses, naming the first key that differs."""
+    first = write_config(tmp_path / "first.yaml", **base_config(tmp_path, clean_corpus_path))
+    assert main(["classify", "--config", str(first)]) == 0
+    path = tmp_path / "run" / "manifest.json"
+    manifest = json.loads(path.read_text(encoding="utf-8"))
+    edit(manifest)
+    path.write_text(json.dumps(manifest), encoding="utf-8")
+    again = write_config(tmp_path / "again.yaml", **base_config(tmp_path, clean_corpus_path, **changes))
+    capsys.readouterr()
+    code = main(["classify", "--config", str(again), "--resume"])
+    out, err = capsys.readouterr()
+    if refusal is None:
+        assert (code, err) == (0, "")
+        assert out == "run 1/1: classified=18, failed=0, total=18\n"
+    else:
+        assert (code, err, out) == (1, f"error: resume refused: {refusal}\n", "")
 
 
 def test_classify_resumes_a_manifest_config_with_every_key_set(tmp_path, capsys, clean_corpus_path):
@@ -1157,7 +1255,7 @@ def remote_run(tmp_path, corpus_path, chat_stub, cb, name="remote", limit=4, del
             "timeout": 5.0,
             "in_flight_limit": limit,
         },
-        retry={"reask_on_parse_failure": False, "transport_retries": 0},
+        retry={"max_attempts": 1, "transport_retries": 0},
     )
 
 
@@ -1491,6 +1589,32 @@ def test_evaluate_explicit_store_paths(tmp_path, clean_corpus_path):
     (cfg.output_dir / "results.jsonl").rename(moved)
     reports = cmd_evaluate(cfg, store_paths=[moved])
     assert reports[cfg.label].n_posts == 18
+
+
+def test_evaluate_refuses_one_label_from_two_run_directories(tmp_path, capsys, clean_corpus_path):
+    cfg_path = write_config(tmp_path / "run.yaml", **base_config(tmp_path, clean_corpus_path))
+    assert main(["classify", "--config", str(cfg_path)]) == 0
+    first = tmp_path / "run" / "results.jsonl"
+    second = tmp_path / "other" / "results.jsonl"
+    second.parent.mkdir()
+    second.write_bytes(first.read_bytes())
+    capsys.readouterr()
+    assert main(["evaluate", "--config", str(cfg_path), "--store", str(first), "--store", str(second)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: results stores {first} and {second} are from different run directories but both hold "
+        "label 'FIX_0shot_mock'; give each run its own run.label\n"
+    )
+    assert not (tmp_path / "run" / "reports").exists()
+
+
+def test_evaluate_pools_the_repeats_of_one_run_directory(tmp_path, capsys, clean_corpus_path):
+    sections = base_config(tmp_path, clean_corpus_path, run={"repeats": 2})
+    cfg_path = write_config(tmp_path / "run.yaml", **sections)
+    assert main(["classify", "--config", str(cfg_path)]) == 0
+    stores = [str(tmp_path / "run" / f"results_r{r}.jsonl") for r in (1, 2)]
+    assert main(["evaluate", "--config", str(cfg_path), "--store", stores[0], "--store", stores[1]]) == 0
+    report = json.loads((tmp_path / "run" / "reports" / "FIX_0shot_mock" / "report.json").read_text("utf-8"))
+    assert report["run_stats"]["r"] == 2
 
 
 # a label names the directory its report goes to, so it must stay inside reports/
