@@ -23,13 +23,15 @@ directory and runs one command in process, with a 10 s alarm.
   too large for a float, and the case must exit 1.
 - Manifest structure: `classify --resume` reads a `manifest.json` whose
   frozen config lacks a key, holds an unknown key, has a section replaced
-  by a string, a list or null, or holds a retired key of the wrong type.
-  A dropped key that has a default must resume (exit 0); every other case
-  must exit 1.
+  by a string, a list or null, or holds a retired key or a value of the
+  wrong JSON type. A dropped key that has a default must resume (exit 0);
+  every other case must exit 1.
+- Stores: `evaluate` given one results store twice, under two spellings,
+  must exit 2.
 
-The output-side, float-setting and manifest cases come first, then input
-cases drawn from one seeded ``random.Random``, so a seed and a case count
-give the same cases on every machine. The tier-1 test
+The output-side, float-setting, manifest and store cases come first,
+then input cases drawn from one seeded ``random.Random``, so a seed and a
+case count give the same cases on every machine. The tier-1 test
 ``tests/test_contract_fuzz.py`` runs a fixed number of them; this script
 runs cases for ``--seconds`` and exits 1 if any case breaks the contract.
 """
@@ -74,6 +76,7 @@ CLASSIFY_REPLAY = ("classify", "--config", "inputs/replay.yaml")
 RESUME = ("classify", "--config", "inputs/run.yaml", "--resume")
 EVALUATE = ("evaluate", "--config", "inputs/run.yaml")
 EVALUATE_STORE = (*EVALUATE, "--store", "run/results.jsonl")
+EVALUATE_TWICE = (*EVALUATE_STORE, "--store", "run/reports/../results.jsonl")
 DISTRIBUTE = ("distribute", "--config", "inputs/run.yaml")
 RANK = ("rank", "--metrics-table", "inputs/metrics.csv", "--out", "ranked")
 
@@ -142,6 +145,9 @@ MANIFEST_SETS = (
     (("config", "retry", "reask_on_parse_failure"), 1),
     (("config", "aggregation"), 5),
     (("config", "aggregation"), None),
+    (("config", "include_title"), 0),
+    (("config", "retry", "max_attempts"), 3.0),
+    (("config", "repeats"), True),
 )
 
 RUN_FILES = ("results.jsonl", "cache.jsonl", "ledger.jsonl", "audit.jsonl", "manifest.json")
@@ -166,7 +172,8 @@ FILE_PAIRS = (
 class Case:
     target: str
     argv: tuple[str, ...]
-    # "dir-to-file", "file-to-dir", "float-overflow", "drop-entry", "set-entry", one of OPERATORS or "swap-value"
+    # "dir-to-file", "file-to-dir", "float-overflow", "drop-entry", "set-entry", "unchanged",
+    # one of OPERATORS or "swap-value"
     mutation: str
     position: int = 0  # picks the byte, line or value, modulo how many there are
     # the line or byte inserted, the bit flipped, an index into VALUES, a FLOAT_KEYS pair,
@@ -268,7 +275,7 @@ INSERTED_LINES = (b"\n", b"{}\n", b"null\n", b"[]\n", b"\xff\xfe\n", b"a,b,c\n",
 
 
 def cases(seed: int):
-    """Every output-side, float-setting and manifest case, then input cases
+    """Every output-side, float-setting, manifest and store case, then input cases
     drawn from ``seed``, without end."""
     for target, argv in OUTPUT_PAIRS:
         yield Case(target, argv, "dir-to-file")
@@ -280,6 +287,7 @@ def cases(seed: int):
         yield Case("run/manifest.json", RESUME, "drop-entry", extra=path, exits=(code,))
     for edit in MANIFEST_SETS:
         yield Case("run/manifest.json", RESUME, "set-entry", extra=edit, exits=(1,))
+    yield Case("run/results.jsonl", EVALUATE_TWICE, "unchanged", exits=(2,))
     rng = random.Random(seed)
     while True:
         target, argv = rng.choice(INPUT_PAIRS)
@@ -429,7 +437,7 @@ def run_case(template: Path, work: Path, case: Case) -> int | str:
     elif case.mutation == "file-to-dir":
         target.unlink(missing_ok=True)
         target.mkdir(parents=True)
-    else:
+    elif case.mutation != "unchanged":
         target.write_bytes(mutate(target.read_bytes(), case))
     try:
         with _inside(work), _quiet(), _alarm(ALARM_S):

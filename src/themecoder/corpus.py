@@ -19,8 +19,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, Iterator, Mapping
 
-import numpy as np
-
+from .draws import Stream
 from .errors import ConfigError, DataError
 from .jsonl import atomic_write, holds_surrogate, read_yaml, undecodable_line, write_table
 
@@ -490,7 +489,8 @@ def sample_random(corpus: Corpus, spec: SamplingSpec) -> Corpus:
     """Draw a uniform sample without replacement, deterministic given the seed.
 
     Algorithm (fixed; tests re-derive it independently from this text):
-    with ``rng = numpy.random.default_rng(seed)`` and ``idx = [0..n-1]`` over
+    with ``rng = draws.Stream(seed)``, themecoder's PCG64 stream, which draws
+    what ``numpy.random.default_rng(seed)`` draws, and ``idx = [0..n-1]`` over
     the order-normalized corpus, perform a partial Fisher-Yates shuffle: for
     each position ``i`` in ``0..target_n-1`` draw ``j = rng.integers(i, n)``
     and swap ``idx[i]`` and ``idx[j]``; the sample is the posts at
@@ -501,10 +501,10 @@ def sample_random(corpus: Corpus, spec: SamplingSpec) -> Corpus:
         raise DataError(
             f"cannot sample {spec.target_n} posts from a corpus of {n}"
         )
-    rng = np.random.default_rng(spec.seed)
+    rng = Stream(spec.seed)
     idx = list(range(n))
     for i in range(spec.target_n):
-        j = int(rng.integers(i, n))
+        j = rng.integers(i, n)
         idx[i], idx[j] = idx[j], idx[i]
     chosen = tuple(corpus.posts[k] for k in idx[: spec.target_n])
     return Corpus(name=corpus.name, posts=chosen)

@@ -160,15 +160,17 @@ class RunConfig:
         return json.loads(json.dumps(asdict(self), default=str))
 
 
-def _leaves(cls, section: str = "", names: tuple[str, ...] = ()) -> Iterator[tuple[str, tuple[str, ...], object]]:
-    """Each field of ``cls`` and its nested config classes: config key, ``to_dict`` path, JSON default or MISSING."""
+def _leaves(cls, section: str = "", names: tuple[str, ...] = ()) -> Iterator[tuple[str, tuple[str, ...], object, object]]:
+    """Each field of ``cls`` and its nested config classes: config key, ``to_dict``
+    path, type, and JSON default or MISSING."""
     hints = get_type_hints(cls)
     for f in fields(cls):
         key, path = f.metadata.get("key", f"{section}.{f.name}"), (*names, f.name)
         if is_dataclass(hints[f.name]):
             yield from _leaves(hints[f.name], key, path)
         else:
-            yield key, path, f.default if f.default is MISSING else json.loads(json.dumps(f.default, default=str))
+            default = f.default if f.default is MISSING else json.loads(json.dumps(f.default, default=str))
+            yield key, path, hints[f.name], default
 
 
 # A config key taken out of RunConfig: its path in an old manifest's config, its
@@ -184,10 +186,10 @@ RETIRED = {
 
 _LEAVES = tuple(_leaves(RunConfig))
 # every dotted config key, and every section that holds one
-_KEYS = frozenset(key for key, _, _ in _LEAVES)
+_KEYS = frozenset(key for key, *_ in _LEAVES)
 _SECTIONS = frozenset(key.rsplit(".", 1)[0] for key in _KEYS)
 # the config key at each path of a manifest's config, retired ones included
-_PATHS = {path: key for key, path, _ in _LEAVES} | {path: key for key, (path, *_) in RETIRED.items()}
+_PATHS = {path: key for key, path, *_ in _LEAVES} | {path: key for key, (path, *_) in RETIRED.items()}
 
 
 def _retire(flat: dict) -> list[str]:
@@ -392,14 +394,18 @@ def _frozen(config, names: tuple[str, ...] = ()) -> dict:
 
 def _check_resume(existing: dict, manifest: dict) -> None:
     """Refuse to resume unless the ``existing`` manifest froze what ``manifest`` does: a key
-    the old config lacks reads as its default, a retired key as what replaced it."""
+    the old config lacks reads as its default, a retired key as what replaced it, and each
+    old value must pass the type rule a config file's value does."""
     try:
         old = _frozen(existing.get("config"))
         _retire(old)
+        for key, _, kind, _ in _LEAVES:
+            if key in old:
+                _checked(key, kind, old[key], {})
     except (TypeError, ConfigError) as exc:
         raise ConfigError(f"resume refused: the original manifest's {exc}") from None
     new = _frozen(manifest["config"])
-    for key, _, default in _LEAVES:
+    for key, _, _, default in _LEAVES:
         if old.get(key, default) != new[key]:
             raise ConfigError(f"resume refused: config key {key} differs from the original manifest")
     hashes = existing.get("hashes")
@@ -446,7 +452,7 @@ def _checked_records(source: JsonLines, ids: dict[str, set[str]]) -> Iterator[di
     for lineno, rec in source.read_numbered():
         if not (isinstance(rec.get("post_id"), str) and isinstance(rec.get("label"), str)):
             problem = "needs a string post_id and label"
-        elif not _is_label(rec["label"]):
+        elif rec["label"] not in ids and not _is_label(rec["label"]):  # a label in ids has passed
             problem = f"label {rec['label']!r} {_LABEL_RULE}"
         elif rec.get("status") not in ("classified", "failed"):
             problem = "needs status classified or failed"
@@ -877,6 +883,12 @@ def cmd_evaluate(cfg: RunConfig, *, store_paths: Sequence[str | Path] | None = N
         paths = sorted(cfg.output_dir.glob("results*.jsonl"))
     if not paths:
         raise DataError(f"no results stores found under {cfg.output_dir}")
+    seen: dict[Path, Path] = {}  # resolved path -> the path given
+    for path in paths:
+        resolved = path.resolve()
+        if resolved in seen:  # one store given twice would pool as two repeats
+            raise DataError(f"results store {path} is given twice (also as {seen[resolved]})")
+        seen[resolved] = path
 
     # every store is read and checked against gold, and every report directory
     # checked, before any report is written

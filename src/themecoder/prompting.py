@@ -13,10 +13,9 @@ from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
 
-import numpy as np
-
 from .codebook import Codebook, Exemplar, LabelVector
 from .corpus import Post
+from .draws import Stream
 from .errors import ConfigError, DataError
 from .jsonl import read_text
 from .parsing import render_answer, render_line
@@ -132,7 +131,8 @@ def select_exemplars(cb: Codebook, policy: ShotPolicy, seed: int = 0) -> tuple[E
     """Pick ``policy.shots`` exemplars from the codebook pool.
 
     Explicit indices win; otherwise a seeded uniform draw without
-    replacement, in draw order. Deterministic either way.
+    replacement (``draws.Stream(seed).choice``), in draw order.
+    Deterministic either way.
     """
     if policy.shots == 0:
         return ()
@@ -148,9 +148,7 @@ def select_exemplars(cb: Codebook, policy: ShotPolicy, seed: int = 0) -> tuple[E
                 f"exemplar index {bad[0]} out of range (pool has {len(pool)})"
             )
         return tuple(pool[i] for i in policy.selection)
-    rng = np.random.default_rng(seed)
-    indices = rng.choice(len(pool), size=policy.shots, replace=False)
-    return tuple(pool[int(i)] for i in indices)
+    return tuple(pool[i] for i in Stream(seed).choice(len(pool), policy.shots))
 
 
 def _truncate(text: str, budget: int) -> str:

@@ -641,6 +641,17 @@ def test_evaluate_store_flag(tmp_path, capsys, clean_corpus_path):
     assert "n_posts=18" in capsys.readouterr().out
 
 
+def test_evaluate_same_store_given_twice_exits_two(tmp_path, capsys, clean_corpus_path):
+    """One store named by two spellings would pool as two repeats of one run."""
+    cfg_path, out_dir = write_cfg(tmp_path, clean_corpus_path)
+    assert main(["classify", "--config", str(cfg_path)]) == 0
+    store, again = out_dir / "results.jsonl", out_dir / "reports" / ".." / "results.jsonl"
+    capsys.readouterr()
+    assert main(["evaluate", "--config", str(cfg_path), "--store", str(store), "--store", str(again)]) == 2
+    assert capsys.readouterr().err == f"error: results store {again} is given twice (also as {store})\n"
+    assert not (out_dir / "reports").exists()
+
+
 def test_rank_out_flag_writes_files(tmp_path, capsys):
     out = tmp_path / "ranked"
     assert main(["rank", "--metrics-table", str(DS2), "--out", str(out)]) == 0

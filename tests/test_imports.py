@@ -1,5 +1,5 @@
-"""The package imports and runs without scipy or requests, and importing it
-loads no HTTP transport."""
+"""The package imports and runs without scipy or requests, importing it
+loads no HTTP transport, and ingest and classify load no numpy.random."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from conftest import FIXTURES
+from conftest import FIXTURES, base_config, write_config
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -95,3 +95,30 @@ def test_import_loads_no_http_transport():
     loaded = set(child.stdout.split())
     assert "themecoder" in loaded
     assert not loaded & {"urllib.request", "http.client", "ssl"}
+
+
+# Ingest with sampling, then a classify with two drawn exemplars: both draws
+# come from themecoder.draws, so numpy.random is never loaded.
+NO_NUMPY_RANDOM = """
+import sys
+from themecoder.pipeline import cmd_classify, cmd_ingest, load_config
+
+cfg = load_config(sys.argv[1])
+assert cmd_ingest(cfg)["sampled"] == 5
+assert len(cmd_classify(cfg)[0]) == 18
+loaded = sorted(name for name in sys.modules if name.startswith("numpy.random"))
+assert not loaded, loaded
+"""
+
+
+def test_ingest_and_classify_do_not_load_numpy_random(tmp_path, clean_corpus_path):
+    sections = base_config(tmp_path, clean_corpus_path, corpus={"sample": {"n": 5}}, prompting={"shots": 2})
+    cfg_path = write_config(tmp_path / "run.yaml", **sections)
+    child = subprocess.run(
+        [sys.executable, "-c", NO_NUMPY_RANDOM, str(cfg_path)],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert child.returncode == 0, child.stderr

@@ -873,17 +873,25 @@ def differs(what: str) -> str:
          "the original manifest's evaluation.aggregation must be 'micro', got 'macro'"),
         (manifest_edit("hashes.gold", "0" * 64), {}, differs("input gold")),
         (manifest_edit("hashes", None), {}, differs("input hashes")),
+        (manifest_edit("config.include_title", 0), {},
+         "the original manifest's prompting.include_title must be bool, got 0"),
+        (manifest_edit("config.retry.max_attempts", 3.0), {}, "the original manifest's retry.max_attempts must be int, got 3.0"),
+        (manifest_edit("config.repeats", True), {}, "the original manifest's run.repeats must be int, got True"),
+        (manifest_edit("config.retry.backoff_cap", 8), {}, None),
+        (manifest_edit("config.retry.backoff_cap", 10.0), {"retry": {"backoff_cap": 10}}, None),
     ],
     ids=[
         "later-key", "later-nested-key", "later-key-other-value", "required-key", "required-nested-key",
         "aggregation-micro", "reask-true", "reask-false-at-one-attempt", "reask-false-at-three-attempts",
         "section-string", "section-list", "section-null", "config-null", "unknown-key",
         "unknown-nested-key", "retired-string", "retired-int", "retired-other-value", "changed-hash", "hashes-null",
+        "bool-key-int", "int-key-float", "int-key-bool", "float-key-int", "float-key-float-for-int",
     ],
 )
 def test_classify_resume_compares_the_manifest_key_by_key(tmp_path, capsys, clean_corpus_path, edit, changes, refusal):
     """A key the manifest lacks reads as its default and a retired key as what
-    replaced it; any other difference refuses, naming the first key that differs."""
+    replaced it; an old value of the wrong JSON type refuses, as in a config file
+    (a float key takes an int); any other difference refuses, naming the first key that differs."""
     first = write_config(tmp_path / "first.yaml", **base_config(tmp_path, clean_corpus_path))
     assert main(["classify", "--config", str(first)]) == 0
     path = tmp_path / "run" / "manifest.json"
