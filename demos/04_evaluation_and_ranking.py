@@ -8,7 +8,7 @@ same math backs `themecoder evaluate` and `themecoder rank`.
 from pathlib import Path
 
 from themecoder.backends import mock_rule_vector
-from themecoder.codebook import LabelVector, load_codebook, load_gold
+from themecoder.codebook import LabelMatrix, load_codebook, load_gold
 from themecoder.corpus import dedup_clean, keyword_filter, load_keywords, load_posts
 from themecoder.evaluation import (
     all_confusions,
@@ -27,12 +27,11 @@ def main() -> None:
     raw = load_posts(FIXTURES / "posts_50.jsonl")
     corpus = dedup_clean(keyword_filter(raw, load_keywords(), "xylazine AND wound")).corpus
     gold = load_gold(FIXTURES / "gold_clean.csv", corpus, cb)
-    print(f"scoring {len(corpus)} posts against gold labels for {gold.corpus_name!r}")
+    print(f"scoring {len(corpus)} posts against {len(gold)} gold-labeled posts")
 
-    preds = {
-        p.id: LabelVector.from_mapping(mock_rule_vector(p.body, cb.alphabet), cb.alphabet)
-        for p in corpus
-    }
+    # every scorer takes labels as a post x code matrix, columns in codebook order
+    rows = [cb.vector(mock_rule_vector(p.body, cb.alphabet)).values for p in corpus]
+    preds = LabelMatrix.from_rows([p.id for p in corpus], rows, cb.alphabet)
 
     # one confusion matrix per code, then two aggregations over them
     matrices = all_confusions(gold, preds, cb)

@@ -9,7 +9,7 @@ to several codes and the column does not sum to 100.
 from pathlib import Path
 
 from themecoder.backends import mock_rule_vector
-from themecoder.codebook import LabelVector, load_codebook, load_gold
+from themecoder.codebook import LabelMatrix, load_codebook, load_gold
 from themecoder.corpus import dedup_clean, keyword_filter, load_keywords, load_posts
 from themecoder.evaluation import distribution_delta, theme_distribution
 
@@ -21,10 +21,9 @@ def main() -> None:
     raw = load_posts(FIXTURES / "posts_50.jsonl")
     corpus = dedup_clean(keyword_filter(raw, load_keywords(), "xylazine AND wound")).corpus
 
-    preds = {
-        p.id: LabelVector.from_mapping(mock_rule_vector(p.body, cb.alphabet), cb.alphabet)
-        for p in corpus
-    }
+    # every scorer takes labels as a post x code matrix, columns in codebook order
+    rows = [cb.vector(mock_rule_vector(p.body, cb.alphabet)).values for p in corpus]
+    preds = LabelMatrix.from_rows([p.id for p in corpus], rows, cb.alphabet)
     dist = theme_distribution(preds, cb)
     print(f"model-assigned theme prevalence over {dist.n} posts:")
     for code in cb.alphabet:

@@ -28,8 +28,10 @@ directory and runs one command in process, with a 10 s alarm.
   every other case must exit 1.
 - Stores: `evaluate` given one results store twice, under two spellings,
   must exit 2.
+- Labels: `evaluate` reading a results record whose vector holds `true`
+  or `1.0`, which equal 1 but are not the JSON integer, must exit 2.
 
-The output-side, float-setting, manifest and store cases come first,
+The output-side, float-setting, manifest, store and label cases come first,
 then input cases drawn from one seeded ``random.Random``, so a seed and a
 case count give the same cases on every machine. The tier-1 test
 ``tests/test_contract_fuzz.py`` runs a fixed number of them; this script
@@ -150,6 +152,9 @@ MANIFEST_SETS = (
     (("config", "repeats"), True),
 )
 
+# label values that equal 0 or 1 in Python but are not JSON integers
+LABEL_LOOKALIKES = (True, 1.0)
+
 RUN_FILES = ("results.jsonl", "cache.jsonl", "ledger.jsonl", "audit.jsonl", "manifest.json")
 
 # (file a command reads or writes, that command)
@@ -173,11 +178,11 @@ class Case:
     target: str
     argv: tuple[str, ...]
     # "dir-to-file", "file-to-dir", "float-overflow", "drop-entry", "set-entry", "unchanged",
-    # one of OPERATORS or "swap-value"
+    # "set-label", one of OPERATORS or "swap-value"
     mutation: str
     position: int = 0  # picks the byte, line or value, modulo how many there are
     # the line or byte inserted, the bit flipped, an index into VALUES, a FLOAT_KEYS pair,
-    # a MANIFEST_DROPS path or a MANIFEST_SETS pair
+    # a MANIFEST_DROPS path, a MANIFEST_SETS pair or a LABEL_LOOKALIKES value
     extra: object = None
     exits: tuple[int, ...] = CONTRACT  # the exit codes that keep the contract
 
@@ -275,8 +280,8 @@ INSERTED_LINES = (b"\n", b"{}\n", b"null\n", b"[]\n", b"\xff\xfe\n", b"a,b,c\n",
 
 
 def cases(seed: int):
-    """Every output-side, float-setting, manifest and store case, then input cases
-    drawn from ``seed``, without end."""
+    """Every output-side, float-setting, manifest, store and label case, then
+    input cases drawn from ``seed``, without end."""
     for target, argv in OUTPUT_PAIRS:
         yield Case(target, argv, "dir-to-file")
     for target, argv in FILE_PAIRS:
@@ -288,6 +293,8 @@ def cases(seed: int):
     for edit in MANIFEST_SETS:
         yield Case("run/manifest.json", RESUME, "set-entry", extra=edit, exits=(1,))
     yield Case("run/results.jsonl", EVALUATE_TWICE, "unchanged", exits=(2,))
+    for value in LABEL_LOOKALIKES:
+        yield Case("run/results.jsonl", EVALUATE, "set-label", extra=value, exits=(2,))
     rng = random.Random(seed)
     while True:
         target, argv = rng.choice(INPUT_PAIRS)
@@ -356,6 +363,13 @@ def mutate(data: bytes, case: Case) -> bytes:
         config = yaml.safe_load(data)
         config.setdefault(section, {})[key] = 10**400
         return yaml.safe_dump(config, sort_keys=True).encode("utf-8")
+    if case.mutation == "set-label":  # the first code of the first classified record
+        lines = data.decode("utf-8").splitlines(keepends=True)
+        i = next(i for i, line in enumerate(lines) if json.loads(line)["status"] == "classified")
+        rec = json.loads(lines[i])
+        rec["vector"][min(rec["vector"])] = case.extra
+        lines[i] = json.dumps(rec, sort_keys=True) + "\n"
+        return "".join(lines).encode("utf-8")
     if case.mutation in ("drop-entry", "set-entry"):
         manifest = section = json.loads(data)
         *parents, leaf = case.extra if case.mutation == "drop-entry" else case.extra[0]

@@ -20,7 +20,6 @@ from .backends import (
 from .codebook import (
     Codebook,
     Exemplar,
-    GoldLabelSet,
     LabelMatrix,
     LabelVector,
     ThemeDef,

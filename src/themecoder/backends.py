@@ -34,6 +34,7 @@ from .prompting import RenderedPrompt
 
 BACKEND_KINDS = ("remote-chat", "mock-rules", "replay")
 MAX_WAIT_S = 86_400  # one day: the longest timeout, backoff or wait between requests a setting may ask for
+MAX_JSON_INT = 2**53 - 1  # RFC 8259 section 6: the largest integer every JSON reader holds exactly
 
 
 @dataclass(frozen=True)
@@ -64,6 +65,8 @@ class BackendConfig:
             raise ConfigError("in_flight_limit must be >= 1")
         if self.max_output_tokens < 1:
             raise ConfigError(f"max_output_tokens must be >= 1, got {self.max_output_tokens}")
+        if self.max_output_tokens > MAX_JSON_INT:  # it is sent as the request's max_tokens
+            raise ConfigError(f"max_output_tokens must be <= {MAX_JSON_INT}, got {self.max_output_tokens}")
         if not math.isfinite(self.timeout) or self.timeout <= 0:
             raise ConfigError(f"timeout must be finite and > 0, got {self.timeout}")
         if self.timeout > MAX_WAIT_S:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -93,13 +93,6 @@ def tuple_getter(keys: Sequence) -> Callable:
     return itemgetter(*keys)
 
 
-def label_rows(vectors: Iterable[LabelVector], codes: Sequence[str]) -> np.ndarray:
-    """(n_vectors × n_codes) int8 label matrix, columns in ``codes`` order."""
-    codes = tuple(codes)
-    rows = [v.values if v.codes == codes else [v[c] for c in codes] for v in vectors]
-    return np.array(rows, dtype=np.int8).reshape(len(rows), len(codes))
-
-
 @dataclass(frozen=True, eq=False)
 class LabelMatrix:
     """The 0/1 labels of many posts: row i of ``values`` (int8, one column
@@ -113,10 +106,13 @@ class LabelMatrix:
     @classmethod
     def from_rows(cls, ids: Sequence[str], values, codes: Sequence[str]) -> "LabelMatrix":
         """Sort rows by id; of rows that share an id, the last one is kept.
-        ``values`` is an (n × k) array or the n × k bytes of one."""
+        ``values`` is an (n × k) array of 0s and 1s or the n × k bytes of one."""
         codes = tuple(codes)
-        values = np.frombuffer(values, dtype=np.int8) if isinstance(values, (bytes, bytearray)) else values
-        values = np.asarray(values, dtype=np.int8).reshape(len(ids), len(codes))
+        values = np.frombuffer(values, dtype=np.int8) if isinstance(values, (bytes, bytearray)) else np.asarray(values)
+        binary = (values == 0) | (values == 1)  # checked before the cast, which would wrap 257 to 1
+        if not binary.all():
+            raise DataError(f"label matrix values must be 0 or 1, got {values[~binary].flat[0].item()!r}")
+        values = values.astype(np.int8, copy=False).reshape(len(ids), len(codes))
         keys = np.array(ids, dtype=object)
         order = np.argsort(keys, kind="stable")
         keys = keys[order]
@@ -125,11 +121,6 @@ class LabelMatrix:
         if not last.all():
             keys, order = keys[last], order[last]
         return cls(ids=tuple(keys), codes=codes, values=values[order])
-
-    @classmethod
-    def from_vectors(cls, vectors: Mapping[str, LabelVector], codes: Sequence[str]) -> "LabelMatrix":
-        ids = sorted(vectors)
-        return cls(ids=tuple(ids), codes=tuple(codes), values=label_rows((vectors[i] for i in ids), codes))
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -149,23 +140,6 @@ class LabelMatrix:
         gone = set(ids)
         keep = [i for i, post_id in enumerate(self.ids) if post_id not in gone]
         return LabelMatrix(ids=tuple(self.ids[i] for i in keep), codes=self.codes, values=self.values[keep])
-
-    def in_codes(self, codes: Sequence[str]) -> "LabelMatrix":
-        """The same labels with columns in ``codes`` order."""
-        codes = tuple(codes)
-        if codes == self.codes:
-            return self
-        try:
-            columns = [self.codes.index(c) for c in codes]
-        except ValueError:
-            raise KeyError(next(c for c in codes if c not in self.codes)) from None
-        return LabelMatrix(ids=self.ids, codes=codes, values=self.values[:, columns])
-
-    def vectors(self) -> dict[str, LabelVector]:
-        return {
-            post_id: LabelVector(codes=self.codes, values=tuple(row))
-            for post_id, row in zip(self.ids, self.values.tolist())
-        }
 
 
 @dataclass(frozen=True)
@@ -222,38 +196,6 @@ class Codebook:
 
     def vector(self, labels: Mapping[str, int]) -> LabelVector:
         return LabelVector.from_mapping(labels, self.alphabet)
-
-
-@dataclass(frozen=True)
-class GoldLabelSet:
-    """Expert labels of one corpus's posts, held as one label matrix."""
-
-    corpus_name: str
-    labels: LabelMatrix
-    lint_warnings: tuple[str, ...] = ()
-
-    def __len__(self) -> int:
-        return len(self.labels)
-
-    def __getitem__(self, post_id: str) -> LabelVector:
-        if post_id not in self.labels:
-            raise KeyError(post_id)
-        return self.labels.take([post_id]).vectors()[post_id]
-
-    def __contains__(self, post_id: str) -> bool:
-        return post_id in self.labels
-
-    @property
-    def ids(self) -> tuple[str, ...]:
-        return self.labels.ids
-
-    @property
-    def vectors(self) -> dict[str, LabelVector]:
-        """Every label vector, built on each call."""
-        return self.labels.vectors()
-
-    def items(self) -> Iterator[tuple[str, LabelVector]]:
-        return iter(self.vectors.items())
 
 
 def lint_null_conflict(vector: LabelVector, null_code: str) -> bool:
@@ -341,7 +283,7 @@ def load_codebook(path: str | Path | None = None) -> Codebook:
     return cb
 
 
-def load_gold(path: str | Path, corpus, cb: Codebook) -> GoldLabelSet:
+def load_gold(path: str | Path, corpus, cb: Codebook) -> LabelMatrix:
     """Load expert labels from a wide delimited table, one row at a time.
 
     Parameters
@@ -353,7 +295,9 @@ def load_gold(path: str | Path, corpus, cb: Codebook) -> GoldLabelSet:
 
     Returns
     -------
-    GoldLabelSet with one row of labels per labeled post.
+    LabelMatrix with one row per labeled post, columns in ``cb.alphabet``
+    order. A post that sets the null code beside a substantive code is
+    logged once, in the one ``gold lint:`` warning.
     """
     p = Path(path)
     alphabet = cb.alphabet
@@ -409,10 +353,4 @@ def load_gold(path: str | Path, corpus, cb: Codebook) -> GoldLabelSet:
     if conflicts:
         log.warning("gold lint: %d post(s) set null code %s alongside a substantive code, first: %s",
                     len(conflicts), cb.null_code, ", ".join(conflicts[:5]))
-    return GoldLabelSet(
-        corpus_name=corpus.name,
-        labels=LabelMatrix.from_rows(ids, values.translate(_CELL_BITS), alphabet),
-        lint_warnings=tuple(
-            f"post {pid}: null code {cb.null_code} set alongside a substantive code" for pid in conflicts
-        ),
-    )
+    return LabelMatrix.from_rows(ids, values.translate(_CELL_BITS), alphabet)

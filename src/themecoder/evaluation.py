@@ -23,7 +23,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .codebook import Codebook, GoldLabelSet, LabelMatrix, LabelVector, label_rows
+from .codebook import Codebook, LabelMatrix
 from .errors import ConfigError, DataError
 from .jsonl import write_json, write_table
 
@@ -167,14 +167,13 @@ class DistributionDelta:
     max_abs: float
 
 
-def _as_matrix(labels, codes: Sequence[str]) -> LabelMatrix:
-    """A LabelMatrix, GoldLabelSet or post id -> LabelVector mapping as a
-    label matrix with columns in ``codes`` order."""
-    if isinstance(labels, GoldLabelSet):
-        labels = labels.labels
-    if isinstance(labels, LabelMatrix):
-        return labels.in_codes(codes)
-    return LabelMatrix.from_vectors(labels, codes)
+def _require_codes(labels: LabelMatrix, codes: Sequence[str]) -> LabelMatrix:
+    """``labels``, once its columns are checked to be ``codes`` in order."""
+    if labels.codes != tuple(codes):
+        raise DataError(
+            f"label matrix columns ({', '.join(labels.codes)}) are not the codebook's ({', '.join(codes)})"
+        )
+    return labels
 
 
 def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
@@ -207,10 +206,10 @@ def f1_score(precision: float, recall: float) -> float:
     return float(_f1(np.float64(precision), np.float64(recall)))
 
 
-def _paired_rows(gold, pred, codes: Sequence[str]):
-    """Gold and predicted (n_posts × n_codes) label matrices over matching
-    post ids, rows in sorted id order."""
-    gold, pred = _as_matrix(gold, codes), _as_matrix(pred, codes)
+def _paired_rows(gold: LabelMatrix, pred: LabelMatrix, codes: Sequence[str]):
+    """The (n_posts × n_codes) value arrays of gold and predictions, both
+    over ``codes`` and matching post ids, rows in sorted id order."""
+    gold, pred = _require_codes(gold, codes), _require_codes(pred, codes)
     if gold.ids != pred.ids:
         raise DataError(
             "gold and predictions cover different posts; symmetric difference: "
@@ -228,14 +227,12 @@ def _confusions(g: np.ndarray, p: np.ndarray, codes: Sequence[str]) -> dict[str,
     }
 
 
-def confusion_per_theme(
-    gold, pred: Mapping[str, LabelVector], code: str
-) -> ConfusionMatrix:
-    """Count tp/fp/fn/tn for one code over matching post id sets."""
-    return _confusions(*_paired_rows(gold, pred, (code,)), (code,))[code]
+def confusion_per_theme(gold: LabelMatrix, pred: LabelMatrix, code: str) -> ConfusionMatrix:
+    """Count tp/fp/fn/tn for one of gold's codes over matching post id sets."""
+    return _confusions(*_paired_rows(gold, pred, gold.codes), gold.codes)[code]
 
 
-def all_confusions(gold, pred: Mapping[str, LabelVector], cb: Codebook) -> dict[str, ConfusionMatrix]:
+def all_confusions(gold: LabelMatrix, pred: LabelMatrix, cb: Codebook) -> dict[str, ConfusionMatrix]:
     return _confusions(*_paired_rows(gold, pred, cb.alphabet), cb.alphabet)
 
 
@@ -244,9 +241,10 @@ def metrics(matrices: Mapping[str, ConfusionMatrix], aggregation: str = "micro")
 
     micro pools counts across themes before computing; macro averages the
     per-theme metrics. Accuracy is always micro over every decision.
+    Per-theme scores come from ``per_theme_metrics``, one matrix at a time.
     """
-    if aggregation not in AGGREGATIONS:
-        raise ConfigError(f"unknown aggregation {aggregation!r}; known: {', '.join(AGGREGATIONS)}")
+    if aggregation not in ("micro", "macro"):
+        raise ConfigError(f"unknown aggregation {aggregation!r}; known: micro, macro")
     mats = list(matrices.values())
     if not mats:
         raise ConfigError("metrics requires at least one confusion matrix")
@@ -366,8 +364,8 @@ def _bootstrap_intervals(
 
 
 def bootstrap_ci(
-    gold,
-    pred: Mapping[str, LabelVector],
+    gold: LabelMatrix,
+    pred: LabelMatrix,
     metric: str,
     cb: Codebook,
     resamples: int = 2000,
@@ -444,14 +442,9 @@ def _distribution(m: np.ndarray, codes: Sequence[str]) -> ThemeDistribution:
     return ThemeDistribution(counts=dict(zip(codes, m.sum(axis=0).tolist())), n=len(m))
 
 
-def theme_distribution(preds, cb: Codebook) -> ThemeDistribution:
-    """Positive count and percentage per code over classified posts: a
-    LabelMatrix, a GoldLabelSet, a post id -> LabelVector mapping or a
-    sequence of vectors."""
-    if isinstance(preds, (LabelMatrix, GoldLabelSet, Mapping)):
-        m = _as_matrix(preds, cb.alphabet).values
-    else:
-        m = label_rows(preds, cb.alphabet)
+def theme_distribution(preds: LabelMatrix, cb: Codebook) -> ThemeDistribution:
+    """Positive count and percentage per code over classified posts."""
+    m = _require_codes(preds, cb.alphabet).values
     if not len(m):
         raise DataError("theme_distribution requires at least one classified post")
     return _distribution(m, cb.alphabet)
@@ -470,32 +463,23 @@ def distribution_delta(model: ThemeDistribution, gold: ThemeDistribution) -> Dis
 
 
 def apply_failure_policy(
-    gold,
-    preds: Mapping[str, LabelVector],
+    gold: LabelMatrix,
+    preds: LabelMatrix,
     failed_ids: Iterable[str],
     policy: str,
     cb: Codebook,
-):
+) -> tuple[LabelMatrix, LabelMatrix, tuple[str, ...]]:
     """Reconcile classification failures with the gold set before scoring.
 
-    Returns (gold_vectors, pred_vectors, excluded_ids). exclude-and-report
-    drops failed posts from both sides; score-all-zero imputes an all-zero
-    vector; score-as-wrong imputes the complement of gold (every decision
-    wrong).
+    Returns (gold, preds, excluded_ids). exclude-and-report drops failed
+    posts from gold; score-all-zero imputes an all-zero row; score-as-wrong
+    imputes the complement of gold (every decision wrong). Imputed rows
+    join the predictions in id order.
     """
-    gold, preds, excluded = _failure_policy_rows(
-        _as_matrix(gold, cb.alphabet), _as_matrix(preds, cb.alphabet), sorted(set(failed_ids)), policy
-    )
-    return gold.vectors(), preds.vectors(), excluded
-
-
-def _failure_policy_rows(
-    gold: LabelMatrix, preds: LabelMatrix, failed: Sequence[str], policy: str
-) -> tuple[LabelMatrix, LabelMatrix, tuple[str, ...]]:
-    """``apply_failure_policy`` on label matrices; ``failed`` is sorted and
-    unique. Imputed rows join the predictions in id order."""
     if policy not in FAILURE_POLICIES:
         raise ConfigError(f"unknown failure_policy {policy!r}; known: {', '.join(FAILURE_POLICIES)}")
+    gold, preds = _require_codes(gold, cb.alphabet), _require_codes(preds, cb.alphabet)
+    failed = sorted(set(failed_ids))
     unknown = [pid for pid in failed if pid not in gold]
     if unknown:
         raise DataError("failed post ids missing from gold set: " + ", ".join(unknown))
@@ -603,8 +587,8 @@ class EvalReport:
 
 
 def evaluate_predictions(
-    gold,
-    preds,
+    gold: LabelMatrix,
+    preds: LabelMatrix,
     cb: Codebook,
     *,
     failed_ids: Iterable[str] = (),
@@ -616,14 +600,11 @@ def evaluate_predictions(
 ) -> EvalReport:
     """Assemble the full report for one run's predictions.
 
-    ``gold`` and ``preds`` are label matrices, or a GoldLabelSet and post id
-    -> LabelVector mappings, which are turned into matrices first. After
+    ``gold`` and ``preds`` are label matrices over ``cb.alphabet``. After
     the failure policy, gold and predictions must cover the same posts.
     """
-    failed = sorted(set(failed_ids))
-    gold, preds, _ = _failure_policy_rows(
-        _as_matrix(gold, cb.alphabet), _as_matrix(preds, cb.alphabet), failed, failure_policy
-    )
+    failed = set(failed_ids)
+    gold, preds, _ = apply_failure_policy(gold, preds, failed, failure_policy, cb)
     if not len(gold):
         raise DataError("no posts left to score after applying failure policy")
     g, p = _paired_rows(gold, preds, cb.alphabet)

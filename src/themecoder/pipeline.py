@@ -427,6 +427,8 @@ class RunLedger(JsonLines):
 
 
 _LABEL_RULE = "must be a relative path under reports/: not empty, no NUL, no '..' part"
+_INT_TYPE = frozenset((int,))  # bool is a subclass of int but not int itself
+_BITS = frozenset((0, 1))
 
 
 def _is_label(label: str) -> bool:
@@ -456,8 +458,10 @@ def _checked_records(source: JsonLines, ids: dict[str, set[str]]) -> Iterator[di
             problem = f"label {rec['label']!r} {_LABEL_RULE}"
         elif rec.get("status") not in ("classified", "failed"):
             problem = "needs status classified or failed"
-        elif rec["status"] == "classified" and not (
-            isinstance(rec.get("vector"), dict) and all(map((0, 1).__contains__, rec["vector"].values()))
+        elif rec["status"] == "classified" and not (  # labels are the JSON integers 0 and 1, not true or 1.0
+            isinstance(vector := rec.get("vector"), dict)
+            and _INT_TYPE.issuperset(map(type, vector.values()))
+            and _BITS.issuperset(vector.values())
         ):
             problem = "is classified without a 0/1 vector"
         else:
@@ -920,7 +924,7 @@ def cmd_evaluate(cfg: RunConfig, *, store_paths: Sequence[str | Path] | None = N
         # the first repeat's report is written; later repeats give only their micro set to run_stats
         per_run_reports = [
             evaluate_predictions(
-                gold.labels.take(sorted(preds.ids + failed)),
+                gold.take(sorted(preds.ids + failed)),
                 preds,
                 cb,
                 failed_ids=failed,

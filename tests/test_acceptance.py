@@ -27,10 +27,10 @@ from pathlib import Path
 
 import numpy as np
 
-from conftest import FIXTURES, base_config, make_vector, write_config
+from conftest import FIXTURES, base_config, write_config
 
 from themecoder.backends import BackendConfig, cache_key, mock_rule_vector
-from themecoder.codebook import Codebook, LabelVector, ThemeDef
+from themecoder.codebook import Codebook, LabelMatrix, LabelVector, ThemeDef
 from themecoder.corpus import load_posts
 from themecoder.errors import BackendError
 from themecoder.evaluation import (
@@ -241,11 +241,8 @@ def test_03_f1_from_reference_precision_recall():
 
 
 def build_distribution(cb, n: int, counts: dict[str, int]):
-    vectors = {}
-    for i in range(n):
-        positives = {code for code, k in counts.items() if i < k}
-        vectors[f"p{i:04d}"] = make_vector(cb, positives)
-    return theme_distribution(vectors, cb)
+    values = [[int(i < counts.get(code, 0)) for code in cb.alphabet] for i in range(n)]
+    return theme_distribution(LabelMatrix.from_rows([f"p{i:04d}" for i in range(n)], values, cb.alphabet), cb)
 
 
 def test_04_distribution_percentages(cb):
@@ -307,6 +304,11 @@ def test_05_parser_round_trip_and_fuzz(cb):
 # --- 6. metrics oracle equivalence ------------------------------------------------
 
 
+def as_matrix(vectors: dict, cb) -> LabelMatrix:
+    """Post id -> LabelVector as a label matrix over ``cb.alphabet``."""
+    return LabelMatrix.from_rows(list(vectors), [v.values for v in vectors.values()], cb.alphabet)
+
+
 def brute_force_scores(gold, pred, codes):
     per = {}
     for code in codes:
@@ -354,7 +356,7 @@ def test_06_metrics_match_brute_force(cb):
             gold[f"p{i}"] = LabelVector(cb.alphabet, tuple(int(x) for x in rng.integers(0, 2, 13)))
             pred[f"p{i}"] = LabelVector(cb.alphabet, tuple(int(x) for x in rng.integers(0, 2, 13)))
 
-        confusions = all_confusions(gold, pred, cb)
+        confusions = all_confusions(*(as_matrix(vectors, cb) for vectors in (gold, pred)), cb)
         per, micro, macro, by_code = brute_force_scores(gold, pred, cb.alphabet)
         for code in cb.alphabet:
             m = confusions[code]
@@ -518,16 +520,14 @@ def test_09_bootstrap_coverage_and_width():
         themes=(ThemeDef("A", "theme A", "signal"), ThemeDef("X", "none", "no signal")),
         null_code="X",
     )
-    gold_vec = LabelVector(("A", "X"), (1, 0))
-    right = LabelVector(("A", "X"), (1, 0))
-    wrong = LabelVector(("A", "X"), (0, 1))
     n = 3718
+    ids = [str(i) for i in range(n)]
+    gold = LabelMatrix.from_rows(ids, np.tile([1, 0], (n, 1)), book.alphabet)
     covered = width_ok = 0
     for trial in range(100):
         rng = np.random.default_rng(trial)
         correct = rng.random(n) < 0.9
-        gold = {str(i): gold_vec for i in range(n)}
-        pred = {str(i): right if correct[i] else wrong for i in range(n)}
+        pred = LabelMatrix.from_rows(ids, np.where(correct[:, None], [1, 0], [0, 1]), book.alphabet)
         interval = bootstrap_ci(gold, pred, "accuracy", book, resamples=400, seed=trial)
         if interval.lower <= 0.9 <= interval.upper:
             covered += 1

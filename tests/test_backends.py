@@ -124,6 +124,9 @@ def test_retry_policy_validation():
         ("backend", "requests_per_second", -0.5, "requests_per_second must be finite and >= 0, got -0.5"),
         ("backend", "max_output_tokens", 0, "max_output_tokens must be >= 1, got 0"),
         ("backend", "max_output_tokens", -5, "max_output_tokens must be >= 1, got -5"),
+        # a request's max_tokens must stay a JSON integer that every reader holds exactly
+        ("backend", "max_output_tokens", 2**53, f"max_output_tokens must be <= {2**53 - 1}, got {2**53}"),
+        ("backend", "max_output_tokens", 10**30, f"max_output_tokens must be <= {2**53 - 1}, got {10**30}"),
         ("retry", "backoff_initial", -1, "backoff_initial must be finite and >= 0, got -1"),
         ("retry", "backoff_multiplier", float("nan"), "backoff_multiplier must be finite and >= 0, got nan"),
         ("retry", "backoff_cap", -1, "backoff_cap must be finite and >= 0, got -1"),
@@ -160,12 +163,14 @@ def test_backend_and_retry_numbers_at_their_bounds_load(tmp_path):
     remote = {
         "kind": "remote-chat", "model": "m", "endpoint": "http://127.0.0.1:9/v1/chat",
         "timeout": 86_400, "requests_per_second": 1 / 86_400, "temperature": 10**308,
+        "max_output_tokens": 2**53 - 1,
     }
     sections = base_config(tmp_path, FIXTURES / "posts_50.jsonl", backend=remote)
     sections["retry"] = {"backoff_cap": 86_400.0, "backoff_initial": 10**300}
     cfg = load_config(write_config(tmp_path / "run.yaml", **sections))
     assert (cfg.backend.timeout, cfg.backend.requests_per_second) == (86_400, 1 / 86_400)
     assert cfg.backend.temperature == 10**308 and cfg.retry.backoff_cap == 86_400.0
+    assert cfg.backend.max_output_tokens == 2**53 - 1
 
 
 # --- request fingerprints -----------------------------------------------------------

@@ -301,12 +301,18 @@ def drop(*keys):
     return lambda rec: [rec.pop(k) for k in keys]
 
 
+NO_VECTOR = "line 3: record is classified without a 0/1 vector"
 RECORD_DAMAGE = {  # each found on load by every verb
     "no-post-id": (drop("post_id"), "line 3: record needs a string post_id and label"),
     "no-label": (drop("label"), "line 3: record needs a string post_id and label"),
     "no-status": (drop("status"), "line 3: record needs status classified or failed"),
-    "no-vector": (drop("vector"), "line 3: record is classified without a 0/1 vector"),
-    "bad-cell": (lambda rec: rec["vector"].update(A="yes"), "line 3: record is classified without a 0/1"),
+    "no-vector": (drop("vector"), NO_VECTOR),
+    "bad-cell": (lambda rec: rec["vector"].update(A="yes"), NO_VECTOR),
+    # equal to 0 or 1 in Python, but not the JSON integers a label is
+    **{
+        f"{value}-cell": (lambda rec, value=value: rec["vector"].update(A=value), NO_VECTOR)
+        for value in (True, False, 1.0, 0.0)
+    },
 }
 CODEBOOK_DAMAGE = {  # found only where vectors are read against the codebook
     "no-code": (lambda rec: rec["vector"].pop("C"), "has no value for code C"),

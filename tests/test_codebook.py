@@ -7,11 +7,13 @@ import logging
 import sys
 import warnings
 
+import numpy as np
 import pytest
 
 from themecoder.codebook import (
     Codebook,
     Exemplar,
+    LabelMatrix,
     LabelVector,
     ThemeDef,
     lint_null_conflict,
@@ -97,6 +99,15 @@ def test_vector_from_mapping_totality(cb):
     with pytest.raises(DataError, match="unknown code.*Z"):
         LabelVector.from_mapping({**full, "Z": 1}, cb.alphabet)
     assert cb.vector(full).values == (0,) * 13
+
+
+def test_label_matrix_rows_must_be_0_or_1():
+    # an int8 cast alone would read 257 as 1 and 0.5 as 0
+    for values, bad in (([[2, 0]], "2"), ([[257, 1]], "257"), ([[0.5, 1]], "0.5"), (b"\x01\xff", "-1")):
+        with pytest.raises(DataError, match=f"^label matrix values must be 0 or 1, got {bad}$"):
+            LabelMatrix.from_rows(["p1"], values, ("A", "X"))
+    m = LabelMatrix.from_rows(["p2", "p1"], [[True, False], [1.0, 0.0]], ("A", "X"))
+    assert m.ids == ("p1", "p2") and m.values.dtype == np.int8 and m.values.tolist() == [[1, 0], [1, 0]]
 
 
 # --- validation and lint ------------------------------------------------------------
@@ -224,9 +235,8 @@ def test_load_gold_fixture(fixtures_dir, corpus50, cb, clean_oracle_ids):
     assert len(gold) == len(clean_oracle_ids)
     assert list(gold.ids) == sorted(clean_oracle_ids)
     assert all(pid in gold for pid in clean_oracle_ids)
-    first = gold[clean_oracle_ids[0]]
-    assert first.codes == cb.alphabet
-    assert [pid for pid, _ in gold.items()] == sorted(clean_oracle_ids)
+    assert gold.codes == cb.alphabet
+    assert gold.values.dtype == np.int8 and gold.values.shape == (len(clean_oracle_ids), len(cb.alphabet))
 
 
 def test_load_gold_structure_errors(tmp_path, corpus50, cb):
@@ -273,16 +283,22 @@ def test_load_gold_row_errors(tmp_path, corpus50, cb):
 def test_load_gold_skips_blank_rows(tmp_path, corpus50, cb):
     path = gold_file(tmp_path, cb, [zeros_row("p001", flip=(0,)), "", zeros_row("p002")])
     gold = load_gold(path, corpus50, cb)
+    assert gold.ids == ("p001", "p002")
+    assert gold.values[:, cb.alphabet.index("A")].tolist() == [1, 0]
+
+
+def gold_lint_lines(caplog) -> list[str]:
+    return [r.getMessage() for r in caplog.records if r.getMessage().startswith("gold lint:")]
+
+
+def test_load_gold_lints_null_conflict(tmp_path, corpus50, cb, caplog):
+    path = gold_file(tmp_path, cb, [zeros_row("p001", flip=(0, 12)), zeros_row("p002", flip=(12,))])
+    with caplog.at_level(logging.WARNING, logger="themecoder.codebook"):
+        gold = load_gold(path, corpus50, cb)  # lint only, loading still succeeds
     assert len(gold) == 2
-    assert gold["p001"]["A"] == 1
-
-
-def test_load_gold_lints_null_conflict(tmp_path, corpus50, cb):
-    path = gold_file(tmp_path, cb, [zeros_row("p001", flip=(0, 12))])
-    gold = load_gold(path, corpus50, cb)  # lint only, loading still succeeds
-    assert len(gold) == 1
-    assert len(gold.lint_warnings) == 1
-    assert "p001" in gold.lint_warnings[0]
+    assert gold_lint_lines(caplog) == [
+        "gold lint: 1 post(s) set null code X alongside a substantive code, first: p001"
+    ]
 
 
 def test_load_gold_logs_one_lint_summary(tmp_path, corpus50, cb, caplog):
@@ -290,8 +306,8 @@ def test_load_gold_logs_one_lint_summary(tmp_path, corpus50, cb, caplog):
     path = gold_file(tmp_path, cb, [zeros_row(pid, flip=(0, 12)) for pid in ids])
     with caplog.at_level(logging.WARNING, logger="themecoder.codebook"):
         gold = load_gold(path, corpus50, cb)
-    assert len(gold.lint_warnings) == 7
-    lint = [r.getMessage() for r in caplog.records if r.getMessage().startswith("gold lint:")]
+    assert len(gold) == 7
+    lint = gold_lint_lines(caplog)
     assert len(lint) == 1
     assert "7 post(s)" in lint[0] and "p001, p002, p003, p004, p005" in lint[0]
     assert "p006" not in lint[0]

@@ -9,14 +9,14 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import re
 import statistics
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import make_vector
-from themecoder.codebook import Codebook, LabelVector, ThemeDef
+from themecoder.codebook import Codebook, LabelMatrix, ThemeDef
 from themecoder.errors import ConfigError, DataError
 from themecoder.evaluation import (
     AGGREGATIONS,
@@ -56,26 +56,29 @@ SMALL = Codebook(
 )
 
 
-def vec(a, b, x) -> LabelVector:
-    return LabelVector(codes=("A", "B", "X"), values=(a, b, x))
+def labels(rows: dict) -> LabelMatrix:
+    """Post id -> (A, B, X) rows as a label matrix over SMALL."""
+    return LabelMatrix.from_rows(list(rows), list(rows.values()), SMALL.alphabet)
 
 
 # Hand-counted worked example over five posts and three codes.
 # code A: tp=2 fp=0 fn=1 tn=2; code B: tp=1 fp=1 fn=1 tn=2; code X: tp=0 fp=1 fn=1 tn=3
-GOLD5 = {
-    "p1": vec(1, 0, 0),
-    "p2": vec(1, 1, 0),
-    "p3": vec(0, 1, 0),
-    "p4": vec(0, 0, 1),
-    "p5": vec(1, 0, 0),
+GOLD5_ROWS = {
+    "p1": (1, 0, 0),
+    "p2": (1, 1, 0),
+    "p3": (0, 1, 0),
+    "p4": (0, 0, 1),
+    "p5": (1, 0, 0),
 }
-PRED5 = {
-    "p1": vec(1, 1, 0),
-    "p2": vec(1, 0, 0),
-    "p3": vec(0, 1, 0),
-    "p4": vec(0, 0, 0),
-    "p5": vec(0, 0, 1),
+PRED5_ROWS = {
+    "p1": (1, 1, 0),
+    "p2": (1, 0, 0),
+    "p3": (0, 1, 0),
+    "p4": (0, 0, 0),
+    "p5": (0, 0, 1),
 }
+GOLD5, PRED5 = labels(GOLD5_ROWS), labels(PRED5_ROWS)
+NONE = labels({})
 
 
 def test_metric_catalogs():
@@ -95,10 +98,9 @@ def test_confusion_hand_counts():
 
 
 def test_confusion_requires_matching_ids():
-    short = {k: v for k, v in PRED5.items() if k != "p3"}
     with pytest.raises(DataError, match="symmetric difference: p3"):
-        confusion_per_theme(GOLD5, short, "A")
-    extra = {**PRED5, "p9": vec(0, 0, 1)}
+        confusion_per_theme(GOLD5, PRED5.drop(["p3"]), "A")
+    extra = labels({**PRED5_ROWS, "p9": (0, 0, 1)})
     with pytest.raises(DataError, match="p9"):
         confusion_per_theme(GOLD5, extra, "A")
 
@@ -159,6 +161,9 @@ def test_metrics_input_validation():
         metrics(ConfusionMatrix(1, 1, 1, 1), "pooled")
     with pytest.raises(ConfigError, match="at least one confusion matrix"):
         metrics({}, "micro")
+    # per-theme scores come one matrix at a time from per_theme_metrics, never pooled
+    with pytest.raises(ConfigError, match="^unknown aggregation 'per-theme'; known: micro, macro$"):
+        metrics(all_confusions(GOLD5, PRED5, SMALL), "per-theme")
 
 
 def test_metric_set_validation():
@@ -250,14 +255,14 @@ def test_interval_must_bracket_point():
 # --- bootstrap intervals -----------------------------------------------------------------
 
 
-def bootstrap_oracle(gold, pred, metric, cb, resamples, seed):
-    """Independent percentile bootstrap over post-level resampling."""
+def bootstrap_oracle(gold, pred, metric, resamples, seed):
+    """Independent percentile bootstrap over post-level resampling of post
+    id -> label row mappings."""
     ids = sorted(gold)
     counts = []
     for pid in ids:
         tp = fp = fn = tn = 0
-        for code in cb.alphabet:
-            g, p = gold[pid][code], pred[pid][code]
+        for g, p in zip(gold[pid], pred[pid]):
             tp += g & p
             fp += (1 - g) & p
             fn += g & (1 - p)
@@ -288,7 +293,7 @@ def bootstrap_oracle(gold, pred, metric, cb, resamples, seed):
 @pytest.mark.parametrize("metric", METRIC_NAMES)
 def test_bootstrap_matches_independent_oracle(metric):
     iv = bootstrap_ci(GOLD5, PRED5, metric, SMALL, resamples=400, seed=11)
-    lower, upper, point = bootstrap_oracle(GOLD5, PRED5, metric, SMALL, 400, 11)
+    lower, upper, point = bootstrap_oracle(GOLD5_ROWS, PRED5_ROWS, metric, 400, 11)
     assert iv.point == pytest.approx(point)
     assert iv.lower == pytest.approx(lower)
     assert iv.upper == pytest.approx(upper)
@@ -318,34 +323,56 @@ def test_bootstrap_validation():
     with pytest.raises(ConfigError, match="unknown metric"):
         bootstrap_ci(GOLD5, PRED5, "auc", SMALL, resamples=200)
     with pytest.raises(DataError, match="at least one post"):
-        bootstrap_ci({}, {}, "f1", SMALL, resamples=200)
+        bootstrap_ci(NONE, NONE, "f1", SMALL, resamples=200)
 
 
 # --- the label-matrix core ------------------------------------------------------------------
 
 
 def random_labels(n, codes, seed, flip=0.1):
-    """Seeded gold and predicted vectors; predictions list their codes in reverse."""
+    """Seeded gold and predicted post id -> label row mappings, ids in
+    shuffled order."""
     rng = np.random.default_rng(seed)
     gold_bits = rng.random((n, len(codes))) < 0.3
     pred_bits = gold_bits ^ (rng.random((n, len(codes))) < flip)
     ids = [f"r{i:05d}" for i in rng.permutation(n)]
-    gold = {pid: LabelVector(codes, tuple(map(int, row))) for pid, row in zip(ids, gold_bits)}
-    pred = {
-        pid: LabelVector(codes[::-1], tuple(map(int, row[::-1]))) for pid, row in zip(ids, pred_bits)
-    }
+    gold = {pid: tuple(map(int, row)) for pid, row in zip(ids, gold_bits)}
+    pred = {pid: tuple(map(int, row)) for pid, row in zip(ids, pred_bits)}
     return gold, pred
 
 
 def test_matrix_counts_match_a_loop_over_posts():
-    gold, pred = random_labels(300, SMALL.alphabet, seed=5)
+    gold_rows, pred_rows = random_labels(300, SMALL.alphabet, seed=5)
+    gold, pred = labels(gold_rows), labels(pred_rows)
     mats = all_confusions(gold, pred, SMALL)
-    for code in SMALL.alphabet:
-        pairs = [(gold[pid][code], pred[pid][code]) for pid in gold]
+    for j, code in enumerate(SMALL.alphabet):
+        pairs = [(gold_rows[pid][j], pred_rows[pid][j]) for pid in gold_rows]
         expected = ConfusionMatrix(*(pairs.count(pair) for pair in ((1, 1), (0, 1), (1, 0), (0, 0))))
         assert mats[code] == confusion_per_theme(gold, pred, code) == expected
         assert theme_distribution(pred, SMALL).counts[code] == sum(p for _, p in pairs)
-        assert theme_distribution(list(gold.values()), SMALL).counts[code] == sum(g for g, _ in pairs)
+        assert theme_distribution(gold, SMALL).counts[code] == sum(g for g, _ in pairs)
+
+
+REVERSED5 = LabelMatrix(ids=PRED5.ids, codes=("X", "B", "A"), values=PRED5.values[:, ::-1])
+OTHER_BOOK5 = LabelMatrix.from_rows(PRED5.ids, PRED5.values[:, :2], ("A", "B"))  # a two-code book's columns
+SCORERS = {
+    "evaluate_predictions": lambda gold, pred: evaluate_predictions(gold, pred, SMALL),
+    "theme_distribution": lambda gold, pred: (theme_distribution(pred, SMALL), theme_distribution(gold, SMALL)),
+    "apply_failure_policy": lambda gold, pred: apply_failure_policy(gold, pred, [], "score-all-zero", SMALL),
+}
+
+
+@pytest.mark.parametrize("scorer", SCORERS)
+@pytest.mark.parametrize("side", ["gold", "pred"])
+@pytest.mark.parametrize(
+    "other, columns",
+    [pytest.param(REVERSED5, "X, B, A", id="reversed"), pytest.param(OTHER_BOOK5, "A, B", id="other-book")],
+)
+def test_a_matrix_over_other_columns_is_refused(scorer, side, other, columns):
+    gold, pred = (other, PRED5) if side == "gold" else (GOLD5, other)
+    message = f"label matrix columns ({columns}) are not the codebook's (A, B, X)"
+    with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+        SCORERS[scorer](gold, pred)
 
 
 @pytest.mark.parametrize("rows", [1, 7, 64])  # one row, an odd size, a size that does not divide 210
@@ -391,7 +418,7 @@ def test_packed_resample_sums_equal_three_gathers(n, top, dtype, budget):
 
 
 def test_report_bootstrap_intervals_equal_separate_bootstrap_calls():
-    gold, pred = random_labels(400, SMALL.alphabet, seed=8)
+    gold, pred = map(labels, random_labels(400, SMALL.alphabet, seed=8))
     report = evaluate_predictions(
         gold, pred, SMALL, bootstrap_metrics=METRIC_NAMES, bootstrap_resamples=300, bootstrap_seed=6
     )
@@ -409,11 +436,11 @@ def seeded_report_inputs(cb, n=2000):
     pred_bits = gold_bits ^ (rng.random((n, len(codes))) < 0.05)
     pred_bits[:, codes.index("L")] = False
     ids = [f"s{i:05d}" for i in range(n)]
-    gold = {pid: cb.vector(dict(zip(codes, map(int, row)))) for pid, row in zip(ids, gold_bits)}
-    preds = {pid: cb.vector(dict(zip(codes, map(int, row)))) for pid, row in zip(ids, pred_bits)}
     failed = ids[::200]
-    for pid in failed:
-        del preds[pid]
+    classified = np.ones(n, dtype=bool)
+    classified[::200] = False
+    gold = LabelMatrix.from_rows(ids, gold_bits, codes)
+    preds = LabelMatrix.from_rows([pid for pid, ok in zip(ids, classified) if ok], pred_bits[classified], codes)
     return gold, preds, failed
 
 
@@ -458,11 +485,11 @@ def test_report_bytes_are_frozen(tmp_path, cb):
 
 
 def test_bootstrap_memory_does_not_grow_with_resamples():
-    codes = SMALL.alphabet
     rng = np.random.default_rng(3)
-    shapes = [LabelVector(codes, tuple(int(b) for b in f"{i:03b}")) for i in range(8)]
-    gold = {f"q{i:06d}": shapes[k] for i, k in enumerate(rng.integers(0, 8, 50_000))}
-    pred = {pid: shapes[k] for pid, k in zip(gold, rng.integers(0, 8, 50_000))}
+    shapes = np.array([[int(b) for b in f"{i:03b}"] for i in range(8)])
+    ids = [f"q{i:06d}" for i in range(50_000)]
+    gold = LabelMatrix.from_rows(ids, shapes[rng.integers(0, 8, 50_000)], SMALL.alphabet)
+    pred = LabelMatrix.from_rows(ids, shapes[rng.integers(0, 8, 50_000)], SMALL.alphabet)
     tracemalloc.start()
     try:
         bootstrap_ci(gold, pred, "f1", SMALL, resamples=200, seed=1)
@@ -625,7 +652,7 @@ def test_theme_distribution_percentage_formatting():
 
 def test_theme_distribution_validation():
     with pytest.raises(DataError, match="at least one classified post"):
-        theme_distribution({}, SMALL)
+        theme_distribution(NONE, SMALL)
     with pytest.raises(ValueError, match="outside"):
         ThemeDistribution(counts={"A": 6}, n=5)
     with pytest.raises(ValueError, match="denominator"):
@@ -652,29 +679,26 @@ def test_distribution_delta_code_mismatch():
 
 
 def test_exclude_and_report():
-    preds = {k: v for k, v in PRED5.items() if k not in ("p2", "p4")}
-    gold_map, pred_map, excluded = apply_failure_policy(
-        GOLD5, preds, ["p4", "p2"], "exclude-and-report", SMALL
-    )
+    preds = PRED5.drop(["p2", "p4"])
+    gold, scored, excluded = apply_failure_policy(GOLD5, preds, ["p4", "p2"], "exclude-and-report", SMALL)
     assert excluded == ("p2", "p4")
-    assert set(gold_map) == set(pred_map) == {"p1", "p3", "p5"}
+    assert gold.ids == scored.ids == ("p1", "p3", "p5")
+    assert scored.values.tolist() == [list(PRED5_ROWS[pid]) for pid in ("p1", "p3", "p5")]
 
 
 def test_score_all_zero():
-    preds = {k: v for k, v in PRED5.items() if k != "p2"}
-    gold_map, pred_map, excluded = apply_failure_policy(
-        GOLD5, preds, ["p2"], "score-all-zero", SMALL
-    )
+    preds = PRED5.drop(["p2"])
+    gold, scored, excluded = apply_failure_policy(GOLD5, preds, ["p2"], "score-all-zero", SMALL)
     assert excluded == ()
-    assert pred_map["p2"].values == (0, 0, 0)
-    assert set(gold_map) == set(GOLD5)
+    assert scored.take(["p2"]).values.tolist() == [[0, 0, 0]]
+    assert gold.ids == scored.ids == GOLD5.ids
 
 
 def test_score_as_wrong_is_gold_complement():
-    preds = {k: v for k, v in PRED5.items() if k != "p2"}
-    _, pred_map, _ = apply_failure_policy(GOLD5, preds, ["p2"], "score-as-wrong", SMALL)
-    assert pred_map["p2"].values == tuple(1 - v for v in GOLD5["p2"].values)
-    matrix = confusion_per_theme({"p2": GOLD5["p2"]}, {"p2": pred_map["p2"]}, "A")
+    preds = PRED5.drop(["p2"])
+    _, scored, _ = apply_failure_policy(GOLD5, preds, ["p2"], "score-as-wrong", SMALL)
+    assert scored.take(["p2"]).values.tolist() == [[1 - v for v in GOLD5_ROWS["p2"]]]
+    matrix = confusion_per_theme(GOLD5.take(["p2"]), scored.take(["p2"]), "A")
     assert matrix.tp == 0 and matrix.tn == 0  # every decision wrong
 
 
@@ -682,7 +706,7 @@ def test_failure_policy_validation():
     with pytest.raises(ConfigError, match="unknown failure_policy"):
         apply_failure_policy(GOLD5, PRED5, [], "drop-silently", SMALL)
     with pytest.raises(DataError, match="missing from gold set: p9"):
-        apply_failure_policy(GOLD5, {}, ["p9"], "exclude-and-report", SMALL)
+        apply_failure_policy(GOLD5, NONE, ["p9"], "exclude-and-report", SMALL)
     with pytest.raises(DataError, match="also present in predictions: p1"):
         apply_failure_policy(GOLD5, PRED5, ["p1"], "exclude-and-report", SMALL)
 
@@ -709,7 +733,7 @@ def test_evaluate_predictions_consistency():
 
 
 def test_evaluate_predictions_failed_posts():
-    preds = {k: v for k, v in PRED5.items() if k != "p4"}
+    preds = PRED5.drop(["p4"])
     excluded = small_report(preds=preds, failed_ids=["p4"])
     assert excluded.n_posts == 4 and excluded.n_failures == 1
     wrong = small_report(
@@ -718,7 +742,7 @@ def test_evaluate_predictions_failed_posts():
     assert wrong.n_posts == 5
     assert wrong.micro.accuracy < excluded.micro.accuracy
     with pytest.raises(DataError, match="no posts left"):
-        evaluate_predictions(GOLD5, {}, SMALL, failed_ids=list(GOLD5))
+        evaluate_predictions(GOLD5, NONE, SMALL, failed_ids=GOLD5.ids)
 
 
 def test_evaluate_predictions_bootstrap_attachments():
@@ -777,10 +801,10 @@ def test_fixture_scale_evaluation(fixtures_dir, corpus50, cb, clean_corpus_path)
 
     clean = load_posts(clean_corpus_path)
     gold = load_gold(fixtures_dir / "gold_clean.csv", clean, cb)
-    preds = {
-        post.id: cb.vector(mock_rule_vector(post.body, cb.alphabet))
-        for post in clean
-    }
+    preds = LabelMatrix.from_rows(
+        [post.id for post in clean], [cb.vector(mock_rule_vector(post.body, cb.alphabet)).values for post in clean],
+        cb.alphabet,
+    )
     report = evaluate_predictions(gold, preds, cb, label="fixture")
     assert report.n_posts == 18
     assert report.micro.n_decisions == 18 * 13

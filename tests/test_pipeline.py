@@ -83,9 +83,14 @@ def sha256_of(path: Path) -> str:
 
 
 def stored(path: Path, cb):
-    """The classified vectors and sorted failed ids of a one-label results file."""
+    """The classified label matrix and sorted failed ids of a one-label results file."""
     (preds, failed), = read_results(path, cb.alphabet).values()
-    return preds.vectors(), failed
+    return preds, failed
+
+
+def by_id(preds) -> dict[str, dict[str, int]]:
+    """Each row of a label matrix as its post's code -> label mapping."""
+    return {pid: dict(zip(preds.codes, row)) for pid, row in zip(preds.ids, preds.values.tolist())}
 
 
 def relabelled(path: Path, label: str, flip: bool) -> list[str]:
@@ -464,10 +469,9 @@ def test_results_store_reload_and_read_results(tmp_path, cb):
     assert reloaded.records == store.records
     assert reloaded.status_counts("L") == {"classified": 1, "failed": 1}
     assert list(read_results(path, cb.alphabet)) == ["L"]
-    vectors, failed = stored(path, cb)
+    preds, failed = stored(path, cb)
     assert failed == ("p1",)
-    assert set(vectors) == {"p2"}
-    assert vectors["p2"].as_dict() == vector
+    assert by_id(preds) == {"p2": vector}
 
 
 def test_read_results_rejects_corrupt_duplicates(tmp_path, cb):
@@ -676,14 +680,12 @@ def test_classify_mock_run(tmp_path, capsys, clean_corpus_path, cb):
     store = stores[0]
     corpus = load_posts(clean_corpus_path)
     assert len(store) == len(corpus) == 18
-    vectors, failed = stored(store.path, cb)
+    preds, failed = stored(store.path, cb)
     assert failed == ()
     # records commit in corpus order
     assert [r["post_id"] for r in store.records] == [p.id for p in corpus.posts]
 
-    for post in corpus.posts:
-        expected = mock_rule_vector(post.body, cb.alphabet)
-        assert vectors[post.id].as_dict() == expected
+    assert by_id(preds) == {post.id: mock_rule_vector(post.body, cb.alphabet) for post in corpus.posts}
 
     rec = store.records[0]
     assert rec["label"] == cfg.label
@@ -1031,9 +1033,9 @@ def test_classify_replay_records_parse_failures(tmp_path, capsys, clean_corpus_p
 
     cfg = replay_cfg(tmp_path, clean_corpus_path, script_path)
     store = cmd_classify(cfg)[0]
-    vectors, failed = stored(store.path, cb)
+    preds, failed = stored(store.path, cb)
     assert failed == tuple(sorted(garbled))
-    assert len(vectors) == 16
+    assert len(preds) == 16
     failed = [r for r in store.records if r["status"] == "failed"]
     for rec in failed:
         assert rec["failures"][0]["reason"] == "no-line-found"
@@ -1281,8 +1283,8 @@ def test_classify_remote_commits_in_corpus_order_under_out_of_order_replies(
     assert results == (serial.output_dir / "results.jsonl").read_bytes()
     corpus = load_posts(clean_corpus_path)
     assert [json.loads(line)["post_id"] for line in results.splitlines()] == [p.id for p in corpus.posts]
-    vectors, _ = stored(pooled.output_dir / "results.jsonl", cb)
-    assert {pid: v.as_dict() for pid, v in vectors.items()} == {
+    preds, _ = stored(pooled.output_dir / "results.jsonl", cb)
+    assert by_id(preds) == {
         p.id: mock_rule_vector(p.body, cb.alphabet) for p in corpus.posts
     }
 
@@ -1455,9 +1457,9 @@ def test_evaluate_store_mode_matches_direct_scoring(tmp_path, capsys, clean_corp
 
     corpus = load_posts(clean_corpus_path)
     gold = load_gold(FIXTURES / "gold_clean.csv", corpus, cb)
-    vectors, _ = stored(store.path, cb)
+    preds, _ = stored(store.path, cb)
     direct = evaluate_predictions(
-        dict(gold.vectors), vectors, cb, failed_ids=(), failure_policy="exclude-and-report",
+        gold, preds, cb, failed_ids=(), failure_policy="exclude-and-report",
         label=cfg.label,
     )
     assert report.micro == direct.micro
@@ -1704,8 +1706,8 @@ def test_distribute_counts_and_files(tmp_path, capsys, clean_corpus_path, cb):
     capsys.readouterr()
     payload = cmd_distribute(cfg)
 
-    vectors, _ = stored(store.path, cb)
-    dist = theme_distribution(vectors, cb)
+    preds, _ = stored(store.path, cb)
+    dist = theme_distribution(preds, cb)
     assert payload["n"] == 18 and payload["n_failed"] == 0
     assert payload["counts"] == dict(dist.counts)
     for code in cb.alphabet:
@@ -1730,12 +1732,12 @@ def test_distribute_counts_and_files(tmp_path, capsys, clean_corpus_path, cb):
 def test_distribute_pools_labels_keeping_the_row_of_the_last_label(tmp_path, capsys, clean_corpus_path, cb):
     cfg = make_cfg(tmp_path, clean_corpus_path)
     results = cmd_classify(cfg)[0].path
-    vectors, _ = stored(results, cb)
+    preds, _ = stored(results, cb)
     # the label that sorts last is written first; its rows win over the later lines
     lines = relabelled(results, "zzz_flipped", flip=True) + relabelled(results, cfg.label, flip=False)
     results.write_text("".join(lines), encoding="utf-8")
     payload = cmd_distribute(cfg)
-    counts = dict(theme_distribution(vectors, cb).counts)
+    counts = dict(theme_distribution(preds, cb).counts)
     assert payload["n"] == 18 and payload["n_failed"] == 0
     assert payload["counts"] == {code: 18 - n for code, n in counts.items()} != counts
 

@@ -16,7 +16,7 @@ import pytest
 
 from conftest import base_config, write_config
 
-from themecoder.codebook import LabelVector, load_gold
+from themecoder.codebook import LabelMatrix, load_gold
 from themecoder.corpus import load_post_ids
 from themecoder.evaluation import FAILURE_POLICIES, evaluate_predictions, run_stats
 from themecoder.jsonl import JsonLines
@@ -86,6 +86,28 @@ def record_view(path, alphabet):
     for label in sorted(by_label):
         pooled.update(by_label[label][0])
     return {label: (rows, sorted(failed)) for label, (rows, failed) in by_label.items()}, pooled
+
+
+def gold_view(path, alphabet):
+    """A gold table's rows, parsed line by line: post id -> labels in
+    ``alphabet`` order, which the table's columns follow."""
+    with path.open(encoding="utf-8", newline="") as fh:
+        rows = csv.reader(fh)
+        assert next(rows) == ["post_id", *alphabet]
+        return {pid: tuple(map(int, cells)) for pid, *cells in rows}
+
+
+def recounted(gold_rows, rows, failed, cb, **kw):
+    """The report on one label's records, its matrices built from the
+    parsed lines rather than by ``load_gold`` and ``read_results``."""
+    scored = [*rows, *failed]
+    return evaluate_predictions(
+        LabelMatrix.from_rows(scored, [gold_rows[pid] for pid in scored], cb.alphabet),
+        LabelMatrix.from_rows(list(rows), list(rows.values()), cb.alphabet),
+        cb,
+        failed_ids=failed,
+        **kw,
+    )
 
 
 # --- memory stays flat in N ----------------------------------------------------
@@ -158,7 +180,6 @@ def test_read_results_agrees_with_the_records(two_label_run, cb):
         assert matrix.ids == tuple(sorted(rows)) and matrix.codes == cb.alphabet
         assert matrix.values.dtype == np.int8
         assert [tuple(row) for row in matrix.values.tolist()] == [rows[pid] for pid in matrix.ids]
-        assert {pid: v.values for pid, v in matrix.vectors().items()} == rows
         assert failed == tuple(want_failed) and failed
         assert store.status_counts(label) == {"classified": len(rows), "failed": len(failed)}
     assert len(store) == len(store.records) == 4_000
@@ -173,20 +194,13 @@ def test_read_results_agrees_with_the_records(two_label_run, cb):
 def test_matrix_evaluation_agrees_with_the_vector_path(two_label_run, cb, policy):
     gold = load_gold(two_label_run.parent / "gold.csv", load_post_ids(two_label_run.parent / "corpus.jsonl"), cb)
     expected, _ = record_view(two_label_run, cb.alphabet)
+    gold_rows = gold_view(two_label_run.parent / "gold.csv", cb.alphabet)
     kw = dict(failure_policy=policy, bootstrap_metrics=("f1", "accuracy"), bootstrap_resamples=200, bootstrap_seed=3)
     for label, (preds, failed) in read_results(two_label_run, cb.alphabet).items():
         evaluated = sorted(preds.ids + failed)
-        by_matrix = evaluate_predictions(gold.labels.take(evaluated), preds, cb, failed_ids=failed, label=label, **kw)
-        gold_vectors = gold.vectors
-        by_vectors = evaluate_predictions(
-            {pid: gold_vectors[pid] for pid in evaluated},
-            {pid: LabelVector(codes=cb.alphabet, values=row) for pid, row in expected[label][0].items()},
-            cb,
-            failed_ids=expected[label][1],
-            label=label,
-            **kw,
-        )
-        assert by_matrix.to_dict() == by_vectors.to_dict()
+        by_matrix = evaluate_predictions(gold.take(evaluated), preds, cb, failed_ids=failed, label=label, **kw)
+        by_records = recounted(gold_rows, *expected[label], cb, label=label, **kw)
+        assert by_matrix.to_dict() == by_records.to_dict()
 
 
 def test_repeat_run_reports_agree_with_the_vector_path(tmp_path, capsys, clean_corpus_path, cb):
@@ -196,19 +210,11 @@ def test_repeat_run_reports_agree_with_the_vector_path(tmp_path, capsys, clean_c
     assert [s.path.name for s in stores] == ["results_r1.jsonl", "results_r2.jsonl"]
     report = cmd_evaluate(cfg)[cfg.label]
 
-    gold = load_gold(cfg.gold_path, load_post_ids(clean_corpus_path), cb)
+    gold_rows = gold_view(cfg.gold_path, cb.alphabet)
     direct = []
     for store in stores:
         (rows, failed), = record_view(store.path, cb.alphabet)[0].values()
-        direct.append(
-            evaluate_predictions(
-                {pid: gold[pid] for pid in rows},
-                {pid: LabelVector(codes=cb.alphabet, values=row) for pid, row in rows.items()},
-                cb,
-                failed_ids=failed,
-                label=cfg.label,
-            )
-        )
+        direct.append(recounted(gold_rows, rows, failed, cb, label=cfg.label))
     direct[0].stats = run_stats([r.micro for r in direct])
     assert report.stats is not None and report.stats.r == 2
     assert report.to_dict() == direct[0].to_dict()
