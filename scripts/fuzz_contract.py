@@ -30,10 +30,12 @@ directory and runs one command in process, with a 10 s alarm.
   must exit 2.
 - Labels: `evaluate` reading a results record whose vector holds `true`
   or `1.0`, which equal 1 but are not the JSON integer, must exit 2.
+- Rankings: `rank` reading a metrics table that gives one label on two
+  rows must exit 2.
 
-The output-side, float-setting, manifest, store and label cases come first,
-then input cases drawn from one seeded ``random.Random``, so a seed and a
-case count give the same cases on every machine. The tier-1 test
+The output-side, float-setting, manifest, store, label and ranking cases
+come first, then input cases drawn from one seeded ``random.Random``, so a
+seed and a case count give the same cases on every machine. The tier-1 test
 ``tests/test_contract_fuzz.py`` runs a fixed number of them; this script
 runs cases for ``--seconds`` and exits 1 if any case breaks the contract.
 """
@@ -280,8 +282,8 @@ INSERTED_LINES = (b"\n", b"{}\n", b"null\n", b"[]\n", b"\xff\xfe\n", b"a,b,c\n",
 
 
 def cases(seed: int):
-    """Every output-side, float-setting, manifest, store and label case, then
-    input cases drawn from ``seed``, without end."""
+    """Every output-side, float-setting, manifest, store, label and ranking
+    case, then input cases drawn from ``seed``, without end."""
     for target, argv in OUTPUT_PAIRS:
         yield Case(target, argv, "dir-to-file")
     for target, argv in FILE_PAIRS:
@@ -295,6 +297,7 @@ def cases(seed: int):
     yield Case("run/results.jsonl", EVALUATE_TWICE, "unchanged", exits=(2,))
     for value in LABEL_LOOKALIKES:
         yield Case("run/results.jsonl", EVALUATE, "set-label", extra=value, exits=(2,))
+    yield Case("inputs/metrics.csv", RANK, "dup-line", position=1, exits=(2,))  # the first label, on two rows
     rng = random.Random(seed)
     while True:
         target, argv = rng.choice(INPUT_PAIRS)

@@ -15,12 +15,13 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 from .errors import DataError
 from .jsonl import input_lines, read_yaml
+
+if TYPE_CHECKING:  # numpy loads on the first label matrix, so classify never loads it
+    import numpy as np
 
 log = logging.getLogger(__name__)
 
@@ -107,6 +108,8 @@ class LabelMatrix:
     def from_rows(cls, ids: Sequence[str], values, codes: Sequence[str]) -> "LabelMatrix":
         """Sort rows by id; of rows that share an id, the last one is kept.
         ``values`` is an (n × k) array of 0s and 1s or the n × k bytes of one."""
+        import numpy as np
+
         codes = tuple(codes)
         values = np.frombuffer(values, dtype=np.int8) if isinstance(values, (bytes, bytearray)) else np.asarray(values)
         binary = (values == 0) | (values == 1)  # checked before the cast, which would wrap 257 to 1

@@ -4,9 +4,10 @@ decide artifact bytes, the exemplar draw (``choice``) and the sample
 draw (``integers``).
 
 numpy does not hold ``Generator.choice`` and ``Generator.integers``
-fixed across releases, and loading ``numpy.random`` for one draw per
-run costs more memory than the draw is worth; these rules are fixed here.
-The bootstrap in ``evaluation`` still draws from numpy.
+fixed across releases, and loading numpy for one draw per run costs more
+memory than the draw is worth; these rules are fixed here, so ingest and
+classify load no numpy at all. The bootstrap in ``evaluation`` still draws
+from numpy, which it imports on first use.
 
 - Seeding is ``SeedSequence(seed).generate_state(4, uint64)``. The
   entropy is the seed's 32-bit words, least significant first, and

@@ -16,16 +16,16 @@ F1 of (0, 0) is 0; themes that trigger the rule are flagged in reports.
 from __future__ import annotations
 
 import math
-import statistics
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .codebook import Codebook, LabelMatrix
 from .errors import ConfigError, DataError
 from .jsonl import write_json, write_table
+
+if TYPE_CHECKING:  # numpy loads on first use, so ingest and classify never load it
+    import numpy as np
 
 METRIC_NAMES = ("precision", "recall", "f1", "accuracy")
 AGGREGATIONS = ("per-theme", "micro", "macro")
@@ -178,6 +178,8 @@ def _require_codes(labels: LabelMatrix, codes: Sequence[str]) -> LabelMatrix:
 
 def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     """num / den elementwise, 0 where den is not positive."""
+    import numpy as np
+
     return np.divide(num, den, out=np.zeros_like(num), where=den > 0)
 
 
@@ -191,6 +193,8 @@ def _metric_values(tp, fp, fn, tn) -> dict[str, np.ndarray]:
     The one statement of the formulas: per-theme scores, pooled micro
     scores and every bootstrap resample read their values from here.
     """
+    import numpy as np
+
     tp, fp, fn, tn = (np.asarray(c, dtype=np.float64) for c in (tp, fp, fn, tn))
     precision, recall = _ratio(tp, tp + fp), _ratio(tp, tp + fn)
     return {
@@ -203,6 +207,8 @@ def _metric_values(tp, fp, fn, tn) -> dict[str, np.ndarray]:
 
 def f1_score(precision: float, recall: float) -> float:
     """Harmonic mean, 0 when both terms are 0."""
+    import numpy as np
+
     return float(_f1(np.float64(precision), np.float64(recall)))
 
 
@@ -273,15 +279,24 @@ def zero_denominator_themes(matrices: Mapping[str, ConfusionMatrix]) -> tuple[st
     return tuple(flagged)
 
 
+def _require_confidence(caller: str, confidence: float) -> None:
+    """Refuse a confidence level outside the open interval (0, 1), NaN too."""
+    if not 0.0 < confidence < 1.0:
+        raise ConfigError(f"{caller} requires confidence in (0, 1), got {confidence}")
+
+
 def wald_ci(p: float, n: int, confidence: float = 0.95) -> IntervalEstimate:
     """Normal-approximation interval for a proportion, clipped to [0,1]."""
     if n < 1:
         raise ConfigError(f"wald_ci requires n >= 1, got {n}")
     if not (0.0 <= p <= 1.0):
         raise ConfigError(f"wald_ci requires p in [0,1], got {p}")
+    _require_confidence("wald_ci", confidence)
     if confidence == 0.95:
         z = Z_95
     else:
+        import statistics
+
         z = statistics.NormalDist().inv_cdf(0.5 + confidence / 2.0)
     half = z * math.sqrt(p * (1.0 - p) / n)
     return IntervalEstimate(
@@ -302,6 +317,8 @@ def _resample_sums(counts: np.ndarray, resamples: int, seed: int, budget: int = 
     ``default_rng(seed).integers(0, n, size=(resamples, n))``, drawn in chunks
     of at most ``budget`` indices; chunked draws continue the same stream.
     """
+    import numpy as np
+
     n = counts.shape[1]
     top = int(counts.max())
     # Each post's three counts share one int64 word, so a resample is one
@@ -335,8 +352,11 @@ def _bootstrap_intervals(
 ) -> dict[str, IntervalEstimate]:
     """Percentile interval per metric around its ``micro`` point, all read
     from one set of resamples."""
+    import numpy as np
+
     if resamples < 100:
         raise ConfigError(f"bootstrap requires >= 100 resamples, got {resamples}")
+    _require_confidence("bootstrap", confidence)
     n, k = g.shape
     if n < 1:
         raise DataError("bootstrap requires at least one post")
@@ -380,6 +400,8 @@ def bootstrap_ci(
 
 def run_stats(runs: Sequence[MetricSet]) -> RunStats:
     """Mean and sample SD (divisor R-1) per metric across repeat runs."""
+    import numpy as np
+
     if not runs:
         raise ConfigError("run_stats requires at least one run")
     modes = {m.aggregation for m in runs}
@@ -398,6 +420,8 @@ def run_stats(runs: Sequence[MetricSet]) -> RunStats:
 def _mid_ranks(values: np.ndarray) -> np.ndarray:
     """1-based ascending ranks; each group of equal values gets the mean of
     the positions it occupies (``first + (count + 1) / 2``)."""
+    import numpy as np
+
     order = np.argsort(values, kind="stable")
     ordered = values[order]
     starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
@@ -412,10 +436,18 @@ def avg_rank(rows: Sequence[tuple[str, MetricSet]]) -> ModelRanking:
 
     Each metric is ranked descending with ties replaced by the mean of the
     positions they occupy; a row's avg_rank is the mean of its four ranks.
-    Output is sorted ascending by avg_rank, ties broken by label.
+    Output is sorted ascending by avg_rank, ties broken by label. Each label
+    names one row.
     """
+    import numpy as np
+
     if len(rows) < 2:
         raise ConfigError("avg_rank requires at least two rows")
+    seen: set[str] = set()
+    for label, _ in rows:
+        if label in seen:  # a label given twice would be ranked against itself
+            raise ConfigError(f"avg_rank got label {label!r} on more than one row")
+        seen.add(label)
     modes = {m.aggregation for _, m in rows}
     if len(modes) > 1:
         raise ConfigError(f"mixed aggregation modes in avg_rank: {', '.join(sorted(modes))}")
@@ -476,6 +508,8 @@ def apply_failure_policy(
     imputes the complement of gold (every decision wrong). Imputed rows
     join the predictions in id order.
     """
+    import numpy as np
+
     if policy not in FAILURE_POLICIES:
         raise ConfigError(f"unknown failure_policy {policy!r}; known: {', '.join(FAILURE_POLICIES)}")
     gold, preds = _require_codes(gold, cb.alphabet), _require_codes(preds, cb.alphabet)

@@ -818,7 +818,8 @@ def cmd_classify(cfg: RunConfig, *, resume: bool = False) -> list[ResultsStore]:
 
 
 def _load_metrics_table(path: str | Path) -> list[tuple[str, MetricSet]]:
-    """Read a delimited metrics table: label plus the four metric columns."""
+    """Read a delimited metrics table: label plus the four metric columns,
+    one row per label."""
     p = Path(path)
     with input_lines(p, "metrics table") as lines:
         reader = csv.DictReader(lines)
@@ -827,14 +828,21 @@ def _load_metrics_table(path: str | Path) -> list[tuple[str, MetricSet]]:
             if col not in fields:
                 raise DataError(f"metrics table {p}: missing column {col!r}")
         rows = []
+        first_row: dict[str, int] = {}  # label -> the row that gave it
         for lineno, row in enumerate(reader, start=2):
             if None in row or None in row.values():
                 raise DataError(f"metrics table {p} row {lineno}: wrong cell count")
+            label = row["label"]
+            if label in first_row:
+                raise DataError(
+                    f"metrics table {p} row {lineno}: label {label!r} is already given in row {first_row[label]}"
+                )
+            first_row[label] = lineno
             try:
                 mset = MetricSet(**{m: float(row[m]) for m in METRIC_NAMES}, aggregation="micro", n_decisions=0)
             except ValueError as exc:
                 raise DataError(f"metrics table {p} row {lineno}: {exc}") from exc
-            rows.append((row["label"], mset))
+            rows.append((label, mset))
     if not rows:
         raise DataError(f"metrics table {p} has no rows")
     return rows

@@ -61,6 +61,17 @@ def test_metrics_table_row_of_the_wrong_width_exits_two(tmp_path, capsys, cells)
     assert capsys.readouterr().err == f"error: metrics table {table} row 3: wrong cell count\n"
 
 
+def test_metrics_table_label_given_twice_exits_two(tmp_path, capsys):
+    table = tmp_path / "table.csv"
+    table.write_text(DS2.read_text(encoding="utf-8") + "DS2_gpt-4o,0.5,0.5,0.5,0.5\n", encoding="utf-8")
+    out = tmp_path / "ranked"
+    assert main(["rank", "--metrics-table", str(table), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: metrics table {table} row 4: label 'DS2_gpt-4o' is already given in row 2\n"
+    )
+    assert not out.exists()
+
+
 def test_missing_config_exits_one(tmp_path, capsys):
     code = main(["ingest", "--config", str(tmp_path / "absent.yaml")])
     assert code == 1

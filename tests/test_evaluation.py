@@ -247,6 +247,15 @@ def test_wald_validation():
         wald_ci(1.2, 10)
 
 
+@pytest.mark.parametrize("confidence", [0.0, 1.0, 1.5, -0.2, -0.5, float("nan")])
+def test_intervals_refuse_a_confidence_outside_zero_one(confidence):
+    named = re.escape(f"confidence in (0, 1), got {confidence}")
+    with pytest.raises(ConfigError, match=named):
+        wald_ci(0.5, 100, confidence=confidence)
+    with pytest.raises(ConfigError, match=named):
+        bootstrap_ci(GOLD5, PRED5, "f1", SMALL, resamples=200, confidence=confidence)
+
+
 def test_interval_must_bracket_point():
     with pytest.raises(ValueError, match="bracket"):
         IntervalEstimate(point=0.9, lower=0.91, upper=0.95, method="wald")
@@ -632,6 +641,12 @@ def test_avg_rank_validation():
         avg_rank(mixed)
     with pytest.raises(KeyError):
         avg_rank([("a", mset(0.5, 0.5, 0.5, 0.5)), ("b", mset(0.4, 0.4, 0.4, 0.4))]).rank_of("zz")
+
+
+def test_avg_rank_refuses_a_label_given_twice():
+    rows = [("a", mset(0.5, 0.5, 0.5, 0.5)), ("b", mset(0.4, 0.4, 0.4, 0.4)), ("a", mset(0.3, 0.3, 0.3, 0.3))]
+    with pytest.raises(ConfigError, match="label 'a' on more than one row"):
+        avg_rank(rows)
 
 
 # --- distributions -----------------------------------------------------------------------------

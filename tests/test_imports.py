@@ -1,5 +1,6 @@
 """The package imports and runs without scipy or requests, importing it
-loads no HTTP transport, and ingest and classify load no numpy.random."""
+loads no HTTP transport, and ingest and classify load neither numpy nor
+statistics."""
 
 from __future__ import annotations
 
@@ -122,3 +123,73 @@ def test_ingest_and_classify_do_not_load_numpy_random(tmp_path, clean_corpus_pat
         timeout=60,
     )
     assert child.returncode == 0, child.stderr
+
+
+# Ingest with sampling, a mock-rules classify with two drawn exemplars and a
+# remote-chat classify against a chat endpoint on 127.0.0.1 load neither numpy
+# nor statistics; evaluate, distribute and rank then load them on first use.
+NO_NUMPY = """
+import json, sys, threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+import yaml
+import themecoder
+from themecoder.cli import main
+
+mock_cfg, rank_table, out = sys.argv[1:]
+alphabet = themecoder.load_codebook().alphabet
+reply = ", ".join(f"{code}={int(code == 'X')}" for code in alphabet)
+
+class Chat(BaseHTTPRequestHandler):
+    def do_POST(self):
+        self.rfile.read(int(self.headers["Content-Length"]))
+        data = json.dumps({"choices": [{"message": {"content": reply}}]}).encode()
+        self.send_response(200)
+        self.send_header("Content-Length", str(len(data)))
+        self.end_headers()
+        self.wfile.write(data)
+
+    def log_message(self, *args):
+        pass
+
+httpd = ThreadingHTTPServer(("127.0.0.1", 0), Chat)
+threading.Thread(target=httpd.serve_forever, daemon=True).start()
+with open(mock_cfg, encoding="utf-8") as f:
+    sections = yaml.safe_load(f)
+sections["run"]["output_dir"] += "-remote"
+sections["backend"] = {
+    "kind": "remote-chat", "model": "m", "credential_env": "TC_TEST_KEY", "in_flight_limit": 2,
+    "endpoint": f"http://127.0.0.1:{httpd.server_port}/v1/chat/completions",
+}
+remote_cfg = mock_cfg.replace(".yaml", "-remote.yaml")
+with open(remote_cfg, "w", encoding="utf-8") as f:
+    yaml.safe_dump(sections, f)
+
+for verb, cfg in (("ingest", mock_cfg), ("classify", mock_cfg), ("classify", remote_cfg)):
+    assert main([verb, "--config", cfg]) == 0, verb
+httpd.shutdown()
+httpd.server_close()
+loaded = {"numpy", "statistics"} & set(sys.modules)
+assert not loaded, loaded
+
+assert main(["evaluate", "--config", mock_cfg]) == 0
+assert main(["distribute", "--config", remote_cfg]) == 0
+assert main(["rank", "--metrics-table", rank_table, "--out", out]) == 0
+assert "numpy" in sys.modules
+"""
+
+
+def test_ingest_and_classify_load_neither_numpy_nor_statistics(tmp_path, clean_corpus_path):
+    sections = base_config(tmp_path, clean_corpus_path, corpus={"sample": {"n": 5}}, prompting={"shots": 2})
+    cfg_path, ranked = write_config(tmp_path / "run.yaml", **sections), tmp_path / "ranked"
+    env = {k: v for k, v in os.environ.items() if not k.lower().endswith("_proxy")}
+    child = subprocess.run(
+        [sys.executable, "-c", NO_NUMPY, str(cfg_path), str(FIXTURES / "ds1_reference_metrics.csv"), str(ranked)],
+        env={**env, "PYTHONPATH": str(SRC), "TC_TEST_KEY": "k"},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert child.returncode == 0, child.stderr
+    assert len(list((tmp_path / "run" / "reports").glob("*/report.json"))) == 1
+    assert (tmp_path / "run-remote" / "reports" / "distribution.json").is_file()
+    assert (ranked / "ranking.csv").is_file()
