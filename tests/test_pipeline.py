@@ -780,6 +780,83 @@ def test_classify_per_theme_fails_a_post_whose_one_frame_never_parses(tmp_path, 
     assert rec["attempts"] == 12 + 3  # one for each frame that parsed, three for C
 
 
+def run_digests(run_dir: Path) -> dict[str, str]:
+    """sha256 of a run's results and cache files, and of its audit lines
+    with the wall-clock ``ts`` and ``latency`` dropped."""
+    audit = "".join(
+        json.dumps({k: v for k, v in json.loads(line).items() if k not in ("ts", "latency")}, sort_keys=True) + "\n"
+        for line in (run_dir / "audit.jsonl").read_text(encoding="utf-8").splitlines()
+    )
+    return {
+        "results.jsonl": sha256_of(run_dir / "results.jsonl"),
+        "cache.jsonl": sha256_of(run_dir / "cache.jsonl"),
+        "audit.jsonl": hashlib.sha256(audit.encode("utf-8")).hexdigest(),
+    }
+
+
+CLASSIFY_SHA256 = {
+    "mock": {
+        "results.jsonl": "49eb23e6e3800f407aa4b46c53e54515a291f31049010da9212814429cfa3e95",
+        "cache.jsonl": "d4da833fcaa63cf4ee5d9f40153dcb2226cff295ad88c8466e16b20f5af8e386",
+        "audit.jsonl": "2b266b6f4b5a510ff9cf6a4e480f3b838107b873e9fba8836a802bcc52b54305",
+    },
+    "v3": {
+        "results.jsonl": "f10ebcf087c6c7ab9d55b151b43e8d34981eab292a2ae34a47ea3bef52d71eaa",
+        "cache.jsonl": "949a6401331424e610de1361ab482d9471c6874a594b6205bc90fab6fabc5d81",
+        "audit.jsonl": "9e92c4e45c324c9d98ab32e9c62fbf0c37c67585bb41aa0ba25b895864f3b1d4",
+    },
+    "v3-hit": {
+        "results.jsonl": "f10ebcf087c6c7ab9d55b151b43e8d34981eab292a2ae34a47ea3bef52d71eaa",
+        "cache.jsonl": "949a6401331424e610de1361ab482d9471c6874a594b6205bc90fab6fabc5d81",
+        "audit.jsonl": "14252cb97d1e59aefbd4c8db145b18423fb3e260fe60da0ac156b874a37bce04",
+    },
+    "v1": {
+        "results.jsonl": "519a3036a1375041bf0c0a33e94df5c0efbf0cb5ce8e00947a7851fe7d1fb390",
+        "cache.jsonl": "6a5b401700ee58bab4d8e8e05e42f3da0ef83161e90a953f4eceafedbbbf3dea",
+        "audit.jsonl": "47ae44729939ffc09448b77cac3a479b1effdb0410386ff5c1a884e098595c47",
+    },
+    "v1-hit": {
+        "results.jsonl": "519a3036a1375041bf0c0a33e94df5c0efbf0cb5ce8e00947a7851fe7d1fb390",
+        "cache.jsonl": "6a5b401700ee58bab4d8e8e05e42f3da0ef83161e90a953f4eceafedbbbf3dea",
+        "audit.jsonl": "3ebe1b48da43af36d9266c6dc995a36710ecaacdce3c24e66ddd89749ad2a087",
+    },
+}
+
+
+def test_classify_bytes_are_pinned(tmp_path, clean_corpus_path, cb):
+    """Every record shape a run writes: classified at the first attempt and
+    at a re-ask, failed after the attempt budget, a v1 post whose one frame
+    never parses, and the same runs again from a copied cache."""
+    corpus = load_posts(clean_corpus_path)
+    script_path = tmp_path / "script.json"
+    bcfg = BackendConfig(kind="replay", model="replay-model", replay_path=str(script_path))
+    reask, spent, broken = (post.id for post in corpus.posts[:3])
+    script = {}
+    for post in corpus.posts:
+        line = rule_line(cb, post.body)
+        v3 = render_prompt(post, cb, load_template(), ShotPolicy(shots=0), seed=0, include_title=False)
+        texts = {reask: ["no answer here", line], spent: ["no answer here", "A=2", "A=0"]}.get(post.id, [line])
+        script[cache_key(bcfg, v3)] = texts
+        vec = mock_rule_vector(post.body, cb.alphabet)
+        for rp in per_theme_prompts(post, cb):
+            (code,) = rp.target
+            never = post.id == broken and code == "C"
+            script[cache_key(bcfg, rp)] = ["no answer here"] * 3 if never else [f"{code}=[{vec[code]}]"]
+    script_path.write_text(json.dumps(script), encoding="utf-8")
+
+    runs = {"mock": make_cfg(tmp_path, clean_corpus_path, name="mock")}
+    cmd_classify(runs["mock"])
+    for name, version in (("v3", "v3-single-line"), ("v1", "v1-per-theme")):
+        extra = {"prompting": {"template_version": version}, "retry": {"max_attempts": 3}}
+        live = runs[name] = replay_cfg(tmp_path, clean_corpus_path, script_path, name=name, **extra)
+        cmd_classify(live)
+        hit = runs[f"{name}-hit"] = replay_cfg(tmp_path, clean_corpus_path, script_path, name=f"{name}-hit", **extra)
+        hit.output_dir.mkdir()
+        (hit.output_dir / "cache.jsonl").write_bytes((live.output_dir / "cache.jsonl").read_bytes())
+        cmd_classify(hit)
+    assert {name: run_digests(cfg.output_dir) for name, cfg in runs.items()} == CLASSIFY_SHA256
+
+
 def test_classify_byte_identity_across_runs(tmp_path, clean_corpus_path):
     cfg_a = make_cfg(tmp_path, clean_corpus_path, name="a")
     cfg_b = make_cfg(tmp_path, clean_corpus_path, name="b")
