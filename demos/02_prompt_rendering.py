@@ -66,7 +66,7 @@ def main() -> None:
     policy = ShotPolicy(shots=2)
     for seed in (0, 1):
         picked = select_exemplars(cb, policy, seed=seed)
-        lines = [canonical_line(ex.vector(cb.alphabet), cb) for ex in picked]
+        lines = [canonical_line(ex.labels, cb) for ex in picked]
         print(f"\nseed {seed} picks exemplars:")
         for ex, line in zip(picked, lines):
             print(f"  {ex.text[:60]!r} -> {line}")

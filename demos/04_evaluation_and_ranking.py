@@ -30,7 +30,7 @@ def main() -> None:
     print(f"scoring {len(corpus)} posts against {len(gold)} gold-labeled posts")
 
     # every scorer takes labels as a post x code matrix, columns in codebook order
-    rows = [cb.vector(mock_rule_vector(p.body, cb.alphabet)).values for p in corpus]
+    rows = [list(mock_rule_vector(p.body, cb.alphabet).values()) for p in corpus]
     preds = LabelMatrix.from_rows([p.id for p in corpus], rows, cb.alphabet)
 
     # one confusion matrix per code, then two aggregations over them

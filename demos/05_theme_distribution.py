@@ -22,7 +22,7 @@ def main() -> None:
     corpus = dedup_clean(keyword_filter(raw, load_keywords(), "xylazine AND wound")).corpus
 
     # every scorer takes labels as a post x code matrix, columns in codebook order
-    rows = [cb.vector(mock_rule_vector(p.body, cb.alphabet)).values for p in corpus]
+    rows = [list(mock_rule_vector(p.body, cb.alphabet).values()) for p in corpus]
     preds = LabelMatrix.from_rows([p.id for p in corpus], rows, cb.alphabet)
     dist = theme_distribution(preds, cb)
     print(f"model-assigned theme prevalence over {dist.n} posts:")

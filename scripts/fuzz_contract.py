@@ -32,9 +32,11 @@ directory and runs one command in process, with a 10 s alarm.
   or `1.0`, which equal 1 but are not the JSON integer, must exit 2.
 - Rankings: `rank` reading a metrics table that gives one label on two
   rows must exit 2.
+- Replay: `classify` reading a replay script whose first attempt text is
+  the escape "\\ud800", a lone surrogate, must exit 1.
 
-The output-side, float-setting, manifest, store, label and ranking cases
-come first, then input cases drawn from one seeded ``random.Random``, so a
+The output-side, float-setting, manifest, store, label, ranking and replay
+cases come first, then input cases drawn from one seeded ``random.Random``, so a
 seed and a case count give the same cases on every machine. The tier-1 test
 ``tests/test_contract_fuzz.py`` runs a fixed number of them; this script
 runs cases for ``--seconds`` and exits 1 if any case breaks the contract.
@@ -282,8 +284,8 @@ INSERTED_LINES = (b"\n", b"{}\n", b"null\n", b"[]\n", b"\xff\xfe\n", b"a,b,c\n",
 
 
 def cases(seed: int):
-    """Every output-side, float-setting, manifest, store, label and ranking
-    case, then input cases drawn from ``seed``, without end."""
+    """Every output-side, float-setting, manifest, store, label, ranking and
+    replay case, then input cases drawn from ``seed``, without end."""
     for target, argv in OUTPUT_PAIRS:
         yield Case(target, argv, "dir-to-file")
     for target, argv in FILE_PAIRS:
@@ -298,6 +300,8 @@ def cases(seed: int):
     for value in LABEL_LOOKALIKES:
         yield Case("run/results.jsonl", EVALUATE, "set-label", extra=value, exits=(2,))
     yield Case("inputs/metrics.csv", RANK, "dup-line", position=1, exits=(2,))  # the first label, on two rows
+    surrogate = VALUES.index("\ud800")  # set as the first attempt text of the first fingerprint, at position 2
+    yield Case("inputs/replay.json", CLASSIFY_REPLAY, "swap-value", position=2, extra=surrogate, exits=(1,))
     rng = random.Random(seed)
     while True:
         target, argv = rng.choice(INPUT_PAIRS)

@@ -8,8 +8,6 @@ everything through the ``themecoder`` CLI.
 
 from .backends import (
     BackendConfig,
-    ClassificationFailure,
-    CompletionResult,
     ResponseCache,
     RetryPolicy,
     cache_key,
@@ -21,7 +19,6 @@ from .codebook import (
     Codebook,
     Exemplar,
     LabelMatrix,
-    LabelVector,
     ThemeDef,
     lint_null_conflict,
     load_codebook,

@@ -28,7 +28,7 @@ from typing import Callable, Mapping, Sequence
 from urllib.parse import urlsplit
 
 from .errors import BackendError, ConfigError, DataError
-from .jsonl import JsonLines, read_text
+from .jsonl import JsonLines, holds_surrogate, read_text
 from .parsing import ParseFailure, ParseOutcome, render_answer, render_line
 from .prompting import RenderedPrompt
 
@@ -96,27 +96,6 @@ class RetryPolicy:
                 raise ConfigError(f"{name} must be finite and >= 0, got {value}")
         if self.backoff_cap > MAX_WAIT_S:
             raise ConfigError(f"backoff_cap must be <= {MAX_WAIT_S} s, got {self.backoff_cap}")
-
-
-@dataclass(frozen=True)
-class CompletionResult:
-    raw_text: str
-    attempts: int
-    backend_kind: str
-    latency: float
-    cache_hit: bool
-    fingerprint: str
-
-
-@dataclass(frozen=True)
-class ClassificationFailure:
-    """Terminal outcome when no attempt parsed; keeps every raw attempt."""
-
-    attempts: tuple[tuple[str, ParseFailure], ...]
-
-    @property
-    def reasons(self) -> tuple[str, ...]:
-        return tuple(f.reason for _, f in self.attempts)
 
 
 def _request_json(cfg: BackendConfig, template_version: str, prompt_text: str) -> str:
@@ -353,6 +332,8 @@ class ReplayBackend(_BaseBackend):
         for fp, texts in script.items():
             if not isinstance(texts, list) or not all(isinstance(t, str) for t in texts):
                 raise ConfigError(f"replay script {path}: the entry for fingerprint {fp} is not a list of strings")
+        if holds_surrogate(script):  # no cache or audit line could hold it
+            raise ConfigError(f"replay script {path}: a \\u escape gives a lone surrogate, not valid Unicode")
         self._script: dict[str, list[str]] = script
 
     def _raw(self, message: str, prompt: RenderedPrompt, fingerprint: str, attempt: int) -> str:
@@ -449,6 +430,8 @@ class RemoteChatBackend(_BaseBackend):
                         content = json.loads(reply)["choices"][0]["message"]["content"]
                         if not isinstance(content, str):
                             raise TypeError(f"message content is {type(content).__name__}, not a string")
+                        if holds_surrogate(content):  # no cache line could hold it
+                            raise ValueError("message content holds a lone surrogate, not valid Unicode")
                         return content
                     except (ValueError, KeyError, IndexError, TypeError) as exc:
                         raise BackendError(f"malformed completion response: {exc}") from exc
@@ -484,9 +467,9 @@ def complete(
     retry: RetryPolicy | None = None,
     audit: AuditLog | None = None,
     fingerprint: str | None = None,
-) -> CompletionResult:
-    """Issue one completion request and return the verbatim text; ``fingerprint``
-    defaults to ``cache_key(cfg, prompt)``."""
+) -> str:
+    """Issue one completion request and return the verbatim reply text;
+    ``fingerprint`` defaults to ``cache_key(cfg, prompt)``."""
     be = backend if backend is not None else make_backend(cfg, retry=retry, audit=audit)
     fp = fingerprint if fingerprint is not None else cache_key(cfg, prompt)
     text = message if message is not None else prompt.text
@@ -495,14 +478,7 @@ def complete(
     latency = time.monotonic() - started
     if audit is not None:
         audit.append(fingerprint=fp, attempt=attempt, status="ok", latency=latency, kind=be.kind)
-    return CompletionResult(
-        raw_text=raw,
-        attempts=attempt,
-        backend_kind=be.kind,
-        latency=latency,
-        cache_hit=False,
-        fingerprint=fp,
-    )
+    return raw
 
 
 def classify_with_retry(
@@ -515,12 +491,13 @@ def classify_with_retry(
     cache: ResponseCache | None = None,
     audit: AuditLog | None = None,
     fingerprint: str | None = None,
-):
+) -> tuple[ParseOutcome, list[ParseFailure], int]:
     """Classify one prompt, re-asking on parse failures.
 
-    Returns ``(LabelVector, CompletionResult)`` on success or
-    ``(ClassificationFailure, CompletionResult)`` after the attempt budget
-    is spent. Re-asks resend the prompt with a one-line format reminder
+    Returns ``(outcome, failures, attempts)``: the ParseOutcome of the
+    attempt that decided (the first that parsed, else the last one asked),
+    the ParseFailure of each attempt that did not parse, and the number of
+    attempts. Re-asks resend the prompt with a one-line format reminder
     appended; the fingerprint always reflects the base prompt, so cached
     and replayed attempt lists line up across runs. ``fingerprint``
     defaults to ``cache_key(cfg, prompt)``.
@@ -534,35 +511,30 @@ def classify_with_retry(
     if stored is None and backend is None:
         backend = make_backend(cfg, retry=policy, audit=audit)
     texts: list[str] = []
-    failures: list[tuple[str, ParseFailure]] = []
+    failures: list[ParseFailure] = []
     for attempt in range(1, policy.max_attempts + 1):
         if stored is None:
             message = prompt.text if attempt == 1 else f"{prompt.text}\n\n{prompt.format_reminder()}"
-            result = complete(
+            text = complete(
                 cfg, prompt, attempt=attempt, message=message, backend=backend, retry=policy, audit=audit,
                 fingerprint=fp,
             )
         elif attempt <= len(stored):
-            result = CompletionResult(
-                raw_text=stored[attempt - 1], attempts=attempt, backend_kind=cfg.kind,
-                latency=0.0, cache_hit=True, fingerprint=fp,
-            )
+            text = stored[attempt - 1]
         else:
             break
-        texts.append(result.raw_text)
-        outcome = parser(result.raw_text)
+        texts.append(text)
+        outcome = parser(text)
         if outcome.ok:
             break
-        failures.append((result.raw_text, outcome.failure))
+        failures.append(outcome.failure)
         if stored is None and audit is not None:
             audit.append(
                 fingerprint=fp, attempt=attempt, status="parse-failure",
-                reason=outcome.failure.reason, detail=outcome.failure.detail, kind=result.backend_kind,
+                reason=outcome.failure.reason, detail=outcome.failure.detail, kind=backend.kind,
             )
     if stored is None and cache is not None:
         cache.put(fp, texts)
     if stored is not None and audit is not None:
-        audit.append(fingerprint=fp, attempt=result.attempts, status="cache-hit", kind=cfg.kind)
-    if outcome.ok:
-        return outcome.vector, result
-    return ClassificationFailure(attempts=tuple(failures)), result
+        audit.append(fingerprint=fp, attempt=len(texts), status="cache-hit", kind=cfg.kind)
+    return outcome, failures, len(texts)

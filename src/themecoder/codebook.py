@@ -12,7 +12,7 @@ import csv
 import logging
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from operator import itemgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
@@ -29,61 +29,6 @@ DEFAULT_CODEBOOK_PATH = Path(__file__).parent / "data" / "codebook_default.yaml"
 
 _BINARY_CELLS = frozenset(("0", "1"))
 _CELL_BITS = bytes.maketrans(b"01", b"\x00\x01")  # a gold cell's ASCII digit -> its label
-
-
-@dataclass(frozen=True)
-class LabelVector:
-    """A total binary assignment over a codebook alphabet.
-
-    Immutable and hashable; ``codes`` fixes the canonical order used for
-    rendering and parsing.
-    """
-
-    codes: tuple[str, ...]
-    values: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.codes) != len(self.values):
-            raise DataError(
-                f"label vector has {len(self.codes)} codes but {len(self.values)} values"
-            )
-        if not _unique(self.codes):
-            raise DataError("label vector codes are not unique")
-        bad = [v for v in self.values if v not in (0, 1)]
-        if bad:
-            raise DataError(f"label vector values must be 0 or 1, got {bad[0]!r}")
-
-    @classmethod
-    def from_mapping(
-        cls, labels: Mapping[str, int], alphabet: Iterable[str]
-    ) -> "LabelVector":
-        """Build a vector from a code->value mapping, enforcing totality."""
-        codes = tuple(alphabet)
-        missing = [c for c in codes if c not in labels]
-        if missing:
-            raise DataError(f"label vector missing code(s): {', '.join(missing)}")
-        unknown = [c for c in labels if c not in codes]
-        if unknown:
-            raise DataError(f"label vector has unknown code(s): {', '.join(unknown)}")
-        return cls(codes=codes, values=tuple(int(labels[c]) for c in codes))
-
-    def __getitem__(self, code: str) -> int:
-        try:
-            return self.values[self.codes.index(code)]
-        except ValueError:
-            raise KeyError(code) from None
-
-    def as_dict(self) -> dict[str, int]:
-        return dict(zip(self.codes, self.values))
-
-    def positives(self) -> tuple[str, ...]:
-        return tuple(c for c, v in zip(self.codes, self.values) if v == 1)
-
-
-@lru_cache(maxsize=64)
-def _unique(codes: tuple[str, ...]) -> bool:
-    """Whether no code repeats; asked once per code tuple, not per vector."""
-    return len(set(codes)) == len(codes)
 
 
 def tuple_getter(keys: Sequence) -> Callable:
@@ -149,15 +94,13 @@ class LabelMatrix:
 class Exemplar:
     """One worked example: a post text plus its full label assignment.
 
-    ``labels`` is kept as loaded so an incomplete assignment can exist long
-    enough for validate_codebook to name what is missing.
+    ``labels`` is kept as loaded, its 0 and 1 as ints, so an incomplete
+    assignment can exist long enough for validate_codebook to name what is
+    missing.
     """
 
     text: str
     labels: Mapping[str, int]
-
-    def vector(self, alphabet: Iterable[str]) -> LabelVector:
-        return LabelVector.from_mapping(self.labels, alphabet)
 
 
 @dataclass(frozen=True)
@@ -197,19 +140,16 @@ class Codebook:
                 return t
         raise KeyError(code)
 
-    def vector(self, labels: Mapping[str, int]) -> LabelVector:
-        return LabelVector.from_mapping(labels, self.alphabet)
 
-
-def lint_null_conflict(vector: LabelVector, null_code: str) -> bool:
+def lint_null_conflict(vector: Mapping[str, int], null_code: str) -> bool:
     """True when the null code and any substantive code are both positive.
 
     This is a lint, never an error: the output grammar permits the
     combination and gold data may contain it.
     """
-    if null_code not in vector.codes or vector[null_code] != 1:
+    if vector.get(null_code) != 1:
         return False
-    return any(v == 1 for c, v in zip(vector.codes, vector.values) if c != null_code)
+    return any(v == 1 for c, v in vector.items() if c != null_code)
 
 
 def validate_codebook(cb: Codebook) -> list[str]:
@@ -269,7 +209,9 @@ def load_codebook(path: str | Path | None = None) -> Codebook:
         for j, e in enumerate(entries):
             if not isinstance(e, dict) or "text" not in e or not isinstance(e.get("labels", {}), dict):
                 raise DataError(f"codebook file {p} theme {code} exemplar {j} needs a 'text' and a 'labels' mapping")
-            exemplars.append(Exemplar(text=str(e["text"]), labels=dict(e.get("labels", {}))))
+            # YAML's true, 1.0 and 0.0 equal 1 and 0, so they pass validation; they are read as 1 and 0
+            labels = {c: int(v) if v in (0, 1) else v for c, v in e.get("labels", {}).items()}
+            exemplars.append(Exemplar(text=str(e["text"]), labels=labels))
         themes.append(ThemeDef(code=code, name=name, definition=definition, exemplars=tuple(exemplars)))
 
     cb = Codebook(
@@ -281,7 +223,7 @@ def load_codebook(path: str | Path | None = None) -> Codebook:
     if findings:
         raise DataError(f"codebook file {p} is invalid: " + "; ".join(findings))
     for i, ex in enumerate(cb.exemplars):
-        if lint_null_conflict(ex.vector(cb.alphabet), cb.null_code):
+        if lint_null_conflict(ex.labels, cb.null_code):
             log.warning("codebook exemplar %d sets the null code alongside a substantive code", i)
     return cb
 

@@ -4,7 +4,9 @@ Two grammars: the single-line vector grammar ("A=0, B=1, ..., X=0") and the
 per-theme single-answer grammar ("A=[1]"), each written only by its renderer
 here. Strict mode demands exactly the canonical form; lenient mode scans
 prose, since models sometimes wrap the classification line in chatter.
-Parsers return outcomes, never raise on arbitrary input.
+Parsers return outcomes, never raise on arbitrary input. A parsed answer is
+a ``{code: 0|1}`` mapping in alphabet order, the vector a results record
+stores.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from functools import lru_cache
 from itertools import repeat
 from typing import Iterable, Mapping
 
-from .codebook import Codebook, LabelVector
+from .codebook import Codebook
 
 FAILURE_REASONS = (
     "missing-code",
@@ -53,9 +55,10 @@ class ParseFailure:
 
 @dataclass(frozen=True)
 class ParseOutcome:
-    """Either a total LabelVector or a ParseFailure, never both."""
+    """Either a ``{code: 0|1}`` mapping over every asked code or a
+    ParseFailure, never both."""
 
-    vector: LabelVector | None = None
+    vector: dict[str, int] | None = None
     failure: ParseFailure | None = None
 
     def __post_init__(self) -> None:
@@ -66,7 +69,7 @@ class ParseOutcome:
         return self.vector is not None
 
     @classmethod
-    def success(cls, vector: LabelVector) -> "ParseOutcome":
+    def success(cls, vector: dict[str, int]) -> "ParseOutcome":
         return cls(vector=vector)
 
     @classmethod
@@ -96,7 +99,7 @@ def _canonical_re(alphabet: tuple[str, ...]) -> re.Pattern:
 
 
 def _canonical_vector(match: re.Match, alphabet: tuple[str, ...]) -> ParseOutcome:
-    return ParseOutcome.success(LabelVector(codes=alphabet, values=tuple(map(int, match.groups()))))
+    return ParseOutcome.success(dict(zip(alphabet, map(int, match.groups()))))
 
 
 def _vector_from_assignments(
@@ -110,9 +113,7 @@ def _vector_from_assignments(
                 "non-binary-value", f"code {code} has value {tok!r}"
             )
         values[code] = int(norm)
-    return ParseOutcome.success(
-        LabelVector(codes=alphabet, values=tuple(values[c] for c in alphabet))
-    )
+    return ParseOutcome.success({c: values[c] for c in alphabet})
 
 
 def parse_single_line(text: str, cb: Codebook, mode: str = "lenient") -> ParseOutcome:
@@ -202,7 +203,7 @@ def _answer_re(code: str) -> re.Pattern:
 def parse_single_answer(text: str, code: str, mode: str = "lenient") -> ParseOutcome:
     """Parse one per-theme answer ("A=1", "A=[0]", ...) for the target code.
 
-    Returns an outcome over the one-code alphabet (code,). Lenient scans
+    Returns an outcome whose mapping holds the one code. Lenient scans
     prose for the assignment; strict requires the payload to be exactly the
     assignment.
     """
@@ -227,9 +228,7 @@ def parse_single_answer(text: str, code: str, mode: str = "lenient") -> ParseOut
             return ParseOutcome.fail(
                 "extra-prose-strict", f"value {raw!r} deviates from the answer format"
             )
-        return ParseOutcome.success(
-            LabelVector(codes=(code,), values=(int(_normalize_value(raw)),))
-        )
+        return ParseOutcome.success({code: int(_normalize_value(raw))})
     if mode != "lenient":
         raise ValueError(f"unknown parse mode {mode!r}")
     if not matches:
@@ -243,11 +242,11 @@ def parse_single_answer(text: str, code: str, mode: str = "lenient") -> ParseOut
         return ParseOutcome.fail(
             "non-binary-value", f"code {code} has value {matches[0]!r}"
         )
-    return ParseOutcome.success(LabelVector(codes=(code,), values=(int(value),)))
+    return ParseOutcome.success({code: int(value)})
 
 
 def assemble_per_theme(outcomes: Mapping[str, ParseOutcome], cb: Codebook) -> ParseOutcome:
-    """Merge per-code outcomes into one total vector.
+    """Merge per-code outcomes into one mapping over the whole alphabet.
 
     Any failed code fails the merge; the failure names every failed code.
     """
@@ -261,5 +260,4 @@ def assemble_per_theme(outcomes: Mapping[str, ParseOutcome], cb: Codebook) -> Pa
     if failed:
         detail = "; ".join(f"{c}: {f.reason} ({f.detail})" for c, f in failed)
         return ParseOutcome.fail(failed[0][1].reason, f"failed code(s): {detail}")
-    values = tuple(outcomes[c].vector[c] for c in alphabet)
-    return ParseOutcome.success(LabelVector(codes=alphabet, values=values))
+    return ParseOutcome.success({c: outcomes[c].vector[c] for c in alphabet})

@@ -31,7 +31,6 @@ from typing import Iterator, Mapping, Sequence, get_args, get_origin, get_type_h
 from .backends import (
     AuditLog,
     BackendConfig,
-    ClassificationFailure,
     ResponseCache,
     RetryPolicy,
     classify_with_retry,
@@ -63,7 +62,7 @@ from .evaluation import (
     theme_distribution,
 )
 from .jsonl import JsonLines, input_lines, read_yaml, write_json, write_table
-from .parsing import PARSE_MODES, ParseOutcome, assemble_per_theme, parse_single_answer, parse_single_line
+from .parsing import PARSE_MODES, assemble_per_theme, parse_single_answer, parse_single_line
 from .prompting import (
     DEFAULT_EXEMPLAR_BUDGET,
     DEFAULT_TEMPLATE_VERSION,
@@ -650,18 +649,22 @@ def cmd_ingest(cfg: RunConfig) -> dict:
 
 
 def _prompt_classifier(cfg: RunConfig, cb: Codebook, frames, backend, cache, audit):
-    """Return ``classify(prompts)``: ``classify_with_retry``'s answer for each
-    of one post's prompts, one per frame, parsed as one answer ("A=[1]") when
-    the frame assigns one code and as one line when it assigns several. Each
-    frame's fingerprint state and parser are built here, once per run, not per post."""
+    """Return ``classify(prompts)``: for each of one post's prompts, one per
+    frame, ``classify_with_retry``'s ``(outcome, failures, attempts)`` with the
+    frame's fingerprint appended. A frame that assigns one code is parsed as one
+    answer ("A=[1]"), one that assigns several as one line. Each frame's
+    fingerprint state and parser are built here, once per run, not per post."""
     fingerprints = frame_fingerprints(cfg.backend, cfg.template_version, [text for _, text in frames])
     line = partial(parse_single_line, cb=cb, mode=cfg.parse_mode)
     parsers = [partial(parse_single_answer, code=t[0], mode=cfg.parse_mode) if len(t) == 1 else line for t, _ in frames]
 
     def classify(prompts) -> list:
         return [
-            classify_with_retry(
-                cfg.backend, cfg.retry, rp, parser, backend=backend, cache=cache, audit=audit, fingerprint=fp
+            (
+                *classify_with_retry(
+                    cfg.backend, cfg.retry, rp, parser, backend=backend, cache=cache, audit=audit, fingerprint=fp
+                ),
+                fp,
             )
             for rp, parser, fp in zip(prompts, parsers, fingerprints(prompts[0].post_text))
         ]
@@ -675,28 +678,17 @@ def _classify_one(post, cb: Codebook, render, classify, cfg: RunConfig) -> dict:
     prompts = render(post)
     answers = classify(prompts)
     if len(answers) == 1:
-        (result, cres), = answers
-        attempts, fingerprint = cres.attempts, cres.fingerprint
-        if isinstance(result, ClassificationFailure):
-            vector, failures = None, [f for _, f in result.attempts]
-        else:
-            vector = result
+        (outcome, failures, attempts, fingerprint), = answers
     else:
-        outcomes = {
-            code: ParseOutcome(failure=result.attempts[-1][1])
-            if isinstance(result, ClassificationFailure)
-            else ParseOutcome(vector=result)
-            for rp, (result, _) in zip(prompts, answers)
-            for code in rp.target
-        }
-        merged = assemble_per_theme(outcomes, cb)
-        vector, failures = merged.vector, [merged.failure]
-        attempts = sum(cres.attempts for _, cres in answers)
-        fingerprint = _sha256_text("\n".join(cres.fingerprint for _, cres in answers))
+        frames, _, counts, fingerprints = zip(*answers)
+        outcome = assemble_per_theme({code: frame for rp, frame in zip(prompts, frames) for code in rp.target}, cb)
+        failures = [outcome.failure]
+        attempts = sum(counts)
+        fingerprint = _sha256_text("\n".join(fingerprints))
 
     rec: dict = {"post_id": post.id, "label": cfg.label}
-    if vector is not None:
-        rec.update(status="classified", vector=vector.as_dict())
+    if outcome.ok:
+        rec.update(status="classified", vector=outcome.vector)
     else:
         rec.update(status="failed", failures=[{"reason": f.reason, "detail": f.detail} for f in failures])
     rec.update(

@@ -12,8 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
+from typing import Mapping
 
-from .codebook import Codebook, Exemplar, LabelVector
+from .codebook import Codebook, Exemplar
 from .corpus import Post
 from .draws import Stream
 from .errors import ConfigError, DataError
@@ -115,13 +116,13 @@ def load_template(version: str = DEFAULT_TEMPLATE_VERSION, path: str | Path | No
     return PromptTemplate(version=version, scaffold=scaffold)
 
 
-def canonical_line(v: LabelVector, cb: Codebook) -> str:
-    """Render a vector as the canonical classification line.
+def canonical_line(v: Mapping[str, int], cb: Codebook) -> str:
+    """Render a ``{code: 0|1}`` mapping as the canonical classification line.
 
     Canonical order comes from the codebook, terms are comma-space
     separated, and there is no trailing punctuation.
     """
-    missing = [c for c in cb.alphabet if c not in v.codes]
+    missing = [c for c in cb.alphabet if c not in v]
     if missing:
         raise DataError(f"vector is missing code(s) {', '.join(missing)}")
     return render_line(cb.alphabet, map(v.__getitem__, cb.alphabet))
@@ -194,15 +195,14 @@ def prompt_renderer(
     """
     exemplars = select_exemplars(cb, policy, seed)
     alphabet = cb.alphabet
-    vectors = [ex.vector(alphabet) for ex in exemplars]
 
     def line_examples() -> str:
-        lines = [canonical_line(v, cb) for v in vectors]
+        lines = [canonical_line(ex.labels, cb) for ex in exemplars]
         return _examples_section(exemplars, "Classification", lines, exemplar_budget)
 
     def answer_examples(code: str) -> str:
         # per-theme prompts show only the target code's answer for each exemplar
-        answers = [render_answer(code, v[code]) for v in vectors]
+        answers = [render_answer(code, ex.labels[code]) for ex in exemplars]
         return _examples_section(exemplars, "Answer", answers, exemplar_budget)
 
     if tpl.version == "v1-per-theme":

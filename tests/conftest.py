@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 import yaml
 
-from themecoder.codebook import Codebook, LabelVector, load_codebook
+from themecoder.codebook import Codebook, load_codebook
 from themecoder.corpus import load_posts
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -38,9 +38,9 @@ def clean_oracle_ids() -> list[str]:
     return (FIXTURES / "clean_expected_ids.txt").read_text().split()
 
 
-def make_vector(cb: Codebook, positives=()) -> LabelVector:
-    values = tuple(1 if code in positives else 0 for code in cb.alphabet)
-    return LabelVector(codes=cb.alphabet, values=values)
+def make_vector(cb: Codebook, positives=()) -> dict[str, int]:
+    """The ``{code: 0|1}`` mapping over ``cb.alphabet`` with ``positives`` set."""
+    return {code: 1 if code in positives else 0 for code in cb.alphabet}
 
 
 def write_config(path: Path, **sections) -> Path:

@@ -30,7 +30,7 @@ import numpy as np
 from conftest import FIXTURES, base_config, write_config
 
 from themecoder.backends import BackendConfig, cache_key, mock_rule_vector
-from themecoder.codebook import Codebook, LabelMatrix, LabelVector, ThemeDef
+from themecoder.codebook import Codebook, LabelMatrix, ThemeDef
 from themecoder.corpus import load_posts
 from themecoder.errors import BackendError
 from themecoder.evaluation import (
@@ -278,7 +278,7 @@ def test_05_parser_round_trip_and_fuzz(cb):
     rng = np.random.default_rng(95)
     for i in range(1000):
         values = tuple(int(v) for v in rng.integers(0, 2, size=len(cb.alphabet)))
-        vector = LabelVector(codes=cb.alphabet, values=values)
+        vector = dict(zip(cb.alphabet, values))
         line = canonical_line(vector, cb)
         for mode in PARSE_MODES:
             outcome = parse_single_line(line, cb, mode)
@@ -305,8 +305,8 @@ def test_05_parser_round_trip_and_fuzz(cb):
 
 
 def as_matrix(vectors: dict, cb) -> LabelMatrix:
-    """Post id -> LabelVector as a label matrix over ``cb.alphabet``."""
-    return LabelMatrix.from_rows(list(vectors), [v.values for v in vectors.values()], cb.alphabet)
+    """Post id -> ``{code: 0|1}`` mapping as a label matrix over ``cb.alphabet``."""
+    return LabelMatrix.from_rows(list(vectors), [list(v.values()) for v in vectors.values()], cb.alphabet)
 
 
 def brute_force_scores(gold, pred, codes):
@@ -353,8 +353,8 @@ def test_06_metrics_match_brute_force(cb):
         n = int(rng.integers(1, 11))
         gold, pred = {}, {}
         for i in range(n):
-            gold[f"p{i}"] = LabelVector(cb.alphabet, tuple(int(x) for x in rng.integers(0, 2, 13)))
-            pred[f"p{i}"] = LabelVector(cb.alphabet, tuple(int(x) for x in rng.integers(0, 2, 13)))
+            gold[f"p{i}"] = dict(zip(cb.alphabet, (int(x) for x in rng.integers(0, 2, 13))))
+            pred[f"p{i}"] = dict(zip(cb.alphabet, (int(x) for x in rng.integers(0, 2, 13))))
 
         confusions = all_confusions(*(as_matrix(vectors, cb) for vectors in (gold, pred)), cb)
         per, micro, macro, by_code = brute_force_scores(gold, pred, cb.alphabet)

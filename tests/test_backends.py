@@ -13,14 +13,12 @@ import tracemalloc
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
-from conftest import FIXTURES, base_config, write_config
+from conftest import FIXTURES, base_config, make_vector, write_config
 
 from themecoder.backends import (
     BACKEND_KINDS,
     AuditLog,
     BackendConfig,
-    ClassificationFailure,
-    CompletionResult,
     MockRulesBackend,
     RemoteChatBackend,
     ReplayBackend,
@@ -34,7 +32,6 @@ from themecoder.backends import (
     make_backend,
     mock_rule_vector,
 )
-from themecoder.codebook import LabelVector
 from themecoder.errors import BackendError, ConfigError
 from themecoder.parsing import parse_single_line
 from themecoder.pipeline import load_config
@@ -53,7 +50,6 @@ PROBE = RenderedPrompt(
 
 
 def good_line(cb, positives=("B",)) -> str:
-    from conftest import make_vector
     from themecoder.prompting import canonical_line
 
     return canonical_line(make_vector(cb, positives), cb)
@@ -240,11 +236,9 @@ def test_mock_backend_full_line(cb):
         post_id="p1",
         post_text=post_text,
     )
-    result = complete(MOCK_CFG, prompt)
-    assert result.backend_kind == "mock-rules"
-    parsed = parse_single_line(result.raw_text, cb)
+    parsed = parse_single_line(complete(MOCK_CFG, prompt), cb)
     assert parsed.ok
-    assert parsed.vector.as_dict() == mock_rule_vector(post_text, cb.alphabet)
+    assert parsed.vector == mock_rule_vector(post_text, cb.alphabet)
 
 
 def test_mock_backend_single_answer(cb):
@@ -256,7 +250,7 @@ def test_mock_backend_single_answer(cb):
         post_id="p1",
         post_text="wound on my ankle",
     )
-    assert complete(MOCK_CFG, prompt).raw_text == "C=[1]"
+    assert complete(MOCK_CFG, prompt) == "C=[1]"
 
 
 def test_mock_backend_reads_post_not_prompt(cb):
@@ -275,10 +269,9 @@ def test_mock_backend_reads_post_not_prompt(cb):
         load_template(),
         ShotPolicy(),
     )
-    result = complete(MOCK_CFG, post)
-    parsed = parse_single_line(result.raw_text, cb)
+    parsed = parse_single_line(complete(MOCK_CFG, post), cb)
     assert parsed.ok
-    assert parsed.vector.positives() == ("X",)
+    assert parsed.vector == make_vector(cb, ("X",))
 
 
 # --- replay backend ---------------------------------------------------------------------
@@ -289,8 +282,8 @@ def test_replay_serves_attempts_in_order(tmp_path):
     script = tmp_path / "script.json"
     script.write_text(json.dumps({fp: ["first", "second"]}), encoding="utf-8")
     cfg = BackendConfig(kind="replay", model="mock", replay_path=str(script))
-    assert complete(cfg, PROBE, attempt=1).raw_text == "first"
-    assert complete(cfg, PROBE, attempt=2).raw_text == "second"
+    assert complete(cfg, PROBE, attempt=1) == "first"
+    assert complete(cfg, PROBE, attempt=2) == "second"
     with pytest.raises(BackendError, match="exhausted.*attempt 3 of 2"):
         complete(cfg, PROBE, attempt=3)
 
@@ -349,50 +342,52 @@ def full_prompt(cb, body="post body"):
 
 def test_retry_success_first_attempt(cb):
     backend = ScriptedBackend(MOCK_CFG, [good_line(cb)])
-    vector, result = classify_with_retry(
+    outcome, failures, attempts = classify_with_retry(
         MOCK_CFG, RetryPolicy(), full_prompt(cb), line_parser(cb), backend=backend
     )
-    assert isinstance(vector, LabelVector)
-    assert vector.positives() == ("B",)
-    assert result.attempts == 1 and not result.cache_hit
+    assert outcome.vector == make_vector(cb, ("B",))
+    assert failures == [] and attempts == 1
     assert backend.messages == ["classify this"]
 
 
 def test_retry_appends_format_reminder(cb):
     prompt = full_prompt(cb)
     backend = ScriptedBackend(MOCK_CFG, ["no answer here", good_line(cb)])
-    vector, result = classify_with_retry(
+    outcome, failures, attempts = classify_with_retry(
         MOCK_CFG, RetryPolicy(), prompt, line_parser(cb), backend=backend
     )
-    assert isinstance(vector, LabelVector)
-    assert result.attempts == 2
+    assert outcome.ok and [f.reason for f in failures] == ["no-line-found"]
+    assert attempts == 2
     assert backend.messages[0] == prompt.text
     assert backend.messages[1] == f"{prompt.text}\n\n{prompt.format_reminder()}"
 
 
 def test_retry_budget_exhaustion(cb):
     backend = ScriptedBackend(MOCK_CFG, ["junk one", "junk two", "junk three"])
-    failure, result = classify_with_retry(
+    outcome, failures, attempts = classify_with_retry(
         MOCK_CFG, RetryPolicy(max_attempts=3), full_prompt(cb), line_parser(cb), backend=backend
     )
-    assert isinstance(failure, ClassificationFailure)
-    assert failure.reasons == ("no-line-found",) * 3
-    assert [raw for raw, _ in failure.attempts] == backend.texts
-    assert result.attempts == 3
+    assert not outcome.ok and outcome.failure == failures[-1]
+    assert [f.reason for f in failures] == ["no-line-found"] * 3
+    assert attempts == 3
 
 
 def test_reask_disabled_spends_one_attempt(cb):
     backend = ScriptedBackend(MOCK_CFG, ["junk", good_line(cb)])
     policy = RetryPolicy(max_attempts=1)
-    failure, result = classify_with_retry(
+    outcome, _, attempts = classify_with_retry(
         MOCK_CFG, policy, full_prompt(cb), line_parser(cb), backend=backend
     )
-    assert isinstance(failure, ClassificationFailure)
+    assert not outcome.ok
     assert len(backend.messages) == 1
-    assert result.attempts == 1
+    assert attempts == 1
 
 
-def test_retry_fingerprints_each_prompt_once(monkeypatch, cb):
+def audited_fingerprints(path) -> set[str]:
+    return {json.loads(line)["fingerprint"] for line in path.read_text().splitlines()}
+
+
+def test_retry_fingerprints_each_prompt_once(monkeypatch, tmp_path, cb):
     import themecoder.backends as backends
 
     fingerprints = []
@@ -401,20 +396,26 @@ def test_retry_fingerprints_each_prompt_once(monkeypatch, cb):
     )
     backend = ScriptedBackend(MOCK_CFG, ["junk", "junk", good_line(cb)])
     prompt = full_prompt(cb)
-    _, result = classify_with_retry(MOCK_CFG, RetryPolicy(), prompt, line_parser(cb), backend=backend)
-    assert result.attempts == 3
-    assert fingerprints == [cache_key(MOCK_CFG, prompt)] == [result.fingerprint]
+    with contextlib.closing(AuditLog(tmp_path / "audit.jsonl")) as audit:
+        _, _, attempts = classify_with_retry(
+            MOCK_CFG, RetryPolicy(), prompt, line_parser(cb), backend=backend, audit=audit
+        )
+    assert attempts == 3
+    assert fingerprints == [cache_key(MOCK_CFG, prompt)]
+    assert audited_fingerprints(tmp_path / "audit.jsonl") == set(fingerprints)
 
 
-def test_retry_uses_a_given_fingerprint_as_is(monkeypatch, cb):
+def test_retry_uses_a_given_fingerprint_as_is(monkeypatch, tmp_path, cb):
     import themecoder.backends as backends
 
     monkeypatch.setattr(backends, "cache_key", lambda cfg, prompt: pytest.fail("cache_key called"))
     backend = ScriptedBackend(MOCK_CFG, ["junk", good_line(cb)])
-    _, result = classify_with_retry(
-        MOCK_CFG, RetryPolicy(), full_prompt(cb), line_parser(cb), backend=backend, fingerprint="f" * 64
-    )
-    assert result.attempts == 2 and result.fingerprint == "f" * 64
+    with contextlib.closing(AuditLog(tmp_path / "audit.jsonl")) as audit:
+        _, _, attempts = classify_with_retry(
+            MOCK_CFG, RetryPolicy(), full_prompt(cb), line_parser(cb), backend=backend, audit=audit,
+            fingerprint="f" * 64,
+        )
+    assert attempts == 2 and audited_fingerprints(tmp_path / "audit.jsonl") == {"f" * 64}
 
 
 def test_retry_audit_records_parse_failures(tmp_path, cb):
@@ -509,19 +510,16 @@ def test_cache_hit_skips_backend(tmp_path, cb):
     cache = ResponseCache(tmp_path / "cache.jsonl")
     prompt = full_prompt(cb)
     live = ScriptedBackend(MOCK_CFG, ["junk", good_line(cb)])
-    vector, result = classify_with_retry(
+    answer = classify_with_retry(
         MOCK_CFG, RetryPolicy(), prompt, line_parser(cb), backend=live, cache=cache
     )
-    assert result.attempts == 2 and not result.cache_hit
-    replayed, cached_result = classify_with_retry(
+    assert answer[0].ok and answer[2] == 2
+    replayed = classify_with_retry(
         MOCK_CFG, RetryPolicy(), prompt, line_parser(cb),
         backend=ExplodingBackend(MOCK_CFG), cache=cache,
     )
     cache.close()
-    assert replayed == vector
-    assert cached_result.cache_hit
-    assert cached_result.attempts == 2
-    assert cached_result.latency == 0.0
+    assert replayed == answer
 
 
 def test_cache_stores_failures_too(tmp_path, cb):
@@ -529,18 +527,16 @@ def test_cache_stores_failures_too(tmp_path, cb):
     prompt = full_prompt(cb)
     policy = RetryPolicy(max_attempts=2)
     live = ScriptedBackend(MOCK_CFG, ["junk a", "junk b"])
-    failure, _ = classify_with_retry(
+    failure = classify_with_retry(
         MOCK_CFG, policy, prompt, line_parser(cb), backend=live, cache=cache
     )
-    assert isinstance(failure, ClassificationFailure)
-    again, result = classify_with_retry(
+    assert not failure[0].ok
+    again = classify_with_retry(
         MOCK_CFG, policy, prompt, line_parser(cb),
         backend=ExplodingBackend(MOCK_CFG), cache=cache,
     )
     cache.close()
-    assert isinstance(again, ClassificationFailure)
-    assert again.reasons == failure.reasons
-    assert result.cache_hit
+    assert again == failure
 
 
 def test_cache_respects_attempt_budget(tmp_path, cb):
@@ -550,12 +546,12 @@ def test_cache_respects_attempt_budget(tmp_path, cb):
     cache.put(fp, ["junk", good_line(cb)])
     cache.close()
     policy = RetryPolicy(max_attempts=1)
-    failure, result = classify_with_retry(
+    outcome, _, attempts = classify_with_retry(
         MOCK_CFG, policy, prompt, line_parser(cb),
         backend=ExplodingBackend(MOCK_CFG), cache=cache,
     )
-    assert isinstance(failure, ClassificationFailure)  # budget 1 never sees attempt 2
-    assert result.attempts == 1
+    assert not outcome.ok  # budget 1 never sees attempt 2
+    assert attempts == 1
 
 
 GOOD = object()  # stands for a line that parses
@@ -582,7 +578,7 @@ def test_cache_hit_writes_one_audit_line_and_makes_no_backend(monkeypatch, tmp_p
     cache = ResponseCache(tmp_path / "cache.jsonl")
     cache.put(fp, texts)
     audit = AuditLog(tmp_path / "audit.jsonl")
-    outcome, result = classify_with_retry(
+    outcome, failures, attempts = classify_with_retry(
         MOCK_CFG, RetryPolicy(max_attempts=max_attempts), prompt, line_parser(cb), cache=cache, audit=audit
     )
     audit.close()
@@ -591,15 +587,12 @@ def test_cache_hit_writes_one_audit_line_and_makes_no_backend(monkeypatch, tmp_p
     assert [{k: v for k, v in r.items() if k != "ts"} for r in records] == [
         {"fingerprint": fp, "attempt": decided, "status": "cache-hit", "kind": "mock-rules"}
     ]
-    assert result == CompletionResult(
-        raw_text=texts[decided - 1], attempts=decided, backend_kind="mock-rules",
-        latency=0.0, cache_hit=True, fingerprint=fp,
-    )
+    parsed = [line_parser(cb)(text) for text in texts[:decided]]
+    assert (outcome, failures, attempts) == (parsed[-1], [p.failure for p in parsed if not p.ok], decided)
     if stored[decided - 1] is GOOD:
-        assert isinstance(outcome, LabelVector) and outcome.positives() == ("B",)
+        assert outcome.vector == make_vector(cb, ("B",))
     else:
-        assert isinstance(outcome, ClassificationFailure)
-        assert [raw for raw, _ in outcome.attempts] == texts[:decided]
+        assert not outcome.ok and len(failures) == decided
     assert len((tmp_path / "cache.jsonl").read_text().splitlines()) == 1  # a hit adds no cache line
 
 
@@ -778,9 +771,7 @@ def test_remote_success_request_shape(monkeypatch, chat_server):
     monkeypatch.setenv("TC_TEST_KEY", "sekret-value-123")
     chat_server["responses"].append((200, chat_payload("A=[1]")))
     cfg = remote_cfg(chat_server["endpoint"])
-    result = complete(cfg, PROBE, retry=FAST_RETRY)
-    assert result.raw_text == "A=[1]"
-    assert result.backend_kind == "remote-chat"
+    assert complete(cfg, PROBE, retry=FAST_RETRY) == "A=[1]"
     (request,) = chat_server["requests"]
     assert request["auth"] == "Bearer sekret-value-123"
     assert request["type"] == "application/json"
@@ -807,9 +798,9 @@ def test_remote_retries_rate_limit_then_succeeds(monkeypatch, chat_server, tmp_p
     chat_server["responses"] += [(429, {}), (200, chat_payload("recovered"))]
     audit = AuditLog(tmp_path / "audit.jsonl")
     cfg = remote_cfg(chat_server["endpoint"])
-    result = complete(cfg, PROBE, retry=FAST_RETRY, audit=audit)
+    text = complete(cfg, PROBE, retry=FAST_RETRY, audit=audit)
     audit.close()
-    assert result.raw_text == "recovered"
+    assert text == "recovered"
     assert len(chat_server["requests"]) == 2
     log_text = (tmp_path / "audit.jsonl").read_text()
     records = [json.loads(l) for l in log_text.splitlines()]
@@ -970,7 +961,7 @@ def test_remote_honours_http_proxy_and_no_proxy(monkeypatch, chat_server):
     monkeypatch.setattr(socket, "getaddrinfo", lookup)
     monkeypatch.setenv("http_proxy", chat_server["endpoint"].removesuffix("/v1/chat/completions"))
     cfg = remote_cfg(f"http://{UNRESOLVABLE}/v1/chat/completions")
-    assert complete(cfg, PROBE, retry=FAST_RETRY).raw_text == "fallback"
+    assert complete(cfg, PROBE, retry=FAST_RETRY) == "fallback"
     (request,) = chat_server["requests"]
     assert request["path"] == cfg.endpoint  # a proxy is sent the absolute URL
     assert request["auth"] == "Bearer sekret-value-123"
@@ -1007,7 +998,7 @@ def test_remote_sends_proxy_credentials_with_the_bearer_token(proxy_env, chat_se
     proxy = chat_server["endpoint"].removesuffix("/v1/chat/completions").replace("//", f"//{PROXY_USERINFO}@")
     proxy_env.setenv("http_proxy", proxy)
     cfg = remote_cfg(f"http://{UNRESOLVABLE}/v1/chat/completions")
-    assert complete(cfg, PROBE, retry=FAST_RETRY).raw_text == "fallback"
+    assert complete(cfg, PROBE, retry=FAST_RETRY) == "fallback"
     (request,) = chat_server["requests"]
     assert request["path"] == cfg.endpoint
     assert request["proxy_auth"] == PROXY_AUTH
@@ -1071,7 +1062,7 @@ def test_remote_https_goes_through_one_authenticated_connect(proxy_env, chat_ser
     target = cfg.endpoint.split("/")[2]
     with tunnel_proxy() as (port, heads):
         proxy_env.setenv("https_proxy", f"http://{PROXY_USERINFO}@127.0.0.1:{port}")
-        assert complete(cfg, PROBE, retry=FAST_RETRY).raw_text == "fallback"
+        assert complete(cfg, PROBE, retry=FAST_RETRY) == "fallback"
     (head,) = heads
     request_line, *header_lines = head.split("\r\n")
     assert request_line.startswith(f"CONNECT {target} ")
@@ -1094,9 +1085,9 @@ def test_remote_cut_off_reply_is_transport_retry(monkeypatch, chat_server, tmp_p
     monkeypatch.setenv("TC_TEST_KEY", "sekret-value-123")
     chat_server["responses"] += [cut_short, (200, chat_payload("whole"))]
     audit = AuditLog(tmp_path / "audit.jsonl")
-    result = complete(remote_cfg(chat_server["endpoint"]), PROBE, retry=FAST_RETRY, audit=audit)
+    text = complete(remote_cfg(chat_server["endpoint"]), PROBE, retry=FAST_RETRY, audit=audit)
     audit.close()
-    assert result.raw_text == "whole"
+    assert text == "whole"
     assert len(chat_server["requests"]) == 2
     assert retry_details(tmp_path / "audit.jsonl") == ["IncompleteRead"]
 
@@ -1135,5 +1126,5 @@ def test_remote_https_trusts_the_system_store_or_ssl_cert_file(monkeypatch, chat
         complete(cfg, PROBE, retry=FAST_RETRY)
     assert chat_server["requests"] == []
     monkeypatch.setenv("SSL_CERT_FILE", str(TLS_CERT))
-    assert complete(cfg, PROBE, retry=FAST_RETRY).raw_text == "fallback"
+    assert complete(cfg, PROBE, retry=FAST_RETRY) == "fallback"
     assert len(chat_server["requests"]) == 1

@@ -11,7 +11,9 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from contextlib import contextmanager
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 import yaml
@@ -20,11 +22,12 @@ from conftest import FIXTURES, base_config, write_config
 
 from themecoder import jsonl, pipeline
 from themecoder.cli import main
-from themecoder.codebook import DEFAULT_CODEBOOK_PATH
+from themecoder.backends import BackendConfig, cache_key
+from themecoder.codebook import DEFAULT_CODEBOOK_PATH, load_codebook
 from themecoder.corpus import DEFAULT_KEYWORDS_PATH, SamplingSpec, dedup_clean, load_posts, sample_random
 from themecoder.jsonl import atomic_write
 from themecoder.pipeline import load_config
-from themecoder.prompting import load_template
+from themecoder.prompting import ShotPolicy, load_template, render_prompt
 
 DS2 = FIXTURES / "ds2_reference_metrics.csv"
 
@@ -305,6 +308,61 @@ def test_lone_surrogate_escape_in_a_yaml_input_exits(tmp_path, capsys, clean_cor
     err = capsys.readouterr().err
     tail = f"{noun} {bad}: a \\u escape gives a lone surrogate, not valid Unicode\n"
     assert err.startswith("error: ") and err.endswith(tail), err
+    assert not (run_dir / "results.jsonl").exists()
+
+
+@contextmanager
+def chat_endpoint(content: str):
+    """A chat endpoint on 127.0.0.1 that answers every request with ``content``."""
+    data = json.dumps({"choices": [{"message": {"content": content}}]}).encode()  # a lone surrogate as \ud800
+
+    class Chat(BaseHTTPRequestHandler):
+        def do_POST(self):
+            self.rfile.read(int(self.headers["Content-Length"]))
+            self.send_response(200)
+            self.send_header("Content-Length", str(len(data)))
+            self.end_headers()
+            self.wfile.write(data)
+
+        def log_message(self, *args):
+            pass
+
+    httpd = ThreadingHTTPServer(("127.0.0.1", 0), Chat)
+    thread = threading.Thread(target=httpd.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{httpd.server_port}/v1/chat/completions"
+    finally:
+        httpd.shutdown()
+        httpd.server_close()
+        thread.join()
+
+
+def test_remote_reply_holding_a_lone_surrogate_exits_three(tmp_path, capsys, monkeypatch, clean_corpus_path):
+    monkeypatch.setenv("TC_TEST_KEY", "k")
+    with chat_endpoint("A=0, B=1\ud800") as endpoint:
+        backend = {"kind": "remote-chat", "model": "m", "endpoint": endpoint, "credential_env": "TC_TEST_KEY"}
+        cfg_path, run_dir = write_cfg(tmp_path, clean_corpus_path, backend=backend)
+        assert main(["classify", "--config", str(cfg_path)]) == 3
+    err = capsys.readouterr().err
+    assert err == "error: malformed completion response: message content holds a lone surrogate, not valid Unicode\n"
+    ledger = [json.loads(line) for line in (run_dir / "ledger.jsonl").read_text(encoding="utf-8").splitlines()]
+    assert ledger[-1]["event"] == "abort"
+    assert not (run_dir / "cache.jsonl").exists()
+
+
+def test_replay_script_holding_a_lone_surrogate_exits_one(tmp_path, capsys, clean_corpus_path):
+    script = tmp_path / "script.json"
+    cfg_path, run_dir = write_cfg(
+        tmp_path, clean_corpus_path, backend={"kind": "replay", "model": "r", "replay_path": str(script)}
+    )
+    first = load_posts(clean_corpus_path).posts[0]
+    prompt = render_prompt(first, load_codebook(), load_template(), ShotPolicy(shots=0))
+    fingerprint = cache_key(BackendConfig(kind="replay", model="r", replay_path=str(script)), prompt)
+    script.write_text(json.dumps({fingerprint: ["A=0\ud800"] * 3}), encoding="utf-8")  # written as \ud800
+    assert main(["classify", "--config", str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: replay script {script}: a \\u escape gives a lone surrogate, not valid Unicode\n"
     assert not (run_dir / "results.jsonl").exists()
 
 

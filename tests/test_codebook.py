@@ -1,4 +1,4 @@
-"""Codebook structure, label vectors, validation, and gold label loading."""
+"""Codebook structure, label matrices, validation, and gold label loading."""
 
 from __future__ import annotations
 
@@ -14,7 +14,6 @@ from themecoder.codebook import (
     Codebook,
     Exemplar,
     LabelMatrix,
-    LabelVector,
     ThemeDef,
     lint_null_conflict,
     load_codebook,
@@ -57,8 +56,8 @@ def test_default_exemplar_pool(cb):
     pool = cb.exemplars
     assert len(pool) >= 2
     for ex in pool:
-        vec = ex.vector(cb.alphabet)  # total assignment, must not raise
-        assert set(vec.codes) == set(ALPHABET)
+        assert set(ex.labels) == set(ALPHABET)  # a total assignment
+        assert set(map(type, ex.labels.values())) == {int}
     # pool order is theme order then file order, so re-deriving it matches
     rebuilt = [e for t in cb.themes for e in t.exemplars]
     assert list(pool) == rebuilt
@@ -70,35 +69,7 @@ def test_theme_lookup(cb):
         cb.theme("Z")
 
 
-# --- label vectors ----------------------------------------------------------------
-
-
-def test_vector_basics(cb):
-    vec = make_vector(cb, positives=("A", "C"))
-    assert vec.positives() == ("A", "C")
-    assert vec["A"] == 1 and vec["B"] == 0
-    assert vec.as_dict()["C"] == 1
-    assert hash(vec) == hash(make_vector(cb, positives=("A", "C")))
-    with pytest.raises(KeyError):
-        vec["Z"]
-
-
-def test_vector_shape_errors():
-    with pytest.raises(DataError, match="2 codes but 1 values"):
-        LabelVector(codes=("A", "B"), values=(1,))
-    with pytest.raises(DataError, match="not unique"):
-        LabelVector(codes=("A", "A"), values=(0, 1))
-    with pytest.raises(DataError, match="must be 0 or 1"):
-        LabelVector(codes=("A",), values=(2,))
-
-
-def test_vector_from_mapping_totality(cb):
-    with pytest.raises(DataError, match="missing code.*X"):
-        LabelVector.from_mapping({c: 0 for c in "ABCDEFGHIJKL"}, cb.alphabet)
-    full = {c: 0 for c in cb.alphabet}
-    with pytest.raises(DataError, match="unknown code.*Z"):
-        LabelVector.from_mapping({**full, "Z": 1}, cb.alphabet)
-    assert cb.vector(full).values == (0,) * 13
+# --- label matrices ----------------------------------------------------------------
 
 
 def test_label_matrix_rows_must_be_0_or_1():

@@ -817,7 +817,7 @@ def test_fixture_scale_evaluation(fixtures_dir, corpus50, cb, clean_corpus_path)
     clean = load_posts(clean_corpus_path)
     gold = load_gold(fixtures_dir / "gold_clean.csv", clean, cb)
     preds = LabelMatrix.from_rows(
-        [post.id for post in clean], [cb.vector(mock_rule_vector(post.body, cb.alphabet)).values for post in clean],
+        [post.id for post in clean], [list(mock_rule_vector(post.body, cb.alphabet).values()) for post in clean],
         cb.alphabet,
     )
     report = evaluate_predictions(gold, preds, cb, label="fixture")

@@ -65,10 +65,10 @@ cfg = BackendConfig(
     endpoint=f"http://127.0.0.1:{httpd.server_port}/v1/chat/completions",
 )
 prompt = RenderedPrompt(text="PROBE", template_version="v1", shots=0, target=("A",), post_id="p1")
-vector, result = classify_with_retry(cfg, RetryPolicy(), prompt, lambda raw: parse_single_answer(raw, "A"))
+outcome, _, _ = classify_with_retry(cfg, RetryPolicy(), prompt, lambda raw: parse_single_answer(raw, "A"))
 httpd.shutdown()
 httpd.server_close()
-assert vector.values == (1,), vector
+assert outcome.vector == {"A": 1}, outcome
 """
 
 

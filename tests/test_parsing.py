@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from conftest import make_vector
-from themecoder.codebook import LabelVector
 from themecoder.parsing import (
     FAILURE_REASONS,
     PARSE_MODES,
@@ -52,7 +51,7 @@ def test_outcome_invariants(cb):
 def test_strict_accepts_exact_line(cb):
     outcome = parse_single_line(CANONICAL, cb, mode="strict")
     assert outcome.ok
-    assert outcome.vector.positives() == ("B", "K")
+    assert outcome.vector == make_vector(cb, ("B", "K"))
     padded = parse_single_line(f"  {CANONICAL}  \n", cb, mode="strict")
     assert padded.ok
 
@@ -101,7 +100,7 @@ def test_strict_failure_details(cb):
 def test_lenient_acceptance(cb, text):
     outcome = parse_single_line(text, cb)
     assert outcome.ok
-    assert outcome.vector.positives() == ("B", "K")
+    assert outcome.vector == make_vector(cb, ("B", "K"))
 
 
 def test_lenient_is_case_sensitive(cb):
@@ -121,7 +120,7 @@ def test_lenient_prefers_first_complete_clean_line(cb):
     text = f"A=1, B=0\n{CANONICAL}"
     outcome = parse_single_line(text, cb)
     assert outcome.ok
-    assert outcome.vector.positives() == ("B", "K")
+    assert outcome.vector == make_vector(cb, ("B", "K"))
     # a duplicated line is skipped in favor of a later clean one
     recovered = parse_single_line(f"{CANONICAL}, A=0\n{CANONICAL}", cb)
     assert recovered.ok
@@ -149,7 +148,7 @@ def test_lenient_canonical_line_keeps_scan_order(cb, before, reason):
     if reason is None:
         assert outcome.ok
         expected = ("B",) if before.startswith("A=0,B=1") else ("B", "K")
-        assert outcome.vector.positives() == expected
+        assert outcome.vector == make_vector(cb, expected)
     else:
         assert outcome.failure.reason == reason
         assert "B" in outcome.failure.detail and "'2'" in outcome.failure.detail
@@ -181,17 +180,17 @@ def test_round_trip_seeded(cb):
     rng = np.random.default_rng(13)
     for _ in range(60):
         values = tuple(int(v) for v in rng.integers(0, 2, size=13))
-        vec = LabelVector(codes=cb.alphabet, values=values)
+        vec = dict(zip(cb.alphabet, values))
         line = canonical_line(vec, cb)
         for mode in PARSE_MODES:
             outcome = parse_single_line(line, cb, mode=mode)
-            assert outcome.ok and outcome.vector.values == values
+            assert outcome.ok and tuple(outcome.vector.values()) == values
         wrapped = f"Classification below.\n{line}\nDone."
-        assert parse_single_line(wrapped, cb).vector.values == values
+        assert tuple(parse_single_line(wrapped, cb).vector.values()) == values
         for code, value in zip(cb.alphabet, values):
             answer = render_answer(code, value)
             for mode in PARSE_MODES:
-                assert parse_single_answer(answer, code, mode=mode).vector.values == (value,)
+                assert parse_single_answer(answer, code, mode=mode).vector == {code: value}
 
 
 # --- per-theme answer grammar ------------------------------------------------------
@@ -201,8 +200,7 @@ def test_round_trip_seeded(cb):
 def test_single_answer_strict_accepts(text, value):
     outcome = parse_single_answer(text, "A", mode="strict")
     assert outcome.ok
-    assert outcome.vector.codes == ("A",)
-    assert outcome.vector["A"] == value
+    assert outcome.vector == {"A": value}
 
 
 @pytest.mark.parametrize(
@@ -246,18 +244,18 @@ def test_single_answer_non_binary_lenient():
 
 def test_assemble_success(cb):
     outcomes = {
-        c: ParseOutcome.success(LabelVector(codes=(c,), values=(1 if c in "AD" else 0,)))
+        c: ParseOutcome.success({c: 1 if c in "AD" else 0})
         for c in cb.alphabet
     }
     merged = assemble_per_theme(outcomes, cb)
     assert merged.ok
-    assert merged.vector.codes == cb.alphabet
-    assert merged.vector.positives() == ("A", "D")
+    assert tuple(merged.vector) == cb.alphabet
+    assert merged.vector == make_vector(cb, ("A", "D"))
 
 
 def test_assemble_propagates_failures(cb):
     outcomes = {
-        c: ParseOutcome.success(LabelVector(codes=(c,), values=(0,)))
+        c: ParseOutcome.success({c: 0})
         for c in cb.alphabet
     }
     outcomes["C"] = ParseOutcome.fail("no-line-found", "no assignment for code C")
@@ -271,7 +269,7 @@ def test_assemble_propagates_failures(cb):
 
 def test_assemble_requires_every_code(cb):
     outcomes = {
-        c: ParseOutcome.success(LabelVector(codes=(c,), values=(0,)))
+        c: ParseOutcome.success({c: 0})
         for c in cb.alphabet[:-1]
     }
     merged = assemble_per_theme(outcomes, cb)

@@ -21,6 +21,7 @@ import subprocess
 import sys
 import threading
 import time
+from collections import Counter
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
@@ -28,7 +29,7 @@ import pytest
 
 from conftest import FIXTURES, base_config, write_config
 
-from themecoder import evaluation, pipeline
+from themecoder import backends, evaluation, pipeline
 from themecoder.backends import (
     BackendConfig,
     MockRulesBackend,
@@ -855,6 +856,53 @@ def test_classify_bytes_are_pinned(tmp_path, clean_corpus_path, cb):
         (hit.output_dir / "cache.jsonl").write_bytes((live.output_dir / "cache.jsonl").read_bytes())
         cmd_classify(hit)
     assert {name: run_digests(cfg.output_dir) for name, cfg in runs.items()} == CLASSIFY_SHA256
+
+
+def counted(calls: Counter, name: str, fn):
+    """``fn``, counting its calls under ``name``, as the benchmark's tracer wraps it."""
+
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+
+    return wrapper
+
+
+def test_classify_calls_the_traced_names_once_per_attempt_and_frame(tmp_path, monkeypatch, clean_corpus_path, cb):
+    # perfbench reads attempts and frames off these two names; a call that
+    # bypassed either would zero or skew its counts
+    calls = Counter()
+    monkeypatch.setattr(backends, "complete", counted(calls, "complete", backends.complete))
+    monkeypatch.setattr(
+        pipeline, "classify_with_retry", counted(calls, "classify_with_retry", pipeline.classify_with_retry)
+    )
+    corpus = load_posts(clean_corpus_path)
+    script_path = tmp_path / "script.json"
+    bcfg = BackendConfig(kind="replay", model="replay-model", replay_path=str(script_path))
+    script = {}
+    for i, post in enumerate(corpus.posts):
+        vec = mock_rule_vector(post.body, cb.alphabet)
+        for rp in per_theme_prompts(post, cb):
+            (code,) = rp.target
+            answer = f"{code}=[{vec[code]}]"
+            reasks = {0: ["no answer here"] * 3, 1: ["no answer here", answer]}.get(i, [answer])
+            script[cache_key(bcfg, rp)] = reasks if code == "C" else [answer]
+    script_path.write_text(json.dumps(script), encoding="utf-8")
+    extra = {"prompting": {"template_version": "v1-per-theme"}, "retry": {"max_attempts": 3}}
+
+    live = replay_cfg(tmp_path, clean_corpus_path, script_path, name="live", **extra)
+    (store,) = cmd_classify(live)
+    audit = [json.loads(line) for line in (live.output_dir / "audit.jsonl").read_text(encoding="utf-8").splitlines()]
+    ok = sum(rec["status"] == "ok" for rec in audit)
+    assert ok == sum(rec["attempts"] for rec in store.records) == 13 * 18 + 2 + 1
+    assert (calls["complete"], calls["classify_with_retry"]) == (ok, 13 * 18)
+
+    calls.clear()
+    hit = replay_cfg(tmp_path, clean_corpus_path, script_path, name="hit", **extra)
+    hit.output_dir.mkdir()
+    (hit.output_dir / "cache.jsonl").write_bytes((live.output_dir / "cache.jsonl").read_bytes())
+    cmd_classify(hit)
+    assert (calls["complete"], calls["classify_with_retry"]) == (0, 13 * 18)
 
 
 def test_classify_byte_identity_across_runs(tmp_path, clean_corpus_path):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import logging
 from dataclasses import asdict, replace
 from datetime import datetime, timezone
 
@@ -11,6 +12,7 @@ import pytest
 
 from conftest import make_vector
 from themecoder.backends import BackendConfig, cache_key, frame_fingerprints
+from themecoder.codebook import DEFAULT_CODEBOOK_PATH, load_codebook
 from themecoder.corpus import Post
 from themecoder.errors import ConfigError, DataError
 from themecoder.prompting import (
@@ -127,10 +129,8 @@ def test_canonical_line_exact(cb):
 
 
 def test_canonical_line_requires_full_alphabet(cb):
-    from themecoder.codebook import LabelVector
-
     with pytest.raises(DataError, match="missing code"):
-        canonical_line(LabelVector(codes=("A", "B"), values=(1, 0)), cb)
+        canonical_line({"A": 1, "B": 0}, cb)
 
 
 def test_format_reminder_strings(cb):
@@ -170,8 +170,36 @@ def test_v3_shots_section(cb):
     assert shot.shots == 1
     assert "Examples:" in shot.text
     # the worked answer is the exemplar's canonical line
-    line = canonical_line(cb.exemplars[4].vector(cb.alphabet), cb)
+    line = canonical_line(cb.exemplars[4].labels, cb)
     assert line in shot.text
+
+
+FIRST_LABELS = "labels: {A: 1, B: 0, C: 1, D: 1, "  # the first exemplar of the shipped codebook
+SECOND_LABELS = "labels: {A: 0, B: 0, C: 0, D: 0, E: 1, F: 0, G: 1, H: 0, I: 0, J: 0, K: 0, L: 0, X: 0}"
+
+
+def test_exemplar_labels_written_as_yaml_true_or_floats_render_as_0_and_1(tmp_path, cb, caplog):
+    # true, 1.0 and 0.0 equal 1 and 0, so they pass validation; they must render as the digits
+    text = DEFAULT_CODEBOOK_PATH.read_text(encoding="utf-8")
+    assert text.count(FIRST_LABELS) == text.count(SECOND_LABELS) == 1
+    book = tmp_path / "codebook.yaml"
+    book.write_text(
+        text.replace(FIRST_LABELS, "labels: {A: true, B: 0.0, C: 1.0, D: 1, ")
+        .replace(SECOND_LABELS, SECOND_LABELS.replace("E: 1", "E: 1.0").replace("X: 0", "X: true")),
+        encoding="utf-8",
+    )
+    with caplog.at_level(logging.WARNING, logger="themecoder.codebook"):
+        loose = load_codebook(book)
+    lint = [r.getMessage() for r in caplog.records if "sets the null code" in r.getMessage()]
+    assert lint == ["codebook exemplar 1 sets the null code alongside a substantive code"]
+
+    first = ShotPolicy(shots=1, selection=(0,))
+    v3 = render_one(loose, policy=first)
+    assert "Classification:\nA=1, B=0, C=1, D=1, E=0, F=0, G=0, H=0, I=0, J=0, K=0, L=0, X=0" in v3.text
+    assert v3 == render_one(cb, policy=first)
+    v1 = render_one(loose, version="v1-per-theme", policy=first)
+    assert [rp.text.count(f"Answer:\n{rp.target[0]}=[{v}]") for rp, v in zip(v1[:3], (1, 0, 1))] == [1, 1, 1]
+    assert v1 == render_one(cb, version="v1-per-theme", policy=first)
 
 
 def test_title_inclusion(cb):
