@@ -20,12 +20,13 @@ import os
 import threading
 import time
 from dataclasses import dataclass
-from functools import lru_cache
+from contextlib import closing, nullcontext
+from functools import lru_cache, partial
 from hashlib import sha256
 from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
-from urllib.parse import urlsplit
+from urllib.parse import unquote, urlsplit
 
 from .errors import BackendError, ConfigError, DataError
 from .jsonl import JsonLines, holds_surrogate, read_text
@@ -292,6 +293,7 @@ def mock_rule_vector(post_text: str, codes: Sequence[str]) -> dict[str, int]:
 class _BaseBackend:
     kind = "base"
     waits_on_io = False  # True when calls wait on the network, so threads can overlap them
+    audit: AuditLog | None = None  # where a backend logs what happens within one call, such as a retry
 
     def __init__(self, cfg: BackendConfig) -> None:
         self.cfg = cfg
@@ -305,6 +307,9 @@ class _BaseBackend:
 
     def _raw(self, message: str, prompt: RenderedPrompt, fingerprint: str, attempt: int) -> str:
         raise NotImplementedError
+
+    def close(self) -> None:
+        """Release what the backend holds open; local backends hold nothing."""
 
 
 class MockRulesBackend(_BaseBackend):
@@ -352,37 +357,73 @@ class ReplayBackend(_BaseBackend):
 
 
 class RemoteChatBackend(_BaseBackend):
-    """POSTs to ``cfg.endpoint`` through one urllib opener, one connection
-    per request. Proxies come from the environment; netrc is not read, and
-    a redirect is never followed, so the credential goes to the endpoint only."""
+    """POSTs to ``cfg.endpoint`` over kept-alive HTTP/1.1 connections.
+
+    A request takes an idle connection, or opens one, reads the whole reply
+    and puts the connection back for the next request, so a backend holds at
+    most ``in_flight_limit`` connections; ``close`` closes them all. A reused
+    connection that the server has closed meanwhile fails before any byte of
+    the reply arrives; it is reopened and the request sent once more, with a
+    ``reconnect`` audit line. Proxies come from the environment, read once
+    here; netrc is not read, and a redirect is never followed, so the
+    credential goes to the endpoint only."""
 
     kind = "remote-chat"
     waits_on_io = True
 
     def __init__(self, cfg: BackendConfig, retry: RetryPolicy | None = None, audit: AuditLog | None = None) -> None:
-        # imported here, not at module level: urllib.request loads ssl, which
-        # offline runs never need
+        # imported here, not at module level: offline runs never need the
+        # HTTP client or ssl
+        import base64
         import http.client
+        import socket
         import ssl
-        import urllib.request
+        from urllib.request import getproxies, proxy_bypass
 
         super().__init__(cfg)
         self.retry = retry or RetryPolicy()
         self.audit = audit
-        # one context for every connection: building one loads the trust store
-        context = ssl.create_default_context() if urlsplit(cfg.endpoint).scheme == "https" else None
-        # no HTTPErrorProcessor or HTTPRedirectHandler: every status, a 3xx
-        # included, comes back as the reply itself
-        self._opener = urllib.request.OpenerDirector()
-        for handler in (
-            urllib.request.ProxyHandler(),
-            urllib.request.UnknownHandler(),
-            urllib.request.HTTPHandler(),
-            urllib.request.HTTPSHandler(context=context),
-        ):
-            self._opener.add_handler(handler)
-        self._request = urllib.request.Request
+        endpoint = urlsplit(cfg.endpoint)
+        host, tls, tunnel = endpoint.netloc, endpoint.scheme == "https", None
+        self._target = endpoint.path + (f"?{endpoint.query}" if endpoint.query else "")
+        self._headers = {"Content-Type": "application/json"}
+        proxy = getproxies().get(endpoint.scheme)
+        if proxy and not proxy_bypass(endpoint.netloc):
+            via = urlsplit(proxy if "://" in proxy else f"{endpoint.scheme}://{proxy}")
+            host = via.netloc.rpartition("@")[2]
+            auth = {}
+            if via.username and via.password:
+                userpass = f"{unquote(via.username)}:{unquote(via.password)}".encode()
+                auth["Proxy-Authorization"] = f"Basic {base64.b64encode(userpass).decode('ascii')}"
+            if tls:  # a CONNECT tunnel: only the proxy sees its credentials
+                tunnel = endpoint.netloc, auth
+            else:  # the proxy is sent the absolute URL
+                self._target = cfg.endpoint.partition("#")[0]
+                self._headers.update(auth)
+                tls = via.scheme == "https"
+        if tls:  # one context for every connection: building one loads the trust store
+            self._connection = partial(
+                http.client.HTTPSConnection, host, timeout=cfg.timeout, context=ssl.create_default_context()
+            )
+        else:
+            self._connection = partial(http.client.HTTPConnection, host, timeout=cfg.timeout)
+        self._tunnel = tunnel
+        # After each send the socket acknowledges at once. A server that writes
+        # a reply's head and body as two sends with Nagle's algorithm on holds
+        # the body back until the head is acknowledged, and on a kept-alive
+        # connection a delayed ACK makes that wait up to 40 ms.
+        quickack = getattr(socket, "TCP_QUICKACK", None)
+        self._quickack = (socket.IPPROTO_TCP, quickack, 1) if quickack is not None else None
         self._transport_errors = (OSError, http.client.HTTPException)
+        self._pool_lock = threading.Lock()
+        self._idle: list = []  # connections no request is using
+        self._opened: list = []  # every connection made, for close()
+
+    def close(self) -> None:
+        """Close every connection this backend opened."""
+        with self._pool_lock:
+            for conn in self._opened:
+                conn.close()
 
     def _credential(self) -> str:
         secret = os.environ.get(self.cfg.credential_env, "")
@@ -391,6 +432,45 @@ class RemoteChatBackend(_BaseBackend):
                 f"credential environment variable {self.cfg.credential_env!r} is not set"
             )
         return secret
+
+    def _send(self, conn, data: bytes, headers: dict):
+        conn.request("POST", self._target, data, headers)
+        if self._quickack is not None:
+            conn.sock.setsockopt(*self._quickack)
+        return conn.getresponse()
+
+    def _exchange(self, data: bytes, headers: dict, fingerprint: str, attempt: int) -> tuple[int, str | None, bytes]:
+        """Send one request and read its whole reply: ``(status, Location, body)``.
+        A transport error closes the connection before it goes back idle."""
+        with self._pool_lock:
+            conn = self._idle.pop() if self._idle else None
+        if conn is None:
+            conn = self._connection()
+            if self._tunnel is not None:
+                conn.set_tunnel(self._tunnel[0], headers=self._tunnel[1])
+            with self._pool_lock:
+                self._opened.append(conn)
+        try:
+            reused = conn.sock is not None
+            try:
+                resp = self._send(conn, data, headers)
+            except (BrokenPipeError, ConnectionResetError) as exc:  # http.client's RemoteDisconnected included
+                if not reused:
+                    raise
+                conn.close()
+                if self.audit is not None:
+                    self.audit.append(
+                        fingerprint=fingerprint, attempt=attempt, status="reconnect",
+                        detail=type(exc).__name__, kind=self.kind,
+                    )
+                resp = self._send(conn, data, headers)
+            return resp.status, resp.headers.get("Location"), resp.read()
+        except BaseException:
+            conn.close()
+            raise
+        finally:
+            with self._pool_lock:
+                self._idle.append(conn)
 
     def _raw(self, message: str, prompt: RenderedPrompt, fingerprint: str, attempt: int) -> str:
         secret = self._credential()  # resolved before any network activity
@@ -402,17 +482,14 @@ class RemoteChatBackend(_BaseBackend):
                 "max_tokens": self.cfg.max_output_tokens,
             }
         ).encode("utf-8")
-        headers = {"Authorization": f"Bearer {secret}", "Content-Type": "application/json"}
+        headers = {**self._headers, "Authorization": f"Bearer {secret}"}
         delay = self.retry.backoff_initial
         last_status: object = None
         for i in range(self.retry.transport_retries + 1):
-            request = self._request(self.cfg.endpoint, data=data, headers=headers, method="POST")
             try:
-                with self._opener.open(request, timeout=self.cfg.timeout) as resp:
-                    status, location, reply = resp.status, resp.headers.get("Location"), resp.read()
+                status, location, reply = self._exchange(data, headers, fingerprint, attempt)
             except self._transport_errors as exc:
-                reason = getattr(exc, "reason", None)  # the error a URLError wraps
-                last_status = type(reason if isinstance(reason, Exception) else exc).__name__
+                last_status = type(exc).__name__
             else:
                 if status in (401, 403):
                     raise BackendError(f"authentication failed (HTTP {status})")
@@ -469,13 +546,14 @@ def complete(
     fingerprint: str | None = None,
 ) -> str:
     """Issue one completion request and return the verbatim reply text;
-    ``fingerprint`` defaults to ``cache_key(cfg, prompt)``."""
-    be = backend if backend is not None else make_backend(cfg, retry=retry, audit=audit)
+    ``fingerprint`` defaults to ``cache_key(cfg, prompt)``. Without
+    ``backend``, one is built for this call and closed after it."""
     fp = fingerprint if fingerprint is not None else cache_key(cfg, prompt)
     text = message if message is not None else prompt.text
-    started = time.monotonic()
-    raw = be.call(text, prompt, fp, attempt)
-    latency = time.monotonic() - started
+    with closing(make_backend(cfg, retry=retry, audit=audit)) if backend is None else nullcontext(backend) as be:
+        started = time.monotonic()
+        raw = be.call(text, prompt, fp, attempt)
+        latency = time.monotonic() - started
     if audit is not None:
         audit.append(fingerprint=fp, attempt=attempt, status="ok", latency=latency, kind=be.kind)
     return raw
@@ -508,8 +586,11 @@ def classify_with_retry(
     """
     fp = fingerprint if fingerprint is not None else cache_key(cfg, prompt)
     stored = cache.get(fp) if cache is not None else None  # a hit replays these instead of calling
-    if stored is None and backend is None:
-        backend = make_backend(cfg, retry=policy, audit=audit)
+    if stored is None and backend is None:  # a backend built for this prompt closes after it
+        with closing(make_backend(cfg, retry=policy, audit=audit)) as backend:
+            return classify_with_retry(
+                cfg, policy, prompt, parser, backend=backend, cache=cache, audit=audit, fingerprint=fp
+            )
     texts: list[str] = []
     failures: list[ParseFailure] = []
     for attempt in range(1, policy.max_attempts + 1):

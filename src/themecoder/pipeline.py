@@ -747,9 +747,11 @@ def cmd_classify(cfg: RunConfig, *, resume: bool = False) -> list[ResultsStore]:
         include_title=cfg.include_title,
         exemplar_budget=cfg.exemplar_budget,
     )
+    backend = make_backend(cfg.backend, retry=cfg.retry)  # so does a bad replay script
     manifest = build_manifest(cfg, tpl.scaffold)
 
-    with RunLock(run_dir), ExitStack() as run_files:  # files close after the pool has drained
+    with RunLock(run_dir), ExitStack() as run_files:  # files and connections close after the pool has drained
+        run_files.enter_context(closing(backend))
         manifest_path = run_dir / "manifest.json"
         if manifest_path.exists():
             try:
@@ -768,7 +770,7 @@ def cmd_classify(cfg: RunConfig, *, resume: bool = False) -> list[ResultsStore]:
 
         ledger = run_files.enter_context(closing(RunLedger(run_dir / "ledger.jsonl")))
         ledger.events()  # finds a torn last line, cut off before the next event
-        audit = run_files.enter_context(closing(AuditLog(run_dir / "audit.jsonl")))
+        audit = backend.audit = run_files.enter_context(closing(AuditLog(run_dir / "audit.jsonl")))
         stores: list[ResultsStore] = []
         for r in range(1, cfg.repeats + 1):
             suffix = "" if cfg.repeats == 1 else f"_r{r}"
@@ -786,7 +788,6 @@ def cmd_classify(cfg: RunConfig, *, resume: bool = False) -> list[ResultsStore]:
             ledger.append(
                 {"event": "start", "run_index": r, "total": len(corpus), "pending": len(pending)}
             )
-            backend = make_backend(cfg.backend, retry=cfg.retry, audit=audit)
             classify = _prompt_classifier(cfg, cb, render.frames, backend, cache, audit)
             classify_one = partial(_classify_one, cb=cb, render=render, classify=classify, cfg=cfg)
             try:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import time
 from pathlib import Path
 
 import pytest
@@ -41,6 +42,14 @@ def clean_oracle_ids() -> list[str]:
 def make_vector(cb: Codebook, positives=()) -> dict[str, int]:
     """The ``{code: 0|1}`` mapping over ``cb.alphabet`` with ``positives`` set."""
     return {code: 1 if code in positives else 0 for code in cb.alphabet}
+
+
+def all_closed(server_state: dict) -> bool:
+    """Whether a test server's ``open`` connection count falls to 0 within two seconds."""
+    deadline = time.monotonic() + 2.0
+    while server_state["open"] and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return server_state["open"] == 0
 
 
 def write_config(path: Path, **sections) -> Path:

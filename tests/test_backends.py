@@ -7,13 +7,14 @@ import dataclasses
 import json
 import socket
 import ssl
+import sys
 import threading
 import time
 import tracemalloc
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
-from conftest import FIXTURES, base_config, make_vector, write_config
+from conftest import FIXTURES, all_closed, base_config, make_vector, write_config
 
 from themecoder.backends import (
     BACKEND_KINDS,
@@ -33,7 +34,7 @@ from themecoder.backends import (
     mock_rule_vector,
 )
 from themecoder.errors import BackendError, ConfigError
-from themecoder.parsing import parse_single_line
+from themecoder.parsing import parse_single_answer, parse_single_line
 from themecoder.pipeline import load_config
 from themecoder.prompting import RenderedPrompt, ShotPolicy, load_template, render_prompt
 
@@ -696,10 +697,30 @@ TLS_KEY = FIXTURES / "tls_key.pem"
 def chat_server(request):
     """A chat endpoint that serves ``responses`` in order: (HTTP status,
     payload) pairs, or a callable that writes the whole reply itself.
-    Parametrized with "tls", it serves https with ``TLS_CERT``."""
-    state = {"requests": [], "responses": []}
+    Parametrized with "tls", it serves https with ``TLS_CERT``. It answers
+    in HTTP/1.0 and closes after each reply; with ``keep_alive`` set it
+    answers in HTTP/1.1 and keeps the connection for the next request.
+    It counts the connections it accepted and those still open."""
+    state = {"requests": [], "responses": [], "keep_alive": False, "connections": 0, "open": 0}
+    lock = threading.Lock()
 
     class Handler(BaseHTTPRequestHandler):
+        def setup(self):
+            if state["keep_alive"]:
+                self.protocol_version = "HTTP/1.1"
+                self.timeout = 5  # a connection the client leaves open ends the wait, not the test run
+            with lock:
+                state["connections"] += 1
+                state["open"] += 1
+            super().setup()
+
+        def finish(self):
+            try:
+                super().finish()
+            finally:
+                with lock:
+                    state["open"] -= 1
+
         def do_POST(self):
             length = int(self.headers.get("Content-Length", 0))
             body = json.loads(self.rfile.read(length) or b"{}")
@@ -1128,3 +1149,92 @@ def test_remote_https_trusts_the_system_store_or_ssl_cert_file(monkeypatch, chat
     monkeypatch.setenv("SSL_CERT_FILE", str(TLS_CERT))
     assert complete(cfg, PROBE, retry=FAST_RETRY) == "fallback"
     assert len(chat_server["requests"]) == 1
+
+
+# --- kept-alive connections -----------------------------------------------------------
+
+
+def test_remote_complete_and_classify_with_retry_close_a_backend_they_build(monkeypatch, chat_server):
+    monkeypatch.setenv("TC_TEST_KEY", "sekret-value-123")
+    chat_server["keep_alive"] = True
+    chat_server["responses"] += [(200, chat_payload("A=[1]")), (200, chat_payload("A=[0]"))]
+    cfg = remote_cfg(chat_server["endpoint"])
+    assert complete(cfg, PROBE, retry=FAST_RETRY) == "A=[1]"
+    assert all_closed(chat_server)
+    outcome, _, _ = classify_with_retry(cfg, FAST_RETRY, PROBE, lambda raw: parse_single_answer(raw, "A"))
+    assert outcome.vector == {"A": 0}
+    assert all_closed(chat_server)
+    assert chat_server["connections"] == 2
+
+
+def test_remote_workers_share_idle_connections_without_a_lost_update(monkeypatch, chat_server, tmp_path):
+    monkeypatch.setenv("TC_TEST_KEY", "sekret-value-123")
+    chat_server["keep_alive"] = True
+    cfg = dataclasses.replace(remote_cfg(chat_server["endpoint"]), in_flight_limit=3)
+    audit = AuditLog(tmp_path / "audit.jsonl")
+    backend = make_backend(cfg, retry=FAST_RETRY, audit=audit)
+
+    def worker():
+        for _ in range(25):
+            complete(cfg, PROBE, backend=backend, audit=audit)
+
+    threads = [threading.Thread(target=worker) for _ in range(8)]  # more workers than slots and cores
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with contextlib.closing(backend):
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    audit.close()
+    assert not any(t.is_alive() for t in threads)
+    statuses = [json.loads(line)["status"] for line in (tmp_path / "audit.jsonl").read_text().splitlines()]
+    assert statuses == ["ok"] * 200  # two requests on one connection at once would fail and retry
+    assert chat_server["connections"] <= 3
+    assert all_closed(chat_server)
+
+
+def cut_short_and_hang_up(handler):
+    """``cut_short`` on a kept-alive connection: the server hangs up after it."""
+    cut_short(handler)
+    handler.close_connection = True
+
+
+def test_remote_reply_cut_off_on_a_reused_connection_is_a_transport_retry_not_a_reconnect(
+    monkeypatch, chat_server, tmp_path
+):
+    monkeypatch.setenv("TC_TEST_KEY", "sekret-value-123")
+    chat_server["keep_alive"] = True
+    chat_server["responses"] += [(200, chat_payload("first")), cut_short_and_hang_up, (200, chat_payload("whole"))]
+    audit = AuditLog(tmp_path / "audit.jsonl")
+    cfg = remote_cfg(chat_server["endpoint"])
+    with contextlib.closing(make_backend(cfg, retry=FAST_RETRY, audit=audit)) as backend:
+        assert complete(cfg, PROBE, backend=backend) == "first"
+        assert complete(cfg, PROBE, backend=backend) == "whole"  # the cut reply came on the reused connection
+    audit.close()
+    assert len(chat_server["requests"]) == 3  # the cut request was sent once
+    assert chat_server["connections"] == 2
+    statuses = [json.loads(line)["status"] for line in (tmp_path / "audit.jsonl").read_text().splitlines()]
+    assert "reconnect" not in statuses
+    assert retry_details(tmp_path / "audit.jsonl") == ["IncompleteRead"]
+
+
+@pytest.mark.skipif(not hasattr(socket, "TCP_QUICKACK"), reason="socket has no TCP_QUICKACK here")
+def test_remote_kept_alive_connection_does_not_wait_on_a_delayed_ack(monkeypatch, chat_server):
+    # BaseHTTPRequestHandler writes a reply's head and body as two sends with
+    # Nagle's algorithm on, so on a reused connection the body waits until
+    # the client acknowledges the head: a delayed ACK holds it for 40 ms
+    monkeypatch.setenv("TC_TEST_KEY", "sekret-value-123")
+    chat_server["keep_alive"] = True
+    cfg = remote_cfg(chat_server["endpoint"])
+    with contextlib.closing(make_backend(cfg, retry=FAST_RETRY)) as backend:
+        complete(cfg, PROBE, backend=backend)  # opens the connection
+        started = time.perf_counter()
+        for _ in range(20):
+            assert complete(cfg, PROBE, backend=backend) == "fallback"
+        elapsed = time.perf_counter() - started
+    assert chat_server["connections"] == 1
+    assert elapsed < 0.4  # delayed ACKs alone would take at least 20 * 40 ms

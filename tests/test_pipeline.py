@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import gc
 import hashlib
 import itertools
 import json
@@ -27,7 +28,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import FIXTURES, base_config, write_config
+from conftest import FIXTURES, all_closed, base_config, write_config
 
 from themecoder import backends, evaluation, pipeline
 from themecoder.backends import (
@@ -1327,6 +1328,20 @@ def test_classify_replay_abort_makes_exactly_three_calls(tmp_path, monkeypatch, 
     assert RunLedger(cfg.output_dir / "ledger.jsonl").events()[-1]["event"] == "abort"
 
 
+def test_classify_refuses_a_bad_replay_script_before_writing_any_run_file(tmp_path, capsys, clean_corpus_path, cb):
+    script_path = tmp_path / "script.json"
+    script_path.write_text("{not json", encoding="utf-8")
+    cfg = replay_cfg(tmp_path, clean_corpus_path, script_path)
+    assert main(["classify", "--config", str(tmp_path / "rrun.yaml")]) == 1
+    assert "is not valid JSON" in capsys.readouterr().err
+    assert not (cfg.output_dir / "manifest.json").exists()
+    assert not (cfg.output_dir / "ledger.jsonl").exists()
+    bcfg = BackendConfig(kind="replay", model="replay-model", replay_path=str(script_path))
+    script_path.write_text(json.dumps(build_replay_script(load_posts(clean_corpus_path), cb, bcfg)), encoding="utf-8")
+    assert main(["classify", "--config", str(tmp_path / "rrun.yaml")]) == 0  # no resume needed
+    assert len(ResultsStore(cfg.output_dir / "results.jsonl")) == 18
+
+
 # --- classify against a chat endpoint on 127.0.0.1 ------------------------------
 
 
@@ -1334,11 +1349,35 @@ def test_classify_replay_abort_makes_exactly_three_calls(tmp_path, monkeypatch, 
 def chat_stub():
     """A chat endpoint that answers each prompt text from ``replies``:
     prompt -> (HTTP status, reply text, seconds to wait first). It counts
-    requests and the most it served at once."""
-    state = {"replies": {}, "prompts": [], "active": 0, "peak": 0}
+    requests and the most it served at once. It answers in HTTP/1.0 and
+    closes after each reply; with ``keep_alive`` set it answers in HTTP/1.1
+    and keeps the connection, and with ``drop_first`` set too it hangs up
+    the first connection after its first reply, as a server drops an idle
+    one. It counts the connections it accepted and those still open."""
+    state = {
+        "replies": {}, "prompts": [], "active": 0, "peak": 0,
+        "keep_alive": False, "drop_first": False, "connections": 0, "open": 0,
+    }
     lock = threading.Lock()
 
     class Handler(BaseHTTPRequestHandler):
+        def setup(self):
+            if state["keep_alive"]:
+                self.protocol_version = "HTTP/1.1"
+                self.timeout = 5  # a connection the client leaves open ends the wait, not the test run
+            with lock:
+                state["connections"] += 1
+                state["open"] += 1
+                self.drops = state["drop_first"] and state["connections"] == 1
+            super().setup()
+
+        def finish(self):
+            try:
+                super().finish()
+            finally:
+                with lock:
+                    state["open"] -= 1
+
         def do_POST(self):
             prompt = json.loads(self.rfile.read(int(self.headers["Content-Length"])))["messages"][0]["content"]
             with lock:
@@ -1355,6 +1394,7 @@ def chat_stub():
             self.send_header("Content-Length", str(len(data)))
             self.end_headers()
             self.wfile.write(data)
+            self.close_connection |= self.drops
 
         def log_message(self, *args):
             pass
@@ -1509,6 +1549,63 @@ def test_classify_remote_closes_run_files_after_the_pool_drains(
     assert sorted(appends) == names  # nothing reopened a file after it closed
     assert 4 <= len(post_ends) <= 3 + 2 * 2 if abort else len(post_ends) == 18
     assert max(post_ends) < min(closes.values())
+
+
+def test_classify_remote_keeps_two_connections_alive_and_writes_the_same_results(
+    tmp_path, monkeypatch, clean_corpus_path, cb, chat_stub
+):
+    monkeypatch.setenv("TC_TEST_KEY", "test-key")
+    closing_each = remote_run(tmp_path, clean_corpus_path, chat_stub, cb, name="closing", limit=2)
+    cmd_classify(closing_each)
+    assert chat_stub["connections"] == 18  # HTTP/1.0: one connection per request
+    chat_stub["keep_alive"], chat_stub["connections"] = True, 0
+    kept = remote_run(tmp_path, clean_corpus_path, chat_stub, cb, name="kept", limit=2)
+    cmd_classify(kept)
+    assert 1 <= chat_stub["connections"] <= 2
+    assert (kept.output_dir / "results.jsonl").read_bytes() == (closing_each.output_dir / "results.jsonl").read_bytes()
+    assert all_closed(chat_stub)
+
+
+def test_classify_remote_reconnects_once_when_the_server_drops_an_idle_connection(
+    tmp_path, monkeypatch, clean_corpus_path, cb, chat_stub
+):
+    monkeypatch.setenv("TC_TEST_KEY", "test-key")
+    chat_stub["keep_alive"] = chat_stub["drop_first"] = True
+    cfg = remote_run(tmp_path, clean_corpus_path, chat_stub, cb, limit=1)  # no transport retry to fall back on
+    cmd_classify(cfg)
+    audit = [json.loads(line) for line in (cfg.output_dir / "audit.jsonl").read_text(encoding="utf-8").splitlines()]
+    (reconnect,) = [rec for rec in audit if rec["status"] != "ok"]
+    assert reconnect["status"] == "reconnect" and reconnect["attempt"] == 1
+    assert reconnect["detail"] in ("RemoteDisconnected", "ConnectionResetError", "BrokenPipeError")
+    records = [json.loads(line) for line in (cfg.output_dir / "results.jsonl").read_text(encoding="utf-8").splitlines()]
+    assert reconnect["fingerprint"] == records[1]["fingerprint"]  # the second post went out on the dropped connection
+    preds, failed = stored(cfg.output_dir / "results.jsonl", cb)
+    corpus = load_posts(clean_corpus_path)
+    assert not failed and by_id(preds) == {p.id: mock_rule_vector(p.body, cb.alphabet) for p in corpus.posts}
+    assert len(chat_stub["prompts"]) == 18 and chat_stub["connections"] == 2
+    assert all_closed(chat_stub)
+
+
+@pytest.mark.parametrize("outcome", ["success", "abort", "interrupt"])
+def test_classify_remote_kept_alive_run_leaves_no_connection_open(
+    tmp_path, monkeypatch, clean_corpus_path, cb, chat_stub, outcome
+):
+    monkeypatch.setenv("TC_TEST_KEY", "test-key")
+    chat_stub["keep_alive"] = True
+    remote_run(tmp_path, clean_corpus_path, chat_stub, cb, limit=3, status={5: 401} if outcome == "abort" else None)
+    if outcome == "interrupt":
+        real_one, tenth = pipeline._classify_one, load_posts(clean_corpus_path).posts[9].id
+
+        def interrupted_at_tenth(post, *args, **kwargs):
+            if post.id == tenth:
+                raise KeyboardInterrupt
+            return real_one(post, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "_classify_one", interrupted_at_tenth)
+    assert main(["classify", "--config", str(tmp_path / "remote.yaml")]) == {"success": 0, "abort": 3, "interrupt": 130}[outcome]
+    assert chat_stub["connections"] >= 1
+    assert all_closed(chat_stub)
+    gc.collect()  # a socket left to the collector would warn here, and the warning fails the test
 
 
 def tear(path: Path, keep: int, torn: bool) -> None:
