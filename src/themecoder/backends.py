@@ -6,10 +6,12 @@ vendor-compatible endpoint with a bearer credential from the environment.
 useful only for exercising the pipeline offline. ``replay`` serves canned
 attempt texts from a script file keyed by request fingerprint.
 
-The retry loop re-asks on parse failures with a one-line format reminder
-appended; transport failures are retried with exponential backoff. Every
-call lands in an append-only audit log, and an optional response cache
-makes identical reruns free of backend calls.
+A backend owns its config, retry policy and audit log, and ``complete``
+and ``classify_with_retry`` read them from it. The retry loop re-asks on
+parse failures with a one-line format reminder appended; transport
+failures are retried with exponential backoff. Every call lands in the
+audit log, and an optional response cache makes identical reruns free of
+backend calls.
 """
 
 from __future__ import annotations
@@ -17,11 +19,11 @@ from __future__ import annotations
 import json
 import math
 import os
+import queue
 import threading
 import time
 from dataclasses import dataclass
-from contextlib import closing, nullcontext
-from functools import lru_cache, partial
+from functools import lru_cache
 from hashlib import sha256
 from json.encoder import encode_basestring
 from pathlib import Path
@@ -35,6 +37,9 @@ from .prompting import RenderedPrompt
 
 BACKEND_KINDS = ("remote-chat", "mock-rules", "replay")
 MAX_WAIT_S = 86_400  # one day: the longest timeout, backoff or wait between requests a setting may ask for
+# worker threads and remote-chat connections: an OS may refuse to start many more
+# threads, and each connection holds about 0.4 KB before it opens (10**6: 400 MB)
+MAX_IN_FLIGHT = 256
 MAX_JSON_INT = 2**53 - 1  # RFC 8259 section 6: the largest integer every JSON reader holds exactly
 
 
@@ -63,7 +68,9 @@ class BackendConfig:
         if self.kind == "replay" and not self.replay_path:
             raise ConfigError("replay backend requires replay_path")
         if self.in_flight_limit < 1:
-            raise ConfigError("in_flight_limit must be >= 1")
+            raise ConfigError(f"in_flight_limit must be >= 1, got {self.in_flight_limit}")
+        if self.in_flight_limit > MAX_IN_FLIGHT:  # one worker thread and one connection each
+            raise ConfigError(f"in_flight_limit must be <= {MAX_IN_FLIGHT}, got {self.in_flight_limit}")
         if self.max_output_tokens < 1:
             raise ConfigError(f"max_output_tokens must be >= 1, got {self.max_output_tokens}")
         if self.max_output_tokens > MAX_JSON_INT:  # it is sent as the request's max_tokens
@@ -291,19 +298,23 @@ def mock_rule_vector(post_text: str, codes: Sequence[str]) -> dict[str, int]:
 
 
 class _BaseBackend:
+    """Owns all of a call's state: the config its requests and fingerprints
+    come from, the retry policy (re-ask budget and transport retries) and the
+    audit log, which may be set once the log is open. It bounds no calls from
+    many threads; only ``RemoteChatBackend``'s connections bound requests."""
+
     kind = "base"
     waits_on_io = False  # True when calls wait on the network, so threads can overlap them
-    audit: AuditLog | None = None  # where a backend logs what happens within one call, such as a retry
 
-    def __init__(self, cfg: BackendConfig) -> None:
+    def __init__(self, cfg: BackendConfig, retry: RetryPolicy | None = None, audit: AuditLog | None = None) -> None:
         self.cfg = cfg
+        self.retry = retry or RetryPolicy()
+        self.audit = audit
         self._bucket = TokenBucket(cfg.requests_per_second)
-        self._slots = threading.Semaphore(cfg.in_flight_limit)
 
     def call(self, message: str, prompt: RenderedPrompt, fingerprint: str, attempt: int) -> str:
         self._bucket.acquire()
-        with self._slots:
-            return self._raw(message, prompt, fingerprint, attempt)
+        return self._raw(message, prompt, fingerprint, attempt)
 
     def _raw(self, message: str, prompt: RenderedPrompt, fingerprint: str, attempt: int) -> str:
         raise NotImplementedError
@@ -325,8 +336,8 @@ class MockRulesBackend(_BaseBackend):
 class ReplayBackend(_BaseBackend):
     kind = "replay"
 
-    def __init__(self, cfg: BackendConfig) -> None:
-        super().__init__(cfg)
+    def __init__(self, cfg: BackendConfig, retry: RetryPolicy | None = None, audit: AuditLog | None = None) -> None:
+        super().__init__(cfg, retry, audit)
         path = Path(cfg.replay_path)
         try:
             script = json.loads(read_text(path, "replay script", ConfigError))
@@ -359,14 +370,15 @@ class ReplayBackend(_BaseBackend):
 class RemoteChatBackend(_BaseBackend):
     """POSTs to ``cfg.endpoint`` over kept-alive HTTP/1.1 connections.
 
-    A request takes an idle connection, or opens one, reads the whole reply
-    and puts the connection back for the next request, so a backend holds at
-    most ``in_flight_limit`` connections; ``close`` closes them all. A reused
-    connection that the server has closed meanwhile fails before any byte of
-    the reply arrives; it is reopened and the request sent once more, with a
-    ``reconnect`` audit line. Proxies come from the environment, read once
-    here; netrc is not read, and a redirect is never followed, so the
-    credential goes to the endpoint only."""
+    The backend holds exactly ``in_flight_limit`` connections, made here and
+    each opened on its first request. A request waits for an idle one, reads
+    the whole reply and puts the connection back for the next request, so
+    no more than ``in_flight_limit`` requests are ever in flight; ``close``
+    closes them all. A reused connection that the server has closed
+    meanwhile fails before any byte of the reply arrives; it is reopened and
+    the request sent once more, with a ``reconnect`` audit line. Proxies
+    come from the environment, read once here; netrc is not read, and a
+    redirect is never followed, so the credential goes to the endpoint only."""
 
     kind = "remote-chat"
     waits_on_io = True
@@ -380,11 +392,9 @@ class RemoteChatBackend(_BaseBackend):
         import ssl
         from urllib.request import getproxies, proxy_bypass
 
-        super().__init__(cfg)
-        self.retry = retry or RetryPolicy()
-        self.audit = audit
+        super().__init__(cfg, retry, audit)
         endpoint = urlsplit(cfg.endpoint)
-        host, tls, tunnel = endpoint.netloc, endpoint.scheme == "https", None
+        host, tls, tunnel_headers = endpoint.netloc, endpoint.scheme == "https", None
         self._target = endpoint.path + (f"?{endpoint.query}" if endpoint.query else "")
         self._headers = {"Content-Type": "application/json"}
         proxy = getproxies().get(endpoint.scheme)
@@ -396,18 +406,20 @@ class RemoteChatBackend(_BaseBackend):
                 userpass = f"{unquote(via.username)}:{unquote(via.password)}".encode()
                 auth["Proxy-Authorization"] = f"Basic {base64.b64encode(userpass).decode('ascii')}"
             if tls:  # a CONNECT tunnel: only the proxy sees its credentials
-                tunnel = endpoint.netloc, auth
+                tunnel_headers = auth
             else:  # the proxy is sent the absolute URL
                 self._target = cfg.endpoint.partition("#")[0]
                 self._headers.update(auth)
                 tls = via.scheme == "https"
+        connection, options = http.client.HTTPConnection, {"timeout": cfg.timeout}
         if tls:  # one context for every connection: building one loads the trust store
-            self._connection = partial(
-                http.client.HTTPSConnection, host, timeout=cfg.timeout, context=ssl.create_default_context()
-            )
-        else:
-            self._connection = partial(http.client.HTTPConnection, host, timeout=cfg.timeout)
-        self._tunnel = tunnel
+            connection, options["context"] = http.client.HTTPSConnection, ssl.create_default_context()
+        self._connections = tuple(connection(host, **options) for _ in range(cfg.in_flight_limit))
+        self._idle: queue.LifoQueue = queue.LifoQueue()  # the last connection used is the first reused
+        for conn in self._connections:
+            if tunnel_headers is not None:
+                conn.set_tunnel(endpoint.netloc, headers=tunnel_headers)
+            self._idle.put(conn)
         # After each send the socket acknowledges at once. A server that writes
         # a reply's head and body as two sends with Nagle's algorithm on holds
         # the body back until the head is acknowledged, and on a kept-alive
@@ -415,15 +427,11 @@ class RemoteChatBackend(_BaseBackend):
         quickack = getattr(socket, "TCP_QUICKACK", None)
         self._quickack = (socket.IPPROTO_TCP, quickack, 1) if quickack is not None else None
         self._transport_errors = (OSError, http.client.HTTPException)
-        self._pool_lock = threading.Lock()
-        self._idle: list = []  # connections no request is using
-        self._opened: list = []  # every connection made, for close()
 
     def close(self) -> None:
-        """Close every connection this backend opened."""
-        with self._pool_lock:
-            for conn in self._opened:
-                conn.close()
+        """Close every connection this backend holds."""
+        for conn in self._connections:
+            conn.close()
 
     def _credential(self) -> str:
         secret = os.environ.get(self.cfg.credential_env, "")
@@ -440,16 +448,10 @@ class RemoteChatBackend(_BaseBackend):
         return conn.getresponse()
 
     def _exchange(self, data: bytes, headers: dict, fingerprint: str, attempt: int) -> tuple[int, str | None, bytes]:
-        """Send one request and read its whole reply: ``(status, Location, body)``.
-        A transport error closes the connection before it goes back idle."""
-        with self._pool_lock:
-            conn = self._idle.pop() if self._idle else None
-        if conn is None:
-            conn = self._connection()
-            if self._tunnel is not None:
-                conn.set_tunnel(self._tunnel[0], headers=self._tunnel[1])
-            with self._pool_lock:
-                self._opened.append(conn)
+        """Send one request on an idle connection and read its whole reply:
+        ``(status, Location, body)``. A transport error closes the connection
+        before it goes back idle."""
+        conn = self._idle.get()
         try:
             reused = conn.sock is not None
             try:
@@ -469,8 +471,7 @@ class RemoteChatBackend(_BaseBackend):
             conn.close()
             raise
         finally:
-            with self._pool_lock:
-                self._idle.append(conn)
+            self._idle.put(conn)
 
     def _raw(self, message: str, prompt: RenderedPrompt, fingerprint: str, attempt: int) -> str:
         secret = self._credential()  # resolved before any network activity
@@ -526,51 +527,43 @@ class RemoteChatBackend(_BaseBackend):
         raise BackendError(f"transport retries exhausted (last status: {last_status})")
 
 
+_BACKENDS = {"remote-chat": RemoteChatBackend, "mock-rules": MockRulesBackend, "replay": ReplayBackend}
+
+
 def make_backend(cfg: BackendConfig, retry: RetryPolicy | None = None, audit: AuditLog | None = None) -> _BaseBackend:
-    if cfg.kind == "mock-rules":
-        return MockRulesBackend(cfg)
-    if cfg.kind == "replay":
-        return ReplayBackend(cfg)
-    return RemoteChatBackend(cfg, retry=retry, audit=audit)
+    return _BACKENDS[cfg.kind](cfg, retry, audit)
 
 
 def complete(
-    cfg: BackendConfig,
+    backend: _BaseBackend,
     prompt: RenderedPrompt,
     *,
     attempt: int = 1,
     message: str | None = None,
-    backend: _BaseBackend | None = None,
-    retry: RetryPolicy | None = None,
-    audit: AuditLog | None = None,
     fingerprint: str | None = None,
 ) -> str:
-    """Issue one completion request and return the verbatim reply text;
-    ``fingerprint`` defaults to ``cache_key(cfg, prompt)``. Without
-    ``backend``, one is built for this call and closed after it."""
-    fp = fingerprint if fingerprint is not None else cache_key(cfg, prompt)
-    text = message if message is not None else prompt.text
-    with closing(make_backend(cfg, retry=retry, audit=audit)) if backend is None else nullcontext(backend) as be:
-        started = time.monotonic()
-        raw = be.call(text, prompt, fp, attempt)
+    """Issue one completion request through ``backend`` and return the
+    verbatim reply text, with an ``ok`` line in the backend's audit log;
+    ``fingerprint`` defaults to ``cache_key(backend.cfg, prompt)``."""
+    fp = fingerprint if fingerprint is not None else cache_key(backend.cfg, prompt)
+    started = time.monotonic()
+    raw = backend.call(message if message is not None else prompt.text, prompt, fp, attempt)
+    if backend.audit is not None:
         latency = time.monotonic() - started
-    if audit is not None:
-        audit.append(fingerprint=fp, attempt=attempt, status="ok", latency=latency, kind=be.kind)
+        backend.audit.append(fingerprint=fp, attempt=attempt, status="ok", latency=latency, kind=backend.kind)
     return raw
 
 
 def classify_with_retry(
-    cfg: BackendConfig,
-    policy: RetryPolicy,
+    backend: _BaseBackend,
     prompt: RenderedPrompt,
     parser: Callable[[str], ParseOutcome],
     *,
-    backend: _BaseBackend | None = None,
     cache: ResponseCache | None = None,
-    audit: AuditLog | None = None,
     fingerprint: str | None = None,
 ) -> tuple[ParseOutcome, list[ParseFailure], int]:
-    """Classify one prompt, re-asking on parse failures.
+    """Classify one prompt through ``backend``, re-asking on parse failures
+    up to its retry policy's ``max_attempts``.
 
     Returns ``(outcome, failures, attempts)``: the ParseOutcome of the
     attempt that decided (the first that parsed, else the last one asked),
@@ -578,28 +571,20 @@ def classify_with_retry(
     attempts. Re-asks resend the prompt with a one-line format reminder
     appended; the fingerprint always reflects the base prompt, so cached
     and replayed attempt lists line up across runs. ``fingerprint``
-    defaults to ``cache_key(cfg, prompt)``.
+    defaults to ``cache_key(backend.cfg, prompt)``.
 
-    A cache hit runs the same loop over the stored attempt texts, without a
-    backend, up to the budget or the end of the entry; it writes one
-    ``cache-hit`` audit line at the attempt that decided.
+    A cache hit runs the same loop over the stored attempt texts, without
+    calling the backend, up to the budget or the end of the entry; it
+    writes one ``cache-hit`` audit line at the attempt that decided.
     """
-    fp = fingerprint if fingerprint is not None else cache_key(cfg, prompt)
+    fp = fingerprint if fingerprint is not None else cache_key(backend.cfg, prompt)
     stored = cache.get(fp) if cache is not None else None  # a hit replays these instead of calling
-    if stored is None and backend is None:  # a backend built for this prompt closes after it
-        with closing(make_backend(cfg, retry=policy, audit=audit)) as backend:
-            return classify_with_retry(
-                cfg, policy, prompt, parser, backend=backend, cache=cache, audit=audit, fingerprint=fp
-            )
     texts: list[str] = []
     failures: list[ParseFailure] = []
-    for attempt in range(1, policy.max_attempts + 1):
+    for attempt in range(1, backend.retry.max_attempts + 1):
         if stored is None:
             message = prompt.text if attempt == 1 else f"{prompt.text}\n\n{prompt.format_reminder()}"
-            text = complete(
-                cfg, prompt, attempt=attempt, message=message, backend=backend, retry=policy, audit=audit,
-                fingerprint=fp,
-            )
+            text = complete(backend, prompt, attempt=attempt, message=message, fingerprint=fp)
         elif attempt <= len(stored):
             text = stored[attempt - 1]
         else:
@@ -609,13 +594,13 @@ def classify_with_retry(
         if outcome.ok:
             break
         failures.append(outcome.failure)
-        if stored is None and audit is not None:
-            audit.append(
+        if stored is None and backend.audit is not None:
+            backend.audit.append(
                 fingerprint=fp, attempt=attempt, status="parse-failure",
                 reason=outcome.failure.reason, detail=outcome.failure.detail, kind=backend.kind,
             )
     if stored is None and cache is not None:
         cache.put(fp, texts)
-    if stored is not None and audit is not None:
-        audit.append(fingerprint=fp, attempt=len(texts), status="cache-hit", kind=cfg.kind)
+    if stored is not None and backend.audit is not None:
+        backend.audit.append(fingerprint=fp, attempt=len(texts), status="cache-hit", kind=backend.kind)
     return outcome, failures, len(texts)

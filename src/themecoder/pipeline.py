@@ -648,24 +648,19 @@ def cmd_ingest(cfg: RunConfig) -> dict:
     return summary
 
 
-def _prompt_classifier(cfg: RunConfig, cb: Codebook, frames, backend, cache, audit):
+def _prompt_classifier(cfg: RunConfig, cb: Codebook, frames, backend, cache):
     """Return ``classify(prompts)``: for each of one post's prompts, one per
     frame, ``classify_with_retry``'s ``(outcome, failures, attempts)`` with the
     frame's fingerprint appended. A frame that assigns one code is parsed as one
     answer ("A=[1]"), one that assigns several as one line. Each frame's
     fingerprint state and parser are built here, once per run, not per post."""
-    fingerprints = frame_fingerprints(cfg.backend, cfg.template_version, [text for _, text in frames])
+    fingerprints = frame_fingerprints(backend.cfg, cfg.template_version, [text for _, text in frames])
     line = partial(parse_single_line, cb=cb, mode=cfg.parse_mode)
     parsers = [partial(parse_single_answer, code=t[0], mode=cfg.parse_mode) if len(t) == 1 else line for t, _ in frames]
 
     def classify(prompts) -> list:
         return [
-            (
-                *classify_with_retry(
-                    cfg.backend, cfg.retry, rp, parser, backend=backend, cache=cache, audit=audit, fingerprint=fp
-                ),
-                fp,
-            )
+            (*classify_with_retry(backend, rp, parser, cache=cache, fingerprint=fp), fp)
             for rp, parser, fp in zip(prompts, parsers, fingerprints(prompts[0].post_text))
         ]
 
@@ -788,7 +783,7 @@ def cmd_classify(cfg: RunConfig, *, resume: bool = False) -> list[ResultsStore]:
             ledger.append(
                 {"event": "start", "run_index": r, "total": len(corpus), "pending": len(pending)}
             )
-            classify = _prompt_classifier(cfg, cb, render.frames, backend, cache, audit)
+            classify = _prompt_classifier(cfg, cb, render.frames, backend, cache)
             classify_one = partial(_classify_one, cb=cb, render=render, classify=classify, cfg=cfg)
             try:
                 with closing(_records(pending, classify_one, backend, cfg.backend.in_flight_limit)) as records:

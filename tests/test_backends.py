@@ -34,7 +34,7 @@ from themecoder.backends import (
     mock_rule_vector,
 )
 from themecoder.errors import BackendError, ConfigError
-from themecoder.parsing import parse_single_answer, parse_single_line
+from themecoder.parsing import parse_single_line
 from themecoder.pipeline import load_config
 from themecoder.prompting import RenderedPrompt, ShotPolicy, load_template, render_prompt
 
@@ -61,8 +61,8 @@ class ScriptedBackend(_BaseBackend):
 
     kind = "scripted"
 
-    def __init__(self, cfg: BackendConfig, texts) -> None:
-        super().__init__(cfg)
+    def __init__(self, cfg: BackendConfig, texts, retry=None, audit=None) -> None:
+        super().__init__(cfg, retry, audit)
         self.texts = list(texts)
         self.messages: list[str] = []
 
@@ -145,6 +145,10 @@ def test_retry_policy_validation():
         ("backend", "requests_per_second", 1.0e-12, "requests_per_second must be 0 or >= 1/86400, got 1e-12"),
         ("backend", "requests_per_second", 1 / 86_401,
          f"requests_per_second must be 0 or >= 1/86400, got {1 / 86_401}"),
+        # one worker thread and one connection per slot: checked at load, before any is made
+        ("backend", "in_flight_limit", 0, "in_flight_limit must be >= 1, got 0"),
+        ("backend", "in_flight_limit", 257, "in_flight_limit must be <= 256, got 257"),
+        ("backend", "in_flight_limit", 10**6, "in_flight_limit must be <= 256, got 1000000"),
     ],
 )
 def test_out_of_range_backend_and_retry_numbers_fail_at_load(tmp_path, section, key, value, message):
@@ -160,14 +164,14 @@ def test_backend_and_retry_numbers_at_their_bounds_load(tmp_path):
     remote = {
         "kind": "remote-chat", "model": "m", "endpoint": "http://127.0.0.1:9/v1/chat",
         "timeout": 86_400, "requests_per_second": 1 / 86_400, "temperature": 10**308,
-        "max_output_tokens": 2**53 - 1,
+        "max_output_tokens": 2**53 - 1, "in_flight_limit": 256,
     }
     sections = base_config(tmp_path, FIXTURES / "posts_50.jsonl", backend=remote)
     sections["retry"] = {"backoff_cap": 86_400.0, "backoff_initial": 10**300}
     cfg = load_config(write_config(tmp_path / "run.yaml", **sections))
     assert (cfg.backend.timeout, cfg.backend.requests_per_second) == (86_400, 1 / 86_400)
     assert cfg.backend.temperature == 10**308 and cfg.retry.backoff_cap == 86_400.0
-    assert cfg.backend.max_output_tokens == 2**53 - 1
+    assert cfg.backend.max_output_tokens == 2**53 - 1 and cfg.backend.in_flight_limit == 256
 
 
 # --- request fingerprints -----------------------------------------------------------
@@ -237,7 +241,7 @@ def test_mock_backend_full_line(cb):
         post_id="p1",
         post_text=post_text,
     )
-    parsed = parse_single_line(complete(MOCK_CFG, prompt), cb)
+    parsed = parse_single_line(complete(make_backend(MOCK_CFG), prompt), cb)
     assert parsed.ok
     assert parsed.vector == mock_rule_vector(post_text, cb.alphabet)
 
@@ -251,7 +255,7 @@ def test_mock_backend_single_answer(cb):
         post_id="p1",
         post_text="wound on my ankle",
     )
-    assert complete(MOCK_CFG, prompt) == "C=[1]"
+    assert complete(make_backend(MOCK_CFG), prompt) == "C=[1]"
 
 
 def test_mock_backend_reads_post_not_prompt(cb):
@@ -270,7 +274,7 @@ def test_mock_backend_reads_post_not_prompt(cb):
         load_template(),
         ShotPolicy(),
     )
-    parsed = parse_single_line(complete(MOCK_CFG, post), cb)
+    parsed = parse_single_line(complete(make_backend(MOCK_CFG), post), cb)
     assert parsed.ok
     assert parsed.vector == make_vector(cb, ("X",))
 
@@ -282,11 +286,11 @@ def test_replay_serves_attempts_in_order(tmp_path):
     fp = cache_key(MOCK_CFG, PROBE)
     script = tmp_path / "script.json"
     script.write_text(json.dumps({fp: ["first", "second"]}), encoding="utf-8")
-    cfg = BackendConfig(kind="replay", model="mock", replay_path=str(script))
-    assert complete(cfg, PROBE, attempt=1) == "first"
-    assert complete(cfg, PROBE, attempt=2) == "second"
+    backend = make_backend(BackendConfig(kind="replay", model="mock", replay_path=str(script)))
+    assert complete(backend, PROBE, attempt=1) == "first"
+    assert complete(backend, PROBE, attempt=2) == "second"
     with pytest.raises(BackendError, match="exhausted.*attempt 3 of 2"):
-        complete(cfg, PROBE, attempt=3)
+        complete(backend, PROBE, attempt=3)
 
 
 def test_replay_missing_fingerprint(tmp_path):
@@ -295,7 +299,7 @@ def test_replay_missing_fingerprint(tmp_path):
     cfg = BackendConfig(kind="replay", model="mock", replay_path=str(script))
     fp = cache_key(cfg, PROBE)
     with pytest.raises(BackendError, match=f"{fp[:12]}.*post p1"):
-        complete(cfg, PROBE)
+        complete(make_backend(cfg), PROBE)
 
 
 def test_replay_script_file_errors(tmp_path):
@@ -343,9 +347,7 @@ def full_prompt(cb, body="post body"):
 
 def test_retry_success_first_attempt(cb):
     backend = ScriptedBackend(MOCK_CFG, [good_line(cb)])
-    outcome, failures, attempts = classify_with_retry(
-        MOCK_CFG, RetryPolicy(), full_prompt(cb), line_parser(cb), backend=backend
-    )
+    outcome, failures, attempts = classify_with_retry(backend, full_prompt(cb), line_parser(cb))
     assert outcome.vector == make_vector(cb, ("B",))
     assert failures == [] and attempts == 1
     assert backend.messages == ["classify this"]
@@ -354,9 +356,7 @@ def test_retry_success_first_attempt(cb):
 def test_retry_appends_format_reminder(cb):
     prompt = full_prompt(cb)
     backend = ScriptedBackend(MOCK_CFG, ["no answer here", good_line(cb)])
-    outcome, failures, attempts = classify_with_retry(
-        MOCK_CFG, RetryPolicy(), prompt, line_parser(cb), backend=backend
-    )
+    outcome, failures, attempts = classify_with_retry(backend, prompt, line_parser(cb))
     assert outcome.ok and [f.reason for f in failures] == ["no-line-found"]
     assert attempts == 2
     assert backend.messages[0] == prompt.text
@@ -364,21 +364,16 @@ def test_retry_appends_format_reminder(cb):
 
 
 def test_retry_budget_exhaustion(cb):
-    backend = ScriptedBackend(MOCK_CFG, ["junk one", "junk two", "junk three"])
-    outcome, failures, attempts = classify_with_retry(
-        MOCK_CFG, RetryPolicy(max_attempts=3), full_prompt(cb), line_parser(cb), backend=backend
-    )
+    backend = ScriptedBackend(MOCK_CFG, ["junk one", "junk two", "junk three"], retry=RetryPolicy(max_attempts=3))
+    outcome, failures, attempts = classify_with_retry(backend, full_prompt(cb), line_parser(cb))
     assert not outcome.ok and outcome.failure == failures[-1]
     assert [f.reason for f in failures] == ["no-line-found"] * 3
     assert attempts == 3
 
 
 def test_reask_disabled_spends_one_attempt(cb):
-    backend = ScriptedBackend(MOCK_CFG, ["junk", good_line(cb)])
-    policy = RetryPolicy(max_attempts=1)
-    outcome, _, attempts = classify_with_retry(
-        MOCK_CFG, policy, full_prompt(cb), line_parser(cb), backend=backend
-    )
+    backend = ScriptedBackend(MOCK_CFG, ["junk", good_line(cb)], retry=RetryPolicy(max_attempts=1))
+    outcome, _, attempts = classify_with_retry(backend, full_prompt(cb), line_parser(cb))
     assert not outcome.ok
     assert len(backend.messages) == 1
     assert attempts == 1
@@ -395,12 +390,10 @@ def test_retry_fingerprints_each_prompt_once(monkeypatch, tmp_path, cb):
     monkeypatch.setattr(
         backends, "cache_key", lambda cfg, prompt: fingerprints.append(cache_key(cfg, prompt)) or fingerprints[-1]
     )
-    backend = ScriptedBackend(MOCK_CFG, ["junk", "junk", good_line(cb)])
     prompt = full_prompt(cb)
     with contextlib.closing(AuditLog(tmp_path / "audit.jsonl")) as audit:
-        _, _, attempts = classify_with_retry(
-            MOCK_CFG, RetryPolicy(), prompt, line_parser(cb), backend=backend, audit=audit
-        )
+        backend = ScriptedBackend(MOCK_CFG, ["junk", "junk", good_line(cb)], audit=audit)
+        _, _, attempts = classify_with_retry(backend, prompt, line_parser(cb))
     assert attempts == 3
     assert fingerprints == [cache_key(MOCK_CFG, prompt)]
     assert audited_fingerprints(tmp_path / "audit.jsonl") == set(fingerprints)
@@ -410,22 +403,16 @@ def test_retry_uses_a_given_fingerprint_as_is(monkeypatch, tmp_path, cb):
     import themecoder.backends as backends
 
     monkeypatch.setattr(backends, "cache_key", lambda cfg, prompt: pytest.fail("cache_key called"))
-    backend = ScriptedBackend(MOCK_CFG, ["junk", good_line(cb)])
     with contextlib.closing(AuditLog(tmp_path / "audit.jsonl")) as audit:
-        _, _, attempts = classify_with_retry(
-            MOCK_CFG, RetryPolicy(), full_prompt(cb), line_parser(cb), backend=backend, audit=audit,
-            fingerprint="f" * 64,
-        )
+        backend = ScriptedBackend(MOCK_CFG, ["junk", good_line(cb)], audit=audit)
+        _, _, attempts = classify_with_retry(backend, full_prompt(cb), line_parser(cb), fingerprint="f" * 64)
     assert attempts == 2 and audited_fingerprints(tmp_path / "audit.jsonl") == {"f" * 64}
 
 
 def test_retry_audit_records_parse_failures(tmp_path, cb):
     audit = AuditLog(tmp_path / "audit.jsonl")
-    backend = ScriptedBackend(MOCK_CFG, ["garbage", good_line(cb)])
-    classify_with_retry(
-        MOCK_CFG, RetryPolicy(), full_prompt(cb), line_parser(cb),
-        backend=backend, audit=audit,
-    )
+    backend = ScriptedBackend(MOCK_CFG, ["garbage", good_line(cb)], audit=audit)
+    classify_with_retry(backend, full_prompt(cb), line_parser(cb))
     audit.close()
     records = [json.loads(l) for l in (tmp_path / "audit.jsonl").read_text().splitlines()]
     assert all("ts" in r for r in records)
@@ -438,12 +425,11 @@ def test_retry_live_path_writes_its_exact_audit_and_cache_lines(tmp_path, cb):
     cache = ResponseCache(tmp_path / "cache.jsonl")
     first = full_prompt(cb)
     second = dataclasses.replace(first, text="classify that", post_id="p2")
-    backend = ScriptedBackend(MOCK_CFG, ["garbage", good_line(cb), "junk a", "junk b"])
+    backend = ScriptedBackend(
+        MOCK_CFG, ["garbage", good_line(cb), "junk a", "junk b"], retry=RetryPolicy(max_attempts=2), audit=audit
+    )
     for prompt in (first, second):
-        classify_with_retry(
-            MOCK_CFG, RetryPolicy(max_attempts=2), prompt, line_parser(cb),
-            backend=backend, cache=cache, audit=audit,
-        )
+        classify_with_retry(backend, prompt, line_parser(cb), cache=cache)
     audit.close()
     cache.close()
     records = [json.loads(l) for l in (tmp_path / "audit.jsonl").read_text().splitlines()]
@@ -511,14 +497,9 @@ def test_cache_hit_skips_backend(tmp_path, cb):
     cache = ResponseCache(tmp_path / "cache.jsonl")
     prompt = full_prompt(cb)
     live = ScriptedBackend(MOCK_CFG, ["junk", good_line(cb)])
-    answer = classify_with_retry(
-        MOCK_CFG, RetryPolicy(), prompt, line_parser(cb), backend=live, cache=cache
-    )
+    answer = classify_with_retry(live, prompt, line_parser(cb), cache=cache)
     assert answer[0].ok and answer[2] == 2
-    replayed = classify_with_retry(
-        MOCK_CFG, RetryPolicy(), prompt, line_parser(cb),
-        backend=ExplodingBackend(MOCK_CFG), cache=cache,
-    )
+    replayed = classify_with_retry(ExplodingBackend(MOCK_CFG), prompt, line_parser(cb), cache=cache)
     cache.close()
     assert replayed == answer
 
@@ -527,15 +508,10 @@ def test_cache_stores_failures_too(tmp_path, cb):
     cache = ResponseCache(tmp_path / "cache.jsonl")
     prompt = full_prompt(cb)
     policy = RetryPolicy(max_attempts=2)
-    live = ScriptedBackend(MOCK_CFG, ["junk a", "junk b"])
-    failure = classify_with_retry(
-        MOCK_CFG, policy, prompt, line_parser(cb), backend=live, cache=cache
-    )
+    live = ScriptedBackend(MOCK_CFG, ["junk a", "junk b"], retry=policy)
+    failure = classify_with_retry(live, prompt, line_parser(cb), cache=cache)
     assert not failure[0].ok
-    again = classify_with_retry(
-        MOCK_CFG, policy, prompt, line_parser(cb),
-        backend=ExplodingBackend(MOCK_CFG), cache=cache,
-    )
+    again = classify_with_retry(ExplodingBackend(MOCK_CFG, policy), prompt, line_parser(cb), cache=cache)
     cache.close()
     assert again == failure
 
@@ -547,10 +523,7 @@ def test_cache_respects_attempt_budget(tmp_path, cb):
     cache.put(fp, ["junk", good_line(cb)])
     cache.close()
     policy = RetryPolicy(max_attempts=1)
-    outcome, _, attempts = classify_with_retry(
-        MOCK_CFG, policy, prompt, line_parser(cb),
-        backend=ExplodingBackend(MOCK_CFG), cache=cache,
-    )
+    outcome, _, attempts = classify_with_retry(ExplodingBackend(MOCK_CFG, policy), prompt, line_parser(cb), cache=cache)
     assert not outcome.ok  # budget 1 never sees attempt 2
     assert attempts == 1
 
@@ -571,17 +544,16 @@ GOOD = object()  # stands for a line that parses
 def test_cache_hit_writes_one_audit_line_and_makes_no_backend(monkeypatch, tmp_path, cb, stored, max_attempts, decided):
     import themecoder.backends as backends
 
-    monkeypatch.setattr(backends, "make_backend", lambda *a, **k: pytest.fail("make_backend called on a hit"))
-    monkeypatch.setattr(backends, "complete", lambda *a, **k: pytest.fail("complete called on a hit"))
     prompt = full_prompt(cb)
     fp = cache_key(MOCK_CFG, prompt)
     texts = [good_line(cb) if text is GOOD else text for text in stored]
     cache = ResponseCache(tmp_path / "cache.jsonl")
     cache.put(fp, texts)
     audit = AuditLog(tmp_path / "audit.jsonl")
-    outcome, failures, attempts = classify_with_retry(
-        MOCK_CFG, RetryPolicy(max_attempts=max_attempts), prompt, line_parser(cb), cache=cache, audit=audit
-    )
+    backend = make_backend(MOCK_CFG, retry=RetryPolicy(max_attempts=max_attempts), audit=audit)
+    monkeypatch.setattr(backend, "call", lambda *a, **k: pytest.fail("backend called on a hit"))
+    monkeypatch.setattr(backends, "complete", lambda *a, **k: pytest.fail("complete called on a hit"))
+    outcome, failures, attempts = classify_with_retry(backend, prompt, line_parser(cb), cache=cache)
     audit.close()
     cache.close()
     records = [json.loads(l) for l in (tmp_path / "audit.jsonl").read_text().splitlines()]
@@ -646,37 +618,6 @@ def test_token_bucket_throttles_beyond_burst():
     for _ in range(210):  # 200 burst tokens, then 10 at 5ms each
         bucket.acquire()
     assert time.monotonic() - started >= 0.03
-
-
-def test_in_flight_limit_bounds_concurrency(cb):
-    class SlowBackend(_BaseBackend):
-        kind = "slow"
-
-        def __init__(self, cfg):
-            super().__init__(cfg)
-            self.active = 0
-            self.peak = 0
-            self._l = threading.Lock()
-
-        def _raw(self, message, prompt, fingerprint, attempt):
-            with self._l:
-                self.active += 1
-                self.peak = max(self.peak, self.active)
-            time.sleep(0.02)
-            with self._l:
-                self.active -= 1
-            return "ok"
-
-    backend = SlowBackend(BackendConfig(kind="mock-rules", in_flight_limit=2))
-    threads = [
-        threading.Thread(target=lambda: backend.call("m", PROBE, "fp", 1))
-        for _ in range(8)
-    ]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert 1 <= backend.peak <= 2
 
 
 # --- remote chat client ------------------------------------------------------------------
@@ -780,19 +721,24 @@ def remote_cfg(endpoint: str) -> BackendConfig:
 FAST_RETRY = RetryPolicy(backoff_initial=0.01, backoff_cap=0.02, transport_retries=2)
 
 
+def opened(cfg: BackendConfig, retry: RetryPolicy = FAST_RETRY, audit: AuditLog | None = None):
+    """A backend for ``cfg`` that closes its connections when the with-block ends."""
+    return contextlib.closing(make_backend(cfg, retry=retry, audit=audit))
+
+
 def test_remote_requires_credential_before_network(monkeypatch):
     monkeypatch.delenv("TC_TEST_KEY", raising=False)
     # a dead endpoint: reaching the network would fail differently
     cfg = remote_cfg("http://127.0.0.1:9/v1/chat")
-    with pytest.raises(ConfigError, match="'TC_TEST_KEY' is not set"):
-        complete(cfg, PROBE, retry=FAST_RETRY)
+    with opened(cfg) as backend, pytest.raises(ConfigError, match="'TC_TEST_KEY' is not set"):
+        complete(backend, PROBE)
 
 
 def test_remote_success_request_shape(monkeypatch, chat_server):
     monkeypatch.setenv("TC_TEST_KEY", "sekret-value-123")
     chat_server["responses"].append((200, chat_payload("A=[1]")))
-    cfg = remote_cfg(chat_server["endpoint"])
-    assert complete(cfg, PROBE, retry=FAST_RETRY) == "A=[1]"
+    with opened(remote_cfg(chat_server["endpoint"])) as backend:
+        assert complete(backend, PROBE) == "A=[1]"
     (request,) = chat_server["requests"]
     assert request["auth"] == "Bearer sekret-value-123"
     assert request["type"] == "application/json"
@@ -807,9 +753,9 @@ def test_remote_success_request_shape(monkeypatch, chat_server):
 def test_remote_auth_failure_no_retry(monkeypatch, chat_server):
     monkeypatch.setenv("TC_TEST_KEY", "sekret-value-123")
     chat_server["responses"].append((401, {"error": "bad key"}))
-    cfg = remote_cfg(chat_server["endpoint"])
-    with pytest.raises(BackendError, match="authentication failed .HTTP 401.") as exc:
-        complete(cfg, PROBE, retry=FAST_RETRY)
+    with opened(remote_cfg(chat_server["endpoint"])) as backend:
+        with pytest.raises(BackendError, match="authentication failed .HTTP 401.") as exc:
+            complete(backend, PROBE)
     assert len(chat_server["requests"]) == 1
     assert "sekret" not in str(exc.value)
 
@@ -818,8 +764,8 @@ def test_remote_retries_rate_limit_then_succeeds(monkeypatch, chat_server, tmp_p
     monkeypatch.setenv("TC_TEST_KEY", "sekret-value-123")
     chat_server["responses"] += [(429, {}), (200, chat_payload("recovered"))]
     audit = AuditLog(tmp_path / "audit.jsonl")
-    cfg = remote_cfg(chat_server["endpoint"])
-    text = complete(cfg, PROBE, retry=FAST_RETRY, audit=audit)
+    with opened(remote_cfg(chat_server["endpoint"]), audit=audit) as backend:
+        text = complete(backend, PROBE)
     audit.close()
     assert text == "recovered"
     assert len(chat_server["requests"]) == 2
@@ -832,21 +778,21 @@ def test_remote_retries_rate_limit_then_succeeds(monkeypatch, chat_server, tmp_p
 def test_remote_server_errors_exhaust_retries(monkeypatch, chat_server):
     monkeypatch.setenv("TC_TEST_KEY", "sekret-value-123")
     chat_server["responses"] += [(500, {}), (503, {}), (500, {})]
-    cfg = remote_cfg(chat_server["endpoint"])
-    with pytest.raises(BackendError, match="transport retries exhausted .last status: 500."):
-        complete(cfg, PROBE, retry=FAST_RETRY)
+    with opened(remote_cfg(chat_server["endpoint"])) as backend:
+        with pytest.raises(BackendError, match="transport retries exhausted .last status: 500."):
+            complete(backend, PROBE)
     assert len(chat_server["requests"]) == 3  # initial + 2 retries
 
 
 def test_remote_malformed_response(monkeypatch, chat_server):
     monkeypatch.setenv("TC_TEST_KEY", "sekret-value-123")
     chat_server["responses"].append((200, b"this is not json"))
-    cfg = remote_cfg(chat_server["endpoint"])
-    with pytest.raises(BackendError, match="malformed completion response"):
-        complete(cfg, PROBE, retry=FAST_RETRY)
-    chat_server["responses"].append((200, {"unexpected": "shape"}))
-    with pytest.raises(BackendError, match="malformed completion response"):
-        complete(cfg, PROBE, retry=FAST_RETRY)
+    with opened(remote_cfg(chat_server["endpoint"])) as backend:
+        with pytest.raises(BackendError, match="malformed completion response"):
+            complete(backend, PROBE)
+        chat_server["responses"].append((200, {"unexpected": "shape"}))
+        with pytest.raises(BackendError, match="malformed completion response"):
+            complete(backend, PROBE)
 
 
 @pytest.mark.parametrize(
@@ -857,11 +803,9 @@ def test_remote_reply_content_that_is_not_a_string_is_malformed(monkeypatch, cha
     chat_server["responses"].append((200, {"choices": [{"message": {"content": content}}]}))
     cache = ResponseCache(tmp_path / "cache.jsonl")
     audit = AuditLog(tmp_path / "audit.jsonl")
-    with pytest.raises(BackendError, match="malformed completion response: message content is .+, not a string"):
-        classify_with_retry(
-            remote_cfg(chat_server["endpoint"]), FAST_RETRY, PROBE, lambda raw: pytest.fail("parser called"),
-            cache=cache, audit=audit,
-        )
+    with opened(remote_cfg(chat_server["endpoint"]), audit=audit) as backend:
+        with pytest.raises(BackendError, match="malformed completion response: message content is .+, not a string"):
+            classify_with_retry(backend, PROBE, lambda raw: pytest.fail("parser called"), cache=cache)
     cache.close()
     audit.close()
     assert len(chat_server["requests"]) == 1
@@ -873,9 +817,8 @@ def test_remote_reply_content_that_is_not_a_string_is_malformed(monkeypatch, cha
 def test_remote_other_error_status_names_it_without_retry(monkeypatch, chat_server, status):
     monkeypatch.setenv("TC_TEST_KEY", "sekret-value-123")
     chat_server["responses"].append((status, {"error": {"message": "body-not-echoed"}}))
-    cfg = remote_cfg(chat_server["endpoint"])
-    with pytest.raises(BackendError) as excinfo:
-        complete(cfg, PROBE, retry=FAST_RETRY)
+    with opened(remote_cfg(chat_server["endpoint"])) as backend, pytest.raises(BackendError) as excinfo:
+        complete(backend, PROBE)
     assert str(excinfo.value) == f"endpoint answered HTTP {status}"
     assert len(chat_server["requests"]) == 1
 
@@ -910,8 +853,8 @@ def test_remote_never_follows_a_redirect(monkeypatch, chat_server, status):
 
     chat_server["responses"].append(redirect)
     try:
-        with pytest.raises(BackendError) as exc:
-            complete(remote_cfg(chat_server["endpoint"]), PROBE, retry=FAST_RETRY)
+        with opened(remote_cfg(chat_server["endpoint"])) as backend, pytest.raises(BackendError) as exc:
+            complete(backend, PROBE)
     finally:
         other.shutdown()
         other.server_close()
@@ -935,8 +878,9 @@ def test_remote_connection_refused(monkeypatch, tmp_path):
     cfg = remote_cfg(f"http://127.0.0.1:{dead_port}/v1/chat")
     policy = RetryPolicy(backoff_initial=0.01, backoff_cap=0.01, transport_retries=1)
     audit = AuditLog(tmp_path / "audit.jsonl")
-    with pytest.raises(BackendError, match=r"transport retries exhausted \(last status: ConnectionRefusedError\)"):
-        complete(cfg, PROBE, retry=policy, audit=audit)
+    with opened(cfg, policy, audit) as backend:
+        with pytest.raises(BackendError, match=r"transport retries exhausted \(last status: ConnectionRefusedError\)"):
+            complete(backend, PROBE)
     audit.close()
     # the audit names the socket error, not the urllib wrapper around it
     assert retry_details(tmp_path / "audit.jsonl") == ["ConnectionRefusedError"]
@@ -948,7 +892,8 @@ def test_remote_ignores_netrc(monkeypatch, chat_server, tmp_path):
     netrc.write_text("machine 127.0.0.1 login u password p\n")
     netrc.chmod(0o600)
     monkeypatch.setenv("NETRC", str(netrc))
-    complete(remote_cfg(chat_server["endpoint"]), PROBE, retry=FAST_RETRY)
+    with opened(remote_cfg(chat_server["endpoint"])) as backend:
+        complete(backend, PROBE)
     (request,) = chat_server["requests"]
     assert request["auth"] == "Bearer sekret-value-123"
 
@@ -982,14 +927,16 @@ def test_remote_honours_http_proxy_and_no_proxy(monkeypatch, chat_server):
     monkeypatch.setattr(socket, "getaddrinfo", lookup)
     monkeypatch.setenv("http_proxy", chat_server["endpoint"].removesuffix("/v1/chat/completions"))
     cfg = remote_cfg(f"http://{UNRESOLVABLE}/v1/chat/completions")
-    assert complete(cfg, PROBE, retry=FAST_RETRY) == "fallback"
+    with opened(cfg) as backend:
+        assert complete(backend, PROBE) == "fallback"
     (request,) = chat_server["requests"]
     assert request["path"] == cfg.endpoint  # a proxy is sent the absolute URL
     assert request["auth"] == "Bearer sekret-value-123"
 
     monkeypatch.setenv("no_proxy", UNRESOLVABLE)
-    with pytest.raises(BackendError, match=r"transport retries exhausted \(last status: gaierror\)"):
-        complete(cfg, PROBE, retry=FAST_RETRY)
+    with opened(cfg) as backend:
+        with pytest.raises(BackendError, match=r"transport retries exhausted \(last status: gaierror\)"):
+            complete(backend, PROBE)
     assert len(chat_server["requests"]) == 1
 
 
@@ -1019,7 +966,8 @@ def test_remote_sends_proxy_credentials_with_the_bearer_token(proxy_env, chat_se
     proxy = chat_server["endpoint"].removesuffix("/v1/chat/completions").replace("//", f"//{PROXY_USERINFO}@")
     proxy_env.setenv("http_proxy", proxy)
     cfg = remote_cfg(f"http://{UNRESOLVABLE}/v1/chat/completions")
-    assert complete(cfg, PROBE, retry=FAST_RETRY) == "fallback"
+    with opened(cfg) as backend:
+        assert complete(backend, PROBE) == "fallback"
     (request,) = chat_server["requests"]
     assert request["path"] == cfg.endpoint
     assert request["proxy_auth"] == PROXY_AUTH
@@ -1083,7 +1031,8 @@ def test_remote_https_goes_through_one_authenticated_connect(proxy_env, chat_ser
     target = cfg.endpoint.split("/")[2]
     with tunnel_proxy() as (port, heads):
         proxy_env.setenv("https_proxy", f"http://{PROXY_USERINFO}@127.0.0.1:{port}")
-        assert complete(cfg, PROBE, retry=FAST_RETRY) == "fallback"
+        with opened(cfg) as backend:
+            assert complete(backend, PROBE) == "fallback"
     (head,) = heads
     request_line, *header_lines = head.split("\r\n")
     assert request_line.startswith(f"CONNECT {target} ")
@@ -1106,7 +1055,8 @@ def test_remote_cut_off_reply_is_transport_retry(monkeypatch, chat_server, tmp_p
     monkeypatch.setenv("TC_TEST_KEY", "sekret-value-123")
     chat_server["responses"] += [cut_short, (200, chat_payload("whole"))]
     audit = AuditLog(tmp_path / "audit.jsonl")
-    text = complete(remote_cfg(chat_server["endpoint"]), PROBE, retry=FAST_RETRY, audit=audit)
+    with opened(remote_cfg(chat_server["endpoint"]), audit=audit) as backend:
+        text = complete(backend, PROBE)
     audit.close()
     assert text == "whole"
     assert len(chat_server["requests"]) == 2
@@ -1131,8 +1081,9 @@ def test_remote_read_timeout_is_transport_retry(monkeypatch, chat_server, tmp_pa
     cfg = dataclasses.replace(remote_cfg(chat_server["endpoint"]), timeout=0.2)
     policy = RetryPolicy(backoff_initial=0.01, backoff_cap=0.01, transport_retries=1)
     audit = AuditLog(tmp_path / "audit.jsonl")
-    with pytest.raises(BackendError, match=r"transport retries exhausted \(last status: TimeoutError\)"):
-        complete(cfg, PROBE, retry=policy, audit=audit)
+    with opened(cfg, policy, audit) as backend:
+        with pytest.raises(BackendError, match=r"transport retries exhausted \(last status: TimeoutError\)"):
+            complete(backend, PROBE)
     audit.close()
     assert len(chat_server["requests"]) == 2
     assert retry_details(tmp_path / "audit.jsonl") == ["TimeoutError"]
@@ -1143,28 +1094,52 @@ def test_remote_https_trusts_the_system_store_or_ssl_cert_file(monkeypatch, chat
     monkeypatch.setenv("TC_TEST_KEY", "sekret-value-123")
     monkeypatch.delenv("SSL_CERT_FILE", raising=False)
     cfg = remote_cfg(chat_server["endpoint"])
-    with pytest.raises(BackendError, match=r"last status: SSLCertVerificationError"):
-        complete(cfg, PROBE, retry=FAST_RETRY)
+    with opened(cfg) as backend, pytest.raises(BackendError, match=r"last status: SSLCertVerificationError"):
+        complete(backend, PROBE)
     assert chat_server["requests"] == []
     monkeypatch.setenv("SSL_CERT_FILE", str(TLS_CERT))
-    assert complete(cfg, PROBE, retry=FAST_RETRY) == "fallback"
+    with opened(cfg) as backend:  # the trust store is read when a backend is made
+        assert complete(backend, PROBE) == "fallback"
     assert len(chat_server["requests"]) == 1
 
 
 # --- kept-alive connections -----------------------------------------------------------
 
 
-def test_remote_complete_and_classify_with_retry_close_a_backend_they_build(monkeypatch, chat_server):
+def test_remote_in_flight_limit_bounds_requests_and_connections(monkeypatch, chat_server):
     monkeypatch.setenv("TC_TEST_KEY", "sekret-value-123")
     chat_server["keep_alive"] = True
-    chat_server["responses"] += [(200, chat_payload("A=[1]")), (200, chat_payload("A=[0]"))]
-    cfg = remote_cfg(chat_server["endpoint"])
-    assert complete(cfg, PROBE, retry=FAST_RETRY) == "A=[1]"
+    lock = threading.Lock()
+    load = {"now": 0, "peak": 0}  # requests the server holds at once
+
+    def slow(handler):
+        with lock:
+            load["now"] += 1
+            load["peak"] = max(load["peak"], load["now"])
+        try:
+            time.sleep(0.02)
+            data = json.dumps(chat_payload("A=[1]")).encode()
+            handler.send_response(200)
+            handler.send_header("Content-Length", str(len(data)))
+            handler.end_headers()
+            handler.wfile.write(data)
+        finally:
+            with lock:
+                load["now"] -= 1
+
+    chat_server["responses"] += [slow] * 8
+    answers = []
+    with opened(dataclasses.replace(remote_cfg(chat_server["endpoint"]), in_flight_limit=2)) as backend:
+        threads = [threading.Thread(target=lambda: answers.append(complete(backend, PROBE))) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    assert not any(t.is_alive() for t in threads)
+    assert answers == ["A=[1]"] * 8
+    assert 1 <= load["peak"] <= 2
+    assert chat_server["connections"] <= 2
     assert all_closed(chat_server)
-    outcome, _, _ = classify_with_retry(cfg, FAST_RETRY, PROBE, lambda raw: parse_single_answer(raw, "A"))
-    assert outcome.vector == {"A": 0}
-    assert all_closed(chat_server)
-    assert chat_server["connections"] == 2
 
 
 def test_remote_workers_share_idle_connections_without_a_lost_update(monkeypatch, chat_server, tmp_path):
@@ -1176,7 +1151,7 @@ def test_remote_workers_share_idle_connections_without_a_lost_update(monkeypatch
 
     def worker():
         for _ in range(25):
-            complete(cfg, PROBE, backend=backend, audit=audit)
+            complete(backend, PROBE)
 
     threads = [threading.Thread(target=worker) for _ in range(8)]  # more workers than slots and cores
     interval = sys.getswitchinterval()
@@ -1210,10 +1185,9 @@ def test_remote_reply_cut_off_on_a_reused_connection_is_a_transport_retry_not_a_
     chat_server["keep_alive"] = True
     chat_server["responses"] += [(200, chat_payload("first")), cut_short_and_hang_up, (200, chat_payload("whole"))]
     audit = AuditLog(tmp_path / "audit.jsonl")
-    cfg = remote_cfg(chat_server["endpoint"])
-    with contextlib.closing(make_backend(cfg, retry=FAST_RETRY, audit=audit)) as backend:
-        assert complete(cfg, PROBE, backend=backend) == "first"
-        assert complete(cfg, PROBE, backend=backend) == "whole"  # the cut reply came on the reused connection
+    with opened(remote_cfg(chat_server["endpoint"]), audit=audit) as backend:
+        assert complete(backend, PROBE) == "first"
+        assert complete(backend, PROBE) == "whole"  # the cut reply came on the reused connection
     audit.close()
     assert len(chat_server["requests"]) == 3  # the cut request was sent once
     assert chat_server["connections"] == 2
@@ -1229,12 +1203,11 @@ def test_remote_kept_alive_connection_does_not_wait_on_a_delayed_ack(monkeypatch
     # the client acknowledges the head: a delayed ACK holds it for 40 ms
     monkeypatch.setenv("TC_TEST_KEY", "sekret-value-123")
     chat_server["keep_alive"] = True
-    cfg = remote_cfg(chat_server["endpoint"])
-    with contextlib.closing(make_backend(cfg, retry=FAST_RETRY)) as backend:
-        complete(cfg, PROBE, backend=backend)  # opens the connection
+    with opened(remote_cfg(chat_server["endpoint"])) as backend:
+        complete(backend, PROBE)  # opens the connection
         started = time.perf_counter()
         for _ in range(20):
-            assert complete(cfg, PROBE, backend=backend) == "fallback"
+            assert complete(backend, PROBE) == "fallback"
         elapsed = time.perf_counter() - started
     assert chat_server["connections"] == 1
     assert elapsed < 0.4  # delayed ACKs alone would take at least 20 * 40 ms

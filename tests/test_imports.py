@@ -44,8 +44,9 @@ def test_package_runs_without_scipy(tmp_path):
 NO_REQUESTS = """
 import json, sys, threading
 sys.modules["requests"] = None
+from contextlib import closing
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from themecoder.backends import BackendConfig, RetryPolicy, classify_with_retry
+from themecoder.backends import BackendConfig, classify_with_retry, make_backend
 from themecoder.parsing import parse_single_answer
 from themecoder.prompting import RenderedPrompt
 
@@ -65,7 +66,8 @@ cfg = BackendConfig(
     endpoint=f"http://127.0.0.1:{httpd.server_port}/v1/chat/completions",
 )
 prompt = RenderedPrompt(text="PROBE", template_version="v1", shots=0, target=("A",), post_id="p1")
-outcome, _, _ = classify_with_retry(cfg, RetryPolicy(), prompt, lambda raw: parse_single_answer(raw, "A"))
+with closing(make_backend(cfg)) as backend:
+    outcome, _, _ = classify_with_retry(backend, prompt, lambda raw: parse_single_answer(raw, "A"))
 httpd.shutdown()
 httpd.server_close()
 assert outcome.vector == {"A": 1}, outcome
