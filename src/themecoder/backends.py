@@ -27,7 +27,7 @@ from functools import lru_cache
 from hashlib import sha256
 from json.encoder import encode_basestring
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import BinaryIO, Callable, Mapping, Sequence
 from urllib.parse import unquote, urlsplit
 
 from .errors import BackendError, ConfigError, DataError
@@ -38,7 +38,7 @@ from .prompting import RenderedPrompt
 BACKEND_KINDS = ("remote-chat", "mock-rules", "replay")
 MAX_WAIT_S = 86_400  # one day: the longest timeout, backoff or wait between requests a setting may ask for
 # worker threads and remote-chat connections: an OS may refuse to start many more
-# threads, and each connection holds about 0.4 KB before it opens (10**6: 400 MB)
+# threads, and each connection holds about 0.5 KB before it opens (10**6: 500 MB)
 MAX_IN_FLIGHT = 256
 MAX_JSON_INT = 2**53 - 1  # RFC 8259 section 6: the largest integer every JSON reader holds exactly
 
@@ -65,6 +65,12 @@ class BackendConfig:
             raise ConfigError("remote-chat backend requires endpoint and model")
         if self.kind == "remote-chat" and urlsplit(self.endpoint).scheme not in ("http", "https"):
             raise ConfigError(f"remote-chat endpoint must be an http or https URL, got {self.endpoint!r}")
+        if self.kind == "remote-chat" and not all("!" <= c <= "~" for c in self.endpoint):
+            # it is written into each request's head as it is
+            raise ConfigError(
+                f"remote-chat endpoint must be printable ASCII without spaces (percent-escape the rest), "
+                f"got {self.endpoint!r}"
+            )
         if self.kind == "replay" and not self.replay_path:
             raise ConfigError("replay backend requires replay_path")
         if self.in_flight_limit < 1:
@@ -367,18 +373,155 @@ class ReplayBackend(_BaseBackend):
         return texts[attempt - 1]
 
 
+class _Connection:
+    """One of ``RemoteChatBackend``'s connections. ``opener``, an unopened
+    ``http.client`` connection, opens it: TCP with ``TCP_NODELAY``, the
+    CONNECT to a proxy, TLS with the hostname check. Each request is then
+    written to ``sock`` and its reply read from ``reader``, one buffered
+    reader of that socket; both are None while the connection is closed."""
+
+    __slots__ = ("opener", "sock", "reader")
+
+    def __init__(self, opener) -> None:
+        self.opener = opener
+        self.sock = self.reader = None
+
+    def open(self) -> None:
+        self.opener.connect()
+        self.sock = self.opener.sock
+        self.reader = self.sock.makefile("rb")
+
+    def close(self) -> None:
+        # the socket's file descriptor stays open until its reader is closed too
+        if self.reader is not None:
+            self.reader.close()
+        self.opener.close()
+        self.sock = self.reader = None
+
+
+# http.client's limits on a reply's head: bytes in one line, and header
+# lines, the blank line that ends them included
+_MAX_LINE = 65_536
+_MAX_HEADERS = 100
+
+
+def _read_reply(reader: BinaryIO) -> tuple[int, str | None, bytes, bool]:
+    """Read one whole reply: ``(status, Location, body, whether the
+    connection stays open)``, skipping any interim (1xx) reply first.
+
+    The body is framed by chunked transfer coding, which wins over
+    Content-Length (RFC 9112 section 6.3), else by Content-Length, else by
+    the server closing the connection. An HTTP/1.1 reply keeps the
+    connection open unless it says ``Connection: close``; an HTTP/1.0 reply
+    closes it unless it asks for keep-alive. A failure raises the exception
+    ``http.client`` raises for it."""
+    status, persistent, fields = _read_head(reader)
+    while status < 200:
+        status, persistent, fields = _read_head(reader)
+    connection = fields.get(b"connection", b"").lower()
+    if persistent:
+        keep_alive = b"close" not in connection
+    else:
+        keep_alive = b"keep-alive" in fields or b"keep-alive" in connection
+    coding = fields.get(b"transfer-encoding")
+    length = fields.get(b"content-length", b"")
+    if status in (204, 304):
+        body = b""
+    elif coding is not None and coding.rpartition(b",")[2].strip().lower() == b"chunked":
+        body = _read_chunked(reader)
+    elif coding is None and length.isdigit():
+        size = int(length)
+        body = reader.read(size)
+        if len(body) < size:
+            raise _reply_error("IncompleteRead", body, size - len(body))
+    else:  # only the server closing the connection ends the body
+        body, keep_alive = reader.read(), False
+    location = fields.get(b"location")
+    return status, None if location is None else location.decode("iso-8859-1"), body, keep_alive
+
+
+def _read_head(reader: BinaryIO) -> tuple[int, bool, dict[bytes, bytes]]:
+    """Read a status line and the header lines after it: ``(status, whether
+    the version is HTTP/1.1 or later, the fields)``."""
+    line = _read_line(reader, "status line")
+    if not line:
+        raise _reply_error("RemoteDisconnected", "Remote end closed connection without response")
+    words = line.split(None, 2)
+    version = words[0] if words else b""
+    status = words[1] if len(words) > 1 else b""
+    if not version.startswith(b"HTTP/") or not status.isdigit() or not 100 <= int(status) <= 999:
+        raise _reply_error("BadStatusLine", str(line, "iso-8859-1"))
+    persistent = version not in (b"HTTP/1.0", b"HTTP/0.9")
+    if persistent and not version.startswith(b"HTTP/1."):
+        raise _reply_error("UnknownProtocol", str(version, "iso-8859-1"))
+    return int(status), persistent, _read_fields(reader)
+
+
+def _read_fields(reader: BinaryIO) -> dict[bytes, bytes]:
+    """Read header or trailer lines up to the blank line that ends them:
+    ``{lower-case name: its first value}``."""
+    fields: dict[bytes, bytes] = {}
+    for count in range(1, _MAX_HEADERS + 2):
+        line = _read_line(reader, "header line")
+        if count > _MAX_HEADERS:
+            raise _reply_error("HTTPException", f"got more than {_MAX_HEADERS} headers")
+        if line in (b"\r\n", b"\n", b""):
+            break
+        name, _, value = line.partition(b":")
+        fields.setdefault(name.strip().lower(), value.strip())
+    return fields
+
+
+def _read_chunked(reader: BinaryIO) -> bytes:
+    """Read a chunked body and the trailer after it, dropping chunk
+    extensions and trailer fields."""
+    parts: list[bytes] = []
+    while True:
+        size = _read_line(reader, "chunk size").partition(b";")[0].strip()
+        if not size or size.strip(b"0123456789abcdefABCDEF"):
+            raise _reply_error("IncompleteRead", b"".join(parts))
+        size = int(size, 16)
+        if size == 0:
+            _read_fields(reader)  # the trailer
+            return b"".join(parts)
+        data = reader.read(size + 2)  # the chunk and the CRLF that ends it
+        if len(data) < size + 2:
+            raise _reply_error("IncompleteRead", b"".join(parts) + data[:size], size + 2 - len(data))
+        parts.append(data[:size])
+
+
+def _read_line(reader: BinaryIO, what: str) -> bytes:
+    line = reader.readline(_MAX_LINE + 1)
+    if len(line) > _MAX_LINE:
+        raise _reply_error("LineTooLong", what)
+    return line
+
+
+def _reply_error(name: str, *args) -> Exception:
+    """``http.client``'s exception ``name``: the module is imported only by
+    a remote-chat backend, which every reply read comes from."""
+    import http.client
+
+    return getattr(http.client, name)(*args)
+
+
 class RemoteChatBackend(_BaseBackend):
     """POSTs to ``cfg.endpoint`` over kept-alive HTTP/1.1 connections.
 
     The backend holds exactly ``in_flight_limit`` connections, made here and
-    each opened on its first request. A request waits for an idle one, reads
-    the whole reply and puts the connection back for the next request, so
-    no more than ``in_flight_limit`` requests are ever in flight; ``close``
-    closes them all. A reused connection that the server has closed
-    meanwhile fails before any byte of the reply arrives; it is reopened and
-    the request sent once more, with a ``reconnect`` audit line. Proxies
-    come from the environment, read once here; netrc is not read, and a
-    redirect is never followed, so the credential goes to the endpoint only."""
+    each opened on its first request by ``http.client`` (TCP, a proxy's
+    CONNECT, TLS). The backend writes each request in one send, its head
+    fields that never change built here, and reads the reply through one
+    buffered reader kept per socket. A request waits for an idle connection
+    and reads the whole reply before the connection goes back for the next
+    request, so no more than ``in_flight_limit`` requests are ever in
+    flight; ``close`` closes them all. A reply with ``Connection: close``,
+    or an HTTP/1.0 reply without keep-alive, closes its connection. A reused
+    connection that the server has closed meanwhile fails before any byte
+    of the reply arrives; it is reopened and the request sent once more,
+    with a ``reconnect`` audit line. Proxies come from the environment, read
+    once here; netrc is not read, and a redirect is never followed, so the
+    credential goes to the endpoint only."""
 
     kind = "remote-chat"
     waits_on_io = True
@@ -394,9 +537,9 @@ class RemoteChatBackend(_BaseBackend):
 
         super().__init__(cfg, retry, audit)
         endpoint = urlsplit(cfg.endpoint)
-        host, tls, tunnel_headers = endpoint.netloc, endpoint.scheme == "https", None
-        self._target = endpoint.path + (f"?{endpoint.query}" if endpoint.query else "")
-        self._headers = {"Content-Type": "application/json"}
+        host, tls, tunnel_headers, host_field = endpoint.netloc, endpoint.scheme == "https", None, None
+        target = endpoint.path + (f"?{endpoint.query}" if endpoint.query else "")
+        fields = {"Content-Type": "application/json"}
         proxy = getproxies().get(endpoint.scheme)
         if proxy and not proxy_bypass(endpoint.netloc):
             via = urlsplit(proxy if "://" in proxy else f"{endpoint.scheme}://{proxy}")
@@ -408,17 +551,25 @@ class RemoteChatBackend(_BaseBackend):
             if tls:  # a CONNECT tunnel: only the proxy sees its credentials
                 tunnel_headers = auth
             else:  # the proxy is sent the absolute URL
-                self._target = cfg.endpoint.partition("#")[0]
-                self._headers.update(auth)
+                target, host_field = cfg.endpoint.partition("#")[0], endpoint.netloc
+                fields.update(auth)
                 tls = via.scheme == "https"
         connection, options = http.client.HTTPConnection, {"timeout": cfg.timeout}
         if tls:  # one context for every connection: building one loads the trust store
             connection, options["context"] = http.client.HTTPSConnection, ssl.create_default_context()
-        self._connections = tuple(connection(host, **options) for _ in range(cfg.in_flight_limit))
+        if host_field is None:  # as http.client sends it: the endpoint's host, and its port unless the default
+            origin = connection(endpoint.netloc, **options)  # unopened; it parses host and port
+            host_field = f"[{origin.host.partition('%')[0]}]" if ":" in origin.host else origin.host  # IPv6: no zone
+            if origin.port != origin.default_port:
+                host_field += f":{origin.port}"
+        head = [f"POST {target or '/'} HTTP/1.1", f"Host: {host_field}", "Accept-Encoding: identity"]
+        head += [f"{name}: {value}" for name, value in fields.items()]
+        self._head = "".join(f"{line}\r\n" for line in head).encode("ascii")
+        self._connections = tuple(_Connection(connection(host, **options)) for _ in range(cfg.in_flight_limit))
         self._idle: queue.LifoQueue = queue.LifoQueue()  # the last connection used is the first reused
         for conn in self._connections:
             if tunnel_headers is not None:
-                conn.set_tunnel(endpoint.netloc, headers=tunnel_headers)
+                conn.opener.set_tunnel(endpoint.netloc, headers=tunnel_headers)
             self._idle.put(conn)
         # After each send the socket acknowledges at once. A server that writes
         # a reply's head and body as two sends with Nagle's algorithm on holds
@@ -433,21 +584,27 @@ class RemoteChatBackend(_BaseBackend):
         for conn in self._connections:
             conn.close()
 
-    def _credential(self) -> str:
-        secret = os.environ.get(self.cfg.credential_env, "")
+    def _credential(self) -> bytes:
+        name = self.cfg.credential_env
+        secret = os.environ.get(name, "")
         if not secret:
-            raise ConfigError(
-                f"credential environment variable {self.cfg.credential_env!r} is not set"
-            )
-        return secret
+            raise ConfigError(f"credential environment variable {name!r} is not set")
+        if "\r" in secret or "\n" in secret or max(secret) > "\xff":  # it is sent in a header line
+            raise ConfigError(f"credential environment variable {name!r} must hold one line of Latin-1 text")
+        return secret.encode("latin-1")
 
-    def _send(self, conn, data: bytes, headers: dict):
-        conn.request("POST", self._target, data, headers)
+    def _send(self, conn: _Connection, request: bytes) -> tuple[int, str | None, bytes]:
+        if conn.sock is None:
+            conn.open()
+        conn.sock.sendall(request)
         if self._quickack is not None:
             conn.sock.setsockopt(*self._quickack)
-        return conn.getresponse()
+        status, location, body, keep_alive = _read_reply(conn.reader)
+        if not keep_alive:
+            conn.close()
+        return status, location, body
 
-    def _exchange(self, data: bytes, headers: dict, fingerprint: str, attempt: int) -> tuple[int, str | None, bytes]:
+    def _exchange(self, request: bytes, fingerprint: str, attempt: int) -> tuple[int, str | None, bytes]:
         """Send one request on an idle connection and read its whole reply:
         ``(status, Location, body)``. A transport error closes the connection
         before it goes back idle."""
@@ -455,7 +612,7 @@ class RemoteChatBackend(_BaseBackend):
         try:
             reused = conn.sock is not None
             try:
-                resp = self._send(conn, data, headers)
+                return self._send(conn, request)
             except (BrokenPipeError, ConnectionResetError) as exc:  # http.client's RemoteDisconnected included
                 if not reused:
                     raise
@@ -465,8 +622,7 @@ class RemoteChatBackend(_BaseBackend):
                         fingerprint=fingerprint, attempt=attempt, status="reconnect",
                         detail=type(exc).__name__, kind=self.kind,
                     )
-                resp = self._send(conn, data, headers)
-            return resp.status, resp.headers.get("Location"), resp.read()
+                return self._send(conn, request)
         except BaseException:
             conn.close()
             raise
@@ -483,12 +639,12 @@ class RemoteChatBackend(_BaseBackend):
                 "max_tokens": self.cfg.max_output_tokens,
             }
         ).encode("utf-8")
-        headers = {**self._headers, "Authorization": f"Bearer {secret}"}
+        request = b"%sContent-Length: %d\r\nAuthorization: Bearer %s\r\n\r\n%s" % (self._head, len(data), secret, data)
         delay = self.retry.backoff_initial
         last_status: object = None
         for i in range(self.retry.transport_retries + 1):
             try:
-                status, location, reply = self._exchange(data, headers, fingerprint, attempt)
+                status, location, reply = self._exchange(request, fingerprint, attempt)
             except self._transport_errors as exc:
                 last_status = type(exc).__name__
             else:

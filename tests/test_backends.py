@@ -641,7 +641,8 @@ def chat_server(request):
     Parametrized with "tls", it serves https with ``TLS_CERT``. It answers
     in HTTP/1.0 and closes after each reply; with ``keep_alive`` set it
     answers in HTTP/1.1 and keeps the connection for the next request.
-    It counts the connections it accepted and those still open."""
+    It records the head fields, path and body of each request, and counts
+    the connections it accepted and those still open."""
     state = {"requests": [], "responses": [], "keep_alive": False, "connections": 0, "open": 0}
     lock = threading.Lock()
 
@@ -670,6 +671,9 @@ def chat_server(request):
                     "auth": self.headers.get("Authorization"),
                     "proxy_auth": self.headers.get("Proxy-Authorization"),
                     "type": self.headers.get("Content-Type"),
+                    "host": self.headers.get("Host"),
+                    "accept_encoding": self.headers.get("Accept-Encoding"),
+                    "length": self.headers.get("Content-Length"),
                     "body": body,
                     "path": self.path,
                 }
@@ -1211,3 +1215,185 @@ def test_remote_kept_alive_connection_does_not_wait_on_a_delayed_ack(monkeypatch
         elapsed = time.perf_counter() - started
     assert chat_server["connections"] == 1
     assert elapsed < 0.4  # delayed ACKs alone would take at least 20 * 40 ms
+
+
+# --- the request head and the reply framings -------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "chat_server, route",
+    [(None, "direct"), (None, "default-port"), (None, "http-proxy"), ("tls", "tunnel")],
+    indirect=["chat_server"],
+)
+def test_remote_request_head_carries_the_host_http_client_would_send(proxy_env, chat_server, route):
+    port = int(chat_server["endpoint"].split("/")[2].rpartition(":")[2])
+    endpoint, host = chat_server["endpoint"], f"127.0.0.1:{port}"
+    if route == "default-port":  # port 80 is reached at the server's port, and left out of Host
+        real_connect = socket.create_connection
+
+        def connect(address, *args, **kwargs):
+            return real_connect(("127.0.0.1", port) if address == ("127.0.0.1", 80) else address, *args, **kwargs)
+
+        proxy_env.setattr(socket, "create_connection", connect)
+        endpoint, host = "http://127.0.0.1:80/v1/chat/completions", "127.0.0.1"
+    elif route == "http-proxy":  # Host names the endpoint, not the proxy
+        proxy_env.setenv("http_proxy", f"http://127.0.0.1:{port}")
+        endpoint, host = f"http://{UNRESOLVABLE}/v1/chat/completions", UNRESOLVABLE
+    with contextlib.ExitStack() as stack:
+        if route == "tunnel":
+            proxy_env.setenv("SSL_CERT_FILE", str(TLS_CERT))
+            tunnel_port, heads = stack.enter_context(tunnel_proxy())
+            proxy_env.setenv("https_proxy", f"http://{PROXY_USERINFO}@127.0.0.1:{tunnel_port}")
+        backend = stack.enter_context(opened(remote_cfg(endpoint)))
+        assert complete(backend, PROBE) == "fallback"
+    (request,) = chat_server["requests"]
+    assert request["path"] == (endpoint if route == "http-proxy" else "/v1/chat/completions")
+    assert request["host"] == host
+    assert request["accept_encoding"] == "identity"
+    assert request["length"] == str(len(json.dumps(request["body"]).encode()))
+    assert request["type"] == "application/json"
+    assert request["auth"] == "Bearer sekret-value-123"
+    assert request["proxy_auth"] is None  # the tunnel's credentials went to the proxy only
+    if route == "tunnel":
+        assert len(heads) == 1
+
+
+def test_remote_request_goes_out_in_one_send(monkeypatch, chat_server):
+    monkeypatch.setenv("TC_TEST_KEY", "sekret-value-123")
+    chat_server["keep_alive"] = True
+    sends = []
+    real_sendall = socket.socket.sendall
+
+    def counted(sock, data, *args):
+        if threading.current_thread() is threading.main_thread():  # the client's, not the server's
+            sends.append(len(data))
+        return real_sendall(sock, data, *args)
+
+    monkeypatch.setattr(socket.socket, "sendall", counted)
+    with opened(remote_cfg(chat_server["endpoint"])) as backend:
+        for _ in range(3):
+            assert complete(backend, PROBE) == "fallback"
+    assert len(sends) == 3  # head and body together: the server wakes once per request
+
+
+@pytest.mark.parametrize("secret", ["sekret\r\nX-Injected: 1", "sekret\n", "sekret-€"])
+def test_remote_credential_that_cannot_be_a_header_line_fails_before_network(monkeypatch, secret):
+    monkeypatch.setenv("TC_TEST_KEY", secret)
+    cfg = remote_cfg("http://127.0.0.1:9/v1/chat")  # a dead endpoint: reaching the network would fail differently
+    with opened(cfg) as backend, pytest.raises(ConfigError, match="must hold one line of Latin-1 text") as exc:
+        complete(backend, PROBE)
+    assert "sekret" not in str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "endpoint", ["http://127.0.0.1/v1/chat completions", "http://127.0.0.1/v1/chät", "http://127.0.0.1/v1\r\nX: 1"]
+)
+def test_remote_endpoint_that_cannot_be_a_request_target_fails_at_load(endpoint):
+    with pytest.raises(ConfigError, match="must be printable ASCII without spaces") as exc:
+        BackendConfig(kind="remote-chat", model="m", endpoint=endpoint)
+    assert exc.value.exit_code == 1
+
+
+def raw_reply(data: bytes):
+    """A ``chat_server`` response that writes ``data`` as the whole reply."""
+    return lambda handler: handler.wfile.write(data)
+
+
+def reply_head(*fields: str, status: str = "200 OK") -> bytes:
+    return "".join(f"{line}\r\n" for line in (f"HTTP/1.1 {status}", *fields, "")).encode()
+
+
+CHAT_JSON = json.dumps(chat_payload("chunked A=[1]")).encode()
+
+
+def test_remote_chunked_reply_with_an_extension_and_a_trailer(monkeypatch, chat_server, tmp_path):
+    monkeypatch.setenv("TC_TEST_KEY", "sekret-value-123")
+    chat_server["keep_alive"] = True
+    first, rest = CHAT_JSON[:10], CHAT_JSON[10:]
+    # Content-Length is wrong on purpose: chunked framing wins over it
+    body = b"%x;name=value\r\n%s\r\n%x\r\n%s\r\n0\r\nX-Trailer: 1\r\n\r\n" % (len(first), first, len(rest), rest)
+    chunked = reply_head("Transfer-Encoding: chunked", "Content-Length: 3") + body
+    chat_server["responses"] += [raw_reply(chunked), raw_reply(chunked)]
+    audit = AuditLog(tmp_path / "audit.jsonl")
+    with opened(remote_cfg(chat_server["endpoint"]), audit=audit) as backend:
+        assert complete(backend, PROBE) == "chunked A=[1]"
+        assert complete(backend, PROBE) == "chunked A=[1]"  # the trailer was read to its end
+    audit.close()
+    assert chat_server["connections"] == 1
+    statuses = [json.loads(line)["status"] for line in (tmp_path / "audit.jsonl").read_text().splitlines()]
+    assert statuses == ["ok", "ok"]
+    assert all_closed(chat_server)
+
+
+def test_remote_chunked_reply_cut_off_mid_chunk_is_one_transport_retry(monkeypatch, chat_server, tmp_path):
+    monkeypatch.setenv("TC_TEST_KEY", "sekret-value-123")
+    cut = reply_head("Transfer-Encoding: chunked") + b"%x\r\n%s" % (len(CHAT_JSON), CHAT_JSON[:10])
+    chat_server["responses"] += [raw_reply(cut), (200, chat_payload("whole"))]
+    audit = AuditLog(tmp_path / "audit.jsonl")
+    with opened(remote_cfg(chat_server["endpoint"]), audit=audit) as backend:
+        assert complete(backend, PROBE) == "whole"
+    audit.close()
+    assert len(chat_server["requests"]) == 2
+    assert retry_details(tmp_path / "audit.jsonl") == ["IncompleteRead"]
+
+
+def test_remote_interim_reply_is_skipped(monkeypatch, chat_server, tmp_path):
+    monkeypatch.setenv("TC_TEST_KEY", "sekret-value-123")
+    chat_server["keep_alive"] = True
+    body = json.dumps(chat_payload("after continue")).encode()
+    continued = reply_head(status="100 Continue") + reply_head(f"Content-Length: {len(body)}") + body
+    chat_server["responses"].append(raw_reply(continued))
+    audit = AuditLog(tmp_path / "audit.jsonl")
+    with opened(remote_cfg(chat_server["endpoint"]), audit=audit) as backend:
+        assert complete(backend, PROBE) == "after continue"
+        assert complete(backend, PROBE) == "fallback"
+    audit.close()
+    assert chat_server["connections"] == 1
+    statuses = [json.loads(line)["status"] for line in (tmp_path / "audit.jsonl").read_text().splitlines()]
+    assert statuses == ["ok", "ok"]
+
+
+def test_remote_connection_close_reply_makes_the_next_request_open_a_new_connection(
+    monkeypatch, chat_server, tmp_path
+):
+    monkeypatch.setenv("TC_TEST_KEY", "sekret-value-123")
+    chat_server["keep_alive"] = True
+
+    def closing_reply(handler):
+        data = json.dumps(chat_payload("last on this connection")).encode()
+        handler.send_response(200)
+        handler.send_header("Connection", "close")  # the server hangs up after this reply
+        handler.send_header("Content-Length", str(len(data)))
+        handler.end_headers()
+        handler.wfile.write(data)
+
+    chat_server["responses"].append(closing_reply)
+    audit = AuditLog(tmp_path / "audit.jsonl")
+    with opened(remote_cfg(chat_server["endpoint"]), audit=audit) as backend:
+        assert complete(backend, PROBE) == "last on this connection"
+        assert complete(backend, PROBE) == "fallback"
+    audit.close()
+    assert chat_server["connections"] == 2
+    statuses = [json.loads(line)["status"] for line in (tmp_path / "audit.jsonl").read_text().splitlines()]
+    assert statuses == ["ok", "ok"]  # no reconnect: the closed connection was never reused
+    assert all_closed(chat_server)
+
+
+@pytest.mark.parametrize(
+    "head, detail",
+    [
+        (reply_head("X-Long: " + "a" * 65_536), "LineTooLong"),
+        (reply_head(*(f"X-Field-{i}: 1" for i in range(101))), "HTTPException"),
+        (b"ICY 200 OK\r\n\r\n", "BadStatusLine"),
+    ],
+    ids=["long-line", "101-headers", "not-http"],
+)
+def test_remote_reply_head_beyond_the_limits_is_a_transport_retry(monkeypatch, chat_server, tmp_path, head, detail):
+    monkeypatch.setenv("TC_TEST_KEY", "sekret-value-123")
+    chat_server["responses"].append(raw_reply(head))
+    audit = AuditLog(tmp_path / "audit.jsonl")
+    with opened(remote_cfg(chat_server["endpoint"]), audit=audit) as backend:
+        assert complete(backend, PROBE) == "fallback"
+    audit.close()
+    assert len(chat_server["requests"]) == 2
+    assert retry_details(tmp_path / "audit.jsonl") == [detail]
