@@ -307,7 +307,8 @@ class _BaseBackend:
     """Owns all of a call's state: the config its requests and fingerprints
     come from, the retry policy (re-ask budget and transport retries) and the
     audit log, which may be set once the log is open. It bounds no calls from
-    many threads; only ``RemoteChatBackend``'s connections bound requests."""
+    many threads; only ``RemoteChatBackend``'s connections and rate limit
+    bound requests."""
 
     kind = "base"
     waits_on_io = False  # True when calls wait on the network, so threads can overlap them
@@ -316,10 +317,8 @@ class _BaseBackend:
         self.cfg = cfg
         self.retry = retry or RetryPolicy()
         self.audit = audit
-        self._bucket = TokenBucket(cfg.requests_per_second)
 
     def call(self, message: str, prompt: RenderedPrompt, fingerprint: str, attempt: int) -> str:
-        self._bucket.acquire()
         return self._raw(message, prompt, fingerprint, attempt)
 
     def _raw(self, message: str, prompt: RenderedPrompt, fingerprint: str, attempt: int) -> str:
@@ -327,6 +326,11 @@ class _BaseBackend:
 
     def close(self) -> None:
         """Release what the backend holds open; local backends hold nothing."""
+
+    def _audit(self, fingerprint: str, attempt: int, status: str, **fields) -> None:
+        """Write one audit line, if the backend has an audit log."""
+        if self.audit is not None:
+            self.audit.append(fingerprint=fingerprint, attempt=attempt, status=status, kind=self.kind, **fields)
 
 
 class MockRulesBackend(_BaseBackend):
@@ -515,7 +519,9 @@ class RemoteChatBackend(_BaseBackend):
     buffered reader kept per socket. A request waits for an idle connection
     and reads the whole reply before the connection goes back for the next
     request, so no more than ``in_flight_limit`` requests are ever in
-    flight; ``close`` closes them all. A reply with ``Connection: close``,
+    flight; ``close`` closes them all. Each request written, a transport
+    retry or a reconnect's resend included, first takes a token from the
+    ``requests_per_second`` bucket. A reply with ``Connection: close``,
     or an HTTP/1.0 reply without keep-alive, closes its connection. A reused
     connection that the server has closed meanwhile fails before any byte
     of the reply arrives; it is reopened and the request sent once more,
@@ -536,6 +542,7 @@ class RemoteChatBackend(_BaseBackend):
         from urllib.request import getproxies, proxy_bypass
 
         super().__init__(cfg, retry, audit)
+        self._bucket = TokenBucket(cfg.requests_per_second)
         endpoint = urlsplit(cfg.endpoint)
         host, tls, tunnel_headers, host_field = endpoint.netloc, endpoint.scheme == "https", None, None
         target = endpoint.path + (f"?{endpoint.query}" if endpoint.query else "")
@@ -608,6 +615,7 @@ class RemoteChatBackend(_BaseBackend):
         """Send one request on an idle connection and read its whole reply:
         ``(status, Location, body)``. A transport error closes the connection
         before it goes back idle."""
+        self._bucket.acquire()  # before a connection is taken, so a wait holds none
         conn = self._idle.get()
         try:
             reused = conn.sock is not None
@@ -617,11 +625,8 @@ class RemoteChatBackend(_BaseBackend):
                 if not reused:
                     raise
                 conn.close()
-                if self.audit is not None:
-                    self.audit.append(
-                        fingerprint=fingerprint, attempt=attempt, status="reconnect",
-                        detail=type(exc).__name__, kind=self.kind,
-                    )
+                self._audit(fingerprint, attempt, "reconnect", detail=type(exc).__name__)
+                self._bucket.acquire()
                 return self._send(conn, request)
         except BaseException:
             conn.close()
@@ -670,14 +675,7 @@ class RemoteChatBackend(_BaseBackend):
                     except (ValueError, KeyError, IndexError, TypeError) as exc:
                         raise BackendError(f"malformed completion response: {exc}") from exc
             if i < self.retry.transport_retries:
-                if self.audit is not None:
-                    self.audit.append(
-                        fingerprint=fingerprint,
-                        attempt=attempt,
-                        status="transport-retry",
-                        detail=str(last_status),
-                        kind=self.kind,
-                    )
+                self._audit(fingerprint, attempt, "transport-retry", detail=str(last_status))
                 time.sleep(min(delay, self.retry.backoff_cap))
                 delay *= self.retry.backoff_multiplier
         raise BackendError(f"transport retries exhausted (last status: {last_status})")
@@ -704,9 +702,7 @@ def complete(
     fp = fingerprint if fingerprint is not None else cache_key(backend.cfg, prompt)
     started = time.monotonic()
     raw = backend.call(message if message is not None else prompt.text, prompt, fp, attempt)
-    if backend.audit is not None:
-        latency = time.monotonic() - started
-        backend.audit.append(fingerprint=fp, attempt=attempt, status="ok", latency=latency, kind=backend.kind)
+    backend._audit(fp, attempt, "ok", latency=time.monotonic() - started)
     return raw
 
 
@@ -750,13 +746,10 @@ def classify_with_retry(
         if outcome.ok:
             break
         failures.append(outcome.failure)
-        if stored is None and backend.audit is not None:
-            backend.audit.append(
-                fingerprint=fp, attempt=attempt, status="parse-failure",
-                reason=outcome.failure.reason, detail=outcome.failure.detail, kind=backend.kind,
-            )
+        if stored is None:
+            backend._audit(fp, attempt, "parse-failure", reason=outcome.failure.reason, detail=outcome.failure.detail)
     if stored is None and cache is not None:
         cache.put(fp, texts)
-    if stored is not None and backend.audit is not None:
-        backend.audit.append(fingerprint=fp, attempt=len(texts), status="cache-hit", kind=backend.kind)
+    if stored is not None:
+        backend._audit(fp, len(texts), "cache-hit")
     return outcome, failures, len(texts)

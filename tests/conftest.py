@@ -1,12 +1,13 @@
-"""Shared fixtures: paths, codebook, the synthetic corpus, config builders."""
+"""Shared fixtures: paths, codebook, the synthetic corpus, config builders,
+and the chat endpoint of ``chat.py``."""
 
 from __future__ import annotations
 
-import time
 from pathlib import Path
 
 import pytest
 import yaml
+from chat import chat_endpoint
 
 from themecoder.codebook import Codebook, load_codebook
 from themecoder.corpus import load_posts
@@ -44,12 +45,11 @@ def make_vector(cb: Codebook, positives=()) -> dict[str, int]:
     return {code: 1 if code in positives else 0 for code in cb.alphabet}
 
 
-def all_closed(server_state: dict) -> bool:
-    """Whether a test server's ``open`` connection count falls to 0 within two seconds."""
-    deadline = time.monotonic() + 2.0
-    while server_state["open"] and time.monotonic() < deadline:
-        time.sleep(0.01)
-    return server_state["open"] == 0
+@pytest.fixture()
+def chat_server(request):
+    """The state of a ``chat.chat_endpoint``; parametrized with "tls", it serves https."""
+    with chat_endpoint(tls=getattr(request, "param", None) == "tls") as state:
+        yield state
 
 
 def write_config(path: Path, **sections) -> Path:

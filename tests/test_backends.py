@@ -6,15 +6,14 @@ import contextlib
 import dataclasses
 import json
 import socket
-import ssl
 import sys
 import threading
 import time
 import tracemalloc
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
-from conftest import FIXTURES, all_closed, base_config, make_vector, write_config
+from chat import TLS_CERT, all_closed, chat_endpoint, chat_payload
+from conftest import FIXTURES, base_config, make_vector, write_config
 
 from themecoder.backends import (
     BACKEND_KINDS,
@@ -623,95 +622,6 @@ def test_token_bucket_throttles_beyond_burst():
 # --- remote chat client ------------------------------------------------------------------
 
 
-def chat_payload(content: str) -> dict:
-    return {"choices": [{"message": {"content": content}}]}
-
-
-# A self-signed certificate for 127.0.0.1, valid until 2126, made with
-#   openssl req -x509 -newkey rsa:2048 -nodes -keyout tls_key.pem -out tls_cert.pem \
-#     -days 36500 -subj /CN=127.0.0.1 -addext subjectAltName=IP:127.0.0.1
-TLS_CERT = FIXTURES / "tls_cert.pem"
-TLS_KEY = FIXTURES / "tls_key.pem"
-
-
-@pytest.fixture()
-def chat_server(request):
-    """A chat endpoint that serves ``responses`` in order: (HTTP status,
-    payload) pairs, or a callable that writes the whole reply itself.
-    Parametrized with "tls", it serves https with ``TLS_CERT``. It answers
-    in HTTP/1.0 and closes after each reply; with ``keep_alive`` set it
-    answers in HTTP/1.1 and keeps the connection for the next request.
-    It records the head fields, path and body of each request, and counts
-    the connections it accepted and those still open."""
-    state = {"requests": [], "responses": [], "keep_alive": False, "connections": 0, "open": 0}
-    lock = threading.Lock()
-
-    class Handler(BaseHTTPRequestHandler):
-        def setup(self):
-            if state["keep_alive"]:
-                self.protocol_version = "HTTP/1.1"
-                self.timeout = 5  # a connection the client leaves open ends the wait, not the test run
-            with lock:
-                state["connections"] += 1
-                state["open"] += 1
-            super().setup()
-
-        def finish(self):
-            try:
-                super().finish()
-            finally:
-                with lock:
-                    state["open"] -= 1
-
-        def do_POST(self):
-            length = int(self.headers.get("Content-Length", 0))
-            body = json.loads(self.rfile.read(length) or b"{}")
-            state["requests"].append(
-                {
-                    "auth": self.headers.get("Authorization"),
-                    "proxy_auth": self.headers.get("Proxy-Authorization"),
-                    "type": self.headers.get("Content-Type"),
-                    "host": self.headers.get("Host"),
-                    "accept_encoding": self.headers.get("Accept-Encoding"),
-                    "length": self.headers.get("Content-Length"),
-                    "body": body,
-                    "path": self.path,
-                }
-            )
-            if state["responses"]:
-                entry = state["responses"].pop(0)
-            else:
-                entry = 200, chat_payload("fallback")
-            if callable(entry):
-                return entry(self)
-            status, payload = entry
-            data = payload if isinstance(payload, bytes) else json.dumps(payload).encode()
-            self.send_response(status)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(data)))
-            self.end_headers()
-            self.wfile.write(data)
-
-        def log_message(self, *args):
-            pass
-
-    httpd = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-    scheme = "http"
-    if getattr(request, "param", None) == "tls":
-        context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
-        context.load_cert_chain(TLS_CERT, TLS_KEY)
-        httpd.socket = context.wrap_socket(httpd.socket, server_side=True)
-        scheme = "https"
-    thread = threading.Thread(target=httpd.serve_forever, daemon=True)
-    thread.start()
-    state["endpoint"] = f"{scheme}://127.0.0.1:{httpd.server_port}/v1/chat/completions"
-    try:
-        yield state
-    finally:
-        httpd.shutdown()
-        httpd.server_close()
-
-
 def remote_cfg(endpoint: str) -> BackendConfig:
     return BackendConfig(
         kind="remote-chat",
@@ -788,6 +698,19 @@ def test_remote_server_errors_exhaust_retries(monkeypatch, chat_server):
     assert len(chat_server["requests"]) == 3  # initial + 2 retries
 
 
+def test_remote_requests_per_second_meters_each_request_transport_retries_included(monkeypatch, chat_server):
+    monkeypatch.setenv("TC_TEST_KEY", "sekret-value-123")
+    chat_server["answer"] = lambda request: (503, {})
+    cfg = dataclasses.replace(remote_cfg(chat_server["endpoint"]), requests_per_second=4.0)
+    policy = RetryPolicy(backoff_initial=0.01, backoff_cap=0.01, transport_retries=5)
+    started = time.monotonic()
+    with opened(cfg, policy) as backend, pytest.raises(BackendError, match="transport retries exhausted"):
+        complete(backend, PROBE)
+    assert len(chat_server["requests"]) == 6
+    # 4 tokens at the start, then one each 0.25 s: about 0.5 s, where one token per call takes 0.05 s
+    assert time.monotonic() - started >= 0.4
+
+
 def test_remote_malformed_response(monkeypatch, chat_server):
     monkeypatch.setenv("TC_TEST_KEY", "sekret-value-123")
     chat_server["responses"].append((200, b"this is not json"))
@@ -830,39 +753,19 @@ def test_remote_other_error_status_names_it_without_retry(monkeypatch, chat_serv
 @pytest.mark.parametrize("status", [301, 302, 303, 307, 308])
 def test_remote_never_follows_a_redirect(monkeypatch, chat_server, status):
     monkeypatch.setenv("TC_TEST_KEY", "sekret-value-123")
-    reached = []
+    with chat_endpoint() as elsewhere:
+        location = elsewhere["endpoint"].replace("127.0.0.1", "localhost")
 
-    class Elsewhere(BaseHTTPRequestHandler):
-        def do_GET(self):
-            reached.append(self.headers.get("Authorization"))
-            self.send_response(200)
-            self.send_header("Content-Length", "0")
-            self.end_headers()
+        def redirect(handler):
+            handler.send_response(status)
+            handler.send_header("Location", location)
+            handler.send_header("Content-Length", "0")
+            handler.end_headers()
 
-        do_POST = do_GET
-
-        def log_message(self, *args):
-            pass
-
-    other = ThreadingHTTPServer(("127.0.0.1", 0), Elsewhere)
-    thread = threading.Thread(target=other.serve_forever, daemon=True)
-    thread.start()
-    location = f"http://localhost:{other.server_port}/v1/chat/completions"
-
-    def redirect(handler):
-        handler.send_response(status)
-        handler.send_header("Location", location)
-        handler.send_header("Content-Length", "0")
-        handler.end_headers()
-
-    chat_server["responses"].append(redirect)
-    try:
+        chat_server["responses"].append(redirect)
         with opened(remote_cfg(chat_server["endpoint"])) as backend, pytest.raises(BackendError) as exc:
             complete(backend, PROBE)
-    finally:
-        other.shutdown()
-        other.server_close()
-    assert reached == []  # the credential went to the endpoint only
+    assert elsewhere["requests"] == []  # the credential went to the endpoint only
     assert len(chat_server["requests"]) == 1
     assert str(exc.value).startswith(f"endpoint redirected (HTTP {status} to {location})")
     assert exc.value.exit_code == 3
@@ -915,35 +818,6 @@ PROXY_VARS = ("http_proxy", "https_proxy", "all_proxy", "no_proxy")
 UNRESOLVABLE = "chat.invalid"
 
 
-def test_remote_honours_http_proxy_and_no_proxy(monkeypatch, chat_server):
-    monkeypatch.setenv("TC_TEST_KEY", "sekret-value-123")
-    for var in PROXY_VARS:
-        monkeypatch.delenv(var, raising=False)
-        monkeypatch.delenv(var.upper(), raising=False)
-    real_lookup = socket.getaddrinfo
-
-    def lookup(host, *args, **kwargs):
-        # fail at once, so a request that skips the proxy never leaves this machine
-        if host == UNRESOLVABLE:
-            raise socket.gaierror(socket.EAI_NONAME, "Name or service not known")
-        return real_lookup(host, *args, **kwargs)
-
-    monkeypatch.setattr(socket, "getaddrinfo", lookup)
-    monkeypatch.setenv("http_proxy", chat_server["endpoint"].removesuffix("/v1/chat/completions"))
-    cfg = remote_cfg(f"http://{UNRESOLVABLE}/v1/chat/completions")
-    with opened(cfg) as backend:
-        assert complete(backend, PROBE) == "fallback"
-    (request,) = chat_server["requests"]
-    assert request["path"] == cfg.endpoint  # a proxy is sent the absolute URL
-    assert request["auth"] == "Bearer sekret-value-123"
-
-    monkeypatch.setenv("no_proxy", UNRESOLVABLE)
-    with opened(cfg) as backend:
-        with pytest.raises(BackendError, match=r"transport retries exhausted \(last status: gaierror\)"):
-            complete(backend, PROBE)
-    assert len(chat_server["requests"]) == 1
-
-
 PROXY_USERINFO = "us%40er:p%3Ass"  # user "us@er", password "p:ss", both percent-escaped
 PROXY_AUTH = "Basic dXNAZXI6cDpzcw=="  # base64 of "us@er:p:ss"
 
@@ -958,12 +832,29 @@ def proxy_env(monkeypatch):
     real_lookup = socket.getaddrinfo
 
     def lookup(host, *args, **kwargs):
+        # fail at once, so a request that skips the proxy never leaves this machine
         if host == UNRESOLVABLE:
             raise socket.gaierror(socket.EAI_NONAME, "Name or service not known")
         return real_lookup(host, *args, **kwargs)
 
     monkeypatch.setattr(socket, "getaddrinfo", lookup)
     return monkeypatch
+
+
+def test_remote_honours_http_proxy_and_no_proxy(proxy_env, chat_server):
+    proxy_env.setenv("http_proxy", chat_server["endpoint"].removesuffix("/v1/chat/completions"))
+    cfg = remote_cfg(f"http://{UNRESOLVABLE}/v1/chat/completions")
+    with opened(cfg) as backend:
+        assert complete(backend, PROBE) == "fallback"
+    (request,) = chat_server["requests"]
+    assert request["path"] == cfg.endpoint  # a proxy is sent the absolute URL
+    assert request["auth"] == "Bearer sekret-value-123"
+
+    proxy_env.setenv("no_proxy", UNRESOLVABLE)
+    with opened(cfg) as backend:
+        with pytest.raises(BackendError, match=r"transport retries exhausted \(last status: gaierror\)"):
+            complete(backend, PROBE)
+    assert len(chat_server["requests"]) == 1
 
 
 def test_remote_sends_proxy_credentials_with_the_bearer_token(proxy_env, chat_server):
@@ -1113,25 +1004,12 @@ def test_remote_https_trusts_the_system_store_or_ssl_cert_file(monkeypatch, chat
 def test_remote_in_flight_limit_bounds_requests_and_connections(monkeypatch, chat_server):
     monkeypatch.setenv("TC_TEST_KEY", "sekret-value-123")
     chat_server["keep_alive"] = True
-    lock = threading.Lock()
-    load = {"now": 0, "peak": 0}  # requests the server holds at once
 
-    def slow(handler):
-        with lock:
-            load["now"] += 1
-            load["peak"] = max(load["peak"], load["now"])
-        try:
-            time.sleep(0.02)
-            data = json.dumps(chat_payload("A=[1]")).encode()
-            handler.send_response(200)
-            handler.send_header("Content-Length", str(len(data)))
-            handler.end_headers()
-            handler.wfile.write(data)
-        finally:
-            with lock:
-                load["now"] -= 1
+    def slow(request):
+        time.sleep(0.02)
+        return 200, chat_payload("A=[1]")
 
-    chat_server["responses"] += [slow] * 8
+    chat_server["answer"] = slow
     answers = []
     with opened(dataclasses.replace(remote_cfg(chat_server["endpoint"]), in_flight_limit=2)) as backend:
         threads = [threading.Thread(target=lambda: answers.append(complete(backend, PROBE))) for _ in range(8)]
@@ -1141,7 +1019,7 @@ def test_remote_in_flight_limit_bounds_requests_and_connections(monkeypatch, cha
             t.join(timeout=30)
     assert not any(t.is_alive() for t in threads)
     assert answers == ["A=[1]"] * 8
-    assert 1 <= load["peak"] <= 2
+    assert 1 <= chat_server["peak"] <= 2  # requests the server holds at once
     assert chat_server["connections"] <= 2
     assert all_closed(chat_server)
 

@@ -11,13 +11,12 @@ import json
 import os
 import subprocess
 import sys
-import threading
 from contextlib import contextmanager
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 import yaml
 
+from chat import chat_payload
 from conftest import FIXTURES, base_config, write_config
 
 from themecoder import jsonl, pipeline
@@ -311,39 +310,15 @@ def test_lone_surrogate_escape_in_a_yaml_input_exits(tmp_path, capsys, clean_cor
     assert not (run_dir / "results.jsonl").exists()
 
 
-@contextmanager
-def chat_endpoint(content: str):
-    """A chat endpoint on 127.0.0.1 that answers every request with ``content``."""
-    data = json.dumps({"choices": [{"message": {"content": content}}]}).encode()  # a lone surrogate as \ud800
-
-    class Chat(BaseHTTPRequestHandler):
-        def do_POST(self):
-            self.rfile.read(int(self.headers["Content-Length"]))
-            self.send_response(200)
-            self.send_header("Content-Length", str(len(data)))
-            self.end_headers()
-            self.wfile.write(data)
-
-        def log_message(self, *args):
-            pass
-
-    httpd = ThreadingHTTPServer(("127.0.0.1", 0), Chat)
-    thread = threading.Thread(target=httpd.serve_forever, daemon=True)
-    thread.start()
-    try:
-        yield f"http://127.0.0.1:{httpd.server_port}/v1/chat/completions"
-    finally:
-        httpd.shutdown()
-        httpd.server_close()
-        thread.join()
-
-
-def test_remote_reply_holding_a_lone_surrogate_exits_three(tmp_path, capsys, monkeypatch, clean_corpus_path):
+def test_remote_reply_holding_a_lone_surrogate_exits_three(
+    tmp_path, capsys, monkeypatch, clean_corpus_path, chat_server
+):
     monkeypatch.setenv("TC_TEST_KEY", "k")
-    with chat_endpoint("A=0, B=1\ud800") as endpoint:
-        backend = {"kind": "remote-chat", "model": "m", "endpoint": endpoint, "credential_env": "TC_TEST_KEY"}
-        cfg_path, run_dir = write_cfg(tmp_path, clean_corpus_path, backend=backend)
-        assert main(["classify", "--config", str(cfg_path)]) == 3
+    chat_server["answer"] = lambda request: (200, chat_payload("A=0, B=1\ud800"))  # JSON escapes it as \ud800
+    endpoint = chat_server["endpoint"]
+    backend = {"kind": "remote-chat", "model": "m", "endpoint": endpoint, "credential_env": "TC_TEST_KEY"}
+    cfg_path, run_dir = write_cfg(tmp_path, clean_corpus_path, backend=backend)
+    assert main(["classify", "--config", str(cfg_path)]) == 3
     err = capsys.readouterr().err
     assert err == "error: malformed completion response: message content holds a lone surrogate, not valid Unicode\n"
     ledger = [json.loads(line) for line in (run_dir / "ledger.jsonl").read_text(encoding="utf-8").splitlines()]

@@ -12,6 +12,7 @@ from pathlib import Path
 from conftest import FIXTURES, base_config, write_config
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+CHILD_PATH = os.pathsep.join((str(SRC), str(Path(__file__).resolve().parent)))  # the package, and chat.py
 
 # A None entry in sys.modules makes every later `import scipy` raise ImportError.
 BLOCKED = """
@@ -42,34 +43,20 @@ def test_package_runs_without_scipy(tmp_path):
 
 # A remote-chat classify of one prompt against a chat endpoint on 127.0.0.1.
 NO_REQUESTS = """
-import json, sys, threading
+import sys
 sys.modules["requests"] = None
 from contextlib import closing
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from chat import chat_endpoint, chat_payload
 from themecoder.backends import BackendConfig, classify_with_retry, make_backend
 from themecoder.parsing import parse_single_answer
 from themecoder.prompting import RenderedPrompt
 
-class Chat(BaseHTTPRequestHandler):
-    def do_POST(self):
-        self.rfile.read(int(self.headers["Content-Length"]))
-        data = json.dumps({"choices": [{"message": {"content": "A=[1]"}}]}).encode()
-        self.send_response(200)
-        self.send_header("Content-Length", str(len(data)))
-        self.end_headers()
-        self.wfile.write(data)
-
-httpd = ThreadingHTTPServer(("127.0.0.1", 0), Chat)
-threading.Thread(target=httpd.serve_forever, daemon=True).start()
-cfg = BackendConfig(
-    kind="remote-chat", model="m", credential_env="TC_TEST_KEY",
-    endpoint=f"http://127.0.0.1:{httpd.server_port}/v1/chat/completions",
-)
 prompt = RenderedPrompt(text="PROBE", template_version="v1", shots=0, target=("A",), post_id="p1")
-with closing(make_backend(cfg)) as backend:
-    outcome, _, _ = classify_with_retry(backend, prompt, lambda raw: parse_single_answer(raw, "A"))
-httpd.shutdown()
-httpd.server_close()
+with chat_endpoint() as chat:
+    chat["answer"] = lambda request: (200, chat_payload("A=[1]"))
+    cfg = BackendConfig(kind="remote-chat", model="m", credential_env="TC_TEST_KEY", endpoint=chat["endpoint"])
+    with closing(make_backend(cfg)) as backend:
+        outcome, _, _ = classify_with_retry(backend, prompt, lambda raw: parse_single_answer(raw, "A"))
 assert outcome.vector == {"A": 1}, outcome
 """
 
@@ -78,7 +65,7 @@ def test_remote_backend_runs_without_requests():
     env = {k: v for k, v in os.environ.items() if not k.lower().endswith("_proxy")}
     child = subprocess.run(
         [sys.executable, "-c", NO_REQUESTS],
-        env={**env, "PYTHONPATH": str(SRC), "TC_TEST_KEY": "k"},
+        env={**env, "PYTHONPATH": CHILD_PATH, "TC_TEST_KEY": "k"},
         capture_output=True,
         text=True,
         timeout=60,
@@ -131,45 +118,31 @@ def test_ingest_and_classify_do_not_load_numpy_random(tmp_path, clean_corpus_pat
 # remote-chat classify against a chat endpoint on 127.0.0.1 load neither numpy
 # nor statistics; evaluate, distribute and rank then load them on first use.
 NO_NUMPY = """
-import json, sys, threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+import sys
 import yaml
 import themecoder
+from chat import chat_endpoint, chat_payload
 from themecoder.cli import main
 
 mock_cfg, rank_table, out = sys.argv[1:]
 alphabet = themecoder.load_codebook().alphabet
 reply = ", ".join(f"{code}={int(code == 'X')}" for code in alphabet)
 
-class Chat(BaseHTTPRequestHandler):
-    def do_POST(self):
-        self.rfile.read(int(self.headers["Content-Length"]))
-        data = json.dumps({"choices": [{"message": {"content": reply}}]}).encode()
-        self.send_response(200)
-        self.send_header("Content-Length", str(len(data)))
-        self.end_headers()
-        self.wfile.write(data)
+with chat_endpoint() as chat:
+    chat["answer"] = lambda request: (200, chat_payload(reply))
+    with open(mock_cfg, encoding="utf-8") as f:
+        sections = yaml.safe_load(f)
+    sections["run"]["output_dir"] += "-remote"
+    sections["backend"] = {
+        "kind": "remote-chat", "model": "m", "credential_env": "TC_TEST_KEY", "in_flight_limit": 2,
+        "endpoint": chat["endpoint"],
+    }
+    remote_cfg = mock_cfg.replace(".yaml", "-remote.yaml")
+    with open(remote_cfg, "w", encoding="utf-8") as f:
+        yaml.safe_dump(sections, f)
 
-    def log_message(self, *args):
-        pass
-
-httpd = ThreadingHTTPServer(("127.0.0.1", 0), Chat)
-threading.Thread(target=httpd.serve_forever, daemon=True).start()
-with open(mock_cfg, encoding="utf-8") as f:
-    sections = yaml.safe_load(f)
-sections["run"]["output_dir"] += "-remote"
-sections["backend"] = {
-    "kind": "remote-chat", "model": "m", "credential_env": "TC_TEST_KEY", "in_flight_limit": 2,
-    "endpoint": f"http://127.0.0.1:{httpd.server_port}/v1/chat/completions",
-}
-remote_cfg = mock_cfg.replace(".yaml", "-remote.yaml")
-with open(remote_cfg, "w", encoding="utf-8") as f:
-    yaml.safe_dump(sections, f)
-
-for verb, cfg in (("ingest", mock_cfg), ("classify", mock_cfg), ("classify", remote_cfg)):
-    assert main([verb, "--config", cfg]) == 0, verb
-httpd.shutdown()
-httpd.server_close()
+    for verb, cfg in (("ingest", mock_cfg), ("classify", mock_cfg), ("classify", remote_cfg)):
+        assert main([verb, "--config", cfg]) == 0, verb
 loaded = {"numpy", "statistics"} & set(sys.modules)
 assert not loaded, loaded
 
@@ -186,7 +159,7 @@ def test_ingest_and_classify_load_neither_numpy_nor_statistics(tmp_path, clean_c
     env = {k: v for k, v in os.environ.items() if not k.lower().endswith("_proxy")}
     child = subprocess.run(
         [sys.executable, "-c", NO_NUMPY, str(cfg_path), str(FIXTURES / "ds1_reference_metrics.csv"), str(ranked)],
-        env={**env, "PYTHONPATH": str(SRC), "TC_TEST_KEY": "k"},
+        env={**env, "PYTHONPATH": CHILD_PATH, "TC_TEST_KEY": "k"},
         capture_output=True,
         text=True,
         timeout=60,

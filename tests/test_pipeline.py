@@ -23,12 +23,12 @@ import sys
 import threading
 import time
 from collections import Counter
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
 
-from conftest import FIXTURES, all_closed, base_config, write_config
+from chat import all_closed, chat_payload
+from conftest import FIXTURES, base_config, write_config
 
 from themecoder import backends, evaluation, pipeline
 from themecoder.backends import (
@@ -1345,79 +1345,22 @@ def test_classify_refuses_a_bad_replay_script_before_writing_any_run_file(tmp_pa
 # --- classify against a chat endpoint on 127.0.0.1 ------------------------------
 
 
-@pytest.fixture()
-def chat_stub():
-    """A chat endpoint that answers each prompt text from ``replies``:
-    prompt -> (HTTP status, reply text, seconds to wait first). It counts
-    requests and the most it served at once. It answers in HTTP/1.0 and
-    closes after each reply; with ``keep_alive`` set it answers in HTTP/1.1
-    and keeps the connection, and with ``drop_first`` set too it hangs up
-    the first connection after its first reply, as a server drops an idle
-    one. It counts the connections it accepted and those still open."""
-    state = {
-        "replies": {}, "prompts": [], "active": 0, "peak": 0,
-        "keep_alive": False, "drop_first": False, "connections": 0, "open": 0,
-    }
-    lock = threading.Lock()
-
-    class Handler(BaseHTTPRequestHandler):
-        def setup(self):
-            if state["keep_alive"]:
-                self.protocol_version = "HTTP/1.1"
-                self.timeout = 5  # a connection the client leaves open ends the wait, not the test run
-            with lock:
-                state["connections"] += 1
-                state["open"] += 1
-                self.drops = state["drop_first"] and state["connections"] == 1
-            super().setup()
-
-        def finish(self):
-            try:
-                super().finish()
-            finally:
-                with lock:
-                    state["open"] -= 1
-
-        def do_POST(self):
-            prompt = json.loads(self.rfile.read(int(self.headers["Content-Length"])))["messages"][0]["content"]
-            with lock:
-                state["prompts"].append(prompt)
-                state["active"] += 1
-                state["peak"] = max(state["peak"], state["active"])
-            status, text, delay = state["replies"][prompt]
-            time.sleep(delay)
-            data = json.dumps({"choices": [{"message": {"content": text}}]}).encode()
-            with lock:
-                state["active"] -= 1
-            self.send_response(status)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(data)))
-            self.end_headers()
-            self.wfile.write(data)
-            self.close_connection |= self.drops
-
-        def log_message(self, *args):
-            pass
-
-    httpd = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-    thread = threading.Thread(target=httpd.serve_forever, daemon=True)
-    thread.start()
-    state["endpoint"] = f"http://127.0.0.1:{httpd.server_port}/v1/chat/completions"
-    try:
-        yield state
-    finally:
-        httpd.shutdown()
-        httpd.server_close()
-
-
-def remote_run(tmp_path, corpus_path, chat_stub, cb, name="remote", limit=4, delays=(), status=None):
-    """Config for a remote-chat run against ``chat_stub``. Post i's reply is
-    its rule line after ``delays[i]`` seconds (0 past the end); ``status``
-    maps a post index to another HTTP status for its reply."""
+def remote_run(tmp_path, corpus_path, chat_server, cb, name="remote", limit=4, delays=(), status=None):
+    """Config for a remote-chat run against ``chat_server``, which answers
+    post i's prompt with its rule line after ``delays[i]`` seconds (0 past
+    the end); ``status`` maps a post index to another HTTP status for it."""
+    replies = {}  # prompt -> (HTTP status, reply text, seconds to wait first)
     for i, post in enumerate(load_posts(corpus_path).posts):
         rendered = render_prompt(post, cb, load_template(), ShotPolicy(shots=0), seed=0, include_title=False)
         delay = delays[i] if i < len(delays) else 0.0
-        chat_stub["replies"][rendered.text] = ((status or {}).get(i, 200), rule_line(cb, post.body), delay)
+        replies[rendered.text] = ((status or {}).get(i, 200), rule_line(cb, post.body), delay)
+
+    def answer(request):
+        code, text, delay = replies[request["body"]["messages"][0]["content"]]
+        time.sleep(delay)
+        return code, chat_payload(text)
+
+    chat_server["answer"] = answer
     return make_cfg(
         tmp_path,
         corpus_path,
@@ -1425,7 +1368,7 @@ def remote_run(tmp_path, corpus_path, chat_stub, cb, name="remote", limit=4, del
         backend={
             "kind": "remote-chat",
             "model": "stub-model",
-            "endpoint": chat_stub["endpoint"],
+            "endpoint": chat_server["endpoint"],
             "credential_env": "TC_TEST_KEY",
             "timeout": 5.0,
             "in_flight_limit": limit,
@@ -1435,15 +1378,15 @@ def remote_run(tmp_path, corpus_path, chat_stub, cb, name="remote", limit=4, del
 
 
 def test_classify_remote_commits_in_corpus_order_under_out_of_order_replies(
-    tmp_path, monkeypatch, clean_corpus_path, cb, chat_stub
+    tmp_path, monkeypatch, clean_corpus_path, cb, chat_server
 ):
     monkeypatch.setenv("TC_TEST_KEY", "test-key")
-    serial = remote_run(tmp_path, clean_corpus_path, chat_stub, cb, name="serial", limit=1)
+    serial = remote_run(tmp_path, clean_corpus_path, chat_server, cb, name="serial", limit=1)
     cmd_classify(serial)
-    assert chat_stub["peak"] == 1
-    pooled = remote_run(tmp_path, clean_corpus_path, chat_stub, cb, name="pooled", limit=4, delays=(0.3, 0.2, 0.1))
+    assert chat_server["peak"] == 1
+    pooled = remote_run(tmp_path, clean_corpus_path, chat_server, cb, name="pooled", limit=4, delays=(0.3, 0.2, 0.1))
     cmd_classify(pooled)
-    assert chat_stub["peak"] > 1  # the pool overlapped requests
+    assert chat_server["peak"] > 1  # the pool overlapped requests
     results = (pooled.output_dir / "results.jsonl").read_bytes()
     assert results == (serial.output_dir / "results.jsonl").read_bytes()
     corpus = load_posts(clean_corpus_path)
@@ -1455,25 +1398,28 @@ def test_classify_remote_commits_in_corpus_order_under_out_of_order_replies(
 
 
 @pytest.mark.parametrize("limit", [1, 3])
-def test_classify_remote_auth_failure_stops_within_window(tmp_path, monkeypatch, clean_corpus_path, cb, chat_stub, limit):
+def test_classify_remote_auth_failure_stops_within_window(
+    tmp_path, monkeypatch, clean_corpus_path, cb, chat_server, limit
+):
     monkeypatch.setenv("TC_TEST_KEY", "test-key")
     # a slow first reply holds the commit back while the other workers run ahead
-    cfg = remote_run(tmp_path, clean_corpus_path, chat_stub, cb, limit=limit, delays=(0.3,), status={2: 401})
+    cfg = remote_run(tmp_path, clean_corpus_path, chat_server, cb, limit=limit, delays=(0.3,), status={2: 401})
     assert main(["classify", "--config", str(tmp_path / "remote.yaml")]) == 3
-    assert len(chat_stub["prompts"]) <= 3 + 2 * limit < 18
+    assert len(chat_server["requests"]) <= 3 + 2 * limit < 18
     assert RunLedger(cfg.output_dir / "ledger.jsonl").events()[-1]["event"] == "abort"
     assert len(ResultsStore(cfg.output_dir / "results.jsonl")) == 2
 
 
 @pytest.mark.parametrize("kind", ["mock-rules", "remote-chat"])
 def test_classify_interrupt_exits_130_and_resumes_byte_identical(
-    tmp_path, monkeypatch, capsys, clean_corpus_path, cb, chat_stub, kind
+    tmp_path, monkeypatch, capsys, clean_corpus_path, cb, chat_server, kind
 ):
     monkeypatch.setenv("TC_TEST_KEY", "test-key")
     limit = 2
     if kind == "remote-chat":
         whole, cut = (
-            remote_run(tmp_path, clean_corpus_path, chat_stub, cb, name=name, limit=limit) for name in ("whole", "cut")
+            remote_run(tmp_path, clean_corpus_path, chat_server, cb, name=name, limit=limit)
+            for name in ("whole", "cut")
         )
     else:
         whole, cut = (make_cfg(tmp_path, clean_corpus_path, name=name) for name in ("whole", "cut"))
@@ -1505,7 +1451,7 @@ def test_classify_interrupt_exits_130_and_resumes_byte_identical(
 
 @pytest.mark.parametrize("abort", [False, True], ids=["success", "abort"])
 def test_classify_remote_closes_run_files_after_the_pool_drains(
-    tmp_path, monkeypatch, clean_corpus_path, cb, chat_stub, abort
+    tmp_path, monkeypatch, clean_corpus_path, cb, chat_server, abort
 ):
     monkeypatch.setenv("TC_TEST_KEY", "test-key")
     clock = itertools.count()
@@ -1535,7 +1481,7 @@ def test_classify_remote_closes_run_files_after_the_pool_drains(
     monkeypatch.setattr(Path, "open", recording_open)
     # with two workers, post 4 is still waiting on its reply when post 3's 401 aborts the run
     cfg = remote_run(
-        tmp_path, clean_corpus_path, chat_stub, cb, limit=2, delays=(0.05, 0.05, 0.0, 0.3),
+        tmp_path, clean_corpus_path, chat_server, cb, limit=2, delays=(0.05, 0.05, 0.0, 0.3),
         status={2: 401} if abort else None,
     )
     if abort:
@@ -1552,26 +1498,26 @@ def test_classify_remote_closes_run_files_after_the_pool_drains(
 
 
 def test_classify_remote_keeps_two_connections_alive_and_writes_the_same_results(
-    tmp_path, monkeypatch, clean_corpus_path, cb, chat_stub
+    tmp_path, monkeypatch, clean_corpus_path, cb, chat_server
 ):
     monkeypatch.setenv("TC_TEST_KEY", "test-key")
-    closing_each = remote_run(tmp_path, clean_corpus_path, chat_stub, cb, name="closing", limit=2)
+    closing_each = remote_run(tmp_path, clean_corpus_path, chat_server, cb, name="closing", limit=2)
     cmd_classify(closing_each)
-    assert chat_stub["connections"] == 18  # HTTP/1.0: one connection per request
-    chat_stub["keep_alive"], chat_stub["connections"] = True, 0
-    kept = remote_run(tmp_path, clean_corpus_path, chat_stub, cb, name="kept", limit=2)
+    assert chat_server["connections"] == 18  # HTTP/1.0: one connection per request
+    chat_server["keep_alive"], chat_server["connections"] = True, 0
+    kept = remote_run(tmp_path, clean_corpus_path, chat_server, cb, name="kept", limit=2)
     cmd_classify(kept)
-    assert 1 <= chat_stub["connections"] <= 2
+    assert 1 <= chat_server["connections"] <= 2
     assert (kept.output_dir / "results.jsonl").read_bytes() == (closing_each.output_dir / "results.jsonl").read_bytes()
-    assert all_closed(chat_stub)
+    assert all_closed(chat_server)
 
 
 def test_classify_remote_reconnects_once_when_the_server_drops_an_idle_connection(
-    tmp_path, monkeypatch, clean_corpus_path, cb, chat_stub
+    tmp_path, monkeypatch, clean_corpus_path, cb, chat_server
 ):
     monkeypatch.setenv("TC_TEST_KEY", "test-key")
-    chat_stub["keep_alive"] = chat_stub["drop_first"] = True
-    cfg = remote_run(tmp_path, clean_corpus_path, chat_stub, cb, limit=1)  # no transport retry to fall back on
+    chat_server["keep_alive"] = chat_server["drop_first"] = True
+    cfg = remote_run(tmp_path, clean_corpus_path, chat_server, cb, limit=1)  # no transport retry to fall back on
     cmd_classify(cfg)
     audit = [json.loads(line) for line in (cfg.output_dir / "audit.jsonl").read_text(encoding="utf-8").splitlines()]
     (reconnect,) = [rec for rec in audit if rec["status"] != "ok"]
@@ -1582,17 +1528,17 @@ def test_classify_remote_reconnects_once_when_the_server_drops_an_idle_connectio
     preds, failed = stored(cfg.output_dir / "results.jsonl", cb)
     corpus = load_posts(clean_corpus_path)
     assert not failed and by_id(preds) == {p.id: mock_rule_vector(p.body, cb.alphabet) for p in corpus.posts}
-    assert len(chat_stub["prompts"]) == 18 and chat_stub["connections"] == 2
-    assert all_closed(chat_stub)
+    assert len(chat_server["requests"]) == 18 and chat_server["connections"] == 2
+    assert all_closed(chat_server)
 
 
 @pytest.mark.parametrize("outcome", ["success", "abort", "interrupt"])
 def test_classify_remote_kept_alive_run_leaves_no_connection_open(
-    tmp_path, monkeypatch, clean_corpus_path, cb, chat_stub, outcome
+    tmp_path, monkeypatch, clean_corpus_path, cb, chat_server, outcome
 ):
     monkeypatch.setenv("TC_TEST_KEY", "test-key")
-    chat_stub["keep_alive"] = True
-    remote_run(tmp_path, clean_corpus_path, chat_stub, cb, limit=3, status={5: 401} if outcome == "abort" else None)
+    chat_server["keep_alive"] = True
+    remote_run(tmp_path, clean_corpus_path, chat_server, cb, limit=3, status={5: 401} if outcome == "abort" else None)
     if outcome == "interrupt":
         real_one, tenth = pipeline._classify_one, load_posts(clean_corpus_path).posts[9].id
 
@@ -1603,8 +1549,8 @@ def test_classify_remote_kept_alive_run_leaves_no_connection_open(
 
         monkeypatch.setattr(pipeline, "_classify_one", interrupted_at_tenth)
     assert main(["classify", "--config", str(tmp_path / "remote.yaml")]) == {"success": 0, "abort": 3, "interrupt": 130}[outcome]
-    assert chat_stub["connections"] >= 1
-    assert all_closed(chat_stub)
+    assert chat_server["connections"] >= 1
+    assert all_closed(chat_server)
     gc.collect()  # a socket left to the collector would warn here, and the warning fails the test
 
 
