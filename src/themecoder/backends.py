@@ -228,12 +228,13 @@ class ResponseCache(JsonLines):
 
 
 class TokenBucket:
-    """Simple thread-safe token bucket; rate <= 0 disables limiting."""
+    """Thread-safe request spacing: a bucket that holds at most one token, so
+    requests leave at least ``1 / rate`` seconds apart, with no burst (the
+    generic cell rate algorithm, ITU-T I.371); rate <= 0 disables limiting."""
 
     def __init__(self, rate: float) -> None:
         self.rate = rate
-        self.capacity = max(rate, 1.0)
-        self.tokens = self.capacity
+        self.tokens = 1.0
         self.updated = time.monotonic()
         self._lock = threading.Lock()
 
@@ -243,7 +244,7 @@ class TokenBucket:
         while True:
             with self._lock:
                 now = time.monotonic()
-                self.tokens = min(self.capacity, self.tokens + (now - self.updated) * self.rate)
+                self.tokens = min(1.0, self.tokens + (now - self.updated) * self.rate)
                 self.updated = now
                 if self.tokens >= 1.0:
                     self.tokens -= 1.0

@@ -17,8 +17,8 @@ import operator
 import os
 import socket
 import sys
-from collections import Counter, deque
-from concurrent.futures import ThreadPoolExecutor
+import threading
+from collections import Counter
 from contextlib import ExitStack, closing
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from datetime import date, datetime, timezone
@@ -692,42 +692,74 @@ def _classify_one(post, cb: Codebook, render, classify, cfg: RunConfig) -> dict:
     return rec
 
 
-def _records(posts: Sequence, classify_one, backend, limit: int) -> Iterator[dict]:
-    """Yield each post's record in corpus order.
+def _commit_in_order(posts: Sequence, classify_one, commit, backend, limit: int) -> None:
+    """Classify every post and ``commit`` each record in corpus order.
 
-    Local backends run on the calling thread, one post after another. A
-    backend that waits on the network gets ``limit`` worker threads and at
-    most ``2 * limit`` posts submitted ahead of the consumer; when a record
-    raises, or the consumer stops, the posts not yet started are cancelled
-    and the running ones finish before control returns.
+    Local backends run on the calling thread. Otherwise ``limit`` threads take
+    posts while under ``2 * limit`` are uncommitted; whoever finishes the head
+    post commits it and the finished ones behind it. An exception at the head,
+    a post's or ``commit``'s, stops the taking; it is raised once all are idle.
     """
     if not backend.waits_on_io:
-        yield from map(classify_one, posts)
+        for post in posts:
+            commit(classify_one(post))
         return
-    with ThreadPoolExecutor(max_workers=limit) as pool:
-        futures: deque = deque()
+    lock = threading.Lock()
+    cond, quiet = threading.Condition(lock), threading.Condition(lock)  # a post taken or committed; a worker idle
+    done: dict[int, object] = {}  # position -> its record, or the exception its post raised
+    taken = committed = idle = 0
+    failure: BaseException | None = None  # once set, nothing more is taken or committed
+
+    def work() -> None:
+        nonlocal taken, committed, idle, failure
+        while True:
+            with cond:
+                cond.wait_for(lambda: failure is not None or taken - committed < 2 * limit)
+                if failure is not None or taken == len(posts):
+                    idle += 1
+                    return quiet.notify()
+                i, taken = taken, taken + 1
+            try:
+                result = classify_one(posts[i])
+            except BaseException as exc:
+                result = exc
+            with cond:
+                done[i] = result
+                while failure is None and committed in done:
+                    try:
+                        result = done.pop(committed)
+                        if isinstance(result, BaseException):
+                            raise result
+                        commit(result)
+                        committed += 1
+                    except BaseException as exc:
+                        failure = exc
+                    cond.notify_all()
+
+    threads = [threading.Thread(target=work) for _ in range(min(limit, len(posts)))]
+    for thread in threads:
+        thread.start()
+    with lock:  # not in join: an interrupted join can mark a thread that still runs as ended
         try:
-            for post in posts:
-                futures.append(pool.submit(classify_one, post))
-                if len(futures) >= 2 * limit:
-                    yield futures.popleft().result()
-            while futures:
-                yield futures.popleft().result()
-        except BaseException:
-            pool.shutdown(cancel_futures=True)
-            raise
+            quiet.wait_for(lambda: idle == len(threads))
+        except BaseException as exc:  # an interrupt stops the workers and is raised once they are idle
+            failure = exc
+            cond.notify_all()
+            quiet.wait_for(lambda: idle == len(threads))
+    for thread in threads:
+        thread.join()
+    if failure is not None:
+        raise failure
 
 
 def cmd_classify(cfg: RunConfig, *, resume: bool = False) -> list[ResultsStore]:
     """Classify every corpus post against the configured backend.
 
-    ``mock-rules`` and ``replay`` run on the calling thread. ``remote-chat``
-    fans out to ``in_flight_limit`` threads with at most twice that many
-    posts submitted ahead of the commit, so a backend failure stops the
-    run promptly. Either way records commit in corpus order, and a local
-    backend's cache and audit lines come in corpus order too. With resume,
-    posts already recorded are skipped and the manifest must match the
-    original.
+    ``mock-rules`` and ``replay`` run on the calling thread, so their cache and
+    audit lines follow corpus order too. ``remote-chat`` runs on
+    ``in_flight_limit`` threads that commit what they finish in corpus order,
+    as ``_commit_in_order`` says. With resume, posts already recorded are
+    skipped and the manifest must match the original.
     """
     run_dir = cfg.output_dir
     run_dir.mkdir(parents=True, exist_ok=True)
@@ -745,7 +777,7 @@ def cmd_classify(cfg: RunConfig, *, resume: bool = False) -> list[ResultsStore]:
     backend = make_backend(cfg.backend, retry=cfg.retry)  # so does a bad replay script
     manifest = build_manifest(cfg, tpl.scaffold)
 
-    with RunLock(run_dir), ExitStack() as run_files:  # files and connections close after the pool has drained
+    with RunLock(run_dir), ExitStack() as run_files:  # files and connections close after the workers are joined
         run_files.enter_context(closing(backend))
         manifest_path = run_dir / "manifest.json"
         if manifest_path.exists():
@@ -780,20 +812,13 @@ def cmd_classify(cfg: RunConfig, *, resume: bool = False) -> list[ResultsStore]:
                     ledger.append({"event": "torn-tail", "run_index": r, "file": f.path.name, "bytes": f.torn})
                     f.torn = 0  # a torn ledger or audit is recorded once, not again per repeat
             pending = [p for p in corpus.posts if (p.id, cfg.label) not in store]
-            ledger.append(
-                {"event": "start", "run_index": r, "total": len(corpus), "pending": len(pending)}
-            )
+            ledger.append({"event": "start", "run_index": r, "total": len(corpus), "pending": len(pending)})
             classify = _prompt_classifier(cfg, cb, render.frames, backend, cache)
             classify_one = partial(_classify_one, cb=cb, render=render, classify=classify, cfg=cfg)
             try:
-                with closing(_records(pending, classify_one, backend, cfg.backend.in_flight_limit)) as records:
-                    for rec in records:  # backend errors abort here
-                        store.append(rec)
-            except BackendError:
-                ledger.append({"event": "abort", "run_index": r})
-                raise
-            except KeyboardInterrupt:
-                ledger.append({"event": "interrupt", "run_index": r})
+                _commit_in_order(pending, classify_one, store.append, backend, cfg.backend.in_flight_limit)
+            except (BackendError, KeyboardInterrupt) as exc:
+                ledger.append({"event": "abort" if isinstance(exc, BackendError) else "interrupt", "run_index": r})
                 raise
             totals = store.status_counts(cfg.label)
             ledger.append({"event": "end", "run_index": r, **totals})

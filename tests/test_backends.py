@@ -611,10 +611,10 @@ def test_token_bucket_disabled_is_free():
     assert time.monotonic() - started < 0.2
 
 
-def test_token_bucket_throttles_beyond_burst():
+def test_token_bucket_spaces_requests_without_a_burst():
     bucket = TokenBucket(rate=200.0)
     started = time.monotonic()
-    for _ in range(210):  # 200 burst tokens, then 10 at 5ms each
+    for _ in range(11):  # one token at the start, then 10 at 5ms each
         bucket.acquire()
     assert time.monotonic() - started >= 0.03
 
@@ -707,8 +707,24 @@ def test_remote_requests_per_second_meters_each_request_transport_retries_includ
     with opened(cfg, policy) as backend, pytest.raises(BackendError, match="transport retries exhausted"):
         complete(backend, PROBE)
     assert len(chat_server["requests"]) == 6
-    # 4 tokens at the start, then one each 0.25 s: about 0.5 s, where one token per call takes 0.05 s
+    # one token at the start, then one each 0.25 s: about 1.25 s, where one token per call takes 0.25 s
     assert time.monotonic() - started >= 0.4
+
+
+def test_remote_requests_per_second_spaces_requests_from_the_first(monkeypatch, chat_server):
+    monkeypatch.setenv("TC_TEST_KEY", "sekret-value-123")
+    arrivals = []
+    chat_server["answer"] = lambda request: arrivals.append(time.monotonic()) or (200, chat_payload("A=[1]"))
+    cfg = dataclasses.replace(remote_cfg(chat_server["endpoint"]), requests_per_second=4.0, in_flight_limit=4)
+    with opened(cfg) as backend:
+        workers = [threading.Thread(target=complete, args=(backend, PROBE)) for _ in range(5)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join()
+    assert len(arrivals) == 5
+    # 1/r is 0.25 s; a bucket that starts full would let the first four arrive at once
+    assert min(b - a for a, b in zip(arrivals, arrivals[1:])) >= 0.2
 
 
 def test_remote_malformed_response(monkeypatch, chat_server):

@@ -1,6 +1,6 @@
 """The package imports and runs without scipy or requests, importing it
-loads no HTTP transport, and ingest and classify load neither numpy nor
-statistics."""
+loads no HTTP transport and no thread pool, and ingest and classify load
+neither numpy nor statistics."""
 
 from __future__ import annotations
 
@@ -75,7 +75,7 @@ def test_remote_backend_runs_without_requests():
 
 def test_import_loads_no_http_transport():
     child = subprocess.run(
-        [sys.executable, "-c", "import sys, themecoder; print(*sorted(sys.modules))"],
+        [sys.executable, "-c", "import sys, themecoder, themecoder.cli; print(*sorted(sys.modules))"],
         env={**os.environ, "PYTHONPATH": str(SRC)},
         capture_output=True,
         text=True,
@@ -83,8 +83,8 @@ def test_import_loads_no_http_transport():
     )
     assert child.returncode == 0, child.stderr
     loaded = set(child.stdout.split())
-    assert "themecoder" in loaded
-    assert not loaded & {"urllib.request", "http.client", "ssl"}
+    assert "themecoder.cli" in loaded
+    assert not loaded & {"urllib.request", "http.client", "ssl", "concurrent.futures"}
 
 
 # Ingest with sampling, then a classify with two drawn exemplars: both draws

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import errno
 import gc
 import hashlib
 import itertools
@@ -1445,6 +1446,85 @@ def test_classify_interrupt_exits_130_and_resumes_byte_identical(
     assert next(calls) - 1 <= 10 + 2 * limit < 18
 
     monkeypatch.setattr(pipeline, "_classify_one", real_one)
+    assert main(["classify", "--config", str(tmp_path / "cut.yaml"), "--resume"]) == 0
+    assert (cut.output_dir / "results.jsonl").read_bytes() == (whole.output_dir / "results.jsonl").read_bytes()
+
+
+def test_classify_remote_runs_at_most_twice_the_limit_ahead_of_a_slow_head(
+    tmp_path, monkeypatch, clean_corpus_path, cb, chat_server
+):
+    monkeypatch.setenv("TC_TEST_KEY", "test-key")
+    plain = remote_run(tmp_path, clean_corpus_path, chat_server, cb, name="plain", limit=2)
+    cmd_classify(plain)
+    slow = remote_run(tmp_path, clean_corpus_path, chat_server, cb, name="slow", limit=2, delays=(0.3,))
+    answer, answered = chat_server["answer"], []
+
+    def logged(request):
+        reply = answer(request)
+        answered.append(request["body"]["messages"][0]["content"])
+        return reply
+
+    chat_server["answer"] = logged
+    cmd_classify(slow)
+    assert (slow.output_dir / "results.jsonl").read_bytes() == (plain.output_dir / "results.jsonl").read_bytes()
+    post0 = load_posts(clean_corpus_path).posts[0]
+    first = render_prompt(post0, cb, load_template(), ShotPolicy(shots=0), seed=0, include_title=False).text
+    # 2 * limit posts may be taken but not committed: post 0 and at most 3 behind it
+    assert 1 <= answered.index(first) <= 3
+
+
+def foreground_threads() -> int:
+    """Live non-daemon threads; the chat endpoint's handler threads are daemons
+    and may still be closing their connections."""
+    return sum(not t.daemon for t in threading.enumerate())
+
+
+@pytest.mark.parametrize("fault", ["auth", "disk-full", "worker-interrupt", "join-interrupt"])
+def test_classify_remote_failure_surfaces_on_the_calling_thread_and_leaves_no_thread(
+    tmp_path, monkeypatch, capsys, clean_corpus_path, cb, chat_server, fault
+):
+    monkeypatch.setenv("TC_TEST_KEY", "test-key")
+    whole = remote_run(tmp_path, clean_corpus_path, chat_server, cb, name="whole", limit=2)
+    cmd_classify(whole)
+    status = {2: 401} if fault == "auth" else None
+    cut = remote_run(tmp_path, clean_corpus_path, chat_server, cb, name="cut", limit=2, status=status)
+    real_one, real_append = pipeline._classify_one, ResultsStore.append
+    sixth = load_posts(clean_corpus_path).posts[5].id
+    appends = itertools.count(1)
+
+    def full_at_fifth(self, rec):
+        if next(appends) == 5:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(self.path))
+        real_append(self, rec)
+
+    def interrupted_at_sixth(post, *args, **kwargs):
+        if post.id == sixth:
+            if fault == "worker-interrupt":
+                raise KeyboardInterrupt
+            os.kill(os.getpid(), signal.SIGINT)  # reaches the calling thread while it joins the workers
+            time.sleep(0.2)
+        return real_one(post, *args, **kwargs)
+
+    if fault == "disk-full":
+        monkeypatch.setattr(ResultsStore, "append", full_at_fifth)
+    elif fault.endswith("interrupt"):
+        monkeypatch.setattr(pipeline, "_classify_one", interrupted_at_sixth)
+    capsys.readouterr()
+    before = foreground_threads()
+    handler = signal.signal(signal.SIGINT, signal.default_int_handler)
+    try:
+        exit_code = main(["classify", "--config", str(tmp_path / "cut.yaml")])
+    finally:
+        signal.signal(signal.SIGINT, handler)
+    assert exit_code == {"auth": 3, "disk-full": 1, "worker-interrupt": 130, "join-interrupt": 130}[fault]
+    assert foreground_threads() == before
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert len(ResultsStore(cut.output_dir / "results.jsonl")) < 18
+
+    monkeypatch.undo()
+    monkeypatch.setenv("TC_TEST_KEY", "test-key")
+    remote_run(tmp_path, clean_corpus_path, chat_server, cb, name="cut", limit=2)
     assert main(["classify", "--config", str(tmp_path / "cut.yaml"), "--resume"]) == 0
     assert (cut.output_dir / "results.jsonl").read_bytes() == (whole.output_dir / "results.jsonl").read_bytes()
 
