@@ -35,7 +35,6 @@ from .jsonl import JsonLines, holds_surrogate, read_text
 from .parsing import ParseFailure, ParseOutcome, render_answer, render_line
 from .prompting import RenderedPrompt
 
-BACKEND_KINDS = ("remote-chat", "mock-rules", "replay")
 MAX_WAIT_S = 86_400  # one day: the longest timeout, backoff or wait between requests a setting may ask for
 # worker threads and remote-chat connections: an OS may refuse to start many more
 # threads, and each connection holds about 0.5 KB before it opens (10**6: 500 MB)
@@ -228,29 +227,23 @@ class ResponseCache(JsonLines):
 
 
 class TokenBucket:
-    """Thread-safe request spacing: a bucket that holds at most one token, so
-    requests leave at least ``1 / rate`` seconds apart, with no burst (the
-    generic cell rate algorithm, ITU-T I.371); rate <= 0 disables limiting."""
+    """Thread-safe request spacing: requests leave at least ``1 / rate`` seconds
+    apart, in the order they called ``acquire``, with no burst (the generic cell
+    rate algorithm, ITU-T I.371, as virtual scheduling); rate <= 0 disables limiting."""
 
     def __init__(self, rate: float) -> None:
         self.rate = rate
-        self.tokens = 1.0
-        self.updated = time.monotonic()
+        self.next_send = time.monotonic()  # the earliest time the next request may leave
         self._lock = threading.Lock()
 
     def acquire(self) -> None:
         if self.rate <= 0:
             return
-        while True:
-            with self._lock:
-                now = time.monotonic()
-                self.tokens = min(1.0, self.tokens + (now - self.updated) * self.rate)
-                self.updated = now
-                if self.tokens >= 1.0:
-                    self.tokens -= 1.0
-                    return
-                wait = (1.0 - self.tokens) / self.rate
-            time.sleep(wait)
+        with self._lock:
+            now = time.monotonic()
+            at = max(now, self.next_send)
+            self.next_send = at + 1.0 / self.rate
+        time.sleep(at - now)
 
 
 # --- mock rule table ---------------------------------------------------------
@@ -521,8 +514,8 @@ class RemoteChatBackend(_BaseBackend):
     and reads the whole reply before the connection goes back for the next
     request, so no more than ``in_flight_limit`` requests are ever in
     flight; ``close`` closes them all. Each request written, a transport
-    retry or a reconnect's resend included, first takes a token from the
-    ``requests_per_second`` bucket. A reply with ``Connection: close``,
+    retry or a reconnect's resend included, first waits for the send time
+    it reserves under ``requests_per_second``. A reply with ``Connection: close``,
     or an HTTP/1.0 reply without keep-alive, closes its connection. A reused
     connection that the server has closed meanwhile fails before any byte
     of the reply arrives; it is reopened and the request sent once more,
@@ -682,7 +675,8 @@ class RemoteChatBackend(_BaseBackend):
         raise BackendError(f"transport retries exhausted (last status: {last_status})")
 
 
-_BACKENDS = {"remote-chat": RemoteChatBackend, "mock-rules": MockRulesBackend, "replay": ReplayBackend}
+_BACKENDS = {cls.kind: cls for cls in (RemoteChatBackend, MockRulesBackend, ReplayBackend)}
+BACKEND_KINDS = tuple(_BACKENDS)
 
 
 def make_backend(cfg: BackendConfig, retry: RetryPolicy | None = None, audit: AuditLog | None = None) -> _BaseBackend:

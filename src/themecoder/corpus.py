@@ -28,6 +28,7 @@ log = logging.getLogger(__name__)
 DEFAULT_KEYWORDS_PATH = Path(__file__).parent / "data" / "keywords_default.yaml"
 
 POST_FIELDS = ("id", "title", "body", "source", "created_at", "url")
+CORPUS_FORMATS = ("post-lines", "delimited-table")
 _ENCODER = json.JSONEncoder(ensure_ascii=False)  # json.dumps with options builds one per call
 _SURROGATE_ESCAPE_RE = re.compile(r"\\u[dD][89a-fA-F]")
 

@@ -39,6 +39,7 @@ from .backends import (
 )
 from .codebook import Codebook, LabelMatrix, load_codebook, load_gold, tuple_getter
 from .corpus import (
+    CORPUS_FORMATS,
     SamplingSpec,
     dedup_clean,
     keyword_filter,
@@ -66,6 +67,7 @@ from .parsing import PARSE_MODES, assemble_per_theme, parse_single_answer, parse
 from .prompting import (
     DEFAULT_EXEMPLAR_BUDGET,
     DEFAULT_TEMPLATE_VERSION,
+    TEMPLATE_VERSIONS,
     ShotPolicy,
     load_template,
     prompt_renderer,
@@ -119,7 +121,7 @@ class RunConfig:
     output_dir: Path = _key("run.output_dir", directory="output directory")
     repeats: int = _key("run.repeats", derived=True, minimum=(1, "run.repeats must be >= 1, got {}"))
     corpus_path: Path = _key("corpus.path", exists="corpus path")
-    corpus_format: str = _key("corpus.format", "post-lines")
+    corpus_format: str = _key("corpus.format", "post-lines", allowed=CORPUS_FORMATS, noun="corpus format")
     keywords_path: Path | None = _key("corpus.keywords", None, exists="keyword set path")
     filter_rule: str | None = _key("corpus.rule", None)
     split_at: str | None = _key("corpus.split_at", None)
@@ -128,9 +130,11 @@ class RunConfig:
     sample_from: str = _key("corpus.sample.from", "pre", allowed=("pre", "post"))
     codebook_path: Path | None = _key("codebook.path", None, exists="codebook path")
     gold_path: Path | None = _key("gold.path", None, exists="gold path")
-    template_version: str = _key("prompting.template_version", DEFAULT_TEMPLATE_VERSION)
+    template_version: str = _key(
+        "prompting.template_version", DEFAULT_TEMPLATE_VERSION, allowed=TEMPLATE_VERSIONS, noun="template version"
+    )
     template_path: Path | None = _key("prompting.template_path", None, exists="template path")
-    shots: int = _key("prompting.shots", 0)
+    shots: int = _key("prompting.shots", 0, minimum=(0, "shots must be >= 0, got {}"))
     selection: tuple[int, ...] | None = _key("prompting.selection", None)
     exemplar_seed: int = _key("prompting.exemplar_seed", 0, minimum=(0, "exemplar seed must be >= 0, got {}"))
     include_title: bool = _key("prompting.include_title", False)
@@ -779,6 +783,8 @@ def cmd_classify(cfg: RunConfig, *, resume: bool = False) -> list[ResultsStore]:
 
     with RunLock(run_dir), ExitStack() as run_files:  # files and connections close after the workers are joined
         run_files.enter_context(closing(backend))
+        suffixes = [""] if cfg.repeats == 1 else [f"_r{r}" for r in range(1, cfg.repeats + 1)]
+        stores = [run_files.enter_context(closing(ResultsStore(run_dir / f"results{s}.jsonl"))) for s in suffixes]
         manifest_path = run_dir / "manifest.json"
         if manifest_path.exists():
             try:
@@ -793,19 +799,17 @@ def cmd_classify(cfg: RunConfig, *, resume: bool = False) -> list[ResultsStore]:
                 )
             _check_resume(existing, manifest)
         else:
+            for store in stores:  # records without a manifest: refused before one is written
+                if len(store) and not resume:
+                    raise ConfigError(
+                        f"{store.path} already has records; pass resume to continue"
+                    )
             write_json(manifest_path, manifest)
 
         ledger = run_files.enter_context(closing(RunLedger(run_dir / "ledger.jsonl")))
         ledger.events()  # finds a torn last line, cut off before the next event
         audit = backend.audit = run_files.enter_context(closing(AuditLog(run_dir / "audit.jsonl")))
-        stores: list[ResultsStore] = []
-        for r in range(1, cfg.repeats + 1):
-            suffix = "" if cfg.repeats == 1 else f"_r{r}"
-            store = run_files.enter_context(closing(ResultsStore(run_dir / f"results{suffix}.jsonl")))
-            if len(store) and not resume:
-                raise ConfigError(
-                    f"{store.path} already has records; pass resume to continue"
-                )
+        for r, (suffix, store) in enumerate(zip(suffixes, stores), start=1):
             cache = run_files.enter_context(closing(ResponseCache(run_dir / f"cache{suffix}.jsonl")))
             for f in (ledger, audit, store, cache):
                 if f.torn:
@@ -826,7 +830,6 @@ def cmd_classify(cfg: RunConfig, *, resume: bool = False) -> list[ResultsStore]:
                 f"run {r}/{cfg.repeats}: classified={totals['classified']}, "
                 f"failed={totals['failed']}, total={len(corpus)}"
             )
-            stores.append(store)
         return stores
 
 

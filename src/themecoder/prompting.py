@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .codebook import Codebook, Exemplar
 from .corpus import Post
@@ -21,21 +21,31 @@ from .errors import ConfigError, DataError
 from .jsonl import read_text
 from .parsing import render_answer, render_line
 
-TEMPLATE_VERSIONS = ("v1-per-theme", "v2-multi-question", "v3-single-line")
 DEFAULT_TEMPLATE_VERSION = "v3-single-line"
 DEFAULT_EXEMPLAR_BUDGET = 1500
 
+
+class _Template(NamedTuple):
+    file: str  # the shipped scaffold, under data/templates
+    slots: tuple[str, ...]  # each slot a scaffold must hold
+    directive: str | None = None  # a phrase a scaffold must carry
+
+
 _TEMPLATE_DIR = Path(__file__).parent / "data" / "templates"
-_TEMPLATE_FILES = {
-    "v1-per-theme": "v1_per_theme.txt",
-    "v2-multi-question": "v2_multi_question.txt",
-    "v3-single-line": "v3_single_line.txt",
+_TEMPLATES = {
+    "v1-per-theme": _Template("v1_per_theme.txt", ("{{post}}", "{{theme_name}}", "{{theme_definition}}", "{{code}}")),
+    "v2-multi-question": _Template("v2_multi_question.txt", ("{{post}}", "{{questions}}")),
+    "v3-single-line": _Template(
+        "v3_single_line.txt", ("{{post}}", "{{format_line}}", "{{categories}}"), "strictly in the format"
+    ),
 }
-_REQUIRED_SLOTS = {
-    "v1-per-theme": ("{{post}}", "{{theme_name}}", "{{theme_definition}}", "{{code}}"),
-    "v2-multi-question": ("{{post}}", "{{questions}}"),
-    "v3-single-line": ("{{post}}", "{{format_line}}", "{{categories}}"),
-}
+TEMPLATE_VERSIONS = tuple(_TEMPLATES)
+
+
+def _template(version: str) -> _Template:
+    if version not in _TEMPLATES:
+        raise ConfigError(f"unknown template version {version!r}; known: {', '.join(TEMPLATE_VERSIONS)}")
+    return _TEMPLATES[version]
 
 
 @dataclass(frozen=True)
@@ -67,17 +77,13 @@ class PromptTemplate:
     scaffold: str
 
     def __post_init__(self) -> None:
-        if self.version not in TEMPLATE_VERSIONS:
-            raise ConfigError(
-                f"unknown template version {self.version!r}; "
-                f"known: {', '.join(TEMPLATE_VERSIONS)}"
-            )
-        for slot in _REQUIRED_SLOTS[self.version]:
+        row = _template(self.version)
+        for slot in row.slots:
             if slot not in self.scaffold:
                 raise ConfigError(
                     f"template {self.version} scaffold is missing slot {slot}"
                 )
-        if self.version == "v3-single-line" and "strictly in the format" not in self.scaffold:
+        if row.directive is not None and row.directive not in self.scaffold:
             raise ConfigError("v3 scaffold must carry the strict format directive")
 
 
@@ -103,16 +109,9 @@ class RenderedPrompt:
 
 def load_template(version: str = DEFAULT_TEMPLATE_VERSION, path: str | Path | None = None) -> PromptTemplate:
     """Load a shipped template by version, or an override scaffold from path."""
-    if path is not None:
-        scaffold = read_text(Path(path), "template file")
-    else:
-        try:
-            filename = _TEMPLATE_FILES[version]
-        except KeyError:
-            raise ConfigError(
-                f"unknown template version {version!r}; known: {', '.join(TEMPLATE_VERSIONS)}"
-            ) from None
-        scaffold = read_text(_TEMPLATE_DIR / filename, "template file")
+    if path is None:
+        path = _TEMPLATE_DIR / _template(version).file
+    scaffold = read_text(Path(path), "template file")
     return PromptTemplate(version=version, scaffold=scaffold)
 
 

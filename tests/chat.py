@@ -122,7 +122,8 @@ def chat_endpoint(tls: bool = False):
         context.load_cert_chain(TLS_CERT, TLS_KEY)
         httpd.socket = context.wrap_socket(httpd.socket, server_side=True)
         scheme = "https"
-    thread = threading.Thread(target=httpd.serve_forever, daemon=True)
+    # shutdown() waits for serve_forever's next poll, 0.5 s apart by default
+    thread = threading.Thread(target=httpd.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True)
     thread.start()
     state["endpoint"] = f"{scheme}://127.0.0.1:{httpd.server_port}/v1/chat/completions"
     try:

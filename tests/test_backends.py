@@ -1273,14 +1273,48 @@ def test_remote_connection_close_reply_makes_the_next_request_open_a_new_connect
     assert all_closed(chat_server)
 
 
+def test_remote_204_reply_has_no_body_and_keeps_the_connection(monkeypatch, chat_server):
+    monkeypatch.setenv("TC_TEST_KEY", "sekret-value-123")
+    chat_server["keep_alive"] = True
+    chat_server["responses"].append(raw_reply(reply_head(status="204 No Content")))
+    with opened(remote_cfg(chat_server["endpoint"])) as backend:
+        with pytest.raises(BackendError, match="malformed completion response"):
+            complete(backend, PROBE)
+        assert complete(backend, PROBE) == "fallback"
+    assert chat_server["connections"] == 1  # no body was waited for
+
+
+def test_remote_reply_without_length_ends_where_the_server_hangs_up(monkeypatch, chat_server, tmp_path):
+    monkeypatch.setenv("TC_TEST_KEY", "sekret-value-123")
+    chat_server["keep_alive"] = True
+
+    def close_delimited(handler):
+        handler.wfile.write(reply_head() + json.dumps(chat_payload("up to the close")).encode())
+        handler.close_connection = True
+
+    chat_server["responses"].append(close_delimited)
+    audit = AuditLog(tmp_path / "audit.jsonl")
+    with opened(remote_cfg(chat_server["endpoint"]), audit=audit) as backend:
+        assert complete(backend, PROBE) == "up to the close"
+        assert complete(backend, PROBE) == "fallback"
+    audit.close()
+    assert chat_server["connections"] == 2
+    statuses = [json.loads(line)["status"] for line in (tmp_path / "audit.jsonl").read_text().splitlines()]
+    assert statuses == ["ok", "ok"]  # no reconnect: the client closed the connection the body ended with
+    assert all_closed(chat_server)
+
+
 @pytest.mark.parametrize(
     "head, detail",
     [
         (reply_head("X-Long: " + "a" * 65_536), "LineTooLong"),
         (reply_head(*(f"X-Field-{i}: 1" for i in range(101))), "HTTPException"),
         (b"ICY 200 OK\r\n\r\n", "BadStatusLine"),
+        (b"HTTP/2.0 200 OK\r\n\r\n", "UnknownProtocol"),
+        (reply_head("Transfer-Encoding: chunked") + b"zz\r\n", "IncompleteRead"),  # a chunk size that is not hex
+        (b"", "RemoteDisconnected"),  # on a new connection: retried as a transport error, not reconnected
     ],
-    ids=["long-line", "101-headers", "not-http"],
+    ids=["long-line", "101-headers", "not-http", "http-2", "chunk-size-not-hex", "hang-up-on-first-request"],
 )
 def test_remote_reply_head_beyond_the_limits_is_a_transport_retry(monkeypatch, chat_server, tmp_path, head, detail):
     monkeypatch.setenv("TC_TEST_KEY", "sekret-value-123")

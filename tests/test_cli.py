@@ -389,12 +389,28 @@ def test_malformed_results_record_exits_two(tmp_path, capsys, clean_corpus_path,
 def test_truncated_manifest_exits_two(tmp_path, capsys, clean_corpus_path):
     cfg_path, run_dir = write_cfg(tmp_path, clean_corpus_path)
     assert main(["classify", "--config", str(cfg_path)]) == 0
-    (run_dir / "manifest.json").write_text('{"config": ', encoding="utf-8")
+    for text, message in [('{"config": ', "is not valid JSON"), ("[]", "is not a JSON object")]:
+        (run_dir / "manifest.json").write_text(text, encoding="utf-8")
+        capsys.readouterr()
+        assert main(["classify", "--config", str(cfg_path), "--resume"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {run_dir / 'manifest.json'} {message}")
+        assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("repeats, name", [(1, "results.jsonl"), (2, "results_r2.jsonl")])
+def test_classify_refused_for_records_without_a_manifest_writes_nothing(
+    tmp_path, capsys, clean_corpus_path, repeats, name
+):
+    cfg_path, run_dir = write_cfg(tmp_path, clean_corpus_path)
+    assert main(["classify", "--config", str(cfg_path)]) == 0
+    cfg_path, fresh = write_cfg(tmp_path, clean_corpus_path, name="fresh", run={"repeats": repeats})
+    fresh.mkdir()
+    (fresh / name).write_bytes((run_dir / "results.jsonl").read_bytes())
     capsys.readouterr()
-    assert main(["classify", "--config", str(cfg_path), "--resume"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {run_dir / 'manifest.json'} is not valid JSON")
-    assert "Traceback" not in err
+    assert main(["classify", "--config", str(cfg_path)]) == 1
+    assert capsys.readouterr().err == f"error: {fresh / name} already has records; pass resume to continue\n"
+    assert [p.name for p in fresh.iterdir()] == [name]  # no manifest for a later resume to trust
 
 
 def test_manifest_write_cut_part_way_leaves_no_manifest(tmp_path, capsys, clean_corpus_path, monkeypatch):
@@ -573,6 +589,17 @@ def test_config_value_of_the_wrong_type_exits_one(tmp_path, capsys, clean_corpus
     assert "Traceback" not in err
 
 
+CONFIG_VERBS = ("ingest", "classify", "evaluate", "distribute")
+# a name outside a closed set, by the set: the error and the config sections that give it
+UNKNOWN_NAMES = {
+    "template-version": (
+        "unknown template version 'v9'; known: v1-per-theme, v2-multi-question, v3-single-line",
+        {"prompting": {"template_version": "v9"}},
+    ),
+    "corpus-format": ("unknown corpus format 'xml'; known: post-lines, delimited-table", {"corpus": {"format": "xml"}}),
+}
+
+
 @pytest.mark.parametrize(
     "verb, message, sections, flags",
     [
@@ -606,15 +633,18 @@ def test_config_value_of_the_wrong_type_exits_one(tmp_path, capsys, clean_corpus
             {"evaluation": {"bootstrap_metrics": ["f1"], "bootstrap_resamples": 1_000_001}}, [],
         ),
         ("classify", "max_output_tokens must be >= 1, got 0", {"backend": {"max_output_tokens": 0}}, []),
+        ("ingest", "shots must be >= 0, got -1", {"prompting": {"shots": -1}}, []),
+        *[(verb, message, sections, []) for verb in CONFIG_VERBS for message, sections in UNKNOWN_NAMES.values()],
     ],
     ids=[
         "sample-key", "sample-flag", "exemplar-key", "exemplar-flag", "bootstrap-key", "bootstrap-flag",
         "exemplar-budget", "sample-n", "bootstrap-resamples", "bootstrap-resamples-huge",
-        "bootstrap-resamples-above-bound", "max-output-tokens",
+        "bootstrap-resamples-above-bound", "max-output-tokens", "shots",
+        *[f"{verb}-{name}" for verb in CONFIG_VERBS for name in UNKNOWN_NAMES],
     ],
 )
 def test_negative_seed_exits_one_at_load(tmp_path, capsys, clean_corpus_path, verb, message, sections, flags):
-    """A seed, or another value with a least or greatest value, out of range."""
+    """A seed, or another value with a least or greatest value, out of range, or a name outside its closed set."""
     cfg_path, run_dir = write_cfg(tmp_path, clean_corpus_path, **sections)
     assert main([verb, "--config", str(cfg_path), *flags]) == 1
     err = capsys.readouterr().err

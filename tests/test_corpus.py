@@ -15,6 +15,7 @@ from themecoder import corpus as corpus_module
 from themecoder.corpus import (
     _ALNUM_RE,
     _URL_RE,
+    CORPUS_FORMATS,
     Corpus,
     KeywordSet,
     Post,
@@ -353,8 +354,9 @@ def test_load_post_ids_builds_no_post(fixtures_dir, corpus50, monkeypatch):
 
 
 def test_load_posts_missing_file(tmp_path):
-    with pytest.raises(DataError, match="not found"):
-        load_posts(tmp_path / "nope.jsonl")
+    for format in CORPUS_FORMATS:
+        with pytest.raises(DataError, match="not found"):
+            load_posts(tmp_path / "nope.jsonl", format)
 
 
 def test_load_posts_unknown_format(tmp_path):

@@ -218,6 +218,9 @@ def test_load_config_file_problems(tmp_path, clean_corpus_path):
     scalar.write_text("42\n", encoding="utf-8")
     with pytest.raises(ConfigError, match="must contain a mapping"):
         load_config(scalar)
+    section = write_config(tmp_path / "section.yaml", **{**base_config(tmp_path, clean_corpus_path), "corpus": 5})
+    with pytest.raises(ConfigError, match="^config section 'corpus' must be a mapping$"):
+        load_config(section)
 
 
 def test_load_config_missing_input_paths(tmp_path, clean_corpus_path):
@@ -550,13 +553,13 @@ def test_run_lock_breaks_a_stale_lock_on_this_host(tmp_path, capsys, clean_corpu
     assert not (cfg.output_dir / ".lock").exists()
 
 
-@pytest.mark.parametrize("holder", ["live-pid", "other-host", "no-pid"])
+@pytest.mark.parametrize("holder", ["live-pid", "other-host", "no-pid", "not-an-object"])
 def test_run_lock_keeps_a_lock_it_cannot_prove_stale(tmp_path, holder):
     run_dir = tmp_path / "run"
     lock = run_dir / ".lock"
     run_dir.mkdir()
-    if holder == "no-pid":  # the format written before locks named their holder
-        lock.write_text("2026-01-01T00:00:00+00:00\n", encoding="utf-8")
+    if holder in ("no-pid", "not-an-object"):  # no-pid: the format written before locks named their holder
+        lock.write_text("2026-01-01T00:00:00+00:00\n" if holder == "no-pid" else "[1]\n", encoding="utf-8")
         who = "(no pid recorded)"
     else:
         pid = os.getpid() if holder == "live-pid" else kill_while_holding_lock(run_dir)
