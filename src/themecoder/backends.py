@@ -57,7 +57,7 @@ class BackendConfig:
 
     def __post_init__(self) -> None:
         if self.kind not in BACKEND_KINDS:
-            raise ConfigError(f"unknown backend kind {self.kind!r}")
+            raise ConfigError(f"unknown backend kind {self.kind!r}; known: {', '.join(BACKEND_KINDS)}")
         if not math.isfinite(self.temperature) or self.temperature < 0:
             raise ConfigError(f"temperature must be finite and >= 0, got {self.temperature}")
         if self.kind == "remote-chat" and (not self.endpoint or not self.model):
@@ -102,7 +102,7 @@ class RetryPolicy:
         if self.max_attempts < 1:
             raise ConfigError(f"max_attempts must be >= 1, got {self.max_attempts}")
         if self.transport_retries < 0:
-            raise ConfigError("transport_retries must be >= 0")
+            raise ConfigError(f"transport_retries must be >= 0, got {self.transport_retries}")
         for name in ("backoff_initial", "backoff_multiplier", "backoff_cap"):
             value = getattr(self, name)
             if not math.isfinite(value) or value < 0:

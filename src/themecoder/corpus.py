@@ -240,7 +240,7 @@ def _posts(p: Path, format: str, build: Callable[[dict, str], object]) -> Iterat
     elif format == "delimited-table":
         records = _read_delimited(p)
     else:
-        raise ConfigError(f"unknown corpus format {format!r}")
+        raise ConfigError(f"unknown corpus format {format!r}; known: {', '.join(CORPUS_FORMATS)}")
     held: DataError | None = None
     try:
         for where, rec in records:
@@ -336,7 +336,7 @@ def write_posts(corpus: Corpus, path: str | Path, format: str = "post-lines") ->
     elif format == "delimited-table":
         write_table(p, POST_FIELDS, (post.to_record() for post in corpus.posts))
     else:
-        raise ConfigError(f"unknown corpus format {format!r}")
+        raise ConfigError(f"unknown corpus format {format!r}; known: {', '.join(CORPUS_FORMATS)}")
 
 
 # --- keyword rule grammar: NAME, AND, OR, parentheses ----------------------

@@ -2,11 +2,12 @@
 
 Two grammars: the single-line vector grammar ("A=0, B=1, ..., X=0") and the
 per-theme single-answer grammar ("A=[1]"), each written only by its renderer
-here. Strict mode demands exactly the canonical form; lenient mode scans
+here. Each grammar has one parse path: a scan that finds the answer in
 prose, since models sometimes wrap the classification line in chatter.
-Parsers return outcomes, never raise on arbitrary input. A parsed answer is
-a ``{code: 0|1}`` mapping in alphabet order, the vector a results record
-stores.
+Lenient mode takes the scan's answer; strict mode holds it to exactly the
+canonical form. Parsers return outcomes, never raise on arbitrary input; an
+unknown mode is a ConfigError. A parsed answer is a ``{code: 0|1}`` mapping
+in alphabet order, the vector a results record stores.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from itertools import repeat
 from typing import Iterable, Mapping
 
 from .codebook import Codebook
+from .errors import ConfigError
 
 FAILURE_REASONS = (
     "missing-code",
@@ -28,9 +30,20 @@ FAILURE_REASONS = (
     "extra-prose-strict",
 )
 
-PARSE_MODES = ("strict", "lenient")
 
-_ASSIGN_RE = re.compile(r"([A-Za-z]+)\s*=\s*(\[[^\]\n]*\]|[^\s,]*)")
+class _Modes(dict):
+    """Parse mode -> whether it is strict; an unknown mode is load_config's ConfigError."""
+
+    def __missing__(self, mode: str) -> bool:
+        raise ConfigError(f"unknown parsing mode {mode!r}; known: {', '.join(self)}")
+
+
+_STRICT = _Modes(strict=True, lenient=False)
+PARSE_MODES = tuple(_STRICT)
+
+# "=" and a value token (bracketed, or up to whitespace or comma), the token as a group
+_ASSIGNED_VALUE = r"\s*=\s*(\[[^\]\n]*\]|[^\s,]*)"
+_ASSIGN_RE = re.compile(rf"([A-Za-z]+){_ASSIGNED_VALUE}")
 _TRAILING_PUNCT = ".,;:!?"
 
 
@@ -98,10 +111,6 @@ def _canonical_re(alphabet: tuple[str, ...]) -> re.Pattern:
     return re.compile(render_line(map(re.escape, alphabet), repeat("([01])")))
 
 
-def _canonical_vector(match: re.Match, alphabet: tuple[str, ...]) -> ParseOutcome:
-    return ParseOutcome.success(dict(zip(alphabet, map(int, match.groups()))))
-
-
 def _vector_from_assignments(
     assignments: list[tuple[str, str]], alphabet: tuple[str, ...]
 ) -> ParseOutcome:
@@ -119,128 +128,105 @@ def _vector_from_assignments(
 def parse_single_line(text: str, cb: Codebook, mode: str = "lenient") -> ParseOutcome:
     """Parse a full classification line over the codebook alphabet.
 
-    Strict: the entire payload must be exactly one canonical line, modulo
-    surrounding whitespace. Lenient: scan lines top to bottom and accept the
-    first containing an assignment for every code exactly once; comma
-    without space is tolerated. Values other than 0/1 fail either way.
+    Lenient: scan lines top to bottom and accept the first containing an
+    assignment for every code exactly once; comma without space is
+    tolerated. Strict: the payload, modulo surrounding whitespace, must be
+    one line, and the scan's answer for it must be the canonical line.
+    Values other than 0/1 fail either way.
     """
+    strict = _STRICT[mode]
     alphabet = cb.alphabet
-    if mode == "strict":
-        return _parse_line_strict(text, alphabet)
-    if mode != "lenient":
-        raise ValueError(f"unknown parse mode {mode!r}")
+    if strict:
+        lines = text.strip().splitlines()
+        if not lines:
+            return ParseOutcome.fail("no-line-found", "empty payload")
+        if len(lines) != 1:
+            return ParseOutcome.fail(
+                "extra-prose-strict", f"expected one line, payload has {len(lines)}"
+            )
+    else:
+        lines = text.splitlines()
 
     canonical = _canonical_re(alphabet)
-    best_partial: tuple[int, list[str]] | None = None
-    duplicate_detail: str | None = None
-    for line in text.splitlines():
+    duplicate: ParseOutcome | None = None
+    best_missing: list[str] | None = None
+    for line in lines:
         match = canonical.fullmatch(line)  # what the scan below would accept for this line
         if match:
-            return _canonical_vector(match, alphabet)
+            return ParseOutcome.success(dict(zip(alphabet, map(int, match.groups()))))
         assignments = _known_assignments(line, alphabet)
         if not assignments:
             continue
         counts = Counter(c for c, _ in assignments)
-        if set(counts) == set(alphabet):
-            dupes = sorted(c for c, n in counts.items() if n > 1)
-            if dupes:
-                if duplicate_detail is None:
-                    duplicate_detail = f"code(s) assigned more than once: {', '.join(dupes)}"
-                continue
-            return _vector_from_assignments(assignments, alphabet)
+        dupes = sorted(c for c, n in counts.items() if n > 1)
         missing = [c for c in alphabet if c not in counts]
-        if best_partial is None or len(missing) < len(best_partial[1]):
-            best_partial = (len(counts), missing)
-    if duplicate_detail is not None:
-        return ParseOutcome.fail("duplicate-code", duplicate_detail)
-    if best_partial is not None:
+        if dupes and (strict or not missing):
+            if duplicate is None:  # lenient reports the first, if no later line decides
+                duplicate = ParseOutcome.fail(
+                    "duplicate-code", f"code(s) assigned more than once: {', '.join(dupes)}"
+                )
+            if strict:
+                return duplicate
+        elif missing:
+            if strict:
+                return ParseOutcome.fail(
+                    "missing-code", f"line missing code(s): {', '.join(missing)}"
+                )
+            if best_missing is None or len(missing) < len(best_missing):
+                best_missing = missing
+        else:
+            outcome = _vector_from_assignments(assignments, alphabet)
+            if strict and outcome.ok:
+                return ParseOutcome.fail(
+                    "extra-prose-strict", "line deviates from the canonical format"
+                )
+            return outcome
+    if duplicate is not None:
+        return duplicate
+    if best_missing is not None:
         return ParseOutcome.fail(
-            "missing-code", f"no line assigns code(s): {', '.join(best_partial[1])}"
+            "missing-code", f"no line assigns code(s): {', '.join(best_missing)}"
         )
     return ParseOutcome.fail("no-line-found", "no classification assignments found")
-
-
-def _parse_line_strict(text: str, alphabet: tuple[str, ...]) -> ParseOutcome:
-    stripped = text.strip()
-    if not stripped:
-        return ParseOutcome.fail("no-line-found", "empty payload")
-    lines = stripped.splitlines()
-    if len(lines) != 1:
-        return ParseOutcome.fail(
-            "extra-prose-strict", f"expected one line, payload has {len(lines)}"
-        )
-    line = lines[0]
-    match = _canonical_re(alphabet).fullmatch(line)
-    if match:
-        return _canonical_vector(match, alphabet)
-    # diagnose the deviation
-    assignments = _known_assignments(line, alphabet)
-    if not assignments:
-        return ParseOutcome.fail("no-line-found", "no classification assignments found")
-    counts = Counter(c for c, _ in assignments)
-    dupes = sorted(c for c, n in counts.items() if n > 1)
-    if dupes:
-        return ParseOutcome.fail(
-            "duplicate-code", f"code(s) assigned more than once: {', '.join(dupes)}"
-        )
-    missing = [c for c in alphabet if c not in counts]
-    if missing:
-        return ParseOutcome.fail("missing-code", f"line missing code(s): {', '.join(missing)}")
-    for code, tok in assignments:
-        if _normalize_value(tok) is None:
-            return ParseOutcome.fail("non-binary-value", f"code {code} has value {tok!r}")
-    return ParseOutcome.fail(
-        "extra-prose-strict", "line deviates from the canonical format"
-    )
 
 
 @lru_cache(maxsize=64)
 def _answer_re(code: str) -> re.Pattern:
     """An assignment to ``code``, its value token as the one group."""
-    return re.compile(rf"(?<![A-Za-z0-9_]){re.escape(code)}\s*=\s*(\[[^\]\n]*\]|[^\s,]*)")
+    return re.compile(rf"(?<![A-Za-z0-9_]){re.escape(code)}{_ASSIGNED_VALUE}")
 
 
 def parse_single_answer(text: str, code: str, mode: str = "lenient") -> ParseOutcome:
     """Parse one per-theme answer ("A=1", "A=[0]", ...) for the target code.
 
     Returns an outcome whose mapping holds the one code. Lenient scans
-    prose for the assignment; strict requires the payload to be exactly the
-    assignment.
+    prose for the one assignment; strict requires the payload to be exactly
+    the assignment, its value written 0, 1, [0] or [1].
     """
+    strict = _STRICT[mode]
     target_re = _answer_re(code)
     matches = [m.group(1) for m in target_re.finditer(text)]
-    if mode == "strict":
-        stripped = text.strip()
-        m = target_re.fullmatch(stripped)
-        if m is None:
-            if matches:
-                return ParseOutcome.fail(
-                    "extra-prose-strict",
-                    f"payload is not exactly one {code}= assignment",
-                )
-            return ParseOutcome.fail("no-line-found", f"no assignment for code {code}")
-        raw = m.group(1)
-        if raw not in ("0", "1", "[0]", "[1]"):
-            if _normalize_value(raw) is None:
-                return ParseOutcome.fail(
-                    "non-binary-value", f"code {code} has value {raw!r}"
-                )
-            return ParseOutcome.fail(
-                "extra-prose-strict", f"value {raw!r} deviates from the answer format"
-            )
-        return ParseOutcome.success({code: int(_normalize_value(raw))})
-    if mode != "lenient":
-        raise ValueError(f"unknown parse mode {mode!r}")
     if not matches:
         return ParseOutcome.fail("no-line-found", f"no assignment for code {code}")
-    if len(matches) > 1:
+    if strict:
+        m = target_re.fullmatch(text.strip())
+        if m is None:
+            return ParseOutcome.fail(
+                "extra-prose-strict", f"payload is not exactly one {code}= assignment"
+            )
+        raw = m.group(1)
+    elif len(matches) > 1:
         return ParseOutcome.fail(
             "duplicate-code", f"code {code} assigned {len(matches)} times"
         )
-    value = _normalize_value(matches[0])
+    else:
+        raw = matches[0]
+    value = _normalize_value(raw)
     if value is None:
+        return ParseOutcome.fail("non-binary-value", f"code {code} has value {raw!r}")
+    if strict and raw not in ("0", "1", "[0]", "[1]"):
         return ParseOutcome.fail(
-            "non-binary-value", f"code {code} has value {matches[0]!r}"
+            "extra-prose-strict", f"value {raw!r} deviates from the answer format"
         )
     return ParseOutcome.success({code: int(value)})
 

@@ -799,10 +799,10 @@ def cmd_classify(cfg: RunConfig, *, resume: bool = False) -> list[ResultsStore]:
                 )
             _check_resume(existing, manifest)
         else:
-            for store in stores:  # records without a manifest: refused before one is written
-                if len(store) and not resume:
+            for store in stores:  # records no manifest made: refused, even on resume, before one is written
+                if len(store):
                     raise ConfigError(
-                        f"{store.path} already has records; pass resume to continue"
+                        f"{store.path} already has records but the run directory has no manifest.json"
                     )
             write_json(manifest_path, manifest)
 

@@ -398,18 +398,30 @@ def test_truncated_manifest_exits_two(tmp_path, capsys, clean_corpus_path):
         assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("repeats, name", [(1, "results.jsonl"), (2, "results_r2.jsonl")])
+@pytest.mark.parametrize(
+    "repeats, name, flags",
+    [
+        pytest.param(1, "results.jsonl", [], id="1-results.jsonl"),
+        pytest.param(2, "results_r2.jsonl", [], id="2-results_r2.jsonl"),
+        pytest.param(1, "results.jsonl", ["--resume"], id="1-results.jsonl-resume"),
+    ],
+)
 def test_classify_refused_for_records_without_a_manifest_writes_nothing(
-    tmp_path, capsys, clean_corpus_path, repeats, name
+    tmp_path, capsys, clean_corpus_path, repeats, name, flags
 ):
+    """No manifest made these records, so none may be written over them,
+    not even by a resume under another parse mode."""
     cfg_path, run_dir = write_cfg(tmp_path, clean_corpus_path)
     assert main(["classify", "--config", str(cfg_path)]) == 0
-    cfg_path, fresh = write_cfg(tmp_path, clean_corpus_path, name="fresh", run={"repeats": repeats})
+    cfg_path, fresh = write_cfg(
+        tmp_path, clean_corpus_path, name="fresh", run={"repeats": repeats}, parsing={"mode": "strict"}
+    )
     fresh.mkdir()
     (fresh / name).write_bytes((run_dir / "results.jsonl").read_bytes())
     capsys.readouterr()
-    assert main(["classify", "--config", str(cfg_path)]) == 1
-    assert capsys.readouterr().err == f"error: {fresh / name} already has records; pass resume to continue\n"
+    assert main(["classify", "--config", str(cfg_path), *flags]) == 1
+    message = f"{fresh / name} already has records but the run directory has no manifest.json"
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert [p.name for p in fresh.iterdir()] == [name]  # no manifest for a later resume to trust
 
 

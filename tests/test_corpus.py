@@ -362,9 +362,10 @@ def test_load_posts_missing_file(tmp_path):
 def test_load_posts_unknown_format(tmp_path):
     path = tmp_path / "x.jsonl"
     path.write_text("", encoding="utf-8")
-    with pytest.raises(ConfigError, match="unknown corpus format"):
+    message = re.escape("unknown corpus format 'parquet'; known: post-lines, delimited-table")
+    with pytest.raises(ConfigError, match=message):
         load_posts(path, format="parquet")
-    with pytest.raises(ConfigError, match="unknown corpus format"):
+    with pytest.raises(ConfigError, match=message):
         write_posts(Corpus(name="x", posts=()), path, format="parquet")
 
 

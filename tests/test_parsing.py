@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
+import hashlib
+import random
+import re
+
 import numpy as np
 import pytest
 
 from conftest import make_vector
+from themecoder.codebook import Codebook, ThemeDef
+from themecoder.errors import ConfigError
 from themecoder.parsing import (
     FAILURE_REASONS,
     PARSE_MODES,
@@ -170,9 +176,11 @@ def test_lenient_non_binary(cb):
 
 
 def test_unknown_mode_raises(cb):
-    with pytest.raises(ValueError, match="unknown parse mode"):
+    """The library names an unknown mode as load_config does."""
+    message = re.escape("unknown parsing mode 'relaxed'; known: strict, lenient")
+    with pytest.raises(ConfigError, match=message):
         parse_single_line(CANONICAL, cb, mode="relaxed")
-    with pytest.raises(ValueError, match="unknown parse mode"):
+    with pytest.raises(ConfigError, match=message):
         parse_single_answer("A=1", "A", mode="relaxed")
 
 
@@ -275,3 +283,85 @@ def test_assemble_requires_every_code(cb):
     merged = assemble_per_theme(outcomes, cb)
     assert merged.failure.reason == "missing-code"
     assert "X" in merged.failure.detail
+
+
+# --- pinned outcomes over a seeded input space ------------------------------------------
+
+_TOKENS = ("0", "1", "[0]", "[1]", "0.", "[1].", "1!", "[ 0 ]", "[1.]", "2", "yes", "[maybe]", "", "[0,1]", "01")
+
+
+def _seeded_line(rng, alphabet):
+    """One line of a reply: canonical, a scrambled assignment list, or prose."""
+    kind = rng.random()
+    if kind < 0.1:
+        return rng.choice(("", "  ", "Here is the classification:", "I could not classify this post.", "a=1, b=0"))
+    values = [rng.choice("01") for _ in alphabet]
+    if kind < 0.4:
+        return ", ".join(f"{c}={v}" for c, v in zip(alphabet, values))
+    codes = list(alphabet)
+    if rng.random() < 0.3:
+        codes.pop(rng.randrange(len(codes)))
+    if rng.random() < 0.3:
+        codes.insert(rng.randrange(len(codes) + 1), rng.choice(alphabet))
+    if rng.random() < 0.2:
+        codes.insert(rng.randrange(len(codes) + 1), rng.choice(("Z", "AB", "x")))
+    if rng.random() < 0.3:
+        rng.shuffle(codes)
+    parts = []
+    for code in codes:
+        tok = rng.choice("01") if rng.random() < 0.8 else rng.choice(_TOKENS)
+        parts.append(f"{code}{rng.choice(('=', ' = ', '= '))}{tok}")
+    line = rng.choice((", ", ",", " , ")).join(parts)
+    return line + rng.choice(("", "", ".", "!", " thanks"))
+
+
+def _seeded_answer(rng, code, alphabet):
+    """A per-theme reply: assignments to ``code`` and others among prose."""
+    pieces = []
+    for _ in range(rng.choice((1, 1, 1, 2, 3))):
+        kind = rng.random()
+        if kind < 0.6:
+            tok = rng.choice(("0", "1", "[0]", "[1]")) if rng.random() < 0.6 else rng.choice(_TOKENS)
+            pieces.append(f"{code}{rng.choice(('=', ' = ', '= '))}{tok}")
+        elif kind < 0.75:
+            pieces.append(f"{rng.choice(alphabet)}={rng.choice(_TOKENS)}")
+        elif kind < 0.85:
+            pieces.append(f"{rng.choice(('N', 'GRADE_', '2', '('))}{code}=1")
+        else:
+            pieces.append(rng.choice(("The answer is", "fits best.", "", code.lower() + "=1")))
+    text = rng.choice((" ", "\n", ", ")).join(pieces)
+    return rng.choice(("", " ", "\n")) + text + rng.choice(("", " ", "\n", "."))
+
+
+def _outcome_key(outcome):
+    if outcome.ok:
+        return (tuple(outcome.vector.items()), None, None)
+    return (None, outcome.failure.reason, outcome.failure.detail)
+
+
+def test_parse_outcomes_are_pinned_over_a_seeded_input_space(cb):
+    """Both parsers in both modes over ~5000 seeded replies, on the shipped
+    alphabet and a one-code one: every (vector, reason, detail) is hashed
+    into one digest, and every (parser, mode, reason) kind is reached."""
+    one_code = Codebook(version="t", themes=(ThemeDef("X", "x", "x"),), null_code="X")
+    rng = random.Random(38)
+    digest = hashlib.sha256()
+    kinds = set()
+    for book in (cb, one_code):
+        alphabet = book.alphabet
+        for _ in range(1250):
+            text = rng.choice(("\n", "\r\n")).join(
+                _seeded_line(rng, alphabet) for _ in range(rng.choice((1, 1, 2, 3)))
+            )
+            code = rng.choice(alphabet)
+            answer = _seeded_answer(rng, code, alphabet)
+            for mode in PARSE_MODES:
+                for parser, outcome in (
+                    ("line", parse_single_line(text, book, mode=mode)),
+                    ("answer", parse_single_answer(answer, code, mode=mode)),
+                ):
+                    key = _outcome_key(outcome)
+                    digest.update(repr(key).encode())
+                    kinds.add((parser, mode, key[1] or "ok"))
+    assert len(kinds) == 19, sorted(kinds)
+    assert digest.hexdigest() == "9898912e39b6aae9331fd314714b9c648a7e568d86e125c1b1c2ecf2dbcd2838"

@@ -874,13 +874,12 @@ def counted(calls: Counter, name: str, fn):
 
 
 def test_classify_calls_the_traced_names_once_per_attempt_and_frame(tmp_path, monkeypatch, clean_corpus_path, cb):
-    # perfbench reads attempts and frames off these two names; a call that
-    # bypassed either would zero or skew its counts
+    # perfbench reads attempts, frames and parses off these names; a call that
+    # bypassed one would zero or skew its counts
     calls = Counter()
     monkeypatch.setattr(backends, "complete", counted(calls, "complete", backends.complete))
-    monkeypatch.setattr(
-        pipeline, "classify_with_retry", counted(calls, "classify_with_retry", pipeline.classify_with_retry)
-    )
+    for name in ("classify_with_retry", "parse_single_answer", "parse_single_line"):
+        monkeypatch.setattr(pipeline, name, counted(calls, name, getattr(pipeline, name)))
     corpus = load_posts(clean_corpus_path)
     script_path = tmp_path / "script.json"
     bcfg = BackendConfig(kind="replay", model="replay-model", replay_path=str(script_path))
@@ -901,6 +900,7 @@ def test_classify_calls_the_traced_names_once_per_attempt_and_frame(tmp_path, mo
     ok = sum(rec["status"] == "ok" for rec in audit)
     assert ok == sum(rec["attempts"] for rec in store.records) == 13 * 18 + 2 + 1
     assert (calls["complete"], calls["classify_with_retry"]) == (ok, 13 * 18)
+    assert (calls["parse_single_answer"], calls["parse_single_line"]) == (ok, 0)
 
     calls.clear()
     hit = replay_cfg(tmp_path, clean_corpus_path, script_path, name="hit", **extra)
@@ -908,6 +908,12 @@ def test_classify_calls_the_traced_names_once_per_attempt_and_frame(tmp_path, mo
     (hit.output_dir / "cache.jsonl").write_bytes((live.output_dir / "cache.jsonl").read_bytes())
     cmd_classify(hit)
     assert (calls["complete"], calls["classify_with_retry"]) == (0, 13 * 18)
+    assert (calls["parse_single_answer"], calls["parse_single_line"]) == (ok, 0)
+
+    calls.clear()
+    cmd_classify(make_cfg(tmp_path, clean_corpus_path, name="v3", prompting={"template_version": "v3-single-line"}))
+    assert (calls["complete"], calls["classify_with_retry"]) == (18, 18)
+    assert (calls["parse_single_answer"], calls["parse_single_line"]) == (0, 18)
 
 
 def test_classify_byte_identity_across_runs(tmp_path, clean_corpus_path):
